@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks of the integer kernels the Ditto algorithm
 //! is built on: dense A8W8 matmul vs the three-stage temporal-difference
-//! update at varying delta sparsity, the Encoding Unit's classification
-//! pass, im2col lowering, scalar-vs-tiled-vs-simd backend comparison
-//! points at the im2col shapes the UNet models actually produce (one
-//! point per `tensor::KernelBackend` on the kernels it accelerates), and
-//! binary-vs-JSON trace-cache decoding.
+//! update at varying delta sparsity, im2col lowering,
+//! scalar-vs-tiled-vs-simd backend comparison points at the im2col shapes
+//! the UNet models actually produce (one point per
+//! `tensor::KernelBackend` on the kernels it accelerates), and
+//! binary-vs-JSON trace-cache decoding. (The Encoding Unit pass is timed
+//! by `perfbench`'s `encode` section.)
 //!
 //! These measure *host* (simulation) performance of the library, not the
 //! modeled accelerator — they document that the delta path's zero-skipping
@@ -14,7 +15,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quant::kernels::{delta_matmul_update_with, int_matmul, int_matmul_with, reference, widen};
-use quant::BitWidthHistogram;
 use std::hint::black_box;
 use tensor::ops::{self, Conv2dParams};
 use tensor::{KernelBackend, Rng, Tensor};
@@ -164,14 +164,6 @@ fn bench_f32_matmul_scalar_vs_tiled(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_encoder(c: &mut Criterion) {
-    let mut rng = Rng::seed_from(2);
-    let deltas = sparse_deltas(M * K, 0.5, &mut rng);
-    c.bench_function("encoding_unit_classify", |b| {
-        b.iter(|| BitWidthHistogram::from_deltas(black_box(&deltas)))
-    });
-}
-
 fn bench_im2col_and_conv(c: &mut Criterion) {
     let mut rng = Rng::seed_from(3);
     // SDM's 32→32 3×3 convolution at 16×16 — large enough that conv2d
@@ -228,6 +220,6 @@ criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(20);
     targets = bench_matmul, bench_int_matmul_backends, bench_f32_matmul_scalar_vs_tiled,
-        bench_encoder, bench_im2col_and_conv, bench_trace_decode, bench_quantize
+        bench_im2col_and_conv, bench_trace_decode, bench_quantize
 );
 criterion_main!(kernels);

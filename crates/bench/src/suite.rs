@@ -25,7 +25,8 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use diffusion::{DiffusionModel, ModelKind, ModelScale};
+use diffusion::plan::OpCode;
+use diffusion::{DiffusionModel, LayerOp, ModelKind, ModelScale};
 use ditto_core::binio::{BinError, FromBin, Reader, ToBin};
 use ditto_core::jsonio::Value;
 use ditto_core::runner::{trace_model, ExecPolicy};
@@ -287,19 +288,29 @@ fn trace_in_dir(
     kind: ModelKind,
     scale: ModelScale,
 ) -> (WorkloadTrace, TraceSource, u64) {
+    let model = DiffusionModel::build(kind, scale, WEIGHT_SEED);
+    let fingerprint = fingerprint_of(&model);
+    let (trace, source) = lookup_in_dir(dir, kind, scale, fingerprint)
+        .unwrap_or_else(|| (trace_and_store(dir, &model, scale, fingerprint), TraceSource::Traced));
+    (trace, source, fingerprint)
+}
+
+/// The trace the cache holds for a model with this `fingerprint`, if any.
+fn lookup_in_dir(
+    dir: &Path,
+    kind: ModelKind,
+    scale: ModelScale,
+    fingerprint: u64,
+) -> Option<(WorkloadTrace, TraceSource)> {
     let started = Instant::now();
     let stem = cache_stem("trace", kind, scale);
     let bin_name = format!("{stem}.bin");
-    let model = DiffusionModel::build(kind, scale, WEIGHT_SEED);
-    let fingerprint = fingerprint_of(&model);
-    let mut saw_stale_bin = false;
     if let Some(c) = load_bin::<CachedTrace>(dir, &bin_name) {
         if c.fingerprint == fingerprint {
             touch(&dir.join(&bin_name));
             note_trace_cache(kind, scale, "hit", started);
-            return (c.trace, TraceSource::BinCache, fingerprint);
+            return Some((c.trace, TraceSource::BinCache));
         }
-        saw_stale_bin = true;
         telemetry::counter("bench.trace_cache.stale", 1);
         eprintln!(
             "[suite] cache {bin_name} was traced from a different {} definition \
@@ -308,27 +319,59 @@ fn trace_in_dir(
             c.fingerprint,
             fingerprint
         );
+        // No JSON migration after a binary entry failed the fingerprint
+        // check: the model definitely changed, so a same-era JSON would
+        // launder stale data as fingerprint-valid.
+        return None;
     }
     // One-shot migration: read a legacy JSON cache and persist it as binary
     // so the JSON is never parsed again. JSON caches predate fingerprints
-    // and are stamped with the current model's fingerprint on trust — but
-    // never after a binary entry just failed the fingerprint check: the
-    // model definitely changed, so a same-era JSON would launder stale
-    // data as fingerprint-valid.
-    if !saw_stale_bin {
-        if let Some(t) = load_json::<WorkloadTrace>(dir, &format!("{stem}.json")) {
-            let cached = CachedTrace { fingerprint, trace: t };
-            store_bin(dir, &bin_name, &cached);
-            note_trace_cache(kind, scale, "migrated", started);
-            return (cached.trace, TraceSource::JsonMigrated, fingerprint);
-        }
-    }
-    eprintln!("[suite] tracing {} (one-time, cached afterwards)...", kind.abbr());
-    let (trace, _) = trace_model(&model, SAMPLE_SEED, ExecPolicy::Dense).expect("trace");
+    // and are stamped with the current model's fingerprint on trust.
+    let trace = load_json::<WorkloadTrace>(dir, &format!("{stem}.json"))?;
     let cached = CachedTrace { fingerprint, trace };
     store_bin(dir, &bin_name, &cached);
-    note_trace_cache(kind, scale, "traced", started);
-    (cached.trace, TraceSource::Traced, fingerprint)
+    note_trace_cache(kind, scale, "migrated", started);
+    Some((cached.trace, TraceSource::JsonMigrated))
+}
+
+/// Traces `model` and stores the trace under its `fingerprint`.
+fn trace_and_store(
+    dir: &Path,
+    model: &DiffusionModel,
+    scale: ModelScale,
+    fingerprint: u64,
+) -> WorkloadTrace {
+    let started = Instant::now();
+    eprintln!("[suite] tracing {} (one-time, cached afterwards)...", model.kind.abbr());
+    let (trace, _) = trace_model(model, SAMPLE_SEED, ExecPolicy::Dense).expect("trace");
+    let cached = CachedTrace { fingerprint, trace };
+    store_bin(dir, &format!("{}.bin", cache_stem("trace", model.kind, scale)), &cached);
+    note_trace_cache(model.kind, scale, "traced", started);
+    cached.trace
+}
+
+/// Estimated cost of tracing `model`: model calls × the multiply-accumulates
+/// of one call's linear layers, read off the compiled plan's shape
+/// immediates. Only the order of the estimates matters (it decides which
+/// model a pool worker claims first); a model without a plan sorts last.
+fn trace_cost_estimate(model: &DiffusionModel) -> u64 {
+    let Some(plan) = &model.plan else { return 0 };
+    let macs: usize = plan
+        .ops()
+        .iter()
+        .map(|op| match (&op.code, &model.graph.node(op.node).op) {
+            (&OpCode::Conv2dDirect { c_in, h, w }, LayerOp::Conv2d { weight, params, .. }) => {
+                let taps = c_in * params.kernel * params.kernel;
+                params.out_extent(h) * params.out_extent(w) * taps * weight.dims()[0]
+            }
+            (&OpCode::Conv2dIm2col { c_out, ckk, pixels, .. }, _) => pixels * ckk * c_out,
+            (&OpCode::Linear { m, k, n }, _)
+            | (&OpCode::MatmulQk { m, k, n, .. }, _)
+            | (&OpCode::MatmulPv { m, k, n }, _) => m * k * n,
+            _ => 0,
+        })
+        .sum();
+    (macs * model.model_calls()) as u64
 }
 
 /// Returns the cached workload trace for `kind`, computing (and caching) it
@@ -511,16 +554,45 @@ impl Suite {
     }
 
     fn load_in_dir(dir: &Path, scale: ModelScale) -> Self {
-        let loaded = accel::pool::run_indexed(MODELS.len(), accel::pool::default_workers(), |i| {
-            trace_in_dir(dir, MODELS[i], scale)
+        let workers = accel::pool::default_workers();
+        let build = |i: usize| {
+            let model = DiffusionModel::build(MODELS[i], scale, WEIGHT_SEED);
+            let fingerprint = fingerprint_of(&model);
+            (model, fingerprint)
+        };
+        // First what the cache holds. A miss only reports what tracing it
+        // is estimated to cost: keeping its model for the second pass would
+        // hold all seven in memory on a cold load.
+        let mut loaded = accel::pool::run_indexed(MODELS.len(), workers, |i| {
+            let (model, fingerprint) = build(i);
+            lookup_in_dir(dir, model.kind, scale, fingerprint)
+                .map(|(trace, source)| (trace, source, fingerprint))
+                .ok_or_else(|| trace_cost_estimate(&model))
         });
+        // Then the misses, costliest first. Workers claim jobs in index
+        // order, so the longest trace never starts behind a short one and
+        // sets the load's wall time alone.
+        let mut misses: Vec<(usize, u64)> = loaded
+            .iter()
+            .enumerate()
+            .filter_map(|(i, found)| found.as_ref().err().map(|&cost| (i, cost)))
+            .collect();
+        misses.sort_by_key(|&(_, cost)| std::cmp::Reverse(cost));
+        let traced = accel::pool::run_indexed(misses.len(), workers, |job| {
+            let (model, fingerprint) = build(misses[job].0);
+            (trace_and_store(dir, &model, scale, fingerprint), TraceSource::Traced, fingerprint)
+        });
+        for (&(i, _), fresh) in misses.iter().zip(traced) {
+            loaded[i] = Ok(fresh);
+        }
         let mut suite = Suite {
             traces: Vec::with_capacity(loaded.len()),
             sources: Vec::with_capacity(loaded.len()),
             fingerprints: Vec::with_capacity(loaded.len()),
             evictions: 0,
         };
-        for (trace, source, fingerprint) in loaded {
+        for found in loaded {
+            let (trace, source, fingerprint) = found.expect("every miss was traced");
             suite.traces.push(trace);
             suite.sources.push(source);
             suite.fingerprints.push(fingerprint);
@@ -688,6 +760,24 @@ mod tests {
             fingerprint_of(&DiffusionModel::build(ModelKind::Ddpm, ModelScale::Tiny, WEIGHT_SEED))
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cost_estimate_is_the_traced_mac_count() {
+        // The estimate read off the compiled plan is exactly what the hook
+        // goes on to record, for a UNet and a transformer alike.
+        for kind in [ModelKind::Sdm, ModelKind::Dit] {
+            let model = DiffusionModel::build(kind, ModelScale::Tiny, WEIGHT_SEED);
+            let (trace, _) = trace_model(&model, 0, ExecPolicy::Dense).unwrap();
+            let macs: u64 = trace.layers.iter().map(|l| l.macs).sum();
+            assert_eq!(trace_cost_estimate(&model), macs * model.model_calls() as u64, "{kind:?}");
+        }
+        // At the experiment scale BED is the longest job and Latte the
+        // shortest, whatever their Table I positions.
+        let cost = |kind| trace_cost_estimate(&DiffusionModel::build(kind, ModelScale::Small, 1));
+        let costs = MODELS.map(cost);
+        assert_eq!(costs.iter().max(), Some(&cost(ModelKind::Bed)));
+        assert_eq!(costs.iter().min(), Some(&cost(ModelKind::Latte)));
     }
 
     /// Writes a fake trace cache entry of `size` bytes and nudges its mtime

@@ -17,6 +17,16 @@
 //!    histograms that drives every analysis figure and the hardware
 //!    simulator.
 //!
+//! A hook call is four slice-level stages over buffers the hook keeps
+//! between calls: **quantize** (`quant::quantize_into`, then
+//! `im2col_i8_into` on the levels for convs), **encode** (`quant::encode`:
+//! the three histograms and the kernel's `i16` operand in one pass),
+//! **kernel** (`int_matmul_into` / `delta_matmul_update_into` /
+//! `attention_delta_scores_into`, accumulating in place on the layer's
+//! previous outputs) and **dequant** (scale, bias and layout in one write
+//! of the output tensor). With telemetry on, each stage's time lands in a
+//! per-model series (`core.hook.<model>.<stage>_ns`).
+//!
 //! The integer kernels the hook drives (`quant::kernels::*`) dispatch
 //! through the pluggable kernel-backend layer (`tensor::backend`:
 //! scalar / tiled / explicit-SIMD). Backends are bit-identical, so traces
@@ -26,20 +36,28 @@
 //! changes tracing speed.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use diffusion::{DiffusionModel, LayerOp, LinearHook, Node, NodeId, StepInfo};
-use quant::kernels::{attention_delta_scores, delta_matmul_update, int_matmul, widen};
-use quant::{BitWidthHistogram, CalibrationTable, Calibrator, QTensor, Quantizer};
-use tensor::ops::Conv2dParams;
+use quant::kernels::{
+    attention_delta_scores_into, delta_matmul_update_into, im2col_i8_into, int_matmul_into,
+    int_scores, widen, widen_into,
+};
+use quant::{encode, quantize_into, CalibrationTable, Calibrator, Emit, QTensor, Quantizer};
 use tensor::{stats, Tensor};
 
 use crate::defo::{analyze, LayerBoundary};
+use crate::telemetry;
 use crate::trace::{LayerMeta, LinearKind, StepStats, SubOp, WorkloadTrace};
 
 /// Headroom multiplier applied to grid scales pinned from the first step of
 /// dynamically quantized models, absorbing the gradual range drift across
 /// the reverse process (§II).
 const DYNAMIC_GRID_HEADROOM: f32 = 1.25;
+
+/// Calibration-table key offset of an attention matmul's secondary
+/// operand, which shares its node with the primary one.
+const SECONDARY_KEY_OFFSET: NodeId = 1_000_000;
 
 /// How [`DittoHook`] computes linear-layer outputs. Both policies are
 /// numerically identical (difference processing is exact, §IV-A); the
@@ -53,171 +71,151 @@ pub enum ExecPolicy {
     TemporalDelta,
 }
 
-/// Quantized weight cache entry for a conv/FC layer.
-#[derive(Debug, Clone)]
+impl ExecPolicy {
+    /// The operand the Encoding Unit pass hands the kernel.
+    fn emit(self) -> Emit {
+        match self {
+            ExecPolicy::Dense => Emit::Levels,
+            ExecPolicy::TemporalDelta => Emit::Delta,
+        }
+    }
+}
+
+/// Quantized weights of a conv/FC layer; the bias stays in the graph node.
+#[derive(Debug)]
 struct QWeight {
     /// `[k, n]` weight levels (k = reduction dim).
     data: Vec<i8>,
     scale: f32,
     k: usize,
     n: usize,
-    bias: Option<Vec<f32>>,
 }
 
-/// Per-layer mutable state across steps.
-#[derive(Debug, Clone, Default)]
-struct LayerState {
-    /// Pinned activation grid scale (primary operand).
-    grid: Option<f32>,
-    /// Pinned grid of the secondary operand (attention only).
-    grid2: Option<f32>,
-    /// Previous-step primary operand levels (im2col domain for convs).
-    prev_a: Vec<i8>,
-    /// Grid scale `prev_a` (and `prev_acc`) were produced on.
-    prev_a_grid: f32,
-    /// Previous-step secondary operand levels (attention only).
-    prev_b: Vec<i8>,
-    /// Grid scale `prev_b` was produced on.
-    prev_b_grid: f32,
-    /// Previous-step output accumulators.
-    prev_acc: Vec<i32>,
-}
-
-/// Re-quantizes stored levels from `old` onto the `new` grid (exact in f32,
-/// then rounded) — the boundary cost of calibrated grids that change
-/// across time-step clusters (§VI-A).
-fn regrid_levels(levels: &[i8], old: f32, new: f32) -> Vec<i8> {
-    let ratio = old / new;
-    levels.iter().map(|&v| (v as f32 * ratio).round().clamp(-127.0, 127.0) as i8).collect()
-}
-
-/// The Ditto execution hook. See the module docs.
-#[derive(Debug)]
-pub struct DittoHook {
-    quantizer: Quantizer,
-    policy: ExecPolicy,
-    boundaries: HashMap<NodeId, LayerBoundary>,
-    weights: HashMap<NodeId, QWeight>,
-    states: HashMap<NodeId, LayerState>,
-    layer_index: HashMap<NodeId, usize>,
-    metas: Vec<LayerMeta>,
-    steps: Vec<Vec<StepStats>>,
-    model_abbr: &'static str,
-}
-
-impl DittoHook {
-    /// Creates a hook for `model`, running Defo's static dependency
-    /// analysis up front.
-    pub fn new(model: &DiffusionModel, quantizer: Quantizer, policy: ExecPolicy) -> Self {
-        let defo = analyze(&model.graph);
-        let boundaries = defo.boundaries.into_iter().map(|b| (b.node, b)).collect();
-        DittoHook {
-            quantizer,
-            policy,
-            boundaries,
-            weights: HashMap::new(),
-            states: HashMap::new(),
-            layer_index: HashMap::new(),
-            metas: Vec::new(),
-            steps: Vec::new(),
-            model_abbr: model.kind.abbr(),
-        }
-    }
-
-    /// Consumes the hook, returning the captured workload trace.
-    pub fn into_trace(self) -> WorkloadTrace {
-        WorkloadTrace { model: self.model_abbr.to_string(), layers: self.metas, steps: self.steps }
-    }
-
-    fn ensure_step_row(&mut self, step: usize) {
-        while self.steps.len() <= step {
-            self.steps.push(Vec::new());
-        }
-    }
-
-    /// Resolves (or pins) the activation grid scale for a layer operand.
-    fn grid_scale(&mut self, node: NodeId, step: usize, x: &Tensor, secondary: bool) -> f32 {
-        // Static calibration tables already cluster steps; use their scale
-        // directly (constant within a cluster, so deltas stay exact).
-        // Secondary attention operands are keyed off the same node with a
-        // large offset to keep their calibration records distinct.
-        let key = if secondary { node + 1_000_000 } else { node };
-        if let Some(table) = self.quantizer.table() {
-            if let Some(s) = table.scale_for(key, step) {
-                return s;
-            }
-        }
-        let st = self.states.entry(node).or_default();
-        let slot = if secondary { &mut st.grid2 } else { &mut st.grid };
-        if let Some(s) = *slot {
-            return s;
-        }
-        let amax = stats::abs_max(x.as_slice());
-        let s = if amax == 0.0 {
-            1.0
-        } else {
-            amax * DYNAMIC_GRID_HEADROOM / quant::qtensor::QMAX as f32
-        };
-        *slot = Some(s);
-        s
-    }
-
-    fn quantize_weight(&mut self, node: &Node) -> QWeight {
-        if let Some(w) = self.weights.get(&node.id) {
-            return w.clone();
-        }
-        let qw = match &node.op {
-            LayerOp::Conv2d { weight, bias, params } => {
-                let c_out = weight.dims()[0];
-                let k_red = weight.dims()[1] * params.kernel * params.kernel;
+impl QWeight {
+    fn of(node: &Node) -> Self {
+        match &node.op {
+            LayerOp::Conv2d { weight, params, .. } => {
+                let n = weight.dims()[0];
+                let k = weight.dims()[1] * params.kernel * params.kernel;
                 // Reshape [C_out, C_in*K*K] → transpose to [k, n].
                 let q = QTensor::quantize_dynamic(weight);
-                let mut data = vec![0i8; k_red * c_out];
-                for co in 0..c_out {
-                    for kk in 0..k_red {
-                        data[kk * c_out + co] = q.data()[co * k_red + kk];
+                let mut data = vec![0i8; k * n];
+                for co in 0..n {
+                    for kk in 0..k {
+                        data[kk * n + co] = q.data()[co * k + kk];
                     }
                 }
-                QWeight {
-                    data,
-                    scale: q.scale(),
-                    k: k_red,
-                    n: c_out,
-                    bias: bias.as_ref().map(|b| b.as_slice().to_vec()),
-                }
+                QWeight { data, scale: q.scale(), k, n }
             }
-            LayerOp::Linear { weight, bias } => {
+            LayerOp::Linear { weight, .. } => {
                 let q = QTensor::quantize_dynamic(weight);
-                QWeight {
-                    data: q.data().to_vec(),
-                    scale: q.scale(),
-                    k: weight.dims()[0],
-                    n: weight.dims()[1],
-                    bias: bias.as_ref().map(|b| b.as_slice().to_vec()),
-                }
+                let (k, n) = (weight.dims()[0], weight.dims()[1]);
+                QWeight { data: q.data().to_vec(), scale: q.scale(), k, n }
             }
             _ => unreachable!("attention matmuls have no weights"),
-        };
-        self.weights.insert(node.id, qw.clone());
-        qw
-    }
-
-    fn boundary(&self, node: NodeId) -> (bool, bool, Vec<String>, Vec<String>) {
-        match self.boundaries.get(&node) {
-            Some(b) => (
-                b.needs_diff_calc,
-                b.needs_summation,
-                b.in_boundary.clone(),
-                b.out_boundary.clone(),
-            ),
-            None => (true, true, Vec::new(), Vec::new()),
         }
     }
+}
 
-    /// Registers layer metadata on first encounter; returns the layer row
-    /// index.
+/// One quantized operand of a layer across steps: the current step's
+/// levels are built in `cur` and become `prev` by a buffer swap.
+#[derive(Debug, Default)]
+struct Operand {
+    /// Grid scale pinned at the first step (dynamic quantization only).
+    pinned: Option<f32>,
+    /// This step's levels (im2col domain for convs, `[red, n]` for the
+    /// secondary attention operand).
+    cur: Vec<i8>,
+    /// Previous-step levels.
+    prev: Vec<i8>,
+    /// Grid scale `prev` (and the layer's accumulators) were produced on.
+    prev_grid: f32,
+}
+
+impl Operand {
+    /// Resolves (or pins) this operand's activation grid scale.
+    fn grid_scale(&mut self, quantizer: &Quantizer, key: NodeId, step: usize, x: &[f32]) -> f32 {
+        // Static calibration tables already cluster steps; use their scale
+        // directly (constant within a cluster, so deltas stay exact).
+        if let Some(s) = quantizer.table().and_then(|t| t.scale_for(key, step)) {
+            return s;
+        }
+        *self.pinned.get_or_insert_with(|| {
+            let amax = stats::abs_max(x);
+            if amax == 0.0 {
+                1.0
+            } else {
+                amax * DYNAMIC_GRID_HEADROOM / quant::qtensor::QMAX as f32
+            }
+        })
+    }
+
+    fn has_prev(&self) -> bool {
+        self.prev.len() == self.cur.len()
+    }
+
+    /// Re-quantizes the stored previous levels onto the `grid` of this step
+    /// (exact in f32, then rounded) — the boundary cost of calibrated grids
+    /// that change across time-step clusters (§VI-A).
+    fn regrid_prev(&mut self, grid: f32) {
+        regrid_levels(&mut self.prev, self.prev_grid, grid);
+        self.prev_grid = grid;
+    }
+
+    /// Ends the step: this step's levels become the previous ones.
+    fn commit(&mut self, grid: f32) {
+        std::mem::swap(&mut self.cur, &mut self.prev);
+        self.prev_grid = grid;
+    }
+}
+
+fn regrid_levels(levels: &mut [i8], old: f32, new: f32) {
+    let ratio = old / new;
+    for v in levels {
+        *v = (*v as f32 * ratio).round().clamp(-127.0, 127.0) as i8;
+    }
+}
+
+/// Per-layer state across steps.
+#[derive(Debug, Default)]
+struct Layer {
+    /// Row of this layer in the trace, once registered.
+    index: Option<usize>,
+    weight: Option<QWeight>,
+    /// Primary operand.
+    a: Operand,
+    /// Secondary operand (attention only).
+    b: Operand,
+    /// Output accumulators: the previous step's until the kernel runs,
+    /// then this step's.
+    acc: Vec<i32>,
+}
+
+/// Buffers every layer's hook call reuses.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Quantized raw input, before im2col or the `K` transpose.
+    levels: Vec<i8>,
+    /// The kernel operands the Encoding Unit pass emits.
+    op_a: Vec<i16>,
+    op_b: Vec<i16>,
+    /// Widened `A_t` and `B_prev` of the attention difference path.
+    wide_a: Vec<i16>,
+    wide_b: Vec<i16>,
+}
+
+/// The trace under construction.
+#[derive(Debug)]
+struct Recorder {
+    boundaries: HashMap<NodeId, LayerBoundary>,
+    metas: Vec<LayerMeta>,
+    steps: Vec<Vec<StepStats>>,
+}
+
+impl Recorder {
+    /// Registers layer metadata; returns the layer's row index.
     #[allow(clippy::too_many_arguments)]
-    fn register_layer(
+    fn register(
         &mut self,
         node: &Node,
         kind: LinearKind,
@@ -229,11 +227,16 @@ impl DittoHook {
         weight_bytes: u64,
         out_bytes: u64,
     ) -> usize {
-        if let Some(&idx) = self.layer_index.get(&node.id) {
-            return idx;
-        }
-        let (needs_diff_calc, needs_summation, in_boundary, out_boundary) = self.boundary(node.id);
-        let idx = self.metas.len();
+        let (needs_diff_calc, needs_summation, in_boundary, out_boundary) =
+            match self.boundaries.get(&node.id) {
+                Some(b) => (
+                    b.needs_diff_calc,
+                    b.needs_summation,
+                    b.in_boundary.clone(),
+                    b.out_boundary.clone(),
+                ),
+                None => (true, true, Vec::new(), Vec::new()),
+            };
         self.metas.push(LayerMeta {
             node: node.id,
             name: node.name.clone(),
@@ -250,90 +253,179 @@ impl DittoHook {
             in_boundary,
             out_boundary,
         });
-        self.layer_index.insert(node.id, idx);
-        idx
+        self.metas.len() - 1
     }
 
-    fn record_stats(&mut self, step: usize, layer_idx: usize, stats: StepStats) {
-        self.ensure_step_row(step);
+    fn record(&mut self, step: usize, layer_idx: usize, stats: StepStats) {
+        if self.steps.len() <= step {
+            self.steps.resize_with(step + 1, Vec::new);
+        }
         let row = &mut self.steps[step];
-        while row.len() <= layer_idx {
-            row.push(StepStats::default());
+        if row.len() <= layer_idx {
+            row.resize_with(layer_idx + 1, StepStats::default);
         }
         row[layer_idx] = stats;
     }
+}
 
-    /// Executes a conv/FC layer in the integer domain and records stats.
-    ///
-    /// `operand` is the flattened `[m, k]` classified operand (im2col for
-    /// convs), `raw_in_elems` the raw input tensor size for byte
-    /// accounting.
+/// The stages of one hook call, in execution order: the `<stage>` of the
+/// `core.hook.<model>.<stage>_ns` telemetry series.
+pub const HOOK_STAGES: [&str; 4] = ["quantize", "encode", "kernel", "dequant"];
+const QUANTIZE: usize = 0;
+const ENCODE: usize = 1;
+const KERNEL: usize = 2;
+const DEQUANT: usize = 3;
+
+/// Splits one hook call's time over [`HOOK_STAGES`] into per-model telemetry
+/// series. Off (telemetry disabled) it holds no clock and every lap is one
+/// branch on a local.
+struct StageClock {
+    last: Option<Instant>,
+    ns: [u64; HOOK_STAGES.len()],
+}
+
+impl StageClock {
+    fn start() -> Self {
+        StageClock { last: telemetry::on().then(Instant::now), ns: [0; HOOK_STAGES.len()] }
+    }
+
+    /// Charges the time since the previous lap to `stage`.
+    fn lap(&mut self, stage: usize) {
+        if let Some(last) = &mut self.last {
+            let now = Instant::now();
+            self.ns[stage] += u64::try_from((now - *last).as_nanos()).unwrap_or(u64::MAX);
+            *last = now;
+        }
+    }
+
+    fn finish(self, series: &[String; HOOK_STAGES.len()]) {
+        if self.last.is_some() {
+            for (name, ns) in series.iter().zip(self.ns) {
+                telemetry::series(name, ns);
+            }
+        }
+    }
+}
+
+/// The Ditto execution hook. See the module docs.
+#[derive(Debug)]
+pub struct DittoHook {
+    quantizer: Quantizer,
+    policy: ExecPolicy,
+    layers: HashMap<NodeId, Layer>,
+    recorder: Recorder,
+    scratch: Scratch,
+    model_abbr: &'static str,
+    /// `core.hook.<model>.<stage>_ns`, one per entry of [`HOOK_STAGES`].
+    stage_series: [String; HOOK_STAGES.len()],
+}
+
+impl DittoHook {
+    /// Creates a hook for `model`, running Defo's static dependency
+    /// analysis up front.
+    pub fn new(model: &DiffusionModel, quantizer: Quantizer, policy: ExecPolicy) -> Self {
+        let defo = analyze(&model.graph);
+        let model_abbr = model.kind.abbr();
+        DittoHook {
+            quantizer,
+            policy,
+            layers: HashMap::new(),
+            recorder: Recorder {
+                boundaries: defo.boundaries.into_iter().map(|b| (b.node, b)).collect(),
+                metas: Vec::new(),
+                steps: Vec::new(),
+            },
+            scratch: Scratch::default(),
+            model_abbr,
+            stage_series: HOOK_STAGES.map(|stage| format!("core.hook.{model_abbr}.{stage}_ns")),
+        }
+    }
+
+    /// Consumes the hook, returning the captured workload trace.
+    pub fn into_trace(self) -> WorkloadTrace {
+        WorkloadTrace {
+            model: self.model_abbr.to_string(),
+            layers: self.recorder.metas,
+            steps: self.recorder.steps,
+        }
+    }
+}
+
+impl Layer {
+    /// Executes a conv/FC layer in the integer domain and records stats:
+    /// `self.a.cur` holds the quantized `[m, k]` operand (im2col for convs)
+    /// on `grid`, `raw_in_elems` is the raw input tensor size for byte
+    /// accounting. Leaves the output accumulators in `self.acc` and
+    /// returns their scale.
     #[allow(clippy::too_many_arguments)]
     fn run_weighted(
         &mut self,
         node: &Node,
         step: usize,
         kind: LinearKind,
-        operand_f32: &Tensor, // [m, k]
+        m: usize,
+        grid: f32,
         raw_in_elems: u64,
-        qw: &QWeight,
-    ) -> (Vec<i32>, f32) {
-        let m = operand_f32.dims()[0];
+        policy: ExecPolicy,
+        recorder: &mut Recorder,
+        scratch: &mut Scratch,
+        clock: &mut StageClock,
+    ) -> f32 {
+        let Layer { index, weight, a, acc, .. } = self;
+        let qw = weight.as_ref().expect("weights are quantized before the first run");
         let (k, n) = (qw.k, qw.n);
-        let grid = self.grid_scale(node.id, step, operand_f32, false);
-        let qa = QTensor::quantize_with_scale(operand_f32, grid);
-        let macs = (m * k * n) as u64;
-        let elems = (m * k) as u64;
-        let idx = self.register_layer(
-            node,
-            kind,
-            macs,
-            elems,
-            n as u64,
-            vec![SubOp { label: "dx".into(), elems, reuse: n as u64 }],
-            raw_in_elems,
-            (k * n) as u64,
-            (m * n) as u64,
-        );
+        debug_assert_eq!(a.cur.len(), m * k);
+        let idx = *index.get_or_insert_with(|| {
+            let elems = (m * k) as u64;
+            recorder.register(
+                node,
+                kind,
+                (m * k * n) as u64,
+                elems,
+                n as u64,
+                vec![SubOp { label: "dx".into(), elems, reuse: n as u64 }],
+                raw_in_elems,
+                (k * n) as u64,
+                (m * n) as u64,
+            )
+        });
+        clock.lap(QUANTIZE);
 
-        let st = self.states.entry(node.id).or_default();
-        let has_prev = st.prev_a.len() == qa.len();
+        let has_prev = a.has_prev();
         // Grid boundary (Q-Diffusion cluster change / TDQ step change):
         // re-quantize the stored previous operand onto the current grid
         // and rebuild its accumulators so the difference stays exact.
-        if has_prev && st.prev_a_grid != grid {
-            st.prev_a = regrid_levels(&st.prev_a, st.prev_a_grid, grid);
-            st.prev_acc = int_matmul(&widen(&st.prev_a), &qw.data, m, k, n);
-            st.prev_a_grid = grid;
+        if has_prev && a.prev_grid != grid {
+            a.regrid_prev(grid);
+            widen_into(&a.prev, &mut scratch.op_a);
+            int_matmul_into(acc, &scratch.op_a, &qw.data, m, k, n);
         }
-        // Statistics under the three processing views.
-        let act = BitWidthHistogram::from_activations(qa.data());
-        let spa = spatial_hist(qa.data(), m, k);
-        let (temporal, deltas) = if has_prev {
-            let d: Vec<i16> =
-                qa.data().iter().zip(&st.prev_a).map(|(&c, &p)| c as i16 - p as i16).collect();
-            (Some(vec![BitWidthHistogram::from_deltas(&d)]), Some(d))
-        } else {
-            (None, None)
-        };
+        // Statistics under the three processing views, and the operand.
+        let prev = has_prev.then_some(a.prev.as_slice());
+        let enc = encode(&a.cur, prev, m, k, policy.emit(), &mut scratch.op_a);
+        recorder.record(
+            step,
+            idx,
+            StepStats { act: enc.act, spa: enc.spatial, temporal: enc.temporal.map(|t| vec![t]) },
+        );
+        clock.lap(ENCODE);
 
         // Output accumulators: dense, or via the three-stage delta path.
-        let acc = match (&deltas, self.policy) {
-            (Some(d), ExecPolicy::TemporalDelta) => {
-                delta_matmul_update(&st.prev_acc, d, &qw.data, m, k, n)
-            }
-            _ => int_matmul(&widen(qa.data()), &qw.data, m, k, n),
-        };
-        st.prev_a = qa.data().to_vec();
-        st.prev_a_grid = grid;
-        st.prev_acc = acc.clone();
-        let out_scale = grid * qw.scale;
-        self.record_stats(step, idx, StepStats { act, spa, temporal });
-        (acc, out_scale)
+        if has_prev && policy == ExecPolicy::TemporalDelta {
+            delta_matmul_update_into(acc, &scratch.op_a, &qw.data, m, k, n);
+        } else {
+            int_matmul_into(acc, &scratch.op_a, &qw.data, m, k, n);
+        }
+        a.commit(grid);
+        clock.lap(KERNEL);
+        grid * qw.scale
     }
 
     /// Executes an attention matmul (`Q·Kᵀ` or `P·V`) in the integer
-    /// domain and records two-sub-op difference statistics.
+    /// domain and records two-sub-op difference statistics. Leaves the
+    /// `[m, n]` output accumulators in `self.acc`; returns their scale and
+    /// `(m, n)`.
+    #[allow(clippy::too_many_arguments)]
     fn run_attention(
         &mut self,
         node: &Node,
@@ -341,158 +433,107 @@ impl DittoHook {
         kind: LinearKind,
         a_f32: &Tensor, // Q [m, d] (or P [m, s])
         b_f32: &Tensor, // K [n, d] (or V [s, d]) — reduced along its matching dim
-    ) -> (Vec<i32>, f32, usize, usize) {
+        quantizer: &Quantizer,
+        policy: ExecPolicy,
+        recorder: &mut Recorder,
+        scratch: &mut Scratch,
+        clock: &mut StageClock,
+    ) -> (f32, usize, usize) {
+        let Layer { index, a, b, acc, .. } = self;
         // Dimensions: QK: a=[m,d], b=[n,d], out [m,n] reducing d.
         //             PV: a=[m,s], b=[s,d], out [m,d] reducing s.
-        let (m, red, n, b_is_transposed) = match kind {
-            LinearKind::MatmulQk => (a_f32.dims()[0], a_f32.dims()[1], b_f32.dims()[0], true),
-            LinearKind::MatmulPv => (a_f32.dims()[0], a_f32.dims()[1], b_f32.dims()[1], false),
+        let (m, red) = (a_f32.dims()[0], a_f32.dims()[1]);
+        let n = match kind {
+            LinearKind::MatmulQk => b_f32.dims()[0],
+            LinearKind::MatmulPv => b_f32.dims()[1],
             _ => unreachable!(),
         };
-        let grid_a = self.grid_scale(node.id, step, a_f32, false);
-        let grid_b = self.grid_scale(node.id, step, b_f32, true);
-        let qa = QTensor::quantize_with_scale(a_f32, grid_a);
-        let qb = QTensor::quantize_with_scale(b_f32, grid_b);
+        let grid_a = a.grid_scale(quantizer, node.id, step, a_f32.as_slice());
+        let grid_b =
+            b.grid_scale(quantizer, node.id + SECONDARY_KEY_OFFSET, step, b_f32.as_slice());
+        quantize_into(a_f32.as_slice(), grid_a, &mut a.cur);
         // Bring B into [red, n] layout for the matmul.
-        let b_mat: Vec<i8> = if b_is_transposed {
+        if kind == LinearKind::MatmulQk {
             // K is [n, red] → transpose.
-            let mut t = vec![0i8; red * n];
-            for r in 0..n {
-                for c in 0..red {
-                    t[c * n + r] = qb.data()[r * red + c];
+            quantize_into(b_f32.as_slice(), grid_b, &mut scratch.levels);
+            b.cur.clear();
+            b.cur.resize(red * n, 0);
+            for (r, krow) in scratch.levels.chunks_exact(red).enumerate() {
+                for (c, &v) in krow.iter().enumerate() {
+                    b.cur[c * n + r] = v;
                 }
             }
-            t
         } else {
-            qb.data().to_vec()
-        };
-
-        let macs = (m * red * n) as u64;
-        let a_elems = (m * red) as u64;
-        let b_elems = (red * n) as u64;
-        let (sub_b_label, sub_a_label) = match kind {
-            LinearKind::MatmulQk => ("dk", "dq"),
-            _ => ("dv", "dp"),
-        };
-        let idx = self.register_layer(
-            node,
-            kind,
-            macs,
-            a_elems,
-            n as u64,
-            vec![
-                SubOp { label: sub_b_label.into(), elems: b_elems, reuse: m as u64 },
-                SubOp { label: sub_a_label.into(), elems: a_elems, reuse: n as u64 },
-            ],
-            a_elems + b_elems,
-            0,
-            (m * n) as u64,
-        );
-
-        let st = self.states.entry(node.id).or_default();
-        let has_prev = st.prev_a.len() == qa.len() && st.prev_b.len() == b_mat.len();
-        if has_prev && (st.prev_a_grid != grid_a || st.prev_b_grid != grid_b) {
-            st.prev_a = regrid_levels(&st.prev_a, st.prev_a_grid, grid_a);
-            st.prev_b = regrid_levels(&st.prev_b, st.prev_b_grid, grid_b);
-            let a16: Vec<i16> = st.prev_a.iter().map(|&v| v as i16).collect();
-            let b16: Vec<i16> = st.prev_b.iter().map(|&v| v as i16).collect();
-            st.prev_acc = quant::kernels::int_scores(&a16, &b16, m, red, n);
-            st.prev_a_grid = grid_a;
-            st.prev_b_grid = grid_b;
+            quantize_into(b_f32.as_slice(), grid_b, &mut b.cur);
         }
-        let act = BitWidthHistogram::from_activations(qa.data());
-        let spa = spatial_hist(qa.data(), m, red);
-        let (temporal, delta_pair) = if has_prev {
-            let da: Vec<i16> =
-                qa.data().iter().zip(&st.prev_a).map(|(&c, &p)| c as i16 - p as i16).collect();
-            let db: Vec<i16> =
-                b_mat.iter().zip(&st.prev_b).map(|(&c, &p)| c as i16 - p as i16).collect();
-            (
-                Some(vec![
-                    BitWidthHistogram::from_deltas(&db),
-                    BitWidthHistogram::from_deltas(&da),
-                ]),
-                Some((da, db)),
+
+        let idx = *index.get_or_insert_with(|| {
+            let a_elems = (m * red) as u64;
+            let b_elems = (red * n) as u64;
+            let (sub_b_label, sub_a_label) = match kind {
+                LinearKind::MatmulQk => ("dk", "dq"),
+                _ => ("dv", "dp"),
+            };
+            recorder.register(
+                node,
+                kind,
+                (m * red * n) as u64,
+                a_elems,
+                n as u64,
+                vec![
+                    SubOp { label: sub_b_label.into(), elems: b_elems, reuse: m as u64 },
+                    SubOp { label: sub_a_label.into(), elems: a_elems, reuse: n as u64 },
+                ],
+                a_elems + b_elems,
+                0,
+                (m * n) as u64,
             )
+        });
+        clock.lap(QUANTIZE);
+
+        let has_prev = a.has_prev() && b.has_prev();
+        if has_prev && (a.prev_grid != grid_a || b.prev_grid != grid_b) {
+            a.regrid_prev(grid_a);
+            b.regrid_prev(grid_b);
+            *acc = int_scores(&widen(&a.prev), &widen(&b.prev), m, red, n);
+        }
+        let emit = policy.emit();
+        let enc =
+            encode(&a.cur, has_prev.then_some(a.prev.as_slice()), m, red, emit, &mut scratch.op_a);
+        // Only the temporal view of the secondary operand is recorded: one
+        // flat row has no spatial work to do.
+        let temporal = has_prev.then(|| {
+            let enc_b = encode(&b.cur, Some(&b.prev), 1, red * n, emit, &mut scratch.op_b);
+            vec![
+                enc_b.temporal.expect("encoded against a previous step"),
+                enc.temporal.expect("encoded against a previous step"),
+            ]
+        });
+        recorder.record(step, idx, StepStats { act: enc.act, spa: enc.spatial, temporal });
+        clock.lap(ENCODE);
+
+        if has_prev && policy == ExecPolicy::TemporalDelta {
+            // scores_t = prev + A_t·ΔB + ΔA·B_prev (§IV-A).
+            widen_into(&a.cur, &mut scratch.wide_a);
+            widen_into(&b.prev, &mut scratch.wide_b);
+            attention_delta_scores_into(
+                acc,
+                &scratch.wide_a,
+                &scratch.op_a,
+                &scratch.wide_b,
+                &scratch.op_b,
+                m,
+                red,
+                n,
+            );
         } else {
-            (None, None)
-        };
-
-        let acc = match (&delta_pair, self.policy) {
-            (Some((da, db)), ExecPolicy::TemporalDelta) => {
-                // scores_t = prev + A_t·ΔB + ΔA·B_prev (§IV-A).
-                let a_t = widen(qa.data());
-                let b_prev: Vec<i16> = st.prev_b.iter().map(|&v| v as i16).collect();
-                attention_delta_scores(&st.prev_acc, &a_t, da, &b_prev, db, m, red, n)
-            }
-            _ => int_matmul(&widen(qa.data()), &b_mat_as_i8(&b_mat), m, red, n),
-        };
-        st.prev_a = qa.data().to_vec();
-        st.prev_a_grid = grid_a;
-        st.prev_b = b_mat;
-        st.prev_b_grid = grid_b;
-        st.prev_acc = acc.clone();
-        self.record_stats(step, idx, StepStats { act, spa, temporal });
-        (acc, grid_a * grid_b, m, n)
-    }
-}
-
-fn b_mat_as_i8(v: &[i8]) -> Vec<i8> {
-    v.to_vec()
-}
-
-/// Spatial (row-wise) difference histogram: first row classified at its
-/// activation bit-width, later rows as differences from the previous row —
-/// the Diffy method extended to FC/attention rows (§III-B).
-fn spatial_hist(data: &[i8], rows: usize, cols: usize) -> BitWidthHistogram {
-    let mut h = BitWidthHistogram::new();
-    if rows == 0 || cols == 0 {
-        return h;
-    }
-    for &v in &data[..cols] {
-        h.push(quant::BitWidthClass::of_i8(v));
-    }
-    for r in 1..rows {
-        for c in 0..cols {
-            let d = data[r * cols + c] as i16 - data[(r - 1) * cols + c] as i16;
-            h.push(quant::BitWidthClass::of(d));
+            int_matmul_into(acc, &scratch.op_a, &b.cur, m, red, n);
         }
+        a.commit(grid_a);
+        b.commit(grid_b);
+        clock.lap(KERNEL);
+        (grid_a * grid_b, m, n)
     }
-    h
-}
-
-/// im2col on quantized levels; padding contributes exact zeros.
-fn im2col_i8(
-    data: &[i8],
-    c: usize,
-    h: usize,
-    w: usize,
-    p: Conv2dParams,
-) -> (Vec<i8>, usize, usize) {
-    let ho = p.out_extent(h);
-    let wo = p.out_extent(w);
-    let k = p.kernel;
-    let cols = c * k * k;
-    let mut out = vec![0i8; ho * wo * cols];
-    for oy in 0..ho {
-        for ox in 0..wo {
-            let row = oy * wo + ox;
-            for ci in 0..c {
-                for ky in 0..k {
-                    let iy = (oy * p.stride + ky) as isize - p.padding as isize;
-                    for kx in 0..k {
-                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
-                        let col = (ci * k + ky) * k + kx;
-                        if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                            out[row * cols + col] =
-                                data[ci * h * w + iy as usize * w + ix as usize];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    (out, ho * wo, cols)
 }
 
 impl LinearHook for DittoHook {
@@ -503,75 +544,95 @@ impl LinearHook for DittoHook {
         inputs: &[&Tensor],
     ) -> Option<Tensor> {
         let s = step.step_index;
-        match &node.op {
-            LayerOp::Conv2d { params, .. } => {
+        let DittoHook { quantizer, policy, layers, recorder, scratch, stage_series, .. } = self;
+        let policy = *policy;
+        let mut clock = StageClock::start();
+        let out = match &node.op {
+            LayerOp::Conv2d { params, bias, .. } => {
                 let x = inputs[0];
                 let (c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2]);
-                let p = *params;
-                let qw = self.quantize_weight(node);
+                let layer = layers.entry(node.id).or_default();
+                let n = layer.weight.get_or_insert_with(|| QWeight::of(node)).n;
                 // Quantize the raw input once, then expand to im2col so
                 // padding zeros and duplicated taps are exact.
-                let grid = self.grid_scale(node.id, s, x, false);
-                let qx = QTensor::quantize_with_scale(x, grid);
-                let (cols_mat, m, kdim) = im2col_i8(qx.data(), c, h, w, p);
-                debug_assert_eq!(kdim, qw.k);
-                let op_f32 = Tensor::from_vec(
-                    cols_mat.iter().map(|&v| v as f32 * grid).collect(),
-                    &[m, kdim],
-                )
-                .expect("im2col shape");
-                let (acc, out_scale) =
-                    self.run_weighted(node, s, LinearKind::Conv, &op_f32, (c * h * w) as u64, &qw);
+                let grid = layer.a.grid_scale(quantizer, node.id, s, x.as_slice());
+                quantize_into(x.as_slice(), grid, &mut scratch.levels);
+                let (m, _) = im2col_i8_into(&scratch.levels, c, h, w, *params, &mut layer.a.cur);
+                let out_scale = layer.run_weighted(
+                    node,
+                    s,
+                    LinearKind::Conv,
+                    m,
+                    grid,
+                    (c * h * w) as u64,
+                    policy,
+                    recorder,
+                    scratch,
+                    &mut clock,
+                );
                 // [m, n] accumulators → [n, ho, wo] with bias.
-                let ho = p.out_extent(h);
-                let wo = p.out_extent(w);
-                let n = qw.n;
-                let mut out = Tensor::zeros(&[n, ho, wo]);
-                let ov = out.as_mut_slice();
+                let acc = &layer.acc;
+                let mut out = Vec::with_capacity(n * m);
                 for co in 0..n {
-                    let b = qw.bias.as_ref().map_or(0.0, |bv| bv[co]);
-                    for pix in 0..m {
-                        ov[co * m + pix] = acc[pix * n + co] as f32 * out_scale + b;
-                    }
+                    let b = bias.as_ref().map_or(0.0, |bv| bv.as_slice()[co]);
+                    out.extend((0..m).map(|pix| acc[pix * n + co] as f32 * out_scale + b));
                 }
-                Some(out)
+                Tensor::from_vec(out, &[n, params.out_extent(h), params.out_extent(w)])
+                    .expect("conv output shape")
             }
-            LayerOp::Linear { .. } => {
+            LayerOp::Linear { bias, .. } => {
                 let x = inputs[0];
-                let qw = self.quantize_weight(node);
-                let (acc, out_scale) =
-                    self.run_weighted(node, s, LinearKind::Fc, x, x.len() as u64, &qw);
-                let (m, n) = (x.dims()[0], qw.n);
-                let mut out = Tensor::zeros(&[m, n]);
-                let ov = out.as_mut_slice();
-                for r in 0..m {
-                    for cidx in 0..n {
-                        let b = qw.bias.as_ref().map_or(0.0, |bv| bv[cidx]);
-                        ov[r * n + cidx] = acc[r * n + cidx] as f32 * out_scale + b;
-                    }
+                let m = x.dims()[0];
+                let layer = layers.entry(node.id).or_default();
+                let n = layer.weight.get_or_insert_with(|| QWeight::of(node)).n;
+                let grid = layer.a.grid_scale(quantizer, node.id, s, x.as_slice());
+                quantize_into(x.as_slice(), grid, &mut layer.a.cur);
+                let out_scale = layer.run_weighted(
+                    node,
+                    s,
+                    LinearKind::Fc,
+                    m,
+                    grid,
+                    x.len() as u64,
+                    policy,
+                    recorder,
+                    scratch,
+                    &mut clock,
+                );
+                let bias = bias.as_ref().map(Tensor::as_slice);
+                let mut out = Vec::with_capacity(m * n);
+                for row in layer.acc.chunks_exact(n) {
+                    out.extend(
+                        row.iter()
+                            .enumerate()
+                            .map(|(j, &v)| v as f32 * out_scale + bias.map_or(0.0, |bv| bv[j])),
+                    );
                 }
-                Some(out)
+                Tensor::from_vec(out, &[m, n]).expect("fc output shape")
             }
-            LayerOp::MatmulQK => {
-                let (acc, scale, m, n) =
-                    self.run_attention(node, s, LinearKind::MatmulQk, inputs[0], inputs[1]);
-                let d = inputs[0].dims()[1] as f32;
-                let sc = scale / d.sqrt();
-                Some(
-                    Tensor::from_vec(acc.iter().map(|&v| v as f32 * sc).collect(), &[m, n])
-                        .expect("score shape"),
-                )
+            LayerOp::MatmulQK | LayerOp::MatmulPV => {
+                let kind = if matches!(node.op, LayerOp::MatmulQK) {
+                    LinearKind::MatmulQk
+                } else {
+                    LinearKind::MatmulPv
+                };
+                let layer = layers.entry(node.id).or_default();
+                let (scale, m, n) = layer.run_attention(
+                    node, s, kind, inputs[0], inputs[1], quantizer, policy, recorder, scratch,
+                    &mut clock,
+                );
+                let scale = match kind {
+                    LinearKind::MatmulQk => scale / (inputs[0].dims()[1] as f32).sqrt(),
+                    _ => scale,
+                };
+                Tensor::from_vec(layer.acc.iter().map(|&v| v as f32 * scale).collect(), &[m, n])
+                    .expect("attention output shape")
             }
-            LayerOp::MatmulPV => {
-                let (acc, scale, m, n) =
-                    self.run_attention(node, s, LinearKind::MatmulPv, inputs[0], inputs[1]);
-                Some(
-                    Tensor::from_vec(acc.iter().map(|&v| v as f32 * scale).collect(), &[m, n])
-                        .expect("pv shape"),
-                )
-            }
-            _ => None,
-        }
+            _ => return None,
+        };
+        clock.lap(DEQUANT);
+        clock.finish(stage_series);
+        Some(out)
     }
 }
 
@@ -611,7 +672,7 @@ impl LinearHook for CalibrationHook {
         if inputs.len() > 1 {
             // Secondary attention operand under its offset key.
             self.cal.observe(
-                node.id + 1_000_000,
+                node.id + SECONDARY_KEY_OFFSET,
                 step.step_index,
                 stats::abs_max(inputs[1].as_slice()),
             );
@@ -634,9 +695,16 @@ pub fn trace_model(
     sample_seed: u64,
     policy: ExecPolicy,
 ) -> tensor::Result<(WorkloadTrace, Tensor)> {
-    let quantizer = build_quantizer(model, sample_seed)?;
+    let abbr = model.kind.abbr();
+    let quantizer = {
+        let _span = telemetry::on().then(|| telemetry::span("core", format!("calibrate:{abbr}")));
+        build_quantizer(model, sample_seed)?
+    };
     let mut hook = DittoHook::new(model, quantizer, policy);
-    let out = model.run_reverse(sample_seed, &mut hook)?;
+    let out = {
+        let _span = telemetry::on().then(|| telemetry::span("core", format!("hooked_run:{abbr}")));
+        model.run_reverse(sample_seed, &mut hook)?
+    };
     Ok((hook.into_trace(), out))
 }
 
@@ -700,15 +768,17 @@ mod tests {
 
     #[test]
     fn regrid_levels_roundtrip() {
-        let levels = vec![10i8, -20, 127, 0];
-        let same = regrid_levels(&levels, 0.5, 0.5);
-        assert_eq!(same, levels);
+        let levels = [10i8, -20, 127, 0];
+        let regrid = |old: f32, new: f32| {
+            let mut v = levels;
+            regrid_levels(&mut v, old, new);
+            v
+        };
+        assert_eq!(regrid(0.5, 0.5), levels);
         // Doubling the grid halves the levels.
-        let halved = regrid_levels(&levels, 0.5, 1.0);
-        assert_eq!(halved, vec![5, -10, 64, 0]);
+        assert_eq!(regrid(0.5, 1.0), [5, -10, 64, 0]);
         // Shrinking the grid saturates.
-        let sat = regrid_levels(&levels, 1.0, 0.001);
-        assert_eq!(sat[2], 127);
+        assert_eq!(regrid(1.0, 0.001)[2], 127);
     }
 
     #[test]
@@ -774,7 +844,8 @@ mod tests {
 
     #[test]
     fn spatial_hist_counts_base_row_plus_deltas() {
-        let h = spatial_hist(&[10, 20, 10, 21, 10, 120], 3, 2);
+        let h =
+            encode(&[10, 20, 10, 21, 10, 120], None, 3, 2, Emit::Levels, &mut Vec::new()).spatial;
         // Base row: 10, 20 (both Full8). Deltas: 0, 1, 0, 99.
         assert_eq!(h.total(), 6);
         assert_eq!(h.zero, 2);

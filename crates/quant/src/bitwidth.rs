@@ -92,8 +92,12 @@ impl BitWidthHistogram {
     /// Builds a histogram from `i16` difference values.
     pub fn from_deltas(deltas: &[i16]) -> Self {
         let mut h = Self::default();
-        for &d in deltas {
-            h.push(BitWidthClass::of(d));
+        for block in deltas.chunks(Tally::BLOCK) {
+            let mut t = Tally::default();
+            for &d in block {
+                t.add(d);
+            }
+            h.absorb(t, block.len());
         }
         h
     }
@@ -101,10 +105,22 @@ impl BitWidthHistogram {
     /// Builds a histogram from original `i8` activations.
     pub fn from_activations(acts: &[i8]) -> Self {
         let mut h = Self::default();
-        for &a in acts {
-            h.push(BitWidthClass::of_i8(a));
+        for block in acts.chunks(Tally::BLOCK) {
+            let mut t = Tally::default();
+            for &a in block {
+                t.add_level(i16::from(a));
+            }
+            h.absorb(t.with_all_le8(block.len()), block.len());
         }
         h
+    }
+
+    /// Adds the class counts of one block of `n` values.
+    pub(crate) fn absorb(&mut self, t: Tally, n: usize) {
+        self.zero += u64::from(t.zero);
+        self.low4 += u64::from(t.le4 - t.zero);
+        self.full8 += u64::from(t.le8 - t.le4);
+        self.over8 += n as u64 - u64::from(t.le8);
     }
 
     /// Adds one classified value.
@@ -154,6 +170,49 @@ impl BitWidthHistogram {
     /// Total multiplier lane slots needed on the Ditto Compute Unit.
     pub fn lane_cost(&self) -> u64 {
         self.low4 + 2 * self.full8 + 4 * self.over8
+    }
+}
+
+/// Branchless class counter for one block of at most [`Tally::BLOCK`]
+/// values — the Encoding Unit's comparators (Fig. 11) as lane sums.
+///
+/// The counts are cumulative (`zero ⊆ le4 ⊆ le8`), so each value costs the
+/// same three mask tests whatever its class; the four histogram buckets
+/// are their differences ([`BitWidthHistogram::absorb`]). The block bound
+/// keeps every count inside a `u16`, the widest lane the baseline x86-64
+/// target compares and sums eight at a time. [`BitWidthClass::of`] is the
+/// specification the property tests hold this to.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    zero: u16,
+    le4: u16,
+    le8: u16,
+}
+
+impl Tally {
+    /// Largest block one tally may count.
+    pub(crate) const BLOCK: usize = 1 << 15;
+
+    /// Counts one value of the `i16` difference domain.
+    #[inline(always)]
+    pub(crate) fn add(&mut self, v: i16) {
+        self.add_level(v);
+        self.le8 += u16::from(v.wrapping_add(128) & !255 == 0);
+    }
+
+    /// Counts one widened `i8` level, which always fits 8 bits: that count
+    /// is the block length, supplied once by [`Tally::with_all_le8`].
+    #[inline(always)]
+    pub(crate) fn add_level(&mut self, v: i16) {
+        self.zero += u16::from(v == 0);
+        self.le4 += u16::from(v.wrapping_add(8) & !15 == 0);
+    }
+
+    /// A tally of `n` levels with its 8-bit count filled in.
+    pub(crate) fn with_all_le8(mut self, n: usize) -> Self {
+        debug_assert!(n <= Self::BLOCK);
+        self.le8 = n as u16;
+        self
     }
 }
 

@@ -165,6 +165,16 @@ pub fn int_matmul(a: &[i16], w: &[i8], m: usize, k: usize, n: usize) -> Vec<i32>
     int_matmul_with(backend::active(), a, w, m, k, n)
 }
 
+/// [`int_matmul`] into a caller-owned accumulator buffer, which is resized
+/// to `m · n` and overwritten.
+///
+/// # Panics
+///
+/// Panics if slice lengths are inconsistent with the given dimensions.
+pub fn int_matmul_into(out: &mut Vec<i32>, a: &[i16], w: &[i8], m: usize, k: usize, n: usize) {
+    int_matmul_into_with(backend::active(), out, a, w, m, k, n);
+}
+
 /// [`int_matmul`] on an explicit backend (bit-identical for every
 /// backend).
 ///
@@ -179,17 +189,117 @@ pub fn int_matmul_with(
     k: usize,
     n: usize,
 ) -> Vec<i32> {
+    let mut out = Vec::new();
+    int_matmul_into_with(backend, &mut out, a, w, m, k, n);
+    out
+}
+
+fn int_matmul_into_with(
+    backend: KernelBackend,
+    out: &mut Vec<i32>,
+    a: &[i16],
+    w: &[i8],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     assert_eq!(a.len(), m * k, "activation length");
     assert_eq!(w.len(), k * n, "weight length");
     backend::count_dispatch(backend::DispatchKernel::IntMatmul, backend);
-    let mut out = vec![0i32; m * n];
-    accumulate_i8(backend, &mut out, a, w, m, k, n);
-    out
+    out.clear();
+    out.resize(m * n, 0);
+    accumulate_i8(backend, out, a, w, m, k, n);
 }
 
 /// Widens `i8` activations into the `i16` domain for [`int_matmul`].
 pub fn widen(acts: &[i8]) -> Vec<i16> {
-    acts.iter().map(|&a| a as i16).collect()
+    let mut out = Vec::new();
+    widen_into(acts, &mut out);
+    out
+}
+
+/// [`widen`] into a caller-owned buffer.
+pub fn widen_into(acts: &[i8], out: &mut Vec<i16>) {
+    out.clear();
+    out.extend(acts.iter().map(|&a| i16::from(a)));
+}
+
+/// im2col on quantized levels: lowers `data [c,h,w]` to the `[ho·wo,
+/// c·k·k]` matrix a convolution multiplies with its `[c·k·k, c_out]`
+/// weights, into a caller-owned buffer. Padding contributes exact zeros.
+/// Returns the matrix's `(rows, cols)`.
+///
+/// The `k` taps of one kernel row are adjacent both in the input row and
+/// in the lowered row, so each `(pixel, channel, kernel row)` is one span
+/// copy, clipped where the window hangs over the left or right edge.
+///
+/// # Panics
+///
+/// Panics if `data` is not `c · h · w` long.
+pub fn im2col_i8_into(
+    data: &[i8],
+    c: usize,
+    h: usize,
+    w: usize,
+    p: Conv2dParams,
+    out: &mut Vec<i8>,
+) -> (usize, usize) {
+    assert_eq!(data.len(), c * h * w, "activation length");
+    let (ho, wo) = (p.out_extent(h), p.out_extent(w));
+    let cols = c * p.kernel * p.kernel;
+    out.clear();
+    out.resize(ho * wo * cols, 0);
+    // A literal kernel size turns the span copy into plain moves.
+    match p.kernel {
+        1 => im2col_spans(data, h, w, p, 1, cols, out),
+        3 => im2col_spans(data, h, w, p, 3, cols, out),
+        k => im2col_spans(data, h, w, p, k, cols, out),
+    }
+    (ho * wo, cols)
+}
+
+#[inline(always)]
+fn im2col_spans(
+    data: &[i8],
+    h: usize,
+    w: usize,
+    p: Conv2dParams,
+    k: usize,
+    cols: usize,
+    out: &mut [i8],
+) {
+    let wo = p.out_extent(w);
+    if wo == 0 || cols == 0 || h * w == 0 {
+        return;
+    }
+    for (oy, orows) in out.chunks_exact_mut(wo * cols).enumerate() {
+        for (plane, taps) in data.chunks_exact(h * w).zip((0..).step_by(k * k)) {
+            for ky in 0..k {
+                // Input row `iy = oy·stride + ky − padding`, if inside.
+                let Some(iy) = (oy * p.stride + ky).checked_sub(p.padding).filter(|&iy| iy < h)
+                else {
+                    continue;
+                };
+                let src = &plane[iy * w..(iy + 1) * w];
+                let col = taps + ky * k;
+                for (ox, orow) in orows.chunks_exact_mut(cols).enumerate() {
+                    // Tap `kx` reads input column `x0 + kx − padding`.
+                    let x0 = ox * p.stride;
+                    let dst = &mut orow[col..col + k];
+                    if x0 >= p.padding && x0 - p.padding + k <= w {
+                        dst.copy_from_slice(&src[x0 - p.padding..x0 - p.padding + k]);
+                    } else {
+                        let lo = p.padding.saturating_sub(x0);
+                        let hi = k.min((w + p.padding).saturating_sub(x0));
+                        if lo < hi {
+                            dst[lo..hi]
+                                .copy_from_slice(&src[x0 + lo - p.padding..x0 + hi - p.padding]);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Direct (lowering-free) integer convolution on the process-wide active
@@ -344,6 +454,24 @@ pub fn delta_matmul_update(
     delta_matmul_update_with(backend::active(), prev_out, delta, w, m, k, n)
 }
 
+/// [`delta_matmul_update`] in place: `acc` holds the previous step's
+/// output accumulators and becomes the current step's — the paper's
+/// stage-3 summation with no copy of the previous output.
+///
+/// # Panics
+///
+/// Panics on inconsistent dimensions.
+pub fn delta_matmul_update_into(
+    acc: &mut [i32],
+    delta: &[i16],
+    w: &[i8],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    delta_matmul_update_into_with(backend::active(), acc, delta, w, m, k, n);
+}
+
 /// [`delta_matmul_update`] on an explicit backend (bit-identical for
 /// every backend).
 ///
@@ -359,13 +487,25 @@ pub fn delta_matmul_update_with(
     k: usize,
     n: usize,
 ) -> Vec<i32> {
-    assert_eq!(prev_out.len(), m * n, "previous output length");
+    let mut out = prev_out.to_vec();
+    delta_matmul_update_into_with(backend, &mut out, delta, w, m, k, n);
+    out
+}
+
+fn delta_matmul_update_into_with(
+    backend: KernelBackend,
+    acc: &mut [i32],
+    delta: &[i16],
+    w: &[i8],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(acc.len(), m * n, "previous output length");
     assert_eq!(delta.len(), m * k, "delta length");
     assert_eq!(w.len(), k * n, "weight length");
     backend::count_dispatch(backend::DispatchKernel::DeltaMatmulUpdate, backend);
-    let mut out = prev_out.to_vec();
-    accumulate_i8(backend, &mut out, delta, w, m, k, n);
-    out
+    accumulate_i8(backend, acc, delta, w, m, k, n);
 }
 
 /// Exact attention-score decomposition (§IV-A, attention layers):
@@ -396,6 +536,26 @@ pub fn attention_delta_scores(
     attention_delta_scores_with(backend::active(), prev_scores, q_t, dq, k_prev_t, dk_t, m, d, n)
 }
 
+/// [`attention_delta_scores`] in place: `scores` holds the previous score
+/// matrix and becomes the current one.
+///
+/// # Panics
+///
+/// Panics on inconsistent dimensions.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_delta_scores_into(
+    scores: &mut [i32],
+    q_t: &[i16],
+    dq: &[i16],
+    k_prev_t: &[i16],
+    dk_t: &[i16],
+    m: usize,
+    d: usize,
+    n: usize,
+) {
+    attention_delta_scores_into_with(backend::active(), scores, q_t, dq, k_prev_t, dk_t, m, d, n);
+}
+
 /// [`attention_delta_scores`] on an explicit backend (bit-identical for
 /// every backend).
 ///
@@ -414,18 +574,33 @@ pub fn attention_delta_scores_with(
     d: usize,
     n: usize,
 ) -> Vec<i32> {
-    assert_eq!(prev_scores.len(), m * n);
+    let mut out = prev_scores.to_vec();
+    attention_delta_scores_into_with(backend, &mut out, q_t, dq, k_prev_t, dk_t, m, d, n);
+    out
+}
+
+#[allow(clippy::too_many_arguments)]
+fn attention_delta_scores_into_with(
+    backend: KernelBackend,
+    scores: &mut [i32],
+    q_t: &[i16],
+    dq: &[i16],
+    k_prev_t: &[i16],
+    dk_t: &[i16],
+    m: usize,
+    d: usize,
+    n: usize,
+) {
+    assert_eq!(scores.len(), m * n);
     assert_eq!(q_t.len(), m * d);
     assert_eq!(dq.len(), m * d);
     assert_eq!(k_prev_t.len(), d * n);
     assert_eq!(dk_t.len(), d * n);
     backend::count_dispatch(backend::DispatchKernel::AttentionDeltaScores, backend);
-    let mut out = prev_scores.to_vec();
     // Q_t · ΔK^T
-    accumulate_i16(backend, &mut out, q_t, dk_t, m, d, n);
+    accumulate_i16(backend, scores, q_t, dk_t, m, d, n);
     // ΔQ · K_{t+1}^T
-    accumulate_i16(backend, &mut out, dq, k_prev_t, m, d, n);
-    out
+    accumulate_i16(backend, scores, dq, k_prev_t, m, d, n);
 }
 
 /// Reference dense score computation `Q · Kᵀ` in the integer domain.

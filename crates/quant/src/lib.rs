@@ -13,6 +13,8 @@
 //! * [`bitwidth`] — the bit-width requirement classifier of §III-B
 //!   (zero / ≤4-bit / 8-bit / over-8-bit temporal differences).
 //! * [`bops`] — Bit Operations accounting (Fig. 5 / Fig. 6).
+//! * [`encode`](mod@encode) — the Encoding Unit's fused pass: the three
+//!   histograms and the kernel's `i16` operand in one branchless sweep.
 //! * [`kernels`] — exact integer matmul / delta-matmul kernels with `i32`
 //!   accumulation, used to prove numerical equivalence of difference
 //!   processing.
@@ -36,6 +38,7 @@
 pub mod bitwidth;
 pub mod bops;
 pub mod calib;
+pub mod encode;
 pub mod kernels;
 pub mod qtensor;
 pub mod quantizer;
@@ -43,5 +46,6 @@ pub mod quantizer;
 pub use bitwidth::{BitWidthClass, BitWidthHistogram};
 pub use bops::BopsModel;
 pub use calib::{CalibrationTable, Calibrator};
-pub use qtensor::QTensor;
+pub use encode::{encode, Emit, Encoded};
+pub use qtensor::{quantize_into, QTensor};
 pub use quantizer::{QuantMode, Quantizer};

@@ -6,6 +6,32 @@ use tensor::{stats, Shape, Tensor};
 /// quantization (`[-127, 127]`; -128 is unused to keep the grid symmetric).
 pub const QMAX: i32 = 127;
 
+/// Largest `f32` below one half. `round(t)` — halves away from zero — is
+/// `trunc(t + copysign(HALF_BELOW, t))` for every `f32` (adding exactly one
+/// half would carry `0.49999997` up to `1.0`); the truncation is then a
+/// plain float-to-int conversion.
+const HALF_BELOW: f32 = 0.499_999_97;
+
+/// Quantizes a slice onto the grid `scale` into a caller-owned buffer: the
+/// slice-level form of [`QTensor::quantize_with_scale`], with the same
+/// result for every input — `round(v / scale)` with halves away from zero,
+/// saturated to `±QMAX`, NaN to 0 — but no call into `roundf` per element.
+///
+/// # Panics
+///
+/// Panics if `scale` is not finite and positive.
+pub fn quantize_into(src: &[f32], scale: f32, out: &mut Vec<i8>) {
+    assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
+    let inv = 1.0 / scale;
+    out.clear();
+    out.extend(src.iter().map(|&v| {
+        let t = v * inv;
+        // Truncation is monotone and fixes ±QMAX, so clamping first
+        // saturates exactly as clamping the rounded value does.
+        (t + HALF_BELOW.copysign(t)).clamp(-(QMAX as f32), QMAX as f32) as i32 as i8
+    }));
+}
+
 /// A symmetric, per-tensor quantized `i8` tensor.
 ///
 /// `value ≈ data[i] * scale`. The scale maps the tensor's absolute maximum

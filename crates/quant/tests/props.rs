@@ -3,9 +3,12 @@
 //! histogram invariants.
 
 use proptest::prelude::*;
-use quant::kernels::{delta_matmul_update, int_matmul, widen};
-use quant::{BitWidthClass, BitWidthHistogram, BopsModel, QTensor};
+use quant::kernels::{delta_matmul_update, im2col_i8_into, int_matmul, widen};
+use quant::{
+    encode, quantize_into, BitWidthClass, BitWidthHistogram, BopsModel, Emit, Encoded, QTensor,
+};
 use tensor::backend::{available_simd_levels, hw_simd_level, set_simd_level, SimdLevel};
+use tensor::ops::Conv2dParams;
 use tensor::{KernelBackend, Tensor};
 
 /// Backend × SIMD-level configurations: the portable backends, then the
@@ -19,6 +22,179 @@ fn backend_level_matrix() -> Vec<(KernelBackend, Option<SimdLevel>)> {
         configs.push((KernelBackend::Simd, Some(level)));
     }
     configs
+}
+
+/// The Encoding Unit pass one value at a time: [`BitWidthClass::of`] is
+/// the specification of every count [`encode`] returns, and the operand is
+/// the plain widened level or difference.
+fn encode_oracle(
+    cur: &[i8],
+    prev: Option<&[i8]>,
+    rows: usize,
+    cols: usize,
+    emit: Emit,
+) -> (Encoded, Vec<i16>) {
+    let mut enc = Encoded::default();
+    for &v in cur {
+        enc.act.push(BitWidthClass::of_i8(v));
+    }
+    for r in 0..rows {
+        for c in 0..cols {
+            let v = cur[r * cols + c] as i16;
+            let above = if r == 0 { 0 } else { cur[(r - 1) * cols + c] as i16 };
+            enc.spatial.push(BitWidthClass::of(v - above));
+        }
+    }
+    let deltas = prev.map(|p| cur.iter().zip(p).map(|(&c, &p)| c as i16 - p as i16));
+    if let Some(deltas) = deltas.clone() {
+        let mut h = BitWidthHistogram::new();
+        deltas.for_each(|d| h.push(BitWidthClass::of(d)));
+        enc.temporal = Some(h);
+    }
+    let operand = match (deltas, emit) {
+        (Some(deltas), Emit::Delta) => deltas.collect(),
+        _ => widen(cur),
+    };
+    (enc, operand)
+}
+
+fn assert_encode_matches_oracle(cur: &[i8], prev: Option<&[i8]>, rows: usize, cols: usize) {
+    let mut operand = vec![7i16; 3]; // stale contents must not survive
+    for emit in [Emit::Levels, Emit::Delta] {
+        let got = encode(cur, prev, rows, cols, emit, &mut operand);
+        let (want, want_operand) = encode_oracle(cur, prev, rows, cols, emit);
+        assert_eq!(got, want, "{rows}x{cols} {emit:?} prev={}", prev.is_some());
+        assert_eq!(operand, want_operand, "{rows}x{cols} {emit:?} prev={}", prev.is_some());
+    }
+}
+
+fn levels(n: usize, rng: &mut tensor::Rng) -> Vec<i8> {
+    (0..n).map(|_| rng.next_below(256) as u8 as i8).collect()
+}
+
+/// Every `(cur, prev)` pair of `i8` values — so every difference in
+/// `−255..=255`, the `−254..=254` two quantized levels can reach included —
+/// lands in the bucket the scalar classifier names, as one long row and as
+/// a 256-row matrix whose row differences sweep the same range.
+#[test]
+fn encode_classifies_every_delta_like_the_scalar_oracle() {
+    let cur: Vec<i8> = (0..=255u8).flat_map(|_| (0..=255u8).map(|c| c as i8)).collect();
+    let prev: Vec<i8> = (0..=255u8).flat_map(|p| (0..=255u8).map(move |_| p as i8)).collect();
+    assert_encode_matches_oracle(&cur, Some(&prev), 1, cur.len());
+    assert_encode_matches_oracle(&prev, Some(&cur), 256, 256);
+}
+
+/// Lengths around every lane width the pass may be vectorised at and around
+/// the block a lane sum may count, as one row, one column and two rows.
+#[test]
+fn encode_matches_oracle_at_lane_and_block_boundaries() {
+    let mut rng = tensor::Rng::seed_from(91);
+    for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, (1 << 15) - 1, 1 << 15, (1 << 15) + 1] {
+        let cur = levels(n, &mut rng);
+        // Mostly-small differences, as between adjacent time steps.
+        let prev: Vec<i8> = cur
+            .iter()
+            .map(|&c| {
+                if rng.next_f64() < 0.6 {
+                    c
+                } else {
+                    c.wrapping_add(rng.next_below(17) as i8 - 8)
+                }
+            })
+            .collect();
+        for prev in [None, Some(prev.as_slice())] {
+            assert_encode_matches_oracle(&cur, prev, 1, n);
+            assert_encode_matches_oracle(&cur, prev, n, 1);
+            if n % 2 == 0 {
+                assert_encode_matches_oracle(&cur, prev, 2, n / 2);
+            }
+        }
+    }
+    // Rows longer than a block, so both the first row and the rows under
+    // it are counted in more than one block.
+    let (rows, cols) = (3, (1 << 15) + 5);
+    let cur = levels(rows * cols, &mut rng);
+    let prev = levels(rows * cols, &mut rng);
+    assert_encode_matches_oracle(&cur, Some(&prev), rows, cols);
+}
+
+/// The gather loop `im2col_i8_into` replaced: every tap bounds-checked on
+/// its own.
+fn im2col_gather(data: &[i8], c: usize, h: usize, w: usize, p: Conv2dParams) -> Vec<i8> {
+    let (ho, wo, k) = (p.out_extent(h), p.out_extent(w), p.kernel);
+    let cols = c * k * k;
+    let mut out = vec![0i8; ho * wo * cols];
+    for oy in 0..ho {
+        for ox in 0..wo {
+            for ci in 0..c {
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let iy = (oy * p.stride + ky) as isize - p.padding as isize;
+                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
+                        if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
+                            out[(oy * wo + ox) * cols + (ci * k + ky) * k + kx] =
+                                data[(ci * h + iy as usize) * w + ix as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// `quantize_into` against the tensor-level quantizer on the inputs where a
+/// rounding shortcut would show: exact ties, the largest value below one
+/// half, saturation either side of `±127`, infinities, signed zeros, NaN.
+#[test]
+fn quantize_into_matches_quantize_with_scale_on_edge_values() {
+    let mut vals = vec![
+        0.0f32,
+        -0.0,
+        0.5,
+        -0.5,
+        0.499_999_97,
+        -0.499_999_97,
+        0.500_000_06,
+        1.5,
+        -1.5,
+        2.5,
+        -2.5,
+        126.5,
+        -126.5,
+        126.499_99,
+        127.0,
+        127.49,
+        127.5,
+        -127.5,
+        128.0,
+        -128.0,
+        1e9,
+        -1e9,
+        f32::MAX,
+        f32::MIN,
+        f32::MIN_POSITIVE,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+    ];
+    // Every half-integer tie and both its neighbours across the range.
+    for i in -260..=260 {
+        let tie = i as f32 + 0.5;
+        vals.extend([tie, f32::from_bits(tie.to_bits() + 1), f32::from_bits(tie.to_bits() - 1)]);
+    }
+    let x = Tensor::from_vec(vals.clone(), &[vals.len()]).unwrap();
+    let mut got = vec![99i8; 2];
+    for scale in [1.0f32, 0.5, 0.1, 3.0, 0.007_874_016, 1e-3, 1e3] {
+        let scaled: Vec<f32> = vals.iter().map(|v| v * scale).collect();
+        for (src, t) in
+            [(&vals, &x), (&scaled, &Tensor::from_vec(scaled.clone(), &[vals.len()]).unwrap())]
+        {
+            quantize_into(src, scale, &mut got);
+            assert_eq!(got, QTensor::quantize_with_scale(t, scale).data(), "scale {scale}");
+        }
+    }
 }
 
 fn i8_vec(n: usize) -> impl Strategy<Value = Vec<i8>> {
@@ -145,6 +321,60 @@ proptest! {
         for (a, b) in x.as_slice().iter().zip(y.as_slice()) {
             prop_assert!((a - b).abs() <= q.scale() * 0.5 + 1e-5);
         }
+    }
+
+    /// The fused Encoding-Unit pass agrees with the scalar classifier on
+    /// arbitrary operands, shapes and previous steps.
+    #[test]
+    fn encode_matches_scalar_oracle(
+        rows in 0usize..9, cols in 0usize..40,
+        with_prev in any::<bool>(), seed in any::<u64>(),
+    ) {
+        let mut rng = tensor::Rng::seed_from(seed);
+        let cur = levels(rows * cols, &mut rng);
+        let prev = levels(rows * cols, &mut rng);
+        assert_encode_matches_oracle(&cur, with_prev.then_some(prev.as_slice()), rows, cols);
+    }
+
+    /// Span-copy im2col equals the per-tap gather loop, and lowering the
+    /// quantized levels directly equals the old detour — dequantize the
+    /// lowered matrix to `f32`, quantize it again on the same grid — on
+    /// random conv shapes (1×1 and 3×3, stride 1/2, padding 0/1).
+    #[test]
+    fn im2col_levels_path_matches_gather_and_f32_round_trip(
+        c in 1usize..5, h in 1usize..10, w in 1usize..10,
+        three in any::<bool>(), stride in 1usize..3, padding in 0usize..2,
+        scale in 1e-4f32..50.0, seed in any::<u64>(),
+    ) {
+        let kernel = if three { 3 } else { 1 };
+        prop_assume!(h + 2 * padding >= kernel && w + 2 * padding >= kernel);
+        let p = Conv2dParams { kernel, stride, padding };
+        let mut rng = tensor::Rng::seed_from(seed);
+        let x = Tensor::randn(&[c, h, w], &mut rng).map(|v| v * scale * 60.0);
+        let mut raw = Vec::new();
+        quantize_into(x.as_slice(), scale, &mut raw);
+        prop_assert_eq!(&raw, &QTensor::quantize_with_scale(&x, scale).data().to_vec());
+        let mut lowered = vec![5i8; 3];
+        let (m, k) = im2col_i8_into(&raw, c, h, w, p, &mut lowered);
+        prop_assert_eq!((m, k), (p.out_extent(h) * p.out_extent(w), c * kernel * kernel));
+        prop_assert_eq!(&lowered, &im2col_gather(&raw, c, h, w, p));
+        let as_f32: Vec<f32> = lowered.iter().map(|&v| v as f32 * scale).collect();
+        let again = QTensor::quantize_with_scale(&Tensor::from_vec(as_f32, &[m, k]).unwrap(), scale);
+        prop_assert_eq!(&again.data().to_vec(), &lowered);
+    }
+
+    /// `quantize_into` is `QTensor::quantize_with_scale` on arbitrary bit
+    /// patterns and scales.
+    #[test]
+    fn quantize_into_matches_quantize_with_scale(
+        bits in proptest::collection::vec(any::<u32>(), 0..64),
+        scale in 1e-6f32..1e4,
+    ) {
+        let vals: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let x = Tensor::from_vec(vals.clone(), &[vals.len()]).unwrap();
+        let mut got = Vec::new();
+        quantize_into(&vals, scale, &mut got);
+        prop_assert_eq!(&got, &QTensor::quantize_with_scale(&x, scale).data().to_vec());
     }
 
     /// Quantization is scale-equivariant: quantizing c*x dynamically gives

@@ -514,11 +514,14 @@ mod tests {
             poller.wait(&mut events, 10_000).unwrap();
             assert!(t0.elapsed() < std::time::Duration::from_secs(5), "{backend:?}: no wake");
             assert!(events.iter().any(|e| e.fd == waker.fd() && e.readable), "{backend:?}");
+            // Both wakes must have landed before the drain: the wait above
+            // returns on the first, and a second one after the drain is new
+            // readiness, not a residue.
+            t.join().unwrap();
             waker.drain();
             // Drained: no residual readiness.
             poller.wait(&mut events, 50).unwrap();
             assert!(events.is_empty(), "{backend:?}: waker not drained");
-            t.join().unwrap();
         }
     }
 }

@@ -159,6 +159,46 @@ def check_kernels(new, base):
         f"backends {new['backends']}"
     )
     check_executor(new, base)
+    check_encode(new, base)
+
+
+def check_encode(new, base):
+    """The encode section times the fused Encoding Unit pass against the
+    scalar oracle per operand shape. Coverage must match the baseline, the
+    minimum over the interleaved trials cannot exceed their median, and the
+    derived GB/s and speedup columns are recomputed from the raw ns."""
+    got = [e["shape"] for e in new["encode"]]
+    want = [e["shape"] for e in base["encode"]]
+    if got != want:
+        fail(f"encode shapes {got} != baseline {want}")
+    for i, e in enumerate(new["encode"]):
+        path = f"encode[{i}]({e['shape']})"
+        sane(e["bytes"], f"{path}.bytes", 1, 1e9)
+        rows, cols = (int(x) for x in e["shape"].split("x"))
+        if rows * cols != e["bytes"]:
+            fail(f"{path}: bytes {e['bytes']} != {rows}*{cols}")
+        sane(e["trials"], f"{path}.trials", 3, 1e3)
+        for side in ("fused", "scalar"):
+            lo, mid = e[f"{side}_ns_min"], e[f"{side}_ns_median"]
+            sane(lo, f"{path}.{side}_ns_min", 1, 1e12)
+            sane(mid, f"{path}.{side}_ns_median", 1, 1e12)
+            if lo > mid:
+                fail(f"{path}: {side}_ns_min {lo} > {side}_ns_median {mid}")
+            gbps = e[f"{side}_gbps"]
+            sane(gbps, f"{path}.{side}_gbps", 1e-4, 1e4)
+            want_gbps = e["bytes"] / lo
+            if abs(gbps - want_gbps) > 1e-9 * want_gbps:
+                fail(f"{path}: {side}_gbps {gbps} != recomputed {want_gbps}")
+        speedup = e["speedup_vs_scalar"]
+        sane(speedup, f"{path}.speedup_vs_scalar", 1e-3, 1e4)
+        want_speedup = e["fused_gbps"] / e["scalar_gbps"]
+        if abs(speedup - want_speedup) > 1e-9 * want_speedup:
+            fail(f"{path}: speedup_vs_scalar {speedup} != recomputed {want_speedup}")
+    best = max(new["encode"], key=lambda e: e["speedup_vs_scalar"])
+    print(
+        f"validate_bench: encode OK — {len(new['encode'])} shapes, "
+        f"best {best['speedup_vs_scalar']:.1f}x over scalar ({best['shape']})"
+    )
 
 
 def check_executor(new, base):

@@ -12,7 +12,9 @@
 //!   hit/miss/evict accounting per scale;
 //! * queue-depth, scheduling-wait, and simulation-latency percentiles
 //!   folded from the per-cell events;
-//! * kernel dispatch counts per backend and span time by category.
+//! * kernel dispatch counts per backend and span time by category;
+//! * the per-model Ditto-hook stage table (quantize / encode / kernel /
+//!   dequant, from the `core.hook.<model>.<stage>_ns` series).
 //!
 //! ```bash
 //! DITTO_OBS_STREAM=/tmp/obs.jsonl cargo run -p serve --bin ditto-serve &
@@ -25,6 +27,7 @@ use std::path::PathBuf;
 
 use ditto_core::hist::LogHistogram;
 use ditto_core::jsonio::{self, Value};
+use ditto_core::runner::HOOK_STAGES;
 
 struct Args {
     stream: PathBuf,
@@ -207,6 +210,39 @@ impl Report {
     }
 }
 
+/// Per-model hook-stage rows `(model, calls, [stage ms])` from a `series`
+/// snapshot, in the stream's model order.
+fn hook_stage_rows(series: &Value) -> Vec<(String, u64, [f64; 4])> {
+    let Ok(Value::Obj(values)) = series.get("values") else { return Vec::new() };
+    let mut rows: Vec<(String, u64, [f64; 4])> = Vec::new();
+    for (name, summary) in values {
+        let Some((model, stage)) = name
+            .strip_prefix("core.hook.")
+            .and_then(|rest| rest.strip_suffix("_ns"))
+            .and_then(|rest| rest.rsplit_once('.'))
+        else {
+            continue;
+        };
+        let Some(col) = HOOK_STAGES.iter().position(|&s| s == stage) else { continue };
+        let calls = int_field(summary, "count").unwrap_or(0);
+        let mean_ns = match summary.get("mean") {
+            Ok(Value::Num(m)) => *m,
+            Ok(Value::Int(m)) => *m as f64,
+            _ => 0.0,
+        };
+        let row = match rows.iter_mut().find(|r| r.0 == model) {
+            Some(row) => row,
+            None => {
+                rows.push((model.to_string(), 0, [0.0; 4]));
+                rows.last_mut().expect("just pushed")
+            }
+        };
+        row.1 = row.1.max(calls);
+        row.2[col] = mean_ns * calls as f64 / 1e6;
+    }
+    rows
+}
+
 fn pct(part: u64, whole: u64) -> f64 {
     if whole == 0 {
         0.0
@@ -341,6 +377,30 @@ fn print_report(r: &Report, top: usize) {
         }
     }
     if let Some(s) = &r.series {
+        let rows = hook_stage_rows(s);
+        if !rows.is_empty() {
+            println!("\n== Ditto hook stages per model (ms) ==");
+            println!(
+                "  {:<8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
+                "model",
+                "calls",
+                HOOK_STAGES[0],
+                HOOK_STAGES[1],
+                HOOK_STAGES[2],
+                HOOK_STAGES[3],
+                "total"
+            );
+            for (model, calls, ms) in &rows {
+                println!(
+                    "  {model:<8} {calls:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
+                    ms[0],
+                    ms[1],
+                    ms[2],
+                    ms[3],
+                    ms.iter().sum::<f64>()
+                );
+            }
+        }
         if let Ok(Value::Obj(values)) = s.get("values") {
             println!("\n== series (final snapshot) ==");
             for (name, v) in values {
@@ -410,5 +470,21 @@ mod tests {
         assert_eq!(r.span_cats["sched"], (1, 100));
         assert_eq!(r.first_us, Some(5));
         assert_eq!(r.last_us, 50);
+    }
+
+    #[test]
+    fn hook_stage_series_fold_into_one_row_per_model() {
+        let series = jsonio::parse(
+            br#"{"event":"series","values":{
+                "core.hook.DDPM.quantize_ns":{"count":4,"mean":250000.0,"p50":1,"p90":1,"p99":1,"max":1},
+                "core.hook.DDPM.kernel_ns":{"count":4,"mean":500000.0,"p50":1,"p90":1,"p99":1,"max":1},
+                "pool.queue_depth":{"count":9,"mean":2.0,"p50":1,"p90":1,"p99":1,"max":1},
+                "core.hook.DiT.encode_ns":{"count":2,"mean":1000000.0,"p50":1,"p90":1,"p99":1,"max":1}}}"#,
+        )
+        .unwrap();
+        let rows = hook_stage_rows(&series);
+        assert_eq!(rows.len(), 2, "one row per model, foreign series ignored");
+        assert_eq!(rows[0], ("DDPM".to_string(), 4, [1.0, 0.0, 2.0, 0.0]));
+        assert_eq!(rows[1], ("DiT".to_string(), 2, [0.0, 2.0, 0.0, 0.0]));
     }
 }

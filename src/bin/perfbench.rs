@@ -19,6 +19,9 @@
 //!   timed. An `executor` section times one denoising model call
 //!   per Table I benchmark under both the tree walker and the compiled
 //!   trace plan (`diffusion::plan`), with bit-identity asserted in setup.
+//!   An `encode` section times the Encoding Unit's fused pass
+//!   (`quant::encode`) against the scalar one-value-at-a-time oracle at
+//!   three operand sizes, min and median over interleaved trials.
 //! * **`BENCH_serve.json`** — loopback `ditto-serve` latency percentiles
 //!   (client-observed, from a fixed-bucket log-scale histogram) and the
 //!   cross-request memo hit rate under a deterministic overlapping
@@ -51,6 +54,7 @@ use diffusion::{DiffusionModel, ModelKind, ModelScale, PlanArena};
 use ditto_core::hist::LogHistogram;
 use ditto_core::jsonio::{self, ToJson, Value};
 use quant::kernels::{delta_matmul_update_with, int_matmul_with, reference, widen};
+use quant::{encode, BitWidthClass, BitWidthHistogram, Emit, Encoded};
 use serve::server::{spawn, ServerConfig};
 use serve::{Obs, SuiteApp};
 use tensor::backend::{available_simd_levels, hw_simd_level, set_simd_level, SimdLevel};
@@ -525,7 +529,115 @@ fn bench_kernels(min_ms: u64) -> Value {
         ),
         ("results", Value::Arr(results)),
         ("executor", Value::Arr(bench_executor(min_ms))),
+        ("encode", Value::Arr(bench_encode(min_ms))),
     ])
+}
+
+/// The Encoding Unit pass one value at a time — three classification
+/// sweeps, a delta vector and a widening copy: the specification
+/// [`quant::encode`] is held to, and the baseline of the `encode` section.
+fn encode_scalar(cur: &[i8], prev: &[i8], rows: usize, cols: usize) -> (Encoded, Vec<i16>) {
+    let mut enc = Encoded::default();
+    for &v in cur {
+        enc.act.push(BitWidthClass::of_i8(v));
+    }
+    for &v in &cur[..cols] {
+        enc.spatial.push(BitWidthClass::of_i8(v));
+    }
+    for r in 1..rows {
+        for c in 0..cols {
+            let d = cur[r * cols + c] as i16 - cur[(r - 1) * cols + c] as i16;
+            enc.spatial.push(BitWidthClass::of(d));
+        }
+    }
+    let deltas: Vec<i16> = cur.iter().zip(prev).map(|(&c, &p)| c as i16 - p as i16).collect();
+    let mut temporal = BitWidthHistogram::new();
+    for &d in &deltas {
+        temporal.push(BitWidthClass::of(d));
+    }
+    enc.temporal = Some(temporal);
+    (enc, deltas)
+}
+
+/// Operand shapes `[rows, cols]` of the `encode` section: the delta-update
+/// bench shape and the two UNet im2col operands of [`SHAPES`].
+const ENCODE_SHAPES: [(usize, usize); 3] = [(64, 256), (256, 288), (256, 576)];
+
+/// Interleaved fused/scalar trials per `encode` row.
+const ENCODE_TRIALS: usize = 7;
+
+/// Times the fused Encoding Unit pass against the scalar oracle under the
+/// difference policy (previous step present, delta operand emitted) on
+/// operands with adjacent-step statistics: ~60 % unchanged levels, the
+/// rest moved by a few levels. Identity is asserted before timing.
+fn bench_encode(min_ms: u64) -> Vec<Value> {
+    use std::hint::black_box;
+    let mut rng = Rng::seed_from(17);
+    let mut entries = Vec::new();
+    for &(rows, cols) in &ENCODE_SHAPES {
+        let prev = rand_i8(rows * cols, &mut rng);
+        let cur: Vec<i8> = prev
+            .iter()
+            .map(|&p| {
+                if rng.next_f64() < 0.6 {
+                    p
+                } else {
+                    (p as i32 + rng.next_below(9) as i32 - 4).clamp(-127, 127) as i8
+                }
+            })
+            .collect();
+        let mut operand = Vec::new();
+        let fused = encode(&cur, Some(&prev), rows, cols, Emit::Delta, &mut operand);
+        assert_eq!(
+            (fused, operand.clone()),
+            encode_scalar(&cur, &prev, rows, cols),
+            "fused encode diverged from the scalar oracle at {rows}x{cols}"
+        );
+        // Alternate the two sides so a load spike cannot land on one only.
+        let (mut fused_ns, mut scalar_ns) = (Vec::new(), Vec::new());
+        for _ in 0..ENCODE_TRIALS {
+            fused_ns.push(ns_per_call(min_ms, || {
+                black_box(encode(
+                    black_box(&cur),
+                    Some(black_box(&prev)),
+                    rows,
+                    cols,
+                    Emit::Delta,
+                    &mut operand,
+                ));
+            }));
+            scalar_ns.push(ns_per_call(min_ms, || {
+                black_box(encode_scalar(black_box(&cur), black_box(&prev), rows, cols));
+            }));
+        }
+        let min_median = |ns: &mut Vec<f64>| {
+            ns.sort_by(f64::total_cmp);
+            (ns[0], ns[ns.len() / 2])
+        };
+        let (fused_min, fused_median) = min_median(&mut fused_ns);
+        let (scalar_min, scalar_median) = min_median(&mut scalar_ns);
+        // One `i8` level per element: bytes per ns is GB/s.
+        let bytes = (rows * cols) as f64;
+        let (fused_gbps, scalar_gbps) = (bytes / fused_min, bytes / scalar_min);
+        println!(
+            "perfbench: encode {rows:>4}x{cols:<4}: fused {fused_gbps:6.3} GB/s, scalar \
+             {scalar_gbps:6.3} GB/s ({:.1}x)",
+            fused_gbps / scalar_gbps
+        );
+        entries.push(obj(vec![
+            ("shape", Value::Str(format!("{rows}x{cols}"))),
+            ("bytes", (rows * cols).to_json()),
+            ("trials", ENCODE_TRIALS.to_json()),
+            ("fused_ns_min", Value::Num(fused_min)),
+            ("fused_ns_median", Value::Num(fused_median)),
+            ("scalar_ns_min", Value::Num(scalar_min)),
+            ("scalar_ns_median", Value::Num(scalar_median)),
+            ("fused_gbps", Value::Num(fused_gbps)),
+            ("scalar_gbps", Value::Num(scalar_gbps)),
+            ("speedup_vs_scalar", Value::Num(fused_gbps / scalar_gbps)),
+        ]));
+    }
+    entries
 }
 
 /// Times one denoising model call (one sampler step's worth of work) per

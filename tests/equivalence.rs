@@ -17,6 +17,22 @@ fn delta_path_is_bit_exact_on_every_benchmark() {
 }
 
 #[test]
+fn dense_and_delta_traces_are_byte_identical_on_every_benchmark() {
+    // Not only the samples: both policies run the same Encoding Unit pass,
+    // so the serialized traces — every histogram of every layer and step —
+    // must agree byte for byte.
+    for kind in ModelKind::all() {
+        let model = DiffusionModel::build(kind, ModelScale::Tiny, 31);
+        let (dense, _) = trace_model(&model, 2, ExecPolicy::Dense).expect("dense");
+        let (delta, _) = trace_model(&model, 2, ExecPolicy::TemporalDelta).expect("delta");
+        assert!(
+            ditto_core::binio::to_vec(&dense) == ditto_core::binio::to_vec(&delta),
+            "{kind:?}: trace bytes differ between the dense and the difference path"
+        );
+    }
+}
+
+#[test]
 fn quantized_execution_tracks_fp32_on_every_benchmark() {
     // Table II's premise: A8W8 + Ditto preserves the FP32 trajectory.
     for kind in ModelKind::all() {
