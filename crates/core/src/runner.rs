@@ -24,8 +24,14 @@
 //! **kernel** (`int_matmul_into` / `delta_matmul_update_into` /
 //! `attention_delta_scores_into`, accumulating in place on the layer's
 //! previous outputs) and **dequant** (scale, bias and layout in one write
-//! of the output tensor). With telemetry on, each stage's time lands in a
+//! of the node's output). With telemetry on, each stage's time lands in a
 //! per-model series (`core.hook.<model>.<stage>_ns`).
+//!
+//! Both hooks implement the slice-level [`LinearHook`] methods the plan
+//! interpreter calls: their operands are slices of the plan arena and
+//! [`DittoHook`] dequantizes straight into the node's arena span. The
+//! `Tensor`-level methods (the oracle executor's, and delegating wrappers')
+//! are thin adapters over the same bodies.
 //!
 //! The integer kernels the hook drives (`quant::kernels::*`) dispatch
 //! through the pluggable kernel-backend layer (`tensor::backend`:
@@ -38,7 +44,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use diffusion::{DiffusionModel, LayerOp, LinearHook, Node, NodeId, StepInfo};
+use diffusion::{DiffusionModel, LayerOp, LinearHook, Node, NodeId, OperandView, StepInfo};
 use quant::kernels::{
     attention_delta_scores_into, delta_matmul_update_into, im2col_i8_into, int_matmul_into,
     int_scores, widen, widen_into,
@@ -423,39 +429,37 @@ impl Layer {
 
     /// Executes an attention matmul (`Q·Kᵀ` or `P·V`) in the integer
     /// domain and records two-sub-op difference statistics. Leaves the
-    /// `[m, n]` output accumulators in `self.acc`; returns their scale and
-    /// `(m, n)`.
+    /// `[m, n]` output accumulators in `self.acc`; returns their scale.
     #[allow(clippy::too_many_arguments)]
     fn run_attention(
         &mut self,
         node: &Node,
         step: usize,
         kind: LinearKind,
-        a_f32: &Tensor, // Q [m, d] (or P [m, s])
-        b_f32: &Tensor, // K [n, d] (or V [s, d]) — reduced along its matching dim
+        a_f32: OperandView<'_>, // Q [m, d] (or P [m, s])
+        b_f32: OperandView<'_>, // K [n, d] (or V [s, d]) — reduced along its matching dim
         quantizer: &Quantizer,
         policy: ExecPolicy,
         recorder: &mut Recorder,
         scratch: &mut Scratch,
         clock: &mut StageClock,
-    ) -> (f32, usize, usize) {
+    ) -> f32 {
         let Layer { index, a, b, acc, .. } = self;
         // Dimensions: QK: a=[m,d], b=[n,d], out [m,n] reducing d.
         //             PV: a=[m,s], b=[s,d], out [m,d] reducing s.
-        let (m, red) = (a_f32.dims()[0], a_f32.dims()[1]);
+        let (m, red) = (a_f32.dims[0], a_f32.dims[1]);
         let n = match kind {
-            LinearKind::MatmulQk => b_f32.dims()[0],
-            LinearKind::MatmulPv => b_f32.dims()[1],
+            LinearKind::MatmulQk => b_f32.dims[0],
+            LinearKind::MatmulPv => b_f32.dims[1],
             _ => unreachable!(),
         };
-        let grid_a = a.grid_scale(quantizer, node.id, step, a_f32.as_slice());
-        let grid_b =
-            b.grid_scale(quantizer, node.id + SECONDARY_KEY_OFFSET, step, b_f32.as_slice());
-        quantize_into(a_f32.as_slice(), grid_a, &mut a.cur);
+        let grid_a = a.grid_scale(quantizer, node.id, step, a_f32.data);
+        let grid_b = b.grid_scale(quantizer, node.id + SECONDARY_KEY_OFFSET, step, b_f32.data);
+        quantize_into(a_f32.data, grid_a, &mut a.cur);
         // Bring B into [red, n] layout for the matmul.
         if kind == LinearKind::MatmulQk {
             // K is [n, red] → transpose.
-            quantize_into(b_f32.as_slice(), grid_b, &mut scratch.levels);
+            quantize_into(b_f32.data, grid_b, &mut scratch.levels);
             b.cur.clear();
             b.cur.resize(red * n, 0);
             for (r, krow) in scratch.levels.chunks_exact(red).enumerate() {
@@ -464,7 +468,7 @@ impl Layer {
                 }
             }
         } else {
-            quantize_into(b_f32.as_slice(), grid_b, &mut b.cur);
+            quantize_into(b_f32.data, grid_b, &mut b.cur);
         }
 
         let idx = *index.get_or_insert_with(|| {
@@ -532,7 +536,23 @@ impl Layer {
         a.commit(grid_a);
         b.commit(grid_b);
         clock.lap(KERNEL);
-        (grid_a * grid_b, m, n)
+        grid_a * grid_b
+    }
+}
+
+/// Output dims of linear site `node` over `inputs`; `None` for any other op.
+fn site_out_dims(node: &Node, inputs: &[&Tensor]) -> Option<Vec<usize>> {
+    let dims = |i: usize| inputs[i].dims();
+    match &node.op {
+        LayerOp::Conv2d { weight, params, .. } => Some(vec![
+            weight.dims()[0],
+            params.out_extent(dims(0)[1]),
+            params.out_extent(dims(0)[2]),
+        ]),
+        LayerOp::Linear { weight, .. } => Some(vec![dims(0)[0], weight.dims()[1]]),
+        LayerOp::MatmulQK => Some(vec![dims(0)[0], dims(1)[0]]),
+        LayerOp::MatmulPV => Some(vec![dims(0)[0], dims(1)[1]]),
+        _ => None,
     }
 }
 
@@ -543,20 +563,34 @@ impl LinearHook for DittoHook {
         step: StepInfo,
         inputs: &[&Tensor],
     ) -> Option<Tensor> {
+        let dims = site_out_dims(node, inputs)?;
+        let views: Vec<OperandView<'_>> = inputs.iter().map(|&t| t.into()).collect();
+        let mut out = vec![0.0; dims.iter().product()];
+        self.compute_linear_into(node, step, &views, &mut out)
+            .then(|| Tensor::from_vec(out, &dims).expect("site output shape"))
+    }
+
+    fn compute_linear_into(
+        &mut self,
+        node: &Node,
+        step: StepInfo,
+        inputs: &[OperandView<'_>],
+        out: &mut [f32],
+    ) -> bool {
         let s = step.step_index;
         let DittoHook { quantizer, policy, layers, recorder, scratch, stage_series, .. } = self;
         let policy = *policy;
         let mut clock = StageClock::start();
-        let out = match &node.op {
+        match &node.op {
             LayerOp::Conv2d { params, bias, .. } => {
                 let x = inputs[0];
-                let (c, h, w) = (x.dims()[0], x.dims()[1], x.dims()[2]);
+                let (c, h, w) = (x.dims[0], x.dims[1], x.dims[2]);
                 let layer = layers.entry(node.id).or_default();
                 let n = layer.weight.get_or_insert_with(|| QWeight::of(node)).n;
                 // Quantize the raw input once, then expand to im2col so
                 // padding zeros and duplicated taps are exact.
-                let grid = layer.a.grid_scale(quantizer, node.id, s, x.as_slice());
-                quantize_into(x.as_slice(), grid, &mut scratch.levels);
+                let grid = layer.a.grid_scale(quantizer, node.id, s, x.data);
+                quantize_into(x.data, grid, &mut scratch.levels);
                 let (m, _) = im2col_i8_into(&scratch.levels, c, h, w, *params, &mut layer.a.cur);
                 let out_scale = layer.run_weighted(
                     node,
@@ -572,43 +606,38 @@ impl LinearHook for DittoHook {
                 );
                 // [m, n] accumulators → [n, ho, wo] with bias.
                 let acc = &layer.acc;
-                let mut out = Vec::with_capacity(n * m);
-                for co in 0..n {
+                for (co, plane) in out.chunks_exact_mut(m).enumerate() {
                     let b = bias.as_ref().map_or(0.0, |bv| bv.as_slice()[co]);
-                    out.extend((0..m).map(|pix| acc[pix * n + co] as f32 * out_scale + b));
+                    for (pix, o) in plane.iter_mut().enumerate() {
+                        *o = acc[pix * n + co] as f32 * out_scale + b;
+                    }
                 }
-                Tensor::from_vec(out, &[n, params.out_extent(h), params.out_extent(w)])
-                    .expect("conv output shape")
             }
             LayerOp::Linear { bias, .. } => {
                 let x = inputs[0];
-                let m = x.dims()[0];
+                let m = x.dims[0];
                 let layer = layers.entry(node.id).or_default();
                 let n = layer.weight.get_or_insert_with(|| QWeight::of(node)).n;
-                let grid = layer.a.grid_scale(quantizer, node.id, s, x.as_slice());
-                quantize_into(x.as_slice(), grid, &mut layer.a.cur);
+                let grid = layer.a.grid_scale(quantizer, node.id, s, x.data);
+                quantize_into(x.data, grid, &mut layer.a.cur);
                 let out_scale = layer.run_weighted(
                     node,
                     s,
                     LinearKind::Fc,
                     m,
                     grid,
-                    x.len() as u64,
+                    x.data.len() as u64,
                     policy,
                     recorder,
                     scratch,
                     &mut clock,
                 );
                 let bias = bias.as_ref().map(Tensor::as_slice);
-                let mut out = Vec::with_capacity(m * n);
-                for row in layer.acc.chunks_exact(n) {
-                    out.extend(
-                        row.iter()
-                            .enumerate()
-                            .map(|(j, &v)| v as f32 * out_scale + bias.map_or(0.0, |bv| bv[j])),
-                    );
+                for (orow, arow) in out.chunks_exact_mut(n).zip(layer.acc.chunks_exact(n)) {
+                    for (j, (o, &v)) in orow.iter_mut().zip(arow).enumerate() {
+                        *o = v as f32 * out_scale + bias.map_or(0.0, |bv| bv[j]);
+                    }
                 }
-                Tensor::from_vec(out, &[m, n]).expect("fc output shape")
             }
             LayerOp::MatmulQK | LayerOp::MatmulPV => {
                 let kind = if matches!(node.op, LayerOp::MatmulQK) {
@@ -617,22 +646,23 @@ impl LinearHook for DittoHook {
                     LinearKind::MatmulPv
                 };
                 let layer = layers.entry(node.id).or_default();
-                let (scale, m, n) = layer.run_attention(
+                let scale = layer.run_attention(
                     node, s, kind, inputs[0], inputs[1], quantizer, policy, recorder, scratch,
                     &mut clock,
                 );
                 let scale = match kind {
-                    LinearKind::MatmulQk => scale / (inputs[0].dims()[1] as f32).sqrt(),
+                    LinearKind::MatmulQk => scale / (inputs[0].dims[1] as f32).sqrt(),
                     _ => scale,
                 };
-                Tensor::from_vec(layer.acc.iter().map(|&v| v as f32 * scale).collect(), &[m, n])
-                    .expect("attention output shape")
+                for (o, &v) in out.iter_mut().zip(&layer.acc) {
+                    *o = v as f32 * scale;
+                }
             }
-            _ => return None,
-        };
+            _ => return false,
+        }
         clock.lap(DEQUANT);
         clock.finish(stage_series);
-        Some(out)
+        true
     }
 }
 
@@ -664,17 +694,38 @@ impl CalibrationHook {
 }
 
 impl LinearHook for CalibrationHook {
-    fn observe(&mut self, node: &Node, step: StepInfo, inputs: &[&Tensor], _out: &Tensor) {
-        if !node.op.is_linear_layer() {
-            return;
+    fn observe(&mut self, node: &Node, step: StepInfo, inputs: &[&Tensor], out: &Tensor) {
+        if node.op.is_linear_layer() {
+            let views: Vec<OperandView<'_>> = inputs.iter().map(|&t| t.into()).collect();
+            self.observe_linear(node, step, &views, out.into());
         }
-        self.cal.observe(node.id, step.step_index, stats::abs_max(inputs[0].as_slice()));
-        if inputs.len() > 1 {
+    }
+
+    /// Execution stays in f32: every site is declined without looking at it.
+    fn compute_linear_into(
+        &mut self,
+        _node: &Node,
+        _step: StepInfo,
+        _inputs: &[OperandView<'_>],
+        _out: &mut [f32],
+    ) -> bool {
+        false
+    }
+
+    fn observe_linear(
+        &mut self,
+        node: &Node,
+        step: StepInfo,
+        inputs: &[OperandView<'_>],
+        _out: OperandView<'_>,
+    ) {
+        self.cal.observe(node.id, step.step_index, stats::abs_max(inputs[0].data));
+        if let Some(b) = inputs.get(1) {
             // Secondary attention operand under its offset key.
             self.cal.observe(
                 node.id + SECONDARY_KEY_OFFSET,
                 step.step_index,
-                stats::abs_max(inputs[1].as_slice()),
+                stats::abs_max(b.data),
             );
         }
     }

@@ -178,7 +178,8 @@ struct Shared {
     hooks: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
     counters: Mutex<Vec<(String, u64)>>,
     series: Mutex<Vec<(String, LogHistogram)>>,
-    /// Cumulative per-digest plan profiles, merged from registry drains.
+    /// Cumulative plan profiles per (digest, hooked), merged from registry
+    /// drains.
     profiles: Mutex<Vec<plan::PlanProfile>>,
     /// Total dispatch count at the last `kernel_dispatch` emission.
     dispatch_emitted: Mutex<u64>,
@@ -244,8 +245,12 @@ impl Shared {
                 tid: PLAN_TID_BASE + s.tid,
                 // The digest also rides as a structured catapult arg so
                 // trace consumers can group steps by plan without parsing
-                // the span name.
-                args: vec![("digest".to_string(), Value::Str(format!("{:016x}", s.digest)))],
+                // the span name; `hooked` tells a hooked pass from a
+                // hook-free one of the same plan.
+                args: vec![
+                    ("digest".to_string(), Value::Str(format!("{:016x}", s.digest))),
+                    ("hooked".to_string(), Value::Bool(s.hooked)),
+                ],
             });
         }
         if !t.profiles.is_empty() {
@@ -309,7 +314,7 @@ impl Shared {
 }
 
 fn merge_profile(into: &mut Vec<plan::PlanProfile>, p: plan::PlanProfile) {
-    match into.iter_mut().find(|q| q.digest == p.digest) {
+    match into.iter_mut().find(|q| q.digest == p.digest && q.hooked == p.hooked) {
         None => into.push(p),
         Some(q) => {
             q.steps += p.steps;
@@ -346,6 +351,7 @@ fn profile_fields(p: &plan::PlanProfile) -> Vec<(&'static str, Value)> {
         .collect();
     vec![
         ("digest", Value::Str(format!("{:016x}", p.digest))),
+        ("hooked", Value::Bool(p.hooked)),
         ("steps", p.steps.to_json()),
         ("total_ns", p.total_ns.to_json()),
         ("arena_f32", p.arena_f32.to_json()),

@@ -2,7 +2,8 @@
 //! flips the `diffusion::plan` profiling gate on, drains the exec
 //! registry, and exports `plan_profile` stream events plus `plan_step`
 //! catapult spans whose per-opcode self-time sums reconcile with the
-//! recorded step totals.
+//! recorded step totals — for hook-free passes and, as a profile of their
+//! own under the same kind names, for hooked ones.
 //!
 //! This lives in its own integration-test binary (its own process) because
 //! the plan exec registry and the profiling gate are process-global: unit
@@ -10,7 +11,10 @@
 
 use std::sync::Arc;
 
-use diffusion::{Bindings, InputKind, LayerGraph, LayerOp, PlanArena, TracePlan};
+use diffusion::{
+    Bindings, InputKind, LayerGraph, LayerOp, LinearHook, Node, NullHook, PlanArena, StepInfo,
+    TracePlan,
+};
 use ditto_core::jsonio::{self, Value};
 use ditto_core::telemetry::Telemetry;
 use tensor::Tensor;
@@ -19,14 +23,26 @@ fn temp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ditto-teleplan-{tag}-{}", std::process::id()))
 }
 
+/// One linear site, then `depth` SiLUs.
 fn silu_chain(depth: usize) -> LayerGraph {
     let mut g = LayerGraph::new();
-    let mut cur = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
+    let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
+    let mut cur = g.add("fc", LayerOp::Linear { weight: Tensor::eye(8), bias: None }, &[x]);
     for i in 0..depth {
         cur = g.add(format!("silu{i}"), LayerOp::SiLU, &[cur]);
     }
     g.set_output(cur);
     g
+}
+
+/// Counts the linear sites it is shown; computes none.
+struct SiteCounter(u64);
+
+impl LinearHook for SiteCounter {
+    fn observe(&mut self, node: &Node, _step: StepInfo, _inputs: &[&Tensor], _out: &Tensor) {
+        assert!(node.op.is_linear_layer(), "the plan calls hooks at linear sites only");
+        self.0 += 1;
+    }
 }
 
 #[test]
@@ -41,34 +57,51 @@ fn plan_profiles_flow_through_telemetry_to_both_exporters() {
     let digest_hex = format!("{:016x}", plan.digest());
     let mut arena = PlanArena::new();
 
-    let steps = 4u64;
+    let step = StepInfo { step_index: 0, t: 3.0, total_steps: 1 };
+    let (steps, hooked_steps) = (4u64, 3u64);
+    let mut counter = SiteCounter(0);
     {
         let tel = Arc::new(Telemetry::to_files(Some(&stream), Some(&trace)));
         assert!(tel.enabled() && tel.has_stream());
         // Enabling telemetry must have armed the plan profiler.
         assert!(diffusion::plan::profiling_enabled());
         for _ in 0..steps {
-            plan.execute(&graph, &bindings, &mut arena).unwrap();
+            plan.execute(&graph, &bindings, step, &mut NullHook, &mut arena).unwrap();
+        }
+        for _ in 0..hooked_steps {
+            plan.execute(&graph, &bindings, step, &mut counter, &mut arena).unwrap();
         }
         tel.flush();
     } // drop drains the stream and runs the final idle tick
 
-    // --- stream side: the last plan_profile line for our digest ---
+    assert_eq!(counter.0, hooked_steps, "one linear site per hooked step");
+
+    // --- stream side: the last plan_profile lines for our digest ---
     let text = std::fs::read_to_string(&stream).unwrap();
     let events: Vec<Value> =
         text.lines().map(|l| jsonio::parse(l.as_bytes()).expect("valid JSONL")).collect();
-    let profile = events
-        .iter()
-        .rev()
-        .find(|e| {
-            matches!(e.get("event"), Ok(Value::Str(s)) if s == "plan_profile")
-                && matches!(e.get("digest"), Ok(Value::Str(d)) if *d == digest_hex)
-        })
-        .expect("plan_profile event for our digest");
+    let last_profile = |hooked: bool| {
+        events
+            .iter()
+            .rev()
+            .find(|e| {
+                matches!(e.get("event"), Ok(Value::Str(s)) if s == "plan_profile")
+                    && matches!(e.get("digest"), Ok(Value::Str(d)) if *d == digest_hex)
+                    && matches!(e.get("hooked"), Ok(Value::Bool(h)) if *h == hooked)
+            })
+            .expect("plan_profile event for our digest")
+    };
     let int = |v: &Value, k: &str| match v.get(k).unwrap() {
         Value::Int(i) => *i,
         other => panic!("{k} must be an integer, got {other:?}"),
     };
+    // Hooked passes fold into their own profile, under the same kind names.
+    let hooked = last_profile(true);
+    assert_eq!(int(hooked, "steps"), i128::from(hooked_steps));
+    let hooked_kinds = hooked.get("by_kind").unwrap();
+    assert_eq!(int(hooked_kinds.get("linear").unwrap(), "calls"), i128::from(hooked_steps));
+    assert_eq!(int(hooked_kinds.get("silu").unwrap(), "calls"), i128::from(hooked_steps) * 5);
+    let profile = last_profile(false);
     assert_eq!(int(profile, "steps"), i128::from(steps));
     assert_eq!(int(profile, "arena_f32"), plan.arena_len() as i128);
     let total_ns = int(profile, "total_ns");
@@ -89,10 +122,18 @@ fn plan_profiles_flow_through_telemetry_to_both_exporters() {
     let doc = jsonio::parse(&std::fs::read(&trace).unwrap()).expect("catapult parses");
     let Value::Arr(tevents) = doc.get("traceEvents").unwrap() else { panic!("traceEvents") };
     let step_name = format!("plan_step:{digest_hex}");
-    let spans: Vec<&Value> = tevents
-        .iter()
-        .filter(|e| matches!(e.get("name"), Ok(Value::Str(n)) if *n == step_name))
-        .collect();
+    let spans_of = |hooked: bool| -> Vec<&Value> {
+        tevents
+            .iter()
+            .filter(|e| {
+                matches!(e.get("name"), Ok(Value::Str(n)) if *n == step_name)
+                    && matches!(e.get("args").and_then(|a| a.get("hooked")),
+                        Ok(Value::Bool(h)) if *h == hooked)
+            })
+            .collect()
+    };
+    assert_eq!(spans_of(true).len(), hooked_steps as usize);
+    let spans = spans_of(false);
     assert_eq!(spans.len(), steps as usize, "one catapult span per executed step");
     let span_us: i128 = spans.iter().map(|e| int(e, "dur")).sum();
     let total_us = total_ns / 1_000;

@@ -1,15 +1,20 @@
 //! Graph executor with hook points.
 //!
-//! The executor evaluates a [`LayerGraph`] node by node in f32 and offers
-//! two interception points, mirroring the Sparse-DySta/PyTorch-hook
-//! methodology the paper's evaluation uses (§VI-A):
+//! [`forward`] evaluates a [`LayerGraph`] node by node in f32, allocating a
+//! [`Tensor`] per node. It is the **oracle**: the compiled-plan interpreter
+//! ([`crate::plan`]) is what models run, and tests and `perfbench` call
+//! `forward` directly to check the plan against it bit for bit.
 //!
-//! * [`LinearHook::compute_linear`] may *replace* the f32 computation of a
-//!   linear layer — this is how the quantized and Ditto execution modes in
-//!   `ditto-core` are implemented without the graph knowing about them.
-//! * [`LinearHook::observe`] sees every node's operands and output — this is
-//!   how activation statistics (similarity, value ranges, delta histograms)
-//!   are collected without storing whole traces.
+//! [`LinearHook`] is the interception interface both executors share,
+//! mirroring the Sparse-DySta/PyTorch-hook methodology the paper's
+//! evaluation uses (§VI-A):
+//!
+//! * a hook may *replace* the f32 computation of a linear layer — this is
+//!   how the quantized and Ditto execution modes in `ditto-core` are
+//!   implemented without the graph knowing about them;
+//! * a hook may *observe* a linear layer's operands and output — this is
+//!   how activation statistics (calibration maxima, similarity, value
+//!   ranges) are collected without storing whole traces.
 //!
 //! All tensor compute (`ops::{matmul, matvec, conv2d}`) dispatches through
 //! the pluggable kernel-backend layer (`tensor::backend`); because every
@@ -35,10 +40,56 @@ pub struct StepInfo {
     pub total_steps: usize,
 }
 
-/// Hook interface for intercepting linear layers and observing execution.
+/// A borrowed row-major f32 operand of a linear site: the slice the plan
+/// interpreter holds in its arena plus the dims inferred at compile time.
+#[derive(Debug, Clone, Copy)]
+pub struct OperandView<'a> {
+    /// Row-major values.
+    pub data: &'a [f32],
+    /// Dimensions (`data.len()` is their product).
+    pub dims: &'a [usize],
+}
+
+impl<'a> From<&'a Tensor> for OperandView<'a> {
+    fn from(t: &'a Tensor) -> Self {
+        OperandView { data: t.as_slice(), dims: t.dims() }
+    }
+}
+
+impl OperandView<'_> {
+    fn to_tensor(self) -> Tensor {
+        Tensor::from_vec(self.data.to_vec(), self.dims).expect("view dims match its data")
+    }
+}
+
+/// Copies a site's operands into `Tensor`s and lends them to `f` — the
+/// slice-to-`Tensor` step of [`LinearHook`]'s default adapters.
+fn with_tensors<R>(inputs: &[OperandView<'_>], f: impl FnOnce(&[&Tensor]) -> R) -> R {
+    let tensors: Vec<Tensor> = inputs.iter().map(|v| v.to_tensor()).collect();
+    let refs: Vec<&Tensor> = tensors.iter().collect();
+    f(&refs)
+}
+
+/// Hook interface for intercepting and observing linear layers.
+///
+/// **Contract.** Models run through the plan interpreter, which calls a
+/// hook at *linear sites only* — nodes whose op
+/// [`is_linear_layer`](LayerOp::is_linear_layer) (conv, FC, `Q·Kᵀ`, `P·V`) —
+/// through the two slice-level methods: first
+/// [`compute_linear_into`](Self::compute_linear_into); if the hook
+/// declines, the f32 opcode runs and the hook gets
+/// [`observe_linear`](Self::observe_linear). A site the hook computed is
+/// not shown to it again. The default bodies of the slice-level methods
+/// adapt to the `Tensor`-level [`compute_linear`](Self::compute_linear) /
+/// [`observe`](Self::observe) — the only place the interpreter's operands
+/// are copied into `Tensor`s — so a hook may implement either level.
+///
+/// The oracle [`forward`] calls the `Tensor`-level methods, and shows
+/// `observe` every node, linear or not; hooks that must behave the same
+/// under both executors filter on `is_linear_layer()`.
 pub trait LinearHook {
-    /// Called for every linear layer before the default f32 computation.
-    /// Returning `Some(tensor)` replaces the node's output.
+    /// May replace a linear layer's f32 computation: returning
+    /// `Some(tensor)` makes it the node's output.
     fn compute_linear(
         &mut self,
         node: &Node,
@@ -49,18 +100,54 @@ pub trait LinearHook {
         None
     }
 
-    /// Called after every node executes.
+    /// Sees a node's operands and output after it executed.
     fn observe(&mut self, node: &Node, step: StepInfo, inputs: &[&Tensor], output: &Tensor) {
         let _ = (node, step, inputs, output);
     }
 
-    /// Whether this hook leaves both [`LinearHook::compute_linear`] and
-    /// [`LinearHook::observe`] as the default no-ops. Executors use this to
-    /// skip per-node observe bookkeeping, and it gates the compiled-plan
-    /// fast path ([`crate::plan`]). Hooks that override either method must
-    /// leave this `false` (the default).
+    /// Whether this hook leaves every method as the default no-op.
+    /// Executors then skip all hook calls. Hooks that override any method
+    /// must leave this `false` (the default).
     fn is_noop(&self) -> bool {
         false
+    }
+
+    /// Slice-level [`compute_linear`](Self::compute_linear): may compute the
+    /// linear site `node` from `inputs` straight into `out` (the node's
+    /// whole output, row-major) and return `true`; returning `false`
+    /// declines, and `out` is then overwritten by the f32 opcode.
+    ///
+    /// # Panics
+    ///
+    /// The default adapter panics if `compute_linear` returns a tensor of
+    /// the wrong size (a bug in the hook).
+    fn compute_linear_into(
+        &mut self,
+        node: &Node,
+        step: StepInfo,
+        inputs: &[OperandView<'_>],
+        out: &mut [f32],
+    ) -> bool {
+        match with_tensors(inputs, |refs| self.compute_linear(node, step, refs)) {
+            Some(t) => {
+                assert_eq!(t.len(), out.len(), "hook output size at `{}`", node.name);
+                out.copy_from_slice(t.as_slice());
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Slice-level [`observe`](Self::observe), called after the f32 opcode
+    /// of a linear site the hook declined.
+    fn observe_linear(
+        &mut self,
+        node: &Node,
+        step: StepInfo,
+        inputs: &[OperandView<'_>],
+        output: OperandView<'_>,
+    ) {
+        with_tensors(inputs, |refs| self.observe(node, step, refs, &output.to_tensor()));
     }
 }
 

@@ -13,13 +13,15 @@
 //!   structurally faithful, with paper sampler identities and step counts.
 //! * [`sampler`] — linear-β schedule, DDIM, and PLMS (with its warm-up
 //!   extra model call, Fig. 4a's "50′").
-//! * [`executor`] — an f32 graph executor with PyTorch-hook-style
-//!   interception points ([`executor::LinearHook`]) used by the quantized
-//!   and Ditto execution modes in `ditto-core`.
+//! * [`executor`] — the PyTorch-hook-style interception interface
+//!   ([`executor::LinearHook`]) the quantized and Ditto execution modes in
+//!   `ditto-core` plug into, and [`executor::forward`], the allocating
+//!   node-by-node f32 walk kept as the oracle for tests and `perfbench`.
 //! * [`plan`] — a one-time trace-plan compiler (flatten → liveness → arena)
-//!   plus a tight interpreter that serves hook-free forward passes
-//!   bit-identically to [`executor::forward`] with zero steady-state
-//!   allocation (`DITTO_EXEC_MODE={tree,plan}` selects; plan is default).
+//!   plus a tight interpreter with zero steady-state allocation. Every
+//!   model evaluation runs it, under any hook: linear sites hand the hook
+//!   their operand slices and output span in the arena. Bit-identical to
+//!   [`executor::forward`].
 //! * [`metrics`] — proxy quality metrics standing in for FID/IS/CLIP
 //!   (Table II; see DESIGN.md §1 for the substitution argument).
 //!
@@ -45,9 +47,9 @@ pub mod op;
 pub mod plan;
 pub mod sampler;
 
-pub use executor::{forward, Bindings, LinearHook, NullHook, StepInfo};
+pub use executor::{forward, Bindings, LinearHook, NullHook, OperandView, StepInfo};
 pub use graph::{LayerGraph, Node, NodeId};
 pub use models::{DiffusionModel, ModelKind, ModelScale};
 pub use op::{InputKind, LayerOp, OpClass};
-pub use plan::{ExecMode, PlanArena, TracePlan};
+pub use plan::{PlanArena, TracePlan};
 pub use sampler::{SamplerKind, Schedule};

@@ -15,6 +15,11 @@
 //! Channel/spatial dimensions are scaled down (see `ModelScale`) so the
 //! full suite runs in CI time; block topology, layer mix, non-linearity
 //! placement, sampler identity and step counts match the paper.
+//!
+//! Every model evaluation of [`DiffusionModel::run_reverse`] /
+//! [`DiffusionModel::run_reverse_cfg`] runs the model's compiled
+//! [`plan`](crate::plan), under any hook. The `*_oracle` twins run the same
+//! sampler loops over `executor::forward` for the identity tests.
 
 use std::sync::Arc;
 
@@ -155,9 +160,10 @@ pub struct DiffusionModel {
     pub latent_dims: Vec<usize>,
     /// Context dims, if conditional.
     pub context_dims: Option<Vec<usize>>,
-    /// The compiled trace plan (`None` falls back to the tree walk).
-    /// Compiled once at build time and shared by clones; reused across all
-    /// sampler steps and re-simulations.
+    /// The compiled trace plan every model evaluation runs, under any hook
+    /// (`None` falls back to the oracle walk `executor::forward`). Compiled
+    /// once at build time and shared by clones; reused across all sampler
+    /// steps and re-simulations.
     pub plan: Option<Arc<TracePlan>>,
 }
 
@@ -165,8 +171,8 @@ pub struct DiffusionModel {
 /// process, reuses) the trace plan for a freshly built graph via the
 /// process-wide plan cache, recording a [`plan::CompileEvent`] for the
 /// observability stream only on fresh compilations. A compile failure is
-/// not an error: the model silently keeps the tree executor, which reports
-/// the authoritative diagnostics on first forward.
+/// not an error: the model silently falls back to `executor::forward`, which
+/// reports the authoritative diagnostics on first forward.
 fn compile_plan(
     label: &str,
     graph: &LayerGraph,
@@ -210,24 +216,25 @@ impl DiffusionModel {
         }
     }
 
-    /// Evaluates the model once: the compiled plan when eligible (no-op
-    /// hook, `DITTO_EXEC_MODE=plan`, shapes matching the compile), the tree
-    /// walk otherwise. Both paths are bit-identical by contract.
+    /// Evaluates the model once through the compiled plan, whatever the
+    /// hook. `executor::forward` runs instead only when asked for as the
+    /// `oracle`, or when the plan failed to compile or was compiled for
+    /// other shapes than `bindings` carry. Both are bit-identical by
+    /// contract.
     fn forward_dispatch(
         &self,
         bindings: &Bindings<'_>,
         step: StepInfo,
         hook: &mut dyn LinearHook,
         arena: &mut PlanArena,
+        oracle: bool,
     ) -> Result<Tensor> {
-        if hook.is_noop() && plan::active_mode() == plan::ExecMode::Plan {
-            if let Some(p) = &self.plan {
-                if p.matches(bindings) {
-                    return p.execute(&self.graph, bindings, arena);
-                }
+        match &self.plan {
+            Some(p) if !oracle && p.matches(bindings) => {
+                p.execute(&self.graph, bindings, step, hook, arena)
             }
+            _ => forward(&self.graph, bindings, step, hook),
         }
-        forward(&self.graph, bindings, step, hook)
     }
 
     /// Total model evaluations the reverse process performs (PLMS adds its
@@ -266,6 +273,34 @@ impl DiffusionModel {
         cond_hook: &mut dyn LinearHook,
         uncond_hook: &mut dyn LinearHook,
     ) -> Result<Tensor> {
+        self.reverse_cfg(sample_seed, guidance, cond_hook, uncond_hook, false)
+    }
+
+    /// [`Self::run_reverse_cfg`] on the oracle `executor::forward`: what the
+    /// identity tests compare the plan against.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run_reverse_cfg`].
+    #[doc(hidden)]
+    pub fn run_reverse_cfg_oracle(
+        &self,
+        sample_seed: u64,
+        guidance: f32,
+        cond_hook: &mut dyn LinearHook,
+        uncond_hook: &mut dyn LinearHook,
+    ) -> Result<Tensor> {
+        self.reverse_cfg(sample_seed, guidance, cond_hook, uncond_hook, true)
+    }
+
+    fn reverse_cfg(
+        &self,
+        sample_seed: u64,
+        guidance: f32,
+        cond_hook: &mut dyn LinearHook,
+        uncond_hook: &mut dyn LinearHook,
+        oracle: bool,
+    ) -> Result<Tensor> {
         let (mut x, context) = self.sample_inputs(sample_seed);
         let context = context.ok_or_else(|| {
             tensor::TensorError::InvalidArgument("CFG needs a conditional model".into())
@@ -283,12 +318,14 @@ impl DiffusionModel {
                 step,
                 cond_hook,
                 &mut arena,
+                oracle,
             )?;
             let eps_u = self.forward_dispatch(
                 &Bindings { latent: &x, context: Some(&null_context), t: tf },
                 step,
                 uncond_hook,
                 &mut arena,
+                oracle,
             )?;
             // ε_u + g·(ε_c − ε_u)
             let eps = eps_u.zip_with(&eps_c, |u, c| u + guidance * (c - u))?;
@@ -298,13 +335,33 @@ impl DiffusionModel {
     }
 
     /// Runs the complete reverse diffusion process from seeded Gaussian
-    /// noise, invoking `hook` for every node of every model call, and
+    /// noise, calling `hook` at every linear site of every model call, and
     /// returns the generated sample.
     ///
     /// # Errors
     ///
     /// Propagates tensor shape errors (impossible for zoo-built models).
     pub fn run_reverse(&self, sample_seed: u64, hook: &mut dyn LinearHook) -> Result<Tensor> {
+        self.reverse(sample_seed, hook, false)
+    }
+
+    /// [`Self::run_reverse`] on the oracle `executor::forward` (same sampler
+    /// code, allocating tree walk per model call): what the identity tests
+    /// and `perfbench` compare the plan against.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::run_reverse`].
+    #[doc(hidden)]
+    pub fn run_reverse_oracle(
+        &self,
+        sample_seed: u64,
+        hook: &mut dyn LinearHook,
+    ) -> Result<Tensor> {
+        self.reverse(sample_seed, hook, true)
+    }
+
+    fn reverse(&self, sample_seed: u64, hook: &mut dyn LinearHook, oracle: bool) -> Result<Tensor> {
         let (mut x, context) = self.sample_inputs(sample_seed);
         let times = self.schedule.sample_times(self.steps);
         let total = self.model_calls();
@@ -317,6 +374,7 @@ impl DiffusionModel {
                 StepInfo { step_index: idx, t: tf, total_steps: total },
                 hook,
                 &mut arena,
+                oracle,
             )
         };
         match self.sampler {

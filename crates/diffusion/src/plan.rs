@@ -1,11 +1,11 @@
 //! Compiled trace plans: flatten → schedule → arena → tight interpreter.
 //!
-//! The tree-walking executor ([`crate::executor::forward`]) re-resolves
-//! operands, re-matches on [`LayerOp`] variants, and allocates a fresh
-//! [`Tensor`] for every node of every sampler step — even though the graph,
-//! the shapes, and the schedule are identical across all steps and all
-//! re-simulations of a model. This module compiles a [`LayerGraph`] **once**
-//! into a [`TracePlan`]:
+//! A tree-walking executor ([`crate::executor::forward`], kept as the test
+//! oracle) re-resolves operands, re-matches on [`LayerOp`] variants, and
+//! allocates a fresh [`Tensor`] for every node of every sampler step — even
+//! though the graph, the shapes, and the schedule are identical across all
+//! steps and all re-simulations of a model. This module compiles a
+//! [`LayerGraph`] **once** into a [`TracePlan`]:
 //!
 //! 1. **Flatten**: node id order already *is* a topological order (the
 //!    builder invariant), so the plan is a flat `Vec<PlanOp>` with
@@ -20,135 +20,40 @@
 //!    a caller-owned [`PlanArena`] with zero per-node dispatch overhead and
 //!    zero steady-state allocation (one output `Tensor` per forward pass).
 //!
+//! **Hooks run in the plan.** Linear sites (conv, FC, `Q·Kᵀ`, `P·V`) are
+//! first-class: under a non-noop [`LinearHook`] the interpreter hands the
+//! hook each site's operand slices *in the arena*, their compile-time dims
+//! and the op's output span. The hook either writes the result there
+//! (`ditto-core`'s `DittoHook`: quantize → encode → integer kernel → dequant
+//! straight into the arena) or declines, in which case the f32 opcode runs
+//! and the hook observes the operands (`CalibrationHook`: `abs_max` on the
+//! slices). State that outlives a step (previous-step levels, accumulators)
+//! belongs to the hook, not the arena.
+//!
 //! **Bit-identity is the contract.** Every opcode routes through the exact
-//! slice kernels the tree path uses (`tensor::ops::*_into`, the shared
+//! slice kernels the oracle uses (`tensor::ops::*_into`, the shared
 //! executor kernels) in the same order with the same accumulation
-//! discipline, so for every model, sampler step, and kernel backend the
-//! plan output is byte-identical to `executor::forward` — including `-0.0`
-//! signs. The tree executor stays available as the reference via
-//! `DITTO_EXEC_MODE=tree` (see [`active_mode`]).
+//! discipline, so for every model, sampler step, hook and kernel backend
+//! the plan's outputs — and everything a hook records along the way — are
+//! byte-identical to `executor::forward`'s, including `-0.0` signs.
 //!
 //! Safety note: the interpreter is 100% safe Rust. The allocator reserves a
 //! node's output span *before* releasing the spans of inputs dying at that
 //! node, so an op's output never overlaps any of its (still live) inputs;
 //! disjoint contiguous spans are then carved with `split_at_mut`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::executor::{
     add_bias2d_into, add_row_bias, concat_cols_into, gate_into, modulate_into, slice_cols_into,
-    transpose_into, unpatchify_into, upsample2x_into, Bindings,
+    transpose_into, unpatchify_into, upsample2x_into, Bindings, LinearHook, OperandView, StepInfo,
 };
 use crate::graph::{LayerGraph, NodeId};
 use crate::op::{InputKind, LayerOp};
 use tensor::ops;
 use tensor::{backend, Result, Tensor, TensorError};
-
-// ---------------------------------------------------------------------------
-// Execution-mode selection (mirrors `tensor::backend`).
-// ---------------------------------------------------------------------------
-
-/// Which executor services noop-hook forward passes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecMode {
-    /// The node-by-node tree walk (`executor::forward`) — the reference.
-    Tree,
-    /// The compiled trace plan (`TracePlan::execute`) — the default.
-    Plan,
-}
-
-impl ExecMode {
-    /// All modes, reference first.
-    pub const ALL: [ExecMode; 2] = [ExecMode::Tree, ExecMode::Plan];
-
-    /// Stable lower-case name (used by `DITTO_EXEC_MODE`).
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Tree => "tree",
-            ExecMode::Plan => "plan",
-        }
-    }
-
-    /// Parses a mode name (trimmed, case-insensitive).
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "tree" => Some(ExecMode::Tree),
-            "plan" => Some(ExecMode::Plan),
-            _ => None,
-        }
-    }
-
-    fn encode(self) -> u8 {
-        match self {
-            ExecMode::Tree => 1,
-            ExecMode::Plan => 2,
-        }
-    }
-
-    fn decode(v: u8) -> Option<ExecMode> {
-        match v {
-            1 => Some(ExecMode::Tree),
-            2 => Some(ExecMode::Plan),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// 0 = unresolved; otherwise `ExecMode::encode`.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// The process-wide execution mode, resolved once from `DITTO_EXEC_MODE`
-/// (default [`ExecMode::Plan`]) on first call.
-pub fn active_mode() -> ExecMode {
-    if let Some(m) = ExecMode::decode(ACTIVE.load(Ordering::Relaxed)) {
-        return m;
-    }
-    let resolved = resolve_from_env();
-    // Racing resolvers compute the same value; first store wins either way.
-    let _ = ACTIVE.compare_exchange(0, resolved.encode(), Ordering::Relaxed, Ordering::Relaxed);
-    resolved
-}
-
-/// Overrides the execution mode for the rest of the process (tests,
-/// benchmark harnesses).
-pub fn set_active_mode(mode: ExecMode) {
-    ACTIVE.store(mode.encode(), Ordering::Relaxed);
-}
-
-fn resolve_from_env() -> ExecMode {
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    let warn_once = |msg: String| {
-        if !WARNED.swap(true, Ordering::Relaxed) {
-            eprintln!("{msg}");
-        }
-    };
-    match std::env::var("DITTO_EXEC_MODE") {
-        Ok(raw) => {
-            let trimmed = raw.trim();
-            if trimmed.is_empty() || trimmed.eq_ignore_ascii_case("auto") {
-                return ExecMode::Plan;
-            }
-            match ExecMode::parse(trimmed) {
-                Some(m) => m,
-                None => {
-                    warn_once(format!(
-                        "DITTO_EXEC_MODE={trimmed:?} is not one of tree|plan; using plan"
-                    ));
-                    ExecMode::Plan
-                }
-            }
-        }
-        Err(_) => ExecMode::Plan,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Plan data model.
@@ -466,6 +371,20 @@ impl OpCode {
     pub fn kind_name(&self) -> &'static str {
         KIND_NAMES[self.kind_index()]
     }
+
+    /// Whether this opcode executes a linear layer — the sites a
+    /// [`LinearHook`] is called at. Agrees with `LayerOp::is_linear_layer`
+    /// on the op's node (asserted at compile time).
+    pub fn is_linear_site(&self) -> bool {
+        matches!(
+            self,
+            OpCode::Conv2dDirect { .. }
+                | OpCode::Conv2dIm2col { .. }
+                | OpCode::Linear { .. }
+                | OpCode::MatmulQk { .. }
+                | OpCode::MatmulPv { .. }
+        )
+    }
 }
 
 /// Max operand count of any [`LayerOp`] (Modulate).
@@ -523,8 +442,11 @@ impl PlanArena {
 pub struct TracePlan {
     ops: Vec<PlanOp>,
     arena_len: usize,
-    out: Span,
-    out_dims: Vec<usize>,
+    /// The graph's output node.
+    output: NodeId,
+    /// Inferred output dims of every node (`dims[i]` for `ops[i]`): what a
+    /// hook is told about a linear site's operands.
+    dims: Vec<Vec<usize>>,
     latent_dims: Vec<usize>,
     context_dims: Option<Vec<usize>>,
     digest: u64,
@@ -634,6 +556,7 @@ impl TracePlan {
             let in_dims: Vec<&[usize]> = node.inputs.iter().map(|&i| dims[i].as_slice()).collect();
             let (out_dims, code, scratch_len) =
                 infer_node(&node.op, &in_dims, latent_dims, context_dims)?;
+            debug_assert_eq!(code.is_linear_site(), node.op.is_linear_layer());
 
             // Allocate the output (and scratch) while every input is still
             // live, then release dying inputs: the output of a node can
@@ -679,8 +602,8 @@ impl TracePlan {
         }
 
         Ok(TracePlan {
-            out: spans[output],
-            out_dims: dims[output].clone(),
+            output,
+            dims,
             ops,
             arena_len: planner.high,
             latent_dims: latent_dims.to_vec(),
@@ -701,7 +624,7 @@ impl TracePlan {
 
     /// Output tensor dimensions.
     pub fn out_dims(&self) -> &[usize] {
-        &self.out_dims
+        &self.dims[self.output]
     }
 
     /// The compiled instruction stream (inspection / liveness tests).
@@ -765,12 +688,15 @@ impl TracePlan {
     }
 
     /// Runs the compiled forward pass over `arena`, returning the output
-    /// tensor. Bit-identical to `executor::forward` with a [`crate::NullHook`].
+    /// tensor. Under a non-noop `hook` every linear site goes through
+    /// [`LinearHook::compute_linear_into`] / [`LinearHook::observe_linear`]
+    /// (see the module docs). Bit-identical to `executor::forward` with the
+    /// same hook.
     ///
     /// # Errors
     ///
     /// Returns an error if the bindings' shapes disagree with the compiled
-    /// shapes, or (matching the tree) the graph needs a context the
+    /// shapes, or (matching the oracle) the graph needs a context the
     /// bindings lack.
     ///
     /// # Panics
@@ -781,6 +707,8 @@ impl TracePlan {
         &self,
         graph: &LayerGraph,
         bindings: &Bindings<'_>,
+        step: StepInfo,
+        hook: &mut dyn LinearHook,
         arena: &mut PlanArena,
     ) -> Result<Tensor> {
         debug_assert_eq!(self.digest, graph.structure_digest(), "plan/graph mismatch");
@@ -793,44 +721,95 @@ impl TracePlan {
             }
         }
         arena.buf.resize(self.arena_len, 0.0);
-        let kb = backend::active();
+        let run = Run {
+            plan: self,
+            graph,
+            bindings,
+            step,
+            hooked: !hook.is_noop(),
+            kb: backend::active(),
+        };
         let buf = arena.buf.as_mut_slice();
 
         if profiling_enabled() {
-            self.execute_ops_profiled(graph, bindings, kb, buf)?;
+            run.ops_profiled(hook, buf)?;
         } else {
             for op in &self.ops {
-                exec_op(op, graph, bindings, kb, buf)?;
+                run.op(op, hook, buf)?;
             }
         }
-        let out = &buf[self.out.off..self.out.end()];
-        Tensor::from_vec(out.to_vec(), &self.out_dims)
+        let out = self.ops[self.output].out;
+        Tensor::from_vec(buf[out.off..out.end()].to_vec(), self.out_dims())
+    }
+}
+
+/// What every op of one forward pass shares.
+struct Run<'a> {
+    plan: &'a TracePlan,
+    graph: &'a LayerGraph,
+    bindings: &'a Bindings<'a>,
+    step: StepInfo,
+    /// Whether the pass runs under a non-noop hook.
+    hooked: bool,
+    kb: backend::KernelBackend,
+}
+
+impl Run<'_> {
+    /// Executes one op: [`exec_op`], around which a linear site of a hooked
+    /// pass first offers the hook the computation and, if it declines,
+    /// shows it the f32 result.
+    fn op(&self, op: &PlanOp, hook: &mut dyn LinearHook, buf: &mut [f32]) -> Result<()> {
+        if !(self.hooked && op.code.is_linear_site()) {
+            return exec_op(op, self.graph, self.bindings, self.kb, buf);
+        }
+        let node = self.graph.node(op.node);
+        let dims = &self.plan.dims;
+        {
+            let (lo, out, hi) = carve(buf, op.out);
+            let inputs = site_inputs(op, dims, lo, hi);
+            if hook.compute_linear_into(node, self.step, &inputs[..op.arity], out) {
+                return Ok(());
+            }
+        }
+        exec_op(op, self.graph, self.bindings, self.kb, buf)?;
+        let (lo, out, hi) = carve(buf, op.out);
+        let inputs = site_inputs(op, dims, lo, hi);
+        let output = OperandView { data: out, dims: &dims[op.node] };
+        hook.observe_linear(node, self.step, &inputs[..op.arity], output);
+        Ok(())
     }
 
     /// The interpreter loop with per-opcode-kind timing folded into the
-    /// process-wide exec registry. Runs exactly the same `exec_op` calls in
-    /// the same order as the unprofiled loop, so results stay bit-identical;
-    /// timing is observed around each call, never inside it.
-    fn execute_ops_profiled(
-        &self,
-        graph: &LayerGraph,
-        bindings: &Bindings<'_>,
-        kb: backend::KernelBackend,
-        buf: &mut [f32],
-    ) -> Result<()> {
+    /// process-wide exec registry. Runs exactly the same [`Run::op`] calls
+    /// in the same order as the unprofiled loop, so results stay
+    /// bit-identical; timing is observed around each call, never inside
+    /// it. A hook's time at a linear site lands on that site's kind.
+    fn ops_profiled(&self, hook: &mut dyn LinearHook, buf: &mut [f32]) -> Result<()> {
         let step_start = Instant::now();
         let mut kinds = [KindAccum { calls: 0, ns: 0, bytes: 0 }; KIND_NAMES.len()];
-        for op in &self.ops {
+        for op in &self.plan.ops {
             let t0 = Instant::now();
-            exec_op(op, graph, bindings, kb, buf)?;
+            self.op(op, hook, buf)?;
             let acc = &mut kinds[op.code.kind_index()];
             acc.calls += 1;
             acc.ns += t0.elapsed().as_nanos() as u64;
             acc.bytes += (op.out.len * 4) as u64;
         }
-        record_exec_step(self.digest, self.arena_len, step_start, &kinds);
+        record_exec_step(self.plan.digest, self.hooked, self.plan.arena_len, step_start, &kinds);
         Ok(())
     }
+}
+
+/// The operands of linear site `op` (first `op.arity` entries meaningful)
+/// against the halves [`carve`] left around its output.
+fn site_inputs<'a>(
+    op: &PlanOp,
+    dims: &'a [Vec<usize>],
+    lo: &'a [f32],
+    hi: &'a [f32],
+) -> [OperandView<'a>; 2] {
+    [0, 1]
+        .map(|i| OperandView { data: operand(lo, hi, op.out, op.ins[i]), dims: &dims[op.srcs[i]] })
 }
 
 /// Shape inference + opcode selection for one node. Returns the output
@@ -1476,6 +1455,10 @@ pub struct OpKindProfile {
 pub struct PlanProfile {
     /// Structure digest of the profiled plan (joins with compile events).
     pub digest: u64,
+    /// Whether these passes ran under a non-noop hook. Hooked and hook-free
+    /// passes of one plan fold into separate profiles: at a linear site a
+    /// hooked pass times the hook, not the f32 opcode.
+    pub hooked: bool,
     /// Forward passes folded into this profile.
     pub steps: u64,
     /// Total wall-clock nanoseconds across those passes.
@@ -1491,6 +1474,8 @@ pub struct PlanProfile {
 pub struct ExecSpan {
     /// Plan digest the step executed.
     pub digest: u64,
+    /// Whether the step ran under a non-noop hook.
+    pub hooked: bool,
     /// Monotonic start of the pass.
     pub start: Instant,
     /// Pass duration in nanoseconds.
@@ -1518,6 +1503,7 @@ const MAX_EXEC_SPANS: usize = 4096;
 
 struct ProfAccum {
     digest: u64,
+    hooked: bool,
     steps: u64,
     total_ns: u64,
     arena_f32: usize,
@@ -1536,7 +1522,8 @@ static EXEC: Mutex<ExecRegistry> =
 /// Drained snapshot of the execute-profiling registry.
 #[derive(Debug)]
 pub struct ExecTelemetry {
-    /// One aggregated profile per plan digest seen since the last drain.
+    /// One aggregated profile per (plan digest, hooked) seen since the last
+    /// drain.
     pub profiles: Vec<PlanProfile>,
     /// Per-step spans, oldest first (capped at [`MAX_EXEC_SPANS`]).
     pub spans: Vec<ExecSpan>,
@@ -1544,14 +1531,21 @@ pub struct ExecTelemetry {
     pub spans_dropped: u64,
 }
 
-fn record_exec_step(digest: u64, arena_f32: usize, start: Instant, kinds: &[KindAccum]) {
+fn record_exec_step(
+    digest: u64,
+    hooked: bool,
+    arena_f32: usize,
+    start: Instant,
+    kinds: &[KindAccum],
+) {
     let dur_ns = start.elapsed().as_nanos() as u64;
     let mut g = EXEC.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let prof = match g.profiles.iter_mut().find(|p| p.digest == digest) {
+    let prof = match g.profiles.iter_mut().find(|p| p.digest == digest && p.hooked == hooked) {
         Some(p) => p,
         None => {
             g.profiles.push(ProfAccum {
                 digest,
+                hooked,
                 steps: 0,
                 total_ns: 0,
                 arena_f32: 0,
@@ -1569,7 +1563,7 @@ fn record_exec_step(digest: u64, arena_f32: usize, start: Instant, kinds: &[Kind
         acc.bytes += k.bytes;
     }
     if g.spans.len() < MAX_EXEC_SPANS {
-        g.spans.push(ExecSpan { digest, start, dur_ns, tid: exec_tid() });
+        g.spans.push(ExecSpan { digest, hooked, start, dur_ns, tid: exec_tid() });
     } else {
         g.spans_dropped += 1;
     }
@@ -1583,6 +1577,7 @@ pub fn drain_exec_telemetry() -> ExecTelemetry {
         .into_iter()
         .map(|p| PlanProfile {
             digest: p.digest,
+            hooked: p.hooked,
             steps: p.steps,
             total_ns: p.total_ns,
             arena_f32: p.arena_f32,
@@ -1627,25 +1622,15 @@ mod tests {
         let plan = TracePlan::compile(graph, latent.dims(), context.map(Tensor::dims)).unwrap();
         plan.validate_liveness().unwrap();
         let mut arena = PlanArena::new();
-        let fast = plan.execute(graph, &bindings, &mut arena).unwrap();
+        let fast = plan.execute(graph, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
         assert_eq!(fast.dims(), tree.dims());
         for (i, (a, b)) in fast.as_slice().iter().zip(tree.as_slice()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "element {i}: plan {a} vs tree {b}");
         }
         // Re-running over the same (now dirty) arena must stay identical —
         // the full-write invariant.
-        let again = plan.execute(graph, &bindings, &mut arena).unwrap();
+        let again = plan.execute(graph, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
         assert_eq!(again.as_slice(), fast.as_slice());
-    }
-
-    #[test]
-    fn exec_mode_parse_roundtrip() {
-        for m in ExecMode::ALL {
-            assert_eq!(ExecMode::parse(m.name()), Some(m));
-            assert_eq!(ExecMode::decode(m.encode()), Some(m));
-        }
-        assert_eq!(ExecMode::parse(" PLAN "), Some(ExecMode::Plan));
-        assert_eq!(ExecMode::parse("jit"), None);
     }
 
     #[test]
@@ -1731,15 +1716,15 @@ mod tests {
         // Gated off: an execute leaves no trace in the registry.
         set_profiling(false);
         drain_exec_telemetry();
-        let baseline = plan.execute(&g, &bindings, &mut arena).unwrap();
+        let baseline = plan.execute(&g, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
         let quiet = drain_exec_telemetry();
         assert!(quiet.profiles.iter().all(|p| p.digest != digest));
         assert!(quiet.spans.iter().all(|s| s.digest != digest));
 
         // Enabled: two steps fold into one profile, bit-identical output.
         set_profiling(true);
-        let a = plan.execute(&g, &bindings, &mut arena).unwrap();
-        let b = plan.execute(&g, &bindings, &mut arena).unwrap();
+        let a = plan.execute(&g, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
+        let b = plan.execute(&g, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
         set_profiling(false);
         assert_eq!(a.as_slice(), baseline.as_slice());
         assert_eq!(b.as_slice(), baseline.as_slice());
@@ -2023,7 +2008,7 @@ mod tests {
         let mut arena = PlanArena::new();
         for graph in [&ga, &gb] {
             let tree = forward(graph, &bindings, step0(), &mut NullHook).unwrap();
-            let fast = pa.execute(graph, &bindings, &mut arena).unwrap();
+            let fast = pa.execute(graph, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
             assert_eq!(fast.as_slice(), tree.as_slice());
         }
     }
@@ -2058,7 +2043,8 @@ mod tests {
         let plan = TracePlan::compile(&g, &[1, 1], Some(&[1, 2])).unwrap();
         let latent = Tensor::zeros(&[1, 1]);
         let bindings = Bindings { latent: &latent, context: None, t: 0.0 };
-        let err = plan.execute(&g, &bindings, &mut PlanArena::new()).unwrap_err();
+        let err =
+            plan.execute(&g, &bindings, step0(), &mut NullHook, &mut PlanArena::new()).unwrap_err();
         assert!(err.to_string().contains("model needs a context"), "{err}");
     }
 
@@ -2069,7 +2055,9 @@ mod tests {
         let wrong = Tensor::zeros(&[3, 2]);
         let bindings = Bindings { latent: &wrong, context: None, t: 0.0 };
         assert!(!plan.matches(&bindings));
-        assert!(plan.execute(&g, &bindings, &mut PlanArena::new()).is_err());
+        assert!(plan
+            .execute(&g, &bindings, step0(), &mut NullHook, &mut PlanArena::new())
+            .is_err());
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl Calibrator {
 }
 
 /// Calibrated scales, keyed by layer and resolved by time-step cluster.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CalibrationTable {
     steps: usize,
     /// Per layer: sorted `(first_step_of_cluster, scale)` segments.

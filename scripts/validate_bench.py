@@ -8,7 +8,9 @@ the *schema*; this script checks a fresh ``perfbench`` run emits the same
 shape (identical key sets at every object level, matching value types,
 full kernel/shape coverage) with sane value ranges. It deliberately does
 NOT compare the numbers themselves — perf values are host-dependent, and
-the committed trajectory is reviewed like a changelog, not asserted by CI.
+the committed trajectory is reviewed like a changelog, not asserted by CI —
+with one exception: the committed baseline's executor ``speedup`` ratios
+(plan vs tree oracle, same run, same host) must not sit below 0.95.
 """
 
 import json
@@ -201,40 +203,70 @@ def check_encode(new, base):
     )
 
 
+# Plan-vs-tree ratios below this in the *committed* baseline fail the
+# check: a refresh that lands a plan slower than the oracle it replaced (or
+# a ratio that drifted there unnoticed, as 2x -> 1.04x once did) must be a
+# deliberate, reviewed event, not a silent one.
+EXECUTOR_SPEEDUP_FLOOR = 0.95
+
+
 def check_executor(new, base):
-    """The executor section compares the tree-walking executor against the
-    compiled trace plan, per model. Coverage must match the baseline and
-    the derived rates/speedups must be consistent with the raw ns/step."""
-    got = {e["model"] for e in new["executor"]}
-    want = {e["model"] for e in base["executor"]}
+    """The executor section compares the compiled trace plan against the
+    tree-walking oracle: a ``forward`` row per model (one hook-free model
+    call) and a ``calibrate`` row per statically quantized model (the
+    calibration pass under CalibrationHook, min and median of interleaved
+    trials). Coverage must match the baseline, the derived rates/speedups
+    must be consistent with the raw ns, and no committed speedup may sit
+    below the floor."""
+    got = {(e["model"], e["pass"]) for e in new["executor"]}
+    want = {(e["model"], e["pass"]) for e in base["executor"]}
     if got != want:
         fail(
-            f"executor model coverage mismatch (missing {sorted(want - got)}, "
+            f"executor coverage mismatch (missing {sorted(want - got)}, "
             f"unexpected {sorted(got - want)})"
         )
+    for e in base["executor"]:
+        if e["speedup"] < EXECUTOR_SPEEDUP_FLOOR:
+            fail(
+                f"committed executor row {e['model']}/{e['pass']}: speedup "
+                f"{e['speedup']:.3f} is below the {EXECUTOR_SPEEDUP_FLOOR} floor"
+            )
     for i, e in enumerate(new["executor"]):
-        path = f"executor[{i}]({e['model']})"
-        sane(e["graph_nodes"], f"{path}.graph_nodes", 1, 1e6)
-        sane(e["plan_ops"], f"{path}.plan_ops", 1, 1e6)
-        if e["plan_ops"] > e["graph_nodes"]:
-            fail(f"{path}: more plan ops than graph nodes")
-        sane(e["arena_f32"], f"{path}.arena_f32", 1, 1e12)
-        sane(e["tree_ns_per_step"], f"{path}.tree_ns_per_step", 1, 1e12)
-        sane(e["plan_ns_per_step"], f"{path}.plan_ns_per_step", 1, 1e12)
-        for side in ("tree", "plan"):
-            rate = e[f"{side}_steps_per_s"]
-            sane(rate, f"{path}.{side}_steps_per_s", 1e-6, 1e12)
-            want_rate = 1e9 / e[f"{side}_ns_per_step"]
-            if abs(rate - want_rate) > 1e-6 * want_rate:
-                fail(f"{path}: {side}_steps_per_s {rate} != recomputed {want_rate}")
+        path = f"executor[{i}]({e['model']}/{e['pass']})"
         sane(e["speedup"], f"{path}.speedup", 1e-3, 1e4)
-        want_speedup = e["tree_ns_per_step"] / e["plan_ns_per_step"]
+        if e["pass"] == "calibrate":
+            sane(e["model_calls"], f"{path}.model_calls", 1, 1e6)
+            sane(e["trials"], f"{path}.trials", 3, 1e3)
+            for side in ("tree", "plan"):
+                lo, mid = e[f"{side}_ns_min"], e[f"{side}_ns_median"]
+                sane(lo, f"{path}.{side}_ns_min", 1, 1e12)
+                sane(mid, f"{path}.{side}_ns_median", 1, 1e12)
+                if lo > mid:
+                    fail(f"{path}: {side}_ns_min {lo} > {side}_ns_median {mid}")
+            want_speedup = e["tree_ns_min"] / e["plan_ns_min"]
+        elif e["pass"] == "forward":
+            sane(e["graph_nodes"], f"{path}.graph_nodes", 1, 1e6)
+            sane(e["plan_ops"], f"{path}.plan_ops", 1, 1e6)
+            if e["plan_ops"] > e["graph_nodes"]:
+                fail(f"{path}: more plan ops than graph nodes")
+            sane(e["arena_f32"], f"{path}.arena_f32", 1, 1e12)
+            sane(e["tree_ns_per_step"], f"{path}.tree_ns_per_step", 1, 1e12)
+            sane(e["plan_ns_per_step"], f"{path}.plan_ns_per_step", 1, 1e12)
+            for side in ("tree", "plan"):
+                rate = e[f"{side}_steps_per_s"]
+                sane(rate, f"{path}.{side}_steps_per_s", 1e-6, 1e12)
+                want_rate = 1e9 / e[f"{side}_ns_per_step"]
+                if abs(rate - want_rate) > 1e-6 * want_rate:
+                    fail(f"{path}: {side}_steps_per_s {rate} != recomputed {want_rate}")
+            want_speedup = e["tree_ns_per_step"] / e["plan_ns_per_step"]
+        else:
+            fail(f"{path}: unknown pass {e['pass']!r}")
         if abs(e["speedup"] - want_speedup) > 1e-6 * want_speedup:
             fail(f"{path}: speedup {e['speedup']} != recomputed {want_speedup}")
     best = max(new["executor"], key=lambda e: e["speedup"])
     print(
-        f"validate_bench: executor OK — {len(new['executor'])} models, "
-        f"best plan speedup {best['speedup']:.2f}x ({best['model']})"
+        f"validate_bench: executor OK — {len(new['executor'])} rows, "
+        f"best plan speedup {best['speedup']:.2f}x ({best['model']}/{best['pass']})"
     )
 
 

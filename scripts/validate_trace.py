@@ -14,7 +14,7 @@ Checks, in order:
    integers, and ``args`` (when present) a non-empty object. Events that
    carry structured args by contract are checked field-by-field:
    ``plan_step:<digest>`` spans must carry ``args.digest`` matching the
-   name suffix, and ``cell:<design>:<model>`` grid spans must carry
+   name suffix and a boolean ``args.hooked``, and ``cell:<design>:<model>`` grid spans must carry
    ``design``/``model`` strings matching the name plus integer
    ``design_index``/``model_index``.
 3. Span nesting balances per thread for ``cat == "plan"`` events (each
@@ -22,8 +22,8 @@ Checks, in order:
    never partially overlap). Other categories are exempt: the scheduler's
    retroactive wait spans legitimately overlap the previous job's sim span
    on the same worker thread.
-4. With a STREAM given: for each plan digest, the last (cumulative)
-   ``plan_profile`` snapshot's per-opcode self-time sum must reconcile with
+4. With a STREAM given: for each plan digest and hooked flag, the last
+   (cumulative) ``plan_profile`` snapshot's per-opcode self-time sum must reconcile with
    the interpreter's total step latency, and — when nothing was dropped —
    the ``plan_step`` span totals in the trace must match ``total_ns``
    within the per-span microsecond-truncation slack.
@@ -86,6 +86,8 @@ def check_args_contract(i, e):
                 f"traceEvents[{i}]: plan_step args.digest {args.get('digest')!r} "
                 f"!= name digest {digest!r}"
             )
+        if not isinstance(args.get("hooked"), bool):
+            fail(f"traceEvents[{i}]: plan_step args.hooked {args.get('hooked')!r} not a bool")
     elif e["cat"] == "grid" and name.startswith("cell:"):
         design, _, model = name[len("cell:"):].partition(":")
         args = e.get("args")
@@ -127,7 +129,8 @@ def check_plan_nesting(events):
 
 
 def load_profiles(stream_path):
-    """Last cumulative plan_profile snapshot per digest, plus the total
+    """Last cumulative plan_profile snapshot per (digest, hooked) — hooked
+    and hook-free passes of one plan are profiled apart — plus the total
     number of exec spans the stream reported dropped."""
     profiles = {}
     spans_dropped = 0
@@ -140,7 +143,7 @@ def load_profiles(stream_path):
             except json.JSONDecodeError as err:
                 fail(f"{stream_path}:{n}: not valid JSON: {err}")
             if e.get("event") == "plan_profile":
-                profiles[e["digest"]] = e
+                profiles[(e["digest"], e["hooked"])] = e
             elif e.get("event") == "plan_spans_dropped":
                 spans_dropped += e.get("count", 0)
     return profiles, spans_dropped
@@ -149,13 +152,14 @@ def load_profiles(stream_path):
 def reconcile(profiles, events, trace_dropped, spans_dropped):
     if not profiles:
         fail("stream has no plan_profile events (did any plan execute?)")
-    span_totals = {}  # digest -> (count, total_us)
+    span_totals = {}  # (digest, hooked) -> (count, total_us)
     for e in events:
         if e["cat"] == "plan" and e["name"].startswith("plan_step:"):
-            digest = e["name"].split(":", 1)[1]
-            count, total = span_totals.get(digest, (0, 0))
-            span_totals[digest] = (count + 1, total + e["dur"])
-    for digest, p in sorted(profiles.items()):
+            key = (e["name"].split(":", 1)[1], e["args"]["hooked"])
+            count, total = span_totals.get(key, (0, 0))
+            span_totals[key] = (count + 1, total + e["dur"])
+    for key, p in sorted(profiles.items()):
+        digest = key[0] + (" (hooked)" if key[1] else "")
         total_ns = p["total_ns"]
         steps = p["steps"]
         if steps < 1 or total_ns < 1:
@@ -172,7 +176,7 @@ def reconcile(profiles, events, trace_dropped, spans_dropped):
         # into the trace buffer.
         if trace_dropped or spans_dropped:
             continue
-        count, span_us = span_totals.get(digest, (0, 0))
+        count, span_us = span_totals.get(key, (0, 0))
         if count != steps:
             fail(f"plan {digest}: {count} plan_step spans != {steps} profiled steps")
         total_us = total_ns / 1000

@@ -7,7 +7,10 @@
 //! `counters`, `series`). This tool reads one stream file and prints:
 //!
 //! * the top-N plan opcodes by self time (from the last `plan_profile`
-//!   snapshot per plan digest — snapshots are cumulative);
+//!   snapshot per plan digest and hooked flag — snapshots are cumulative),
+//!   and one row per plan with the share of its time spent outside the
+//!   linear sites (hooked passes, where the linear sites time the hook,
+//!   get a row of their own);
 //! * per-cell (design × model) memo hit rates and the trace-cache
 //!   hit/miss/evict accounting per scale;
 //! * queue-depth, scheduling-wait, and simulation-latency percentiles
@@ -106,8 +109,9 @@ struct Report {
     by_kind: BTreeMap<String, u64>,
     first_us: Option<u64>,
     last_us: u64,
-    /// Last `plan_profile` snapshot per digest (snapshots are cumulative).
-    profiles: BTreeMap<String, Value>,
+    /// Last `plan_profile` snapshot per (digest, hooked); snapshots are
+    /// cumulative.
+    profiles: BTreeMap<(String, bool), Value>,
     cells: BTreeMap<String, CellCounts>,
     /// `trace_cache` outcome counts per scale.
     trace_cache: BTreeMap<String, BTreeMap<String, u64>>,
@@ -151,7 +155,8 @@ impl Report {
         match kind.as_str() {
             "plan_profile" => {
                 if let Some(digest) = str_field(&e, "digest") {
-                    self.profiles.insert(digest.to_string(), e.clone());
+                    let hooked = matches!(e.get("hooked"), Ok(Value::Bool(true)));
+                    self.profiles.insert((digest.to_string(), hooked), e.clone());
                 }
             }
             "cell_memo_hit" => self.cells.entry(cell_label()).or_default().memo_hits += 1,
@@ -207,6 +212,30 @@ impl Report {
         let mut out: Vec<_> = totals.into_iter().collect();
         out.sort_by(|a, b| b.1.ns.cmp(&a.1.ns).then_with(|| a.0.cmp(&b.0)));
         out
+    }
+}
+
+/// The opcode kinds that execute linear layers: where a hooked pass times
+/// the hook instead of the f32 kernel.
+const LINEAR_KINDS: [&str; 5] =
+    ["conv2d_direct", "conv2d_im2col", "linear", "matmul_qk", "matmul_pv"];
+
+/// Share of a `plan_profile`'s per-kind time spent outside [`LINEAR_KINDS`]
+/// — on a hooked plan, what a hook cannot speed up.
+fn other_share(profile: &Value) -> f64 {
+    let Ok(Value::Obj(kinds)) = profile.get("by_kind") else { return 0.0 };
+    let (mut other, mut all) = (0u64, 0u64);
+    for (name, v) in kinds {
+        let ns = int_field(v, "ns").unwrap_or(0);
+        all += ns;
+        if !LINEAR_KINDS.contains(&name.as_str()) {
+            other += ns;
+        }
+    }
+    if all == 0 {
+        0.0
+    } else {
+        other as f64 / all as f64
     }
 }
 
@@ -294,16 +323,18 @@ fn print_report(r: &Report, top: usize) {
                 t.bytes
             );
         }
-        for profile in r.profiles.values() {
-            if let (Some(digest), Some(steps), Some(total), Some(arena)) = (
-                str_field(profile, "digest"),
+        for ((digest, hooked), profile) in &r.profiles {
+            if let (Some(steps), Some(total), Some(arena)) = (
                 int_field(profile, "steps"),
                 int_field(profile, "total_ns"),
                 int_field(profile, "arena_f32"),
             ) {
                 println!(
-                    "  plan {digest}: {steps} steps, {:.3} ms total, arena high-water {arena} f32",
-                    total as f64 / 1e6
+                    "  plan {digest}{}: {steps} steps, {:.3} ms total, {:.1}% outside linear \
+                     sites, arena high-water {arena} f32",
+                    if *hooked { " (hooked)" } else { "" },
+                    total as f64 / 1e6,
+                    100.0 * other_share(profile)
                 );
             }
         }
@@ -442,6 +473,8 @@ mod tests {
             r#"{"event":"plan_profile","t_us":10,"digest":"00ab","steps":1,"total_ns":500,"arena_f32":8,"by_kind":{"Conv2d":{"calls":1,"ns":300,"bytes":64}}}"#,
             // A later cumulative snapshot for the same digest supersedes.
             r#"{"event":"plan_profile","t_us":20,"digest":"00ab","steps":2,"total_ns":900,"arena_f32":8,"by_kind":{"Conv2d":{"calls":2,"ns":600,"bytes":128},"Add":{"calls":2,"ns":100,"bytes":8}}}"#,
+            // Hooked passes of the same plan are a profile of their own.
+            r#"{"event":"plan_profile","t_us":25,"digest":"00ab","hooked":true,"steps":1,"total_ns":400,"arena_f32":8,"by_kind":{"linear":{"calls":1,"ns":300,"bytes":64},"silu":{"calls":1,"ns":100,"bytes":8}}}"#,
             r#"{"event":"cell_memo_hit","t_us":30,"design":"Ditto","model":"DDPM","scale":"tiny"}"#,
             r#"{"event":"cell_enqueue","t_us":31,"design":"Ditto","model":"DDPM","scale":"tiny","priority":0,"queue_depth":3}"#,
             r#"{"event":"cell_done","t_us":40,"design":"Ditto","model":"DDPM","scale":"tiny","sched_wait_us":7,"sim_us":100,"ok":true}"#,
@@ -452,14 +485,18 @@ mod tests {
         ] {
             r.fold_line(line);
         }
-        assert_eq!(r.events, 8);
+        assert_eq!(r.events, 9);
         assert_eq!(r.unparsed, 1);
-        // Only the last snapshot per digest counts, and kinds sort by ns.
+        // Only the last snapshot per (digest, hooked) counts, and kinds sort
+        // by ns.
+        assert_eq!(r.profiles.len(), 2);
         let kinds = r.kind_totals();
-        assert_eq!(kinds.len(), 2);
+        assert_eq!(kinds.len(), 4);
         assert_eq!(kinds[0].0, "Conv2d");
         assert_eq!(kinds[0].1.ns, 600);
-        assert_eq!(kinds[1].1.calls, 2);
+        assert_eq!(kinds[1].0, "linear");
+        let hooked = &r.profiles[&("00ab".to_string(), true)];
+        assert_eq!(other_share(hooked), 0.25, "silu is the only non-linear kind");
         let cell = &r.cells["Ditto:DDPM"];
         assert_eq!((cell.memo_hits, cell.coalesced, cell.simulated), (1, 0, 1));
         assert_eq!(r.queue_depth.count(), 1);

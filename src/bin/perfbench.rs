@@ -16,9 +16,13 @@
 //!   resolved name, e.g. `simd:avx2` / `simd:sse2`, exercised via the
 //!   same level override `DITTO_SIMD_LEVEL` uses). Every backend is
 //!   asserted bit-identical to the scalar reference *before* it is
-//!   timed. An `executor` section times one denoising model call
-//!   per Table I benchmark under both the tree walker and the compiled
-//!   trace plan (`diffusion::plan`), with bit-identity asserted in setup.
+//!   timed. An `executor` section times the compiled trace plan
+//!   (`diffusion::plan`) against the tree-walking oracle
+//!   `executor::forward`, bit-identity asserted in setup: a `forward` row
+//!   per Table I benchmark (one hook-free model call) and a `calibrate`
+//!   row per UNet (the whole Q-Diffusion calibration pass under
+//!   `CalibrationHook`, min and median over interleaved trials). The
+//!   validator fails when a committed `speedup` is below 0.95.
 //!   An `encode` section times the Encoding Unit's fused pass
 //!   (`quant::encode`) against the scalar one-value-at-a-time oracle at
 //!   three operand sizes, min and median over interleaved trials.
@@ -53,6 +57,7 @@ use diffusion::executor::{forward, Bindings, NullHook, StepInfo};
 use diffusion::{DiffusionModel, ModelKind, ModelScale, PlanArena};
 use ditto_core::hist::LogHistogram;
 use ditto_core::jsonio::{self, ToJson, Value};
+use ditto_core::runner::CalibrationHook;
 use quant::kernels::{delta_matmul_update_with, int_matmul_with, reference, widen};
 use quant::{encode, BitWidthClass, BitWidthHistogram, Emit, Encoded};
 use serve::server::{spawn, ServerConfig};
@@ -610,10 +615,6 @@ fn bench_encode(min_ms: u64) -> Vec<Value> {
                 black_box(encode_scalar(black_box(&cur), black_box(&prev), rows, cols));
             }));
         }
-        let min_median = |ns: &mut Vec<f64>| {
-            ns.sort_by(f64::total_cmp);
-            (ns[0], ns[ns.len() / 2])
-        };
         let (fused_min, fused_median) = min_median(&mut fused_ns);
         let (scalar_min, scalar_median) = min_median(&mut scalar_ns);
         // One `i8` level per element: bytes per ns is GB/s.
@@ -640,15 +641,23 @@ fn bench_encode(min_ms: u64) -> Vec<Value> {
     entries
 }
 
-/// Times one denoising model call (one sampler step's worth of work) per
-/// Table I benchmark at the tiny scale under both executors: the allocating
-/// tree walker `executor::forward` and the compiled trace plan. Identity is
-/// asserted in setup — a plan that drifts bitwise from the tree must never
-/// produce a perf number.
-/// Interleaved best-of-N trials per executor in the `executor` section —
-/// see the measurement comment in [`bench_executor`].
+/// Interleaved trials per executor in the `executor` section — see the
+/// measurement comment in [`bench_executor`].
 const EXECUTOR_TRIALS: usize = 5;
 
+/// `(min, median)` of a set of trial timings.
+fn min_median(ns: &mut [f64]) -> (f64, f64) {
+    ns.sort_by(f64::total_cmp);
+    (ns[0], ns[ns.len() / 2])
+}
+
+/// The `executor` section: the compiled trace plan against the allocating
+/// tree walker `executor::forward` (the oracle), at the tiny scale. A
+/// `forward` row per Table I benchmark times one hook-free model call (one
+/// sampler step's worth of work); a `calibrate` row per statically
+/// quantized model times the whole calibration pass — `run_reverse` under
+/// [`CalibrationHook`] — per model call. Identity is asserted in setup: a
+/// plan that drifts bitwise from the tree must never produce a perf number.
 fn bench_executor(min_ms: u64) -> Vec<Value> {
     use std::hint::black_box;
     let mut entries = Vec::new();
@@ -660,7 +669,9 @@ fn bench_executor(min_ms: u64) -> Vec<Value> {
         let step = StepInfo { step_index: 0, t: 0.5, total_steps: 1 };
         let want = forward(&model.graph, &bindings, step, &mut NullHook).expect("tree forward");
         let mut arena = PlanArena::new();
-        let got = plan.execute(&model.graph, &bindings, &mut arena).expect("plan execute");
+        let got = plan
+            .execute(&model.graph, &bindings, step, &mut NullHook, &mut arena)
+            .expect("plan execute");
         assert!(
             want.as_slice().iter().zip(got.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
             "{kind:?}: plan output diverged bitwise from the tree executor"
@@ -677,12 +688,22 @@ fn bench_executor(min_ms: u64) -> Vec<Value> {
                 );
             }));
             plan_ns = plan_ns.min(ns_per_call(min_ms, || {
-                black_box(plan.execute(&model.graph, black_box(&bindings), &mut arena).unwrap());
+                black_box(
+                    plan.execute(
+                        &model.graph,
+                        black_box(&bindings),
+                        step,
+                        &mut NullHook,
+                        &mut arena,
+                    )
+                    .unwrap(),
+                );
             }));
         }
         let speedup = tree_ns / plan_ns;
         entries.push(obj(vec![
             ("model", Value::Str(kind.abbr().to_string())),
+            ("pass", Value::Str("forward".into())),
             ("graph_nodes", model.graph.len().to_json()),
             ("plan_ops", plan.op_count().to_json()),
             ("arena_f32", plan.arena_len().to_json()),
@@ -698,8 +719,56 @@ fn bench_executor(min_ms: u64) -> Vec<Value> {
             kind.abbr(),
             1e9 / plan_ns
         );
+        if !kind.uses_dynamic_quant() {
+            entries.push(bench_calibrate(&model, min_ms));
+        }
     }
     entries
+}
+
+/// One `calibrate` row: the calibration reverse run of `model` on the plan
+/// and on the oracle, in ns per model call.
+fn bench_calibrate(model: &DiffusionModel, min_ms: u64) -> Value {
+    let calls = model.model_calls();
+    let calibrate = |oracle: bool| {
+        let mut hook = CalibrationHook::new(calls);
+        let out = if oracle {
+            model.run_reverse_oracle(29, &mut hook)
+        } else {
+            model.run_reverse(29, &mut hook)
+        };
+        (out.expect("calibration run"), hook.finish(8))
+    };
+    assert!(calibrate(true) == calibrate(false), "{:?}: plan calibration diverged", model.kind);
+    let (mut tree_ns, mut plan_ns) = (Vec::new(), Vec::new());
+    for _ in 0..EXECUTOR_TRIALS {
+        for (oracle, ns) in [(true, &mut tree_ns), (false, &mut plan_ns)] {
+            ns.push(
+                ns_per_call(min_ms, || {
+                    std::hint::black_box(calibrate(oracle));
+                }) / calls as f64,
+            );
+        }
+    }
+    let (tree_min, tree_median) = min_median(&mut tree_ns);
+    let (plan_min, plan_median) = min_median(&mut plan_ns);
+    let speedup = tree_min / plan_min;
+    println!(
+        "perfbench: executor {:>5} calibrate: tree {tree_min:>12.0} ns/call, plan \
+         {plan_min:>12.0} ns/call ({speedup:.2}x)",
+        model.kind.abbr()
+    );
+    obj(vec![
+        ("model", Value::Str(model.kind.abbr().to_string())),
+        ("pass", Value::Str("calibrate".into())),
+        ("model_calls", calls.to_json()),
+        ("trials", EXECUTOR_TRIALS.to_json()),
+        ("tree_ns_min", Value::Num(tree_min)),
+        ("tree_ns_median", Value::Num(tree_median)),
+        ("plan_ns_min", Value::Num(plan_min)),
+        ("plan_ns_median", Value::Num(plan_median)),
+        ("speedup", Value::Num(speedup)),
+    ])
 }
 
 /// One burst request over its own loopback connection; returns the

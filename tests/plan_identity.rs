@@ -1,17 +1,17 @@
 //! Umbrella identity tests for compiled trace plans (`diffusion::plan`).
 //!
-//! The contract under test: for every benchmark model, sampler, and kernel
-//! backend, the compiled plan's output is **byte-identical** to the tree
-//! walker `executor::forward` — same float op order, same `-0.0`s, no
-//! tolerance. This is what lets `DITTO_EXEC_MODE` stay a pure perf knob
-//! (golden-figure byte-diffs, serve memo keys, and CI matrix legs all hold
-//! regardless of which executor ran).
+//! The contract under test: for every benchmark model, sampler, hook and
+//! kernel backend, what the compiled plan produces is **byte-identical** to
+//! the tree-walking oracle `executor::forward` — same float op order, same
+//! `-0.0`s, no tolerance. The oracle is called directly (`forward`, or the
+//! `run_reverse*_oracle` loops that share the sampler code); there is no
+//! mode to flip. `tests/equivalence.rs` holds the same comparison for the
+//! `ditto-core` hooks.
 
-use diffusion::executor::{forward, Bindings, NullHook, StepInfo};
+use diffusion::executor::{forward, Bindings, LinearHook, NullHook, StepInfo};
 use diffusion::models::build_hierarchical_unet;
-use diffusion::plan::{self, ExecMode};
 use diffusion::{
-    DiffusionModel, InputKind, LayerGraph, LayerOp, ModelKind, ModelScale, NodeId, PlanArena,
+    DiffusionModel, InputKind, LayerGraph, LayerOp, ModelKind, ModelScale, Node, NodeId, PlanArena,
     SamplerKind, TracePlan,
 };
 use proptest::prelude::*;
@@ -22,27 +22,23 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// End-to-end: full reverse-process runs under `DITTO_EXEC_MODE=tree` and
-/// `=plan` must produce bit-identical samples for every benchmark × both
-/// samplers × every available kernel backend.
+/// End-to-end: full reverse-process runs on the oracle and on the plan must
+/// produce bit-identical samples for every benchmark × both samplers ×
+/// every available kernel backend.
 ///
-/// Exec mode and kernel backend are process globals, so this lives in one
-/// `#[test]` that owns both and restores the initial state (the pattern
-/// from `backend_invariance.rs`); the sibling tests below never touch
-/// globals.
+/// The kernel backend is a process global, so this lives in one `#[test]`
+/// that owns it and restores the initial state (the pattern from
+/// `backend_invariance.rs`); the sibling tests below never touch globals.
 #[test]
 fn plan_and_tree_sampler_runs_are_bit_identical() {
     let initial_backend = backend::active();
-    let initial_mode = plan::active_mode();
     for kind in ModelKind::all() {
         for sampler in [SamplerKind::Ddim, SamplerKind::Plms] {
             let mut model = DiffusionModel::build(kind, ModelScale::Tiny, 21);
             model.sampler = sampler;
             for b in KernelBackend::available() {
                 backend::set_active(b).unwrap();
-                plan::set_active_mode(ExecMode::Tree);
-                let tree = model.run_reverse(4, &mut NullHook).unwrap();
-                plan::set_active_mode(ExecMode::Plan);
+                let tree = model.run_reverse_oracle(4, &mut NullHook).unwrap();
                 let planned = model.run_reverse(4, &mut NullHook).unwrap();
                 assert_eq!(
                     bits(&tree),
@@ -56,12 +52,80 @@ fn plan_and_tree_sampler_runs_are_bit_identical() {
     // own dispatch path; cover it on the one context-conditioned benchmark.
     let sdm = DiffusionModel::build(ModelKind::Sdm, ModelScale::Tiny, 21);
     backend::set_active(initial_backend).unwrap();
-    plan::set_active_mode(ExecMode::Tree);
-    let tree = sdm.run_reverse_cfg(4, 3.0, &mut NullHook, &mut NullHook).unwrap();
-    plan::set_active_mode(ExecMode::Plan);
+    let tree = sdm.run_reverse_cfg_oracle(4, 3.0, &mut NullHook, &mut NullHook).unwrap();
     let planned = sdm.run_reverse_cfg(4, 3.0, &mut NullHook, &mut NullHook).unwrap();
     assert_eq!(bits(&tree), bits(&planned), "SDM CFG diverged between executors");
-    plan::set_active_mode(initial_mode);
+}
+
+/// A `Tensor`-level hook that computes every other linear site itself (the
+/// f32 result plus a per-site offset, so a skipped or doubled call shows in
+/// the sample) and declines the rest, logging what it is shown of those.
+/// It filters on `is_linear_layer()`, so it logs the same under the oracle
+/// (which shows `observe` every node) and under the plan (declined linear
+/// sites only) — through the plan's default slice-to-`Tensor` adapters.
+#[derive(Default)]
+struct AlternatingHook {
+    computed: usize,
+    /// `(node, step, operand count, bits of the output)` per declined site.
+    observed: Vec<(NodeId, usize, usize, Vec<u32>)>,
+}
+
+impl AlternatingHook {
+    fn computes(node: &Node) -> bool {
+        node.id.is_multiple_of(2)
+    }
+}
+
+impl LinearHook for AlternatingHook {
+    fn compute_linear(
+        &mut self,
+        node: &Node,
+        step: StepInfo,
+        inputs: &[&Tensor],
+    ) -> Option<Tensor> {
+        if !Self::computes(node) {
+            return None;
+        }
+        // The node alone, evaluated by the oracle.
+        let mut g = LayerGraph::new();
+        let ins: Vec<NodeId> = (0..inputs.len())
+            .map(|i| {
+                let kind = if i == 0 { InputKind::Latent } else { InputKind::Context };
+                g.add(format!("in{i}"), LayerOp::Input(kind), &[])
+            })
+            .collect();
+        let site = g.add("site", node.op.clone(), &ins);
+        g.set_output(site);
+        let bindings = Bindings { latent: inputs[0], context: inputs.get(1).copied(), t: step.t };
+        let plain = forward(&g, &bindings, step, &mut NullHook).unwrap();
+        self.computed += 1;
+        Some(plain.map(|v| v + 0.001 * (node.id % 7) as f32))
+    }
+
+    fn observe(&mut self, node: &Node, step: StepInfo, inputs: &[&Tensor], output: &Tensor) {
+        if node.op.is_linear_layer() && !Self::computes(node) {
+            self.observed.push((node.id, step.step_index, inputs.len(), bits(output)));
+        }
+    }
+}
+
+/// A hook that declines some sites and computes others sees the same
+/// operands and yields the same sample on both executors.
+#[test]
+fn partially_declining_hook_matches_the_oracle() {
+    for kind in [ModelKind::Ddpm, ModelKind::Sdm, ModelKind::Dit] {
+        let model = DiffusionModel::build(kind, ModelScale::Tiny, 17);
+        let (mut on_tree, mut on_plan) = (AlternatingHook::default(), AlternatingHook::default());
+        let tree = model.run_reverse_oracle(6, &mut on_tree).unwrap();
+        let planned = model.run_reverse(6, &mut on_plan).unwrap();
+        assert_eq!(bits(&tree), bits(&planned), "{kind:?}: samples diverged");
+        assert!(on_plan.computed > 0 && !on_plan.observed.is_empty(), "{kind:?}: both branches");
+        assert_eq!(on_tree.computed, on_plan.computed, "{kind:?}: computed sites");
+        assert_eq!(on_tree.observed, on_plan.observed, "{kind:?}: observed sites");
+        // And the hook changed the sample: it ran where it said it did.
+        let plain = model.run_reverse(6, &mut NullHook).unwrap();
+        assert_ne!(bits(&plain), bits(&planned), "{kind:?}: the hook had no effect");
+    }
 }
 
 /// Per-step direct comparison: every benchmark's eagerly compiled plan,
@@ -80,7 +144,8 @@ fn model_plans_match_tree_forward_per_step() {
             let bindings = Bindings { latent: &latent, context: context.as_ref(), t };
             let step = StepInfo { step_index: i, t, total_steps: 4 };
             let want = forward(&model.graph, &bindings, step, &mut NullHook).unwrap();
-            let got = plan.execute(&model.graph, &bindings, &mut arena).unwrap();
+            let got =
+                plan.execute(&model.graph, &bindings, step, &mut NullHook, &mut arena).unwrap();
             assert_eq!(want.dims(), got.dims(), "{kind:?} output dims at t={t}");
             assert_eq!(bits(&want), bits(&got), "{kind:?} diverged at t={t}");
         }
@@ -100,7 +165,7 @@ fn hierarchical_unet_plan_matches_tree() {
     let bindings = Bindings { latent: &latent, context: context.as_ref(), t: 0.375 };
     let step = StepInfo { step_index: 0, t: 0.375, total_steps: 1 };
     let want = forward(&model.graph, &bindings, step, &mut NullHook).unwrap();
-    let got = plan.execute(&model.graph, &bindings, &mut arena).unwrap();
+    let got = plan.execute(&model.graph, &bindings, step, &mut NullHook, &mut arena).unwrap();
     assert_eq!(bits(&want), bits(&got));
 }
 
@@ -197,9 +262,9 @@ proptest! {
         let step = StepInfo { step_index: 0, t, total_steps: 1 };
         let want = forward(&graph, &bindings, step, &mut NullHook).unwrap();
         let mut arena = PlanArena::new();
-        let got = plan.execute(&graph, &bindings, &mut arena).unwrap();
+        let got = plan.execute(&graph, &bindings, step, &mut NullHook, &mut arena).unwrap();
         prop_assert_eq!(bits(&want), bits(&got));
-        let again = plan.execute(&graph, &bindings, &mut arena).unwrap();
+        let again = plan.execute(&graph, &bindings, step, &mut NullHook, &mut arena).unwrap();
         prop_assert_eq!(bits(&want), bits(&again));
     }
 }
