@@ -8,10 +8,11 @@
 //! by `perfbench`'s `encode` section.)
 //!
 //! These measure *host* (simulation) performance of the library, not the
-//! modeled accelerator — they document that the delta path's zero-skipping
-//! also pays off in software, and that each faster backend beats the
-//! scalar references it is bit-identical to (identity asserted in the
-//! bench setup below).
+//! modeled accelerator — they document where the delta path's zero-skipping
+//! pays off in software (the portable loops; the `simd` backend's packed
+//! core runs at one rate whatever the sparsity), and that each faster
+//! backend beats the scalar references it is bit-identical to (identity
+//! asserted in the bench setup below).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quant::kernels::{delta_matmul_update_with, int_matmul, int_matmul_with, reference, widen};

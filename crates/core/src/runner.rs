@@ -23,9 +23,12 @@
 //! the three histograms and the kernel's `i16` operand in one pass),
 //! **kernel** (`int_matmul_into` / `delta_matmul_update_into` /
 //! `attention_delta_scores_into`, accumulating in place on the layer's
-//! previous outputs) and **dequant** (scale, bias and layout in one write
-//! of the node's output). With telemetry on, each stage's time lands in a
-//! per-model series (`core.hook.<model>.<stage>_ns`).
+//! previous outputs; the SIMD core's packed copy of a layer's weights is
+//! made by that layer's first kernel call and kept beside them, attention's
+//! activation operands are repacked per call into a scratch buffer) and
+//! **dequant** (scale, bias and layout in one write of the node's output).
+//! With telemetry on, each stage's time lands in a per-model series
+//! (`core.hook.<model>.<stage>_ns`).
 //!
 //! Both hooks implement the slice-level [`LinearHook`] methods the plan
 //! interpreter calls: their operands are slices of the plan arena and
@@ -47,7 +50,7 @@ use std::time::Instant;
 use diffusion::{DiffusionModel, LayerOp, LinearHook, Node, NodeId, OperandView, StepInfo};
 use quant::kernels::{
     attention_delta_scores_into, delta_matmul_update_into, im2col_i8_into, int_matmul_into,
-    int_scores, widen, widen_into,
+    int_scores, widen, widen_into, PackedRhs,
 };
 use quant::{encode, quantize_into, CalibrationTable, Calibrator, Emit, QTensor, Quantizer};
 use tensor::{stats, Tensor};
@@ -92,6 +95,9 @@ impl ExecPolicy {
 struct QWeight {
     /// `[k, n]` weight levels (k = reduction dim).
     data: Vec<i8>,
+    /// `data` in the SIMD core's order, packed by the layer's first kernel
+    /// call on that backend.
+    pack: PackedRhs,
     scale: f32,
     k: usize,
     n: usize,
@@ -111,12 +117,18 @@ impl QWeight {
                         data[kk * n + co] = q.data()[co * k + kk];
                     }
                 }
-                QWeight { data, scale: q.scale(), k, n }
+                QWeight { data, pack: PackedRhs::default(), scale: q.scale(), k, n }
             }
             LayerOp::Linear { weight, .. } => {
                 let q = QTensor::quantize_dynamic(weight);
                 let (k, n) = (weight.dims()[0], weight.dims()[1]);
-                QWeight { data: q.data().to_vec(), scale: q.scale(), k, n }
+                QWeight {
+                    data: q.data().to_vec(),
+                    pack: PackedRhs::default(),
+                    scale: q.scale(),
+                    k,
+                    n,
+                }
             }
             _ => unreachable!("attention matmuls have no weights"),
         }
@@ -208,6 +220,9 @@ struct Scratch {
     /// Widened `A_t` and `B_prev` of the attention difference path.
     wide_a: Vec<i16>,
     wide_b: Vec<i16>,
+    /// Attention's activation-as-weight operand in the SIMD core's order,
+    /// repacked every call.
+    pack: PackedRhs,
 }
 
 /// The trace under construction.
@@ -378,7 +393,7 @@ impl Layer {
         clock: &mut StageClock,
     ) -> f32 {
         let Layer { index, weight, a, acc, .. } = self;
-        let qw = weight.as_ref().expect("weights are quantized before the first run");
+        let qw = weight.as_mut().expect("weights are quantized before the first run");
         let (k, n) = (qw.k, qw.n);
         debug_assert_eq!(a.cur.len(), m * k);
         let idx = *index.get_or_insert_with(|| {
@@ -404,7 +419,7 @@ impl Layer {
         if has_prev && a.prev_grid != grid {
             a.regrid_prev(grid);
             widen_into(&a.prev, &mut scratch.op_a);
-            int_matmul_into(acc, &scratch.op_a, &qw.data, m, k, n);
+            int_matmul_into(acc, &scratch.op_a, &qw.data, &mut qw.pack, m, k, n);
         }
         // Statistics under the three processing views, and the operand.
         let prev = has_prev.then_some(a.prev.as_slice());
@@ -418,9 +433,9 @@ impl Layer {
 
         // Output accumulators: dense, or via the three-stage delta path.
         if has_prev && policy == ExecPolicy::TemporalDelta {
-            delta_matmul_update_into(acc, &scratch.op_a, &qw.data, m, k, n);
+            delta_matmul_update_into(acc, &scratch.op_a, &qw.data, &mut qw.pack, m, k, n);
         } else {
-            int_matmul_into(acc, &scratch.op_a, &qw.data, m, k, n);
+            int_matmul_into(acc, &scratch.op_a, &qw.data, &mut qw.pack, m, k, n);
         }
         a.commit(grid);
         clock.lap(KERNEL);
@@ -526,12 +541,14 @@ impl Layer {
                 &scratch.op_a,
                 &scratch.wide_b,
                 &scratch.op_b,
+                &mut scratch.pack,
                 m,
                 red,
                 n,
             );
         } else {
-            int_matmul_into(acc, &scratch.op_a, &b.cur, m, red, n);
+            scratch.pack.clear();
+            int_matmul_into(acc, &scratch.op_a, &b.cur, &mut scratch.pack, m, red, n);
         }
         a.commit(grid_a);
         b.commit(grid_b);

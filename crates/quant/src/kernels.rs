@@ -10,22 +10,29 @@
 //! [`tensor::backend`] layer ([`tensor::KernelBackend`]):
 //!
 //! * **Scalar** runs the pre-tiling loops kept verbatim in [`reference`];
-//! * **Tiled** (the default without SIMD) register-tiles [`MR`]
-//!   activation rows so each streamed weight row is reused from L1 while
-//!   the `i32` accumulator rows stay cache-resident across the depth
-//!   loop;
-//! * **Simd** runs explicit AVX2/SSE2 intrinsics ([`simd`]) that fold two
-//!   non-zero activation rows per `vpmaddwd` pass.
+//! * **Tiled** (the default without SIMD, and what the `Simd` backend runs
+//!   at SIMD level `none`) register-tiles [`MR`] activation rows so each
+//!   streamed weight row is reused from L1 while the `i32` accumulator
+//!   rows stay cache-resident across the depth loop;
+//! * **Simd** runs one packed, register-blocked GEMM core ([`simd`]): the
+//!   right-hand operand is packed once into `vpmaddwd` order
+//!   ([`PackedRhs`]) and a 4-row × 2-vector output tile stays in registers
+//!   across the whole depth loop, at the same rate whatever the sparsity.
 //!
 //! All three are **bit-identical**: `i32` addition is associative
 //! (wrapping), so any accumulation order reproduces the scalar sums
-//! exactly, and the per-row zero-skip fast path of delta execution is
-//! preserved everywhere. The equivalence is asserted in tests, the
-//! cross-backend property matrix (`tests/props.rs`), and bench setup.
-//! Pin a backend explicitly with the `*_with` variants.
+//! exactly — with or without skipping zero activations, whose products
+//! add nothing. The equivalence is asserted in tests, the cross-backend
+//! property matrix (`tests/props.rs`), and bench setup. Pin a backend
+//! explicitly with the `*_with` variants.
+//!
+//! The `*_into` variants are the hook's: they write into buffers the
+//! caller keeps, the packed operand among them. The others allocate their
+//! result (and, on the `Simd` backend, a pack) per call.
 
 pub mod simd;
 
+pub use simd::PackedRhs;
 use tensor::backend::{self, KernelBackend};
 use tensor::ops::Conv2dParams;
 
@@ -41,12 +48,15 @@ const MR: usize = 4;
 const B_ELEMS_BLOCK_THRESHOLD: usize = 1 << 14;
 
 /// Dispatches one accumulation pass to the chosen backend: `out [m,n] +=
-/// a [m,k] × b [k,n]` with zero activations skipped on every path.
-fn accumulate_i8(
+/// a [m,k] × b [k,n]`, for `i8` weights and `i16` attention operands
+/// alike. Only the `Simd` backend reads or fills `pack`.
+#[allow(clippy::too_many_arguments)]
+fn accumulate<W: Copy + Into<i16> + Into<i32>>(
     backend: KernelBackend,
     out: &mut [i32],
     a: &[i16],
-    b: &[i8],
+    b: &[W],
+    pack: &mut PackedRhs,
     m: usize,
     k: usize,
     n: usize,
@@ -54,29 +64,14 @@ fn accumulate_i8(
     match backend {
         KernelBackend::Scalar => accumulate_scalar(out, a, b, m, k, n),
         KernelBackend::Tiled => accumulate_tiled(out, a, b, m, k, n),
-        KernelBackend::Simd => simd::accumulate_i8(out, a, b, m, k, n),
-    }
-}
-
-/// [`accumulate_i8`] for `i16` weight operands (attention scores).
-fn accumulate_i16(
-    backend: KernelBackend,
-    out: &mut [i32],
-    a: &[i16],
-    b: &[i16],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    match backend {
-        KernelBackend::Scalar => accumulate_scalar(out, a, b, m, k, n),
-        KernelBackend::Tiled => accumulate_tiled(out, a, b, m, k, n),
-        KernelBackend::Simd => simd::accumulate_i16(out, a, b, m, k, n),
+        KernelBackend::Simd => simd::accumulate(out, a, b, pack, m, k, n),
     }
 }
 
 /// The scalar-backend accumulation: the original streaming `ikj` loop
 /// (the same order [`reference`] keeps for the public reference kernels).
+/// The adds wrap explicitly, so a debug build computes what a release
+/// build does; an `i16 × i16` product cannot overflow.
 fn accumulate_scalar<W: Copy + Into<i32>>(
     out: &mut [i32],
     a: &[i16],
@@ -97,7 +92,7 @@ fn accumulate_scalar<W: Copy + Into<i32>>(
             let brow = &b[kk * n..(kk + 1) * n];
             let orow = &mut out[i * n..(i + 1) * n];
             for j in 0..n {
-                orow[j] += av * brow[j].into();
+                orow[j] = orow[j].wrapping_add(av * brow[j].into());
             }
         }
     }
@@ -131,7 +126,7 @@ pub(crate) fn accumulate_tiled<W: Copy + Into<i32>>(
                 let brow = &b[kk * n..(kk + 1) * n];
                 let orow = &mut out[i * n..(i + 1) * n];
                 for j in 0..n {
-                    orow[j] += av * brow[j].into();
+                    orow[j] = orow[j].wrapping_add(av * brow[j].into());
                 }
             }
         }
@@ -148,7 +143,7 @@ pub(crate) fn accumulate_tiled<W: Copy + Into<i32>>(
                 }
                 let orow = &mut out[i * n..i * n + n];
                 for j in 0..n {
-                    orow[j] += av * brow[j].into();
+                    orow[j] = orow[j].wrapping_add(av * brow[j].into());
                 }
             }
         }
@@ -166,13 +161,22 @@ pub fn int_matmul(a: &[i16], w: &[i8], m: usize, k: usize, n: usize) -> Vec<i32>
 }
 
 /// [`int_matmul`] into a caller-owned accumulator buffer, which is resized
-/// to `m · n` and overwritten.
+/// to `m · n` and overwritten, through the caller's `pack` of `w` (see
+/// [`PackedRhs`] for when to clear it).
 ///
 /// # Panics
 ///
 /// Panics if slice lengths are inconsistent with the given dimensions.
-pub fn int_matmul_into(out: &mut Vec<i32>, a: &[i16], w: &[i8], m: usize, k: usize, n: usize) {
-    int_matmul_into_with(backend::active(), out, a, w, m, k, n);
+pub fn int_matmul_into(
+    out: &mut Vec<i32>,
+    a: &[i16],
+    w: &[i8],
+    pack: &mut PackedRhs,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    int_matmul_into_with(backend::active(), out, a, w, pack, m, k, n);
 }
 
 /// [`int_matmul`] on an explicit backend (bit-identical for every
@@ -190,15 +194,17 @@ pub fn int_matmul_with(
     n: usize,
 ) -> Vec<i32> {
     let mut out = Vec::new();
-    int_matmul_into_with(backend, &mut out, a, w, m, k, n);
+    int_matmul_into_with(backend, &mut out, a, w, &mut PackedRhs::default(), m, k, n);
     out
 }
 
+#[allow(clippy::too_many_arguments)]
 fn int_matmul_into_with(
     backend: KernelBackend,
     out: &mut Vec<i32>,
     a: &[i16],
     w: &[i8],
+    pack: &mut PackedRhs,
     m: usize,
     k: usize,
     n: usize,
@@ -208,7 +214,7 @@ fn int_matmul_into_with(
     backend::count_dispatch(backend::DispatchKernel::IntMatmul, backend);
     out.clear();
     out.resize(m * n, 0);
-    accumulate_i8(backend, out, a, w, m, k, n);
+    accumulate(backend, out, a, w, pack, m, k, n);
 }
 
 /// Widens `i8` activations into the `i16` domain for [`int_matmul`].
@@ -302,136 +308,6 @@ fn im2col_spans(
     }
 }
 
-/// Direct (lowering-free) integer convolution on the process-wide active
-/// backend: `a [c_in,h,w] (i16 domain) × w [c_out,c_in,k,k] (i8) → i32
-/// [c_out,ho,wo]` — the integer sibling of `tensor::ops`'
-/// `conv2d_direct_into_with`, with no im2col gather and no scratch.
-///
-/// # Panics
-///
-/// Panics if slice lengths are inconsistent with the given dimensions.
-pub fn int_conv2d_direct(
-    a: &[i16],
-    w: &[i8],
-    c_in: usize,
-    h: usize,
-    width: usize,
-    c_out: usize,
-    params: Conv2dParams,
-) -> Vec<i32> {
-    int_conv2d_direct_with(backend::active(), a, w, c_in, h, width, c_out, params)
-}
-
-/// [`int_conv2d_direct`] on an explicit backend (bit-identical for every
-/// backend — `i32` wrapping addition is associative, so the SIMD path's
-/// tap-major accumulation order reproduces the elementwise reference
-/// exactly).
-///
-/// # Panics
-///
-/// Panics if slice lengths are inconsistent with the given dimensions.
-#[allow(clippy::too_many_arguments)]
-pub fn int_conv2d_direct_with(
-    backend: KernelBackend,
-    a: &[i16],
-    w: &[i8],
-    c_in: usize,
-    h: usize,
-    width: usize,
-    c_out: usize,
-    params: Conv2dParams,
-) -> Vec<i32> {
-    assert_eq!(a.len(), c_in * h * width, "activation length");
-    assert_eq!(w.len(), c_out * c_in * params.kernel * params.kernel, "weight length");
-    backend::count_dispatch(backend::DispatchKernel::IntConv2dDirect, backend);
-    let ho = params.out_extent(h);
-    let wo = params.out_extent(width);
-    let mut out = vec![0i32; c_out * ho * wo];
-    match backend {
-        KernelBackend::Scalar => {
-            reference::int_conv2d_direct_into(&mut out, a, w, c_in, h, width, c_out, params)
-        }
-        // Tiled keeps the tap-major row loop but a portable scalar AXPY;
-        // Simd streams each stride-1 row span through the active level's
-        // `acc_row_i16` kernel. Both reassociate freely — exact for i32.
-        KernelBackend::Tiled => {
-            int_conv_taps(&mut out, a, w, c_in, h, width, c_out, params, |o, wv, arow| {
-                for (oj, &aj) in o.iter_mut().zip(arow) {
-                    *oj += wv * aj as i32;
-                }
-            });
-        }
-        KernelBackend::Simd => {
-            int_conv_taps(&mut out, a, w, c_in, h, width, c_out, params, simd::conv_axpy_i16);
-        }
-    }
-    out
-}
-
-/// Tap-major direct-conv driver shared by the tiled and SIMD backends:
-/// for every `(c_out, c_in, ky, kx)` weight tap the valid output-row span
-/// accumulates the shifted activation row through `axpy` (stride 1) or a
-/// scalar gather (stride > 1). Zero weight taps are skipped — exact for
-/// integers, where adding a zero product changes nothing.
-#[allow(clippy::too_many_arguments)]
-fn int_conv_taps(
-    out: &mut [i32],
-    a: &[i16],
-    w: &[i8],
-    c_in: usize,
-    h: usize,
-    width: usize,
-    c_out: usize,
-    params: Conv2dParams,
-    axpy: impl Fn(&mut [i32], i32, &[i16]),
-) {
-    let ho = params.out_extent(h);
-    let wo = params.out_extent(width);
-    let k = params.kernel;
-    let pad = params.padding as isize;
-    for oc in 0..c_out {
-        let oplane = &mut out[oc * ho * wo..(oc + 1) * ho * wo];
-        for ic in 0..c_in {
-            let plane = &a[ic * h * width..(ic + 1) * h * width];
-            for ky in 0..k {
-                for kx in 0..k {
-                    let wval = w[((oc * c_in + ic) * k + ky) * k + kx] as i32;
-                    if wval == 0 {
-                        continue;
-                    }
-                    for oy in 0..ho {
-                        let iy = (oy * params.stride + ky) as isize - pad;
-                        if iy < 0 || iy as usize >= h {
-                            continue;
-                        }
-                        let src = &plane[iy as usize * width..(iy as usize + 1) * width];
-                        let dst = &mut oplane[oy * wo..(oy + 1) * wo];
-                        if params.stride == 1 {
-                            // ix = ox + kx - pad must land in [0, width).
-                            let shift = kx as isize - pad;
-                            let lo = (-shift).clamp(0, wo as isize) as usize;
-                            let hi =
-                                (width as isize - shift).clamp(lo as isize, wo as isize) as usize;
-                            if lo == hi {
-                                continue;
-                            }
-                            let x0 = (lo as isize + shift) as usize;
-                            axpy(&mut dst[lo..hi], wval, &src[x0..x0 + (hi - lo)]);
-                        } else {
-                            for (ox, oj) in dst.iter_mut().enumerate() {
-                                let ix = (ox * params.stride) as isize + kx as isize - pad;
-                                if ix >= 0 && (ix as usize) < width {
-                                    *oj += wval * src[ix as usize] as i32;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Delta-processing matmul: given the previous step's output accumulators
 /// and the temporal delta of the inputs, reconstructs the current output as
 /// `prev_out + delta × w` (stage 2 + stage 3 of the Ditto algorithm).
@@ -456,7 +332,8 @@ pub fn delta_matmul_update(
 
 /// [`delta_matmul_update`] in place: `acc` holds the previous step's
 /// output accumulators and becomes the current step's — the paper's
-/// stage-3 summation with no copy of the previous output.
+/// stage-3 summation with no copy of the previous output — through the
+/// caller's `pack` of `w`.
 ///
 /// # Panics
 ///
@@ -465,11 +342,12 @@ pub fn delta_matmul_update_into(
     acc: &mut [i32],
     delta: &[i16],
     w: &[i8],
+    pack: &mut PackedRhs,
     m: usize,
     k: usize,
     n: usize,
 ) {
-    delta_matmul_update_into_with(backend::active(), acc, delta, w, m, k, n);
+    delta_matmul_update_into_with(backend::active(), acc, delta, w, pack, m, k, n);
 }
 
 /// [`delta_matmul_update`] on an explicit backend (bit-identical for
@@ -488,15 +366,17 @@ pub fn delta_matmul_update_with(
     n: usize,
 ) -> Vec<i32> {
     let mut out = prev_out.to_vec();
-    delta_matmul_update_into_with(backend, &mut out, delta, w, m, k, n);
+    delta_matmul_update_into_with(backend, &mut out, delta, w, &mut PackedRhs::default(), m, k, n);
     out
 }
 
+#[allow(clippy::too_many_arguments)]
 fn delta_matmul_update_into_with(
     backend: KernelBackend,
     acc: &mut [i32],
     delta: &[i16],
     w: &[i8],
+    pack: &mut PackedRhs,
     m: usize,
     k: usize,
     n: usize,
@@ -505,7 +385,7 @@ fn delta_matmul_update_into_with(
     assert_eq!(delta.len(), m * k, "delta length");
     assert_eq!(w.len(), k * n, "weight length");
     backend::count_dispatch(backend::DispatchKernel::DeltaMatmulUpdate, backend);
-    accumulate_i8(backend, acc, delta, w, m, k, n);
+    accumulate(backend, acc, delta, w, pack, m, k, n);
 }
 
 /// Exact attention-score decomposition (§IV-A, attention layers):
@@ -537,7 +417,8 @@ pub fn attention_delta_scores(
 }
 
 /// [`attention_delta_scores`] in place: `scores` holds the previous score
-/// matrix and becomes the current one.
+/// matrix and becomes the current one. Both right-hand operands are
+/// activations, so `pack` is scratch: each is packed into it afresh.
 ///
 /// # Panics
 ///
@@ -549,11 +430,13 @@ pub fn attention_delta_scores_into(
     dq: &[i16],
     k_prev_t: &[i16],
     dk_t: &[i16],
+    pack: &mut PackedRhs,
     m: usize,
     d: usize,
     n: usize,
 ) {
-    attention_delta_scores_into_with(backend::active(), scores, q_t, dq, k_prev_t, dk_t, m, d, n);
+    let backend = backend::active();
+    attention_delta_scores_into_with(backend, scores, q_t, dq, k_prev_t, dk_t, pack, m, d, n);
 }
 
 /// [`attention_delta_scores`] on an explicit backend (bit-identical for
@@ -575,7 +458,8 @@ pub fn attention_delta_scores_with(
     n: usize,
 ) -> Vec<i32> {
     let mut out = prev_scores.to_vec();
-    attention_delta_scores_into_with(backend, &mut out, q_t, dq, k_prev_t, dk_t, m, d, n);
+    let pack = &mut PackedRhs::default();
+    attention_delta_scores_into_with(backend, &mut out, q_t, dq, k_prev_t, dk_t, pack, m, d, n);
     out
 }
 
@@ -587,6 +471,7 @@ fn attention_delta_scores_into_with(
     dq: &[i16],
     k_prev_t: &[i16],
     dk_t: &[i16],
+    pack: &mut PackedRhs,
     m: usize,
     d: usize,
     n: usize,
@@ -598,9 +483,11 @@ fn attention_delta_scores_into_with(
     assert_eq!(dk_t.len(), d * n);
     backend::count_dispatch(backend::DispatchKernel::AttentionDeltaScores, backend);
     // Q_t · ΔK^T
-    accumulate_i16(backend, scores, q_t, dk_t, m, d, n);
+    pack.clear();
+    accumulate(backend, scores, q_t, dk_t, pack, m, d, n);
     // ΔQ · K_{t+1}^T
-    accumulate_i16(backend, scores, dq, k_prev_t, m, d, n);
+    pack.clear();
+    accumulate(backend, scores, dq, k_prev_t, pack, m, d, n);
 }
 
 /// Reference dense score computation `Q · Kᵀ` in the integer domain.
@@ -626,7 +513,7 @@ pub fn int_scores_with(
     assert_eq!(k_t.len(), d * n);
     backend::count_dispatch(backend::DispatchKernel::IntScores, backend);
     let mut out = vec![0i32; m * n];
-    accumulate_i16(backend, &mut out, q, k_t, m, d, n);
+    accumulate(backend, &mut out, q, k_t, &mut PackedRhs::default(), m, d, n);
     out
 }
 
@@ -666,7 +553,7 @@ pub mod reference {
     ) -> Vec<i32> {
         assert_eq!(prev_out.len(), m * n, "previous output length");
         let delta_out = int_matmul(delta, w, m, k, n);
-        prev_out.iter().zip(&delta_out).map(|(&p, &d)| p + d).collect()
+        prev_out.iter().zip(&delta_out).map(|(&p, &d)| p.wrapping_add(d)).collect()
     }
 
     /// Scalar `i16 × i16 → i32` accumulation (the original attention inner
@@ -680,75 +567,6 @@ pub mod reference {
         n: usize,
     ) {
         super::accumulate_scalar(out, a, b, m, k, n);
-    }
-
-    /// Scalar direct integer convolution: the elementwise sliding-window
-    /// loop, one output element at a time. Ground truth for
-    /// [`super::int_conv2d_direct`]'s tap-major backends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths are inconsistent with the given dimensions.
-    pub fn int_conv2d_direct(
-        a: &[i16],
-        w: &[i8],
-        c_in: usize,
-        h: usize,
-        width: usize,
-        c_out: usize,
-        params: super::Conv2dParams,
-    ) -> Vec<i32> {
-        assert_eq!(a.len(), c_in * h * width, "activation length");
-        assert_eq!(w.len(), c_out * c_in * params.kernel * params.kernel, "weight length");
-        let ho = params.out_extent(h);
-        let wo = params.out_extent(width);
-        let mut out = vec![0i32; c_out * ho * wo];
-        int_conv2d_direct_into(&mut out, a, w, c_in, h, width, c_out, params);
-        out
-    }
-
-    /// Slice core of [`int_conv2d_direct`] (also the `Scalar` backend of
-    /// the public dispatcher, so reference and backend can never drift).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn int_conv2d_direct_into(
-        out: &mut [i32],
-        a: &[i16],
-        w: &[i8],
-        c_in: usize,
-        h: usize,
-        width: usize,
-        c_out: usize,
-        params: super::Conv2dParams,
-    ) {
-        let ho = params.out_extent(h);
-        let wo = params.out_extent(width);
-        let k = params.kernel;
-        let pad = params.padding as isize;
-        for oc in 0..c_out {
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let mut acc = 0i32;
-                    for ic in 0..c_in {
-                        for ky in 0..k {
-                            let iy = (oy * params.stride + ky) as isize - pad;
-                            if iy < 0 || iy as usize >= h {
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let ix = (ox * params.stride + kx) as isize - pad;
-                                if ix < 0 || ix as usize >= width {
-                                    continue;
-                                }
-                                let av = a[(ic * h + iy as usize) * width + ix as usize] as i32;
-                                let wv = w[((oc * c_in + ic) * k + ky) * k + kx] as i32;
-                                acc += av * wv;
-                            }
-                        }
-                    }
-                    out[(oc * ho + oy) * wo + ox] = acc;
-                }
-            }
-        }
     }
 }
 
@@ -771,57 +589,6 @@ mod tests {
         let a = vec![1i16, 2, 3, 4];
         let w = vec![1i8, 0, 0, 1];
         assert_eq!(int_matmul(&a, &w, 2, 2, 2), vec![1, 2, 3, 4]);
-    }
-
-    /// Every backend of the direct integer convolution reproduces the
-    /// elementwise sliding-window reference bit for bit, across shape
-    /// classes (1×1 pointwise, 3×3 same/strided), stride 1/2, padding 0/1,
-    /// lane-boundary widths, and delta-grade weight sparsity.
-    #[test]
-    fn int_conv2d_direct_matches_reference_across_backends() {
-        let mut rng = Rng::seed_from(53);
-        let cases = [
-            // (c_in, h, w, c_out, kernel, stride, padding)
-            (1usize, 3usize, 3usize, 1usize, 1usize, 1usize, 0usize),
-            (3, 8, 8, 4, 1, 1, 0),
-            (4, 6, 17, 3, 3, 1, 1),
-            (2, 5, 9, 5, 3, 1, 0),
-            (3, 7, 16, 2, 3, 2, 1),
-            (5, 4, 4, 4, 3, 1, 1),
-            (1, 1, 1, 2, 1, 1, 0),
-            (2, 9, 33, 3, 3, 1, 1),
-        ];
-        for (c_in, h, w, c_out, kernel, stride, padding) in cases {
-            let params = Conv2dParams { kernel, stride, padding };
-            let a = rand_i16(c_in * h * w, &mut rng);
-            let wt: Vec<i8> = rand_i8(c_out * c_in * kernel * kernel, &mut rng)
-                .into_iter()
-                .map(|v| if rng.next_f64() < 0.3 { 0 } else { v })
-                .collect();
-            let want = reference::int_conv2d_direct(&a, &wt, c_in, h, w, c_out, params);
-            for backend in KernelBackend::ALL {
-                let got = int_conv2d_direct_with(backend, &a, &wt, c_in, h, w, c_out, params);
-                assert_eq!(
-                    got, want,
-                    "{backend:?} int_conv2d_direct diverged at \
-                     c{c_in}-{c_out} {h}x{w} k{kernel}s{stride}p{padding}"
-                );
-            }
-            assert_eq!(
-                int_conv2d_direct(&a, &wt, c_in, h, w, c_out, params),
-                want,
-                "active-backend entry point diverged"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "weight length")]
-    fn int_conv2d_direct_rejects_bad_weight_length() {
-        let params = Conv2dParams::same3x3();
-        let a = vec![0i16; 2 * 4 * 4];
-        let w = vec![0i8; 7];
-        let _ = int_conv2d_direct(&a, &w, 2, 4, 4, 3, params);
     }
 
     #[test]
@@ -895,7 +662,7 @@ mod tests {
                     "delta update {backend} diverged at {m}x{k}x{n}"
                 );
                 let mut got = prev.clone();
-                accumulate_i16(backend, &mut got, &a, &b16, m, k, n);
+                accumulate(backend, &mut got, &a, &b16, &mut PackedRhs::default(), m, k, n);
                 assert_eq!(got, want_sc, "i16 accumulate {backend} diverged at {m}x{k}x{n}");
             }
         }

@@ -118,6 +118,84 @@ fn encode_matches_oracle_at_lane_and_block_boundaries() {
     assert_encode_matches_oracle(&cur, Some(&prev), rows, cols);
 }
 
+/// `len` values, `zeros` of them zero and a quarter of the rest an `i16`
+/// extreme: `(−32768)² + (−32768)²` is the one pair sum `vpmaddwd` wraps.
+fn extreme_i16(len: usize, zeros: f64, rng: &mut tensor::Rng) -> Vec<i16> {
+    (0..len)
+        .map(|_| match rng.next_below(8) {
+            _ if rng.next_f64() < zeros => 0,
+            0 => i16::MIN,
+            1 => i16::MAX,
+            _ => rng.next_below(511) as i16 - 255,
+        })
+        .collect()
+}
+
+/// The packed GEMM core against the scalar reference, bit for bit, on every
+/// backend at every SIMD level this host has: `m` across the 4-row block,
+/// `k` odd, even and long, `n` across the 4- and 8-lane column groups and
+/// their ragged tails, `a` from dense to all-zero (the skipped block), with
+/// `i16` extremes on both operand widths and accumulation onto a non-zero
+/// `out` (the delta update and the attention decomposition).
+#[test]
+fn packed_core_matches_reference_at_lane_boundaries() {
+    let mut rng = tensor::Rng::seed_from(59);
+    for m in 1..=9usize {
+        for k in [1usize, 2, 3, 7, 8, 9, 259] {
+            for n in [1usize, 7, 8, 9, 15, 16, 17, 24, 33] {
+                for zeros in [0.0, 0.5, 0.95, 1.0] {
+                    let a = extreme_i16(m * k, zeros, &mut rng);
+                    let dq = extreme_i16(m * k, zeros, &mut rng);
+                    let k_t = extreme_i16(k * n, 0.0, &mut rng);
+                    let dk_t = extreme_i16(k * n, zeros, &mut rng);
+                    let w = levels(k * n, &mut rng);
+                    let prev: Vec<i32> = (0..m * n).map(|_| rng.next_u64() as i32).collect();
+                    let want_mm = quant::kernels::reference::int_matmul(&a, &w, m, k, n);
+                    let want_delta =
+                        quant::kernels::reference::delta_matmul_update(&prev, &a, &w, m, k, n);
+                    let want_attn = quant::kernels::attention_delta_scores_with(
+                        KernelBackend::Scalar,
+                        &prev,
+                        &a,
+                        &dq,
+                        &k_t,
+                        &dk_t,
+                        m,
+                        k,
+                        n,
+                    );
+                    for (backend, level) in backend_level_matrix() {
+                        if let Some(level) = level {
+                            set_simd_level(level).unwrap();
+                        }
+                        let case = format!("{backend} at {level:?}, {m}x{k}x{n} z={zeros}");
+                        assert_eq!(
+                            quant::kernels::int_matmul_with(backend, &a, &w, m, k, n),
+                            want_mm,
+                            "int_matmul diverged on {case}"
+                        );
+                        assert_eq!(
+                            quant::kernels::delta_matmul_update_with(
+                                backend, &prev, &a, &w, m, k, n
+                            ),
+                            want_delta,
+                            "delta_matmul_update diverged on {case}"
+                        );
+                        assert_eq!(
+                            quant::kernels::attention_delta_scores_with(
+                                backend, &prev, &a, &dq, &k_t, &dk_t, m, k, n,
+                            ),
+                            want_attn,
+                            "attention_delta_scores diverged on {case}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    set_simd_level(hw_simd_level()).unwrap();
+}
+
 /// The gather loop `im2col_i8_into` replaced: every tap bounds-checked on
 /// its own.
 fn im2col_gather(data: &[i8], c: usize, h: usize, w: usize, p: Conv2dParams) -> Vec<i8> {
@@ -253,11 +331,10 @@ proptest! {
     /// Every kernel × every available backend × every available SIMD
     /// level is bit-identical to the scalar reference loops — the
     /// cross-backend matrix behind the pluggable kernel-backend layer
-    /// (`tensor::backend`). Covers the dense matmul (`zero_pct == 0`
-    /// drives every row through the dense-row register kernels), the
-    /// fused delta update, and both attention kernels, at
-    /// delta-realistic sparsities, on shapes straddling the 8-lane
-    /// boundary (`n < 8`, odd `n`, odd `k` for the pair fold).
+    /// (`tensor::backend`). Covers the dense matmul, the fused delta
+    /// update, and both attention kernels, from dense to delta-realistic
+    /// sparsities, on random shapes straddling the 8-lane boundary
+    /// (`n < 8`, odd `n`, odd `k` for the packed pairs).
     #[test]
     fn backend_matrix_matches_reference(
         m in 1usize..14, k in 1usize..40, n in 1usize..24,

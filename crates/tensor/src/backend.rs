@@ -522,8 +522,9 @@ pub enum DispatchKernel {
     Conv2dDirectF32,
     /// `quant::kernels::int_matmul_with`.
     IntMatmul,
-    /// `quant::kernels::int_conv2d_direct_with` — the integer lowering-free
-    /// direct convolution (row-AXPY SIMD or the scalar reference loop).
+    /// No dispatcher counts it any more: the integer direct convolution is
+    /// gone (integer convs lower to im2col + `int_matmul`). The row stays,
+    /// always zero, because `benchmark/` reads it by name.
     IntConv2dDirect,
     /// `quant::kernels::delta_matmul_update_with`.
     DeltaMatmulUpdate,

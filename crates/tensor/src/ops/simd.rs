@@ -33,7 +33,7 @@
 //!
 //! * **dense** (`a` has no zeros — e.g. the compiled-plan conv path, which
 //!   hands the conv *weight* as `a`): an output-stationary register-tiled
-//!   kernel holds a 2-row × 2-vector output tile in registers across the
+//!   kernel holds a 4-row × 2-vector output tile in registers across the
 //!   whole `k` extent, eliminating the per-`k` output traffic that
 //!   dominates the streaming form;
 //! * **streaming** (sparse `a`, small `B` or single row): the guarded
@@ -158,7 +158,8 @@ pub(crate) mod generic {
     ///
     /// The instantiating instruction set must be enabled in the enclosing
     /// `#[target_feature]` context, and the slices must have the declared
-    /// `m·k` / `k·n` / `m·n` lengths (debug-asserted by the public entry).
+    /// `m·k` / `k·n` / `m·n` lengths (debug-asserted here and by the public
+    /// entry).
     #[inline(always)]
     pub(super) unsafe fn matmul_acc_impl<V: VecF32>(
         out: &mut [f32],
@@ -168,6 +169,10 @@ pub(crate) mod generic {
         k: usize,
         n: usize,
     ) {
+        // Everything the kernels' pointer arithmetic relies on.
+        debug_assert_eq!(out.len(), m * n);
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(b.len(), k * n);
         if a.is_empty() || n == 0 {
             return;
         }
@@ -183,13 +188,14 @@ pub(crate) mod generic {
     }
 
     /// Output-stationary register-tiled kernel for fully dense `a`: a
-    /// 2-row × 2-vector output tile lives in four vector accumulators
-    /// across the whole `k` extent (plus two broadcast and two `b`
-    /// registers — comfortably inside 16 vector registers), so each output
-    /// element is loaded and stored exactly once instead of once per
-    /// streamed pass. Per element the products are still added one at a
-    /// time in ascending `k` — the reference sequence — and `a` has no
-    /// zeros, so the reference zero-skip is vacuously preserved.
+    /// 4-row × 2-vector output tile lives in eight vector accumulators —
+    /// eight independent add chains — across the whole `k` extent (plus two
+    /// `b` registers and the row broadcasts, inside 16 vector registers),
+    /// so each output element is loaded and stored exactly once instead of
+    /// once per streamed pass. Per element the products are still added one
+    /// at a time in ascending `k` — the reference sequence — and `a` has no
+    /// zeros, so the reference zero-skip is vacuously preserved. The
+    /// `m % 4` rows take the same kernel two rows, then one row, high.
     #[inline(always)]
     unsafe fn dense_acc<V: VecF32>(
         out: &mut [f32],
@@ -199,97 +205,83 @@ pub(crate) mod generic {
         k: usize,
         n: usize,
     ) {
-        let w = V::LANES;
-        let bp = b.as_ptr();
         let mut i = 0;
-        while i + 2 <= m {
-            let (o0, o1) = out[i * n..(i + 2) * n].split_at_mut(n);
-            let a0row = &a[i * k..(i + 1) * k];
-            let a1row = &a[(i + 1) * k..(i + 2) * k];
-            let mut j = 0;
-            while j + 2 * w <= n {
-                let mut acc00 = V::load(o0.as_ptr().add(j));
-                let mut acc01 = V::load(o0.as_ptr().add(j + w));
-                let mut acc10 = V::load(o1.as_ptr().add(j));
-                let mut acc11 = V::load(o1.as_ptr().add(j + w));
-                for kk in 0..k {
-                    let av0 = V::splat(*a0row.get_unchecked(kk));
-                    let av1 = V::splat(*a1row.get_unchecked(kk));
-                    let b0 = V::load(bp.add(kk * n + j));
-                    let b1 = V::load(bp.add(kk * n + j + w));
-                    acc00 = acc00.muladd(av0, b0);
-                    acc01 = acc01.muladd(av0, b1);
-                    acc10 = acc10.muladd(av1, b0);
-                    acc11 = acc11.muladd(av1, b1);
-                }
-                acc00.store(o0.as_mut_ptr().add(j));
-                acc01.store(o0.as_mut_ptr().add(j + w));
-                acc10.store(o1.as_mut_ptr().add(j));
-                acc11.store(o1.as_mut_ptr().add(j + w));
-                j += 2 * w;
-            }
-            while j + w <= n {
-                let mut acc0 = V::load(o0.as_ptr().add(j));
-                let mut acc1 = V::load(o1.as_ptr().add(j));
-                for kk in 0..k {
-                    let bv = V::load(bp.add(kk * n + j));
-                    acc0 = acc0.muladd(V::splat(*a0row.get_unchecked(kk)), bv);
-                    acc1 = acc1.muladd(V::splat(*a1row.get_unchecked(kk)), bv);
-                }
-                acc0.store(o0.as_mut_ptr().add(j));
-                acc1.store(o1.as_mut_ptr().add(j));
-                j += w;
-            }
-            for jj in j..n {
-                let (mut acc0, mut acc1) = (o0[jj], o1[jj]);
-                for kk in 0..k {
-                    let bv = b[kk * n + jj];
-                    acc0 += a0row[kk] * bv;
-                    acc1 += a1row[kk] * bv;
-                }
-                o0[jj] = acc0;
-                o1[jj] = acc1;
-            }
+        while i + 4 <= m {
+            dense_rows::<V, 4>(&mut out[i * n..(i + 4) * n], &a[i * k..(i + 4) * k], b, k, n);
+            i += 4;
+        }
+        if i + 2 <= m {
+            dense_rows::<V, 2>(&mut out[i * n..(i + 2) * n], &a[i * k..(i + 2) * k], b, k, n);
             i += 2;
         }
         if i < m {
-            dense_row::<V>(&mut out[i * n..(i + 1) * n], &a[i * k..(i + 1) * k], b, k, n);
+            dense_rows::<V, 1>(&mut out[i * n..(i + 1) * n], &a[i * k..(i + 1) * k], b, k, n);
         }
     }
 
-    /// Single-row register-tiled kernel (the odd-`m` remainder of
-    /// [`dense_acc`]): a 2-vector output strip in registers across `k`.
+    /// `R` output rows of [`dense_acc`]: `R × 2`-vector tiles, then an
+    /// `R × 1`-vector tile, then scalar columns, each across the whole `k`
+    /// extent. Every lane (and every scalar column) is one output element
+    /// folding its products in ascending `k` with a separate multiply and
+    /// add.
+    ///
+    /// # Safety
+    ///
+    /// `out` must hold `R·n`, `a` `R·k` and `b` `k·n` elements.
     #[inline(always)]
-    unsafe fn dense_row<V: VecF32>(orow: &mut [f32], arow: &[f32], b: &[f32], k: usize, n: usize) {
+    unsafe fn dense_rows<V: VecF32, const R: usize>(
+        out: &mut [f32],
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+    ) {
         let w = V::LANES;
-        let bp = b.as_ptr();
+        let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
         let mut j = 0;
         while j + 2 * w <= n {
-            let mut acc0 = V::load(orow.as_ptr().add(j));
-            let mut acc1 = V::load(orow.as_ptr().add(j + w));
-            for kk in 0..k {
-                let av = V::splat(*arow.get_unchecked(kk));
-                acc0 = acc0.muladd(av, V::load(bp.add(kk * n + j)));
-                acc1 = acc1.muladd(av, V::load(bp.add(kk * n + j + w)));
+            let mut acc = [[V::load(op); 2]; R];
+            for r in 0..R {
+                acc[r] = [V::load(op.add(r * n + j)), V::load(op.add(r * n + j + w))];
             }
-            acc0.store(orow.as_mut_ptr().add(j));
-            acc1.store(orow.as_mut_ptr().add(j + w));
+            for kk in 0..k {
+                let b0 = V::load(bp.add(kk * n + j));
+                let b1 = V::load(bp.add(kk * n + j + w));
+                for r in 0..R {
+                    let av = V::splat(*ap.add(r * k + kk));
+                    acc[r] = [acc[r][0].muladd(av, b0), acc[r][1].muladd(av, b1)];
+                }
+            }
+            for r in 0..R {
+                acc[r][0].store(op.add(r * n + j));
+                acc[r][1].store(op.add(r * n + j + w));
+            }
             j += 2 * w;
         }
-        while j + w <= n {
-            let mut acc = V::load(orow.as_ptr().add(j));
-            for kk in 0..k {
-                acc = acc.muladd(V::splat(*arow.get_unchecked(kk)), V::load(bp.add(kk * n + j)));
+        if j + w <= n {
+            let mut acc = [V::load(op); R];
+            for r in 0..R {
+                acc[r] = V::load(op.add(r * n + j));
             }
-            acc.store(orow.as_mut_ptr().add(j));
+            for kk in 0..k {
+                let bv = V::load(bp.add(kk * n + j));
+                for r in 0..R {
+                    acc[r] = acc[r].muladd(V::splat(*ap.add(r * k + kk)), bv);
+                }
+            }
+            for r in 0..R {
+                acc[r].store(op.add(r * n + j));
+            }
             j += w;
         }
         for jj in j..n {
-            let mut acc = orow[jj];
-            for kk in 0..k {
-                acc += arow[kk] * b[kk * n + jj];
+            for r in 0..R {
+                let mut acc = out[r * n + jj];
+                for kk in 0..k {
+                    acc += a[r * k + kk] * b[kk * n + jj];
+                }
+                out[r * n + jj] = acc;
             }
-            orow[jj] = acc;
         }
     }
 
@@ -642,8 +634,9 @@ mod tests {
         let mut rng = Rng::seed_from(41);
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
-            (2, 8, 16),   // exactly one dense register tile (AVX2)
-            (3, 9, 17),   // k % 8 ≠ 0, odd-m remainder row, column tails
+            (2, 8, 16),   // exactly one two-row dense register tile (AVX2)
+            (3, 9, 17),   // k % 8 ≠ 0, two-row + one-row remainders, column tails
+            (7, 5, 23),   // four-, two- and one-row tiles; vector and scalar column tails
             (5, 13, 7),   // n below one AVX2 vector
             (2, 300, 3),  // n below one SSE2 vector
             (4, 7, 32),   // k below the eight-step streaming head

@@ -35,6 +35,52 @@ fn small_vals(n: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-8.0f32..8.0, n)
 }
 
+/// The dense register tile is four rows high with two- and one-row
+/// remainders, two vectors wide with one-vector and scalar column tails:
+/// `m` on both sides of every row tile against `n` on both sides of every
+/// column tile at 4 and 8 lanes, `a` without a zero (the dense predicate),
+/// `b` and the seeded `out` carrying zeros of both signs, whose sums show a
+/// reordered or fused reduction.
+#[test]
+fn dense_tile_rows_and_ragged_columns_are_bit_identical() {
+    let mut rng = Rng::seed_from(73);
+    let mut signed = |len: usize| -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.next_below(6) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.next_normal(),
+            })
+            .collect()
+    };
+    for m in [3usize, 4, 5, 7, 8] {
+        for k in [1usize, 5, 9] {
+            for n in [1usize, 3, 4, 7, 8, 9, 12, 15, 16, 17, 23, 33] {
+                let a: Vec<f32> =
+                    signed(m * k).into_iter().map(|v| if v == 0.0 { 0.5 } else { v }).collect();
+                let (b, seed) = (signed(k * n), signed(m * n));
+                let mut want = seed.clone();
+                ops::matmul_acc_with(KernelBackend::Scalar, &mut want, &a, &b, m, k, n);
+                for (backend, level) in backend_level_matrix() {
+                    if let Some(level) = level {
+                        set_simd_level(level).unwrap();
+                    }
+                    let mut got = seed.clone();
+                    ops::matmul_acc_with(backend, &mut got, &a, &b, m, k, n);
+                    for (p, q) in got.iter().zip(&want) {
+                        assert_eq!(
+                            p.to_bits(),
+                            q.to_bits(),
+                            "dense matmul diverged on {backend} at {level:?}, {m}x{k}x{n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    set_simd_level(hw_simd_level()).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

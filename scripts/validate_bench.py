@@ -9,8 +9,10 @@ shape (identical key sets at every object level, matching value types,
 full kernel/shape coverage) with sane value ranges. It deliberately does
 NOT compare the numbers themselves — perf values are host-dependent, and
 the committed trajectory is reviewed like a changelog, not asserted by CI —
-with one exception: the committed baseline's executor ``speedup`` ratios
-(plan vs tree oracle, same run, same host) must not sit below 0.95.
+with two exceptions, both same-run, same-host ratios of the committed
+baseline: its executor ``speedup`` (plan vs tree oracle) must not sit below
+0.95, and a ``simd:*`` ``int_matmul`` rate at 50 % zero activations must not
+sit below 0.8 x its rate at 0 % on the same shape.
 """
 
 import json
@@ -107,18 +109,29 @@ def check_kernels(new, base):
     # host without AVX2 legitimately emits fewer of them); kernel/shape
     # pairs come from the baseline because conv kernels only run at conv
     # shapes (the grid is not a full cartesian product).
-    pairs = {(r["kernel"], r["shape"]) for r in base["results"]}
-    want = {(k, s, b) for (k, s) in pairs for b in new["backends"]}
-    got = {(r["kernel"], r["shape"], r["backend"]) for r in new["results"]}
+    # Integer rows are measured once per zero share of the activation
+    # operand (`zeros_pct`), which is part of a point's identity.
+    def point(r):
+        return (r["kernel"], r["shape"], r.get("zeros_pct"))
+
+    pairs = {point(r) for r in base["results"]}
+    want = {(*p, b) for p in pairs for b in new["backends"]}
+    got = {(*point(r), r["backend"]) for r in new["results"]}
     if got != want:
         fail(
-            f"results coverage mismatch (missing {sorted(want - got)}, "
-            f"unexpected {sorted(got - want)})"
+            f"results coverage mismatch (missing {sorted(want - got, key=str)}, "
+            f"unexpected {sorted(got - want, key=str)})"
         )
+    check_zero_share_floor(base)
     by_pair = {}
     for r in new["results"]:
-        by_pair[(r["kernel"], r["shape"], r["backend"])] = r["gflops"]
+        by_pair[(*point(r), r["backend"])] = r["gflops"]
     for i, r in enumerate(new["results"]):
+        is_int = r["kernel"] in ("int_matmul", "delta_matmul_update")
+        if is_int != ("zeros_pct" in r):
+            fail(f"results[{i}]: zeros_pct inconsistent with kernel {r['kernel']!r}")
+        if is_int:
+            sane(r["zeros_pct"], f"results[{i}].zeros_pct", 0, 100)
         sane(r["gflops"], f"results[{i}].gflops", 1e-3, 1e5)
         # The speedup columns are derived, so recompute them: baselines
         # are same-document rows and the JSON numbers round-trip exactly
@@ -127,7 +140,7 @@ def check_kernels(new, base):
         for column, baseline in (("speedup_vs_scalar", "scalar"), ("speedup_vs_tiled", "tiled")):
             speedup = r[column]
             sane(speedup, f"results[{i}].{column}", 1e-3, 1e4)
-            want_speedup = r["gflops"] / by_pair[(r["kernel"], r["shape"], baseline)]
+            want_speedup = r["gflops"] / by_pair[(*point(r), baseline)]
             if abs(speedup - want_speedup) > 1e-9 * want_speedup:
                 fail(
                     f"results[{i}]: {column} {speedup} != recomputed {want_speedup}"
@@ -148,7 +161,7 @@ def check_kernels(new, base):
                 )
             speedup = r["speedup_vs_im2col"]
             sane(speedup, f"results[{i}].speedup_vs_im2col", 1e-3, 1e4)
-            want_speedup = r["gflops"] / by_pair[("conv2d_im2col", r["shape"], r["backend"])]
+            want_speedup = r["gflops"] / by_pair[("conv2d_im2col", r["shape"], None, r["backend"])]
             if abs(speedup - want_speedup) > 1e-9 * want_speedup:
                 fail(
                     f"results[{i}]: speedup_vs_im2col {speedup} != "
@@ -162,6 +175,33 @@ def check_kernels(new, base):
     )
     check_executor(new, base)
     check_encode(new, base)
+
+
+# A committed `simd:*` `int_matmul` rate at 50 % zero activations below
+# this share of its 0 % rate on the same shape fails the check: the packed
+# core runs at one rate whatever the sparsity, and a per-element zero scan
+# creeping back in (3-10 GMAC/s at 30-70 % zeros against ~20 dense, before
+# the core) would show here first.
+ZERO_SHARE_FLOOR = 0.8
+
+
+def check_zero_share_floor(base):
+    rate = {
+        (r["shape"], r["backend"], r["zeros_pct"]): r["gflops"]
+        for r in base["results"]
+        if r["kernel"] == "int_matmul" and r["backend"].startswith("simd:")
+    }
+    for (shape, backend, zeros_pct), dense in sorted(rate.items()):
+        if zeros_pct != 0:
+            continue
+        half = rate.get((shape, backend, 50))
+        if half is None:
+            fail(f"committed int_matmul {shape} {backend}: no 50 % zeros row")
+        if half < ZERO_SHARE_FLOOR * dense:
+            fail(
+                f"committed int_matmul {shape} {backend}: {half:.1f} GFLOP/s at 50 % "
+                f"zeros is below {ZERO_SHARE_FLOOR} x the {dense:.1f} at 0 %"
+            )
 
 
 def check_encode(new, base):
