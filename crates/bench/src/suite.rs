@@ -2,15 +2,16 @@
 //!
 //! Traces and similarity reports are cached on disk in the versioned
 //! little-endian binary format of [`ditto_core::binio`] (`trace-*.bin`,
-//! `similarity-*.bin`). A trace cache entry carries a **model fingerprint**
-//! header — an FNV-1a digest of the model definition it was traced from
-//! (graph structure, op parameters, weight shapes, sampler, step count,
-//! seeds) — so editing a model definition invalidates its cached trace
-//! instead of serving stale data. Legacy JSON caches (`trace-*.json`) from
-//! earlier revisions are read once and migrated to `.bin`; corrupt,
-//! truncated, or fingerprint-mismatched cache files are treated as misses
-//! and re-traced. The cache directory defaults to `target/ditto-cache` and
-//! can be redirected with the `DITTO_CACHE_DIR` environment variable.
+//! `similarity-*.bin`). Both carry a **model fingerprint** header — an
+//! FNV-1a digest of the model definition they were computed from (graph
+//! structure, op parameters, weight shapes, sampler, step count, seeds) —
+//! so editing a model definition invalidates its cached trace and
+//! similarity report instead of serving stale data. Legacy JSON trace
+//! caches (`trace-*.json`) from earlier revisions are read once and
+//! migrated to `.bin`; corrupt, truncated, fingerprint-mismatched or
+//! pre-fingerprint cache files are treated as misses and recomputed. The
+//! cache directory defaults to `target/ditto-cache` and can be redirected
+//! with the `DITTO_CACHE_DIR` environment variable.
 //!
 //! [`Suite::load`] fans the per-model trace work out across CPU cores on
 //! the shared work-stealing pool ([`accel::pool`]), which collapses
@@ -388,25 +389,71 @@ pub fn cached_trace_scaled(kind: ModelKind, scale: ModelScale) -> (WorkloadTrace
     (trace, source)
 }
 
+/// On-disk form of a cached similarity report, fingerprinted like
+/// [`CachedTrace`]: a report from an edited model definition is a miss.
+struct CachedSimilarity {
+    fingerprint: u64,
+    report: SimilarityReport,
+}
+
+impl ToBin for CachedSimilarity {
+    fn write(&self, out: &mut Vec<u8>) {
+        self.fingerprint.write(out);
+        self.report.write(out);
+    }
+}
+
+impl FromBin for CachedSimilarity {
+    fn read(r: &mut Reader<'_>) -> Result<Self, BinError> {
+        Ok(CachedSimilarity { fingerprint: FromBin::read(r)?, report: FromBin::read(r)? })
+    }
+}
+
 /// Returns the cached similarity report for `kind` (Fig. 3 / Fig. 4 data).
 pub fn cached_similarity(kind: ModelKind) -> SimilarityReport {
-    let dir = cache_dir();
-    let stem = cache_stem("similarity", kind, experiment_scale());
-    let bin_name = format!("{stem}.bin");
-    if let Some(r) = load_bin::<SimilarityReport>(&dir, &bin_name) {
-        return r;
-    }
-    if let Some(r) = load_json::<SimilarityReport>(&dir, &format!("{stem}.json")) {
-        store_bin(&dir, &bin_name, &r);
-        return r;
+    similarity_in_dir(&cache_dir(), kind, experiment_scale()).0
+}
+
+/// The similarity report for `kind` at `scale`: the cache entry if it was
+/// computed from this model definition, else a fresh similarity pass
+/// (stored under the current fingerprint).
+fn similarity_in_dir(
+    dir: &Path,
+    kind: ModelKind,
+    scale: ModelScale,
+) -> (SimilarityReport, TraceSource) {
+    let model = DiffusionModel::build(kind, scale, WEIGHT_SEED);
+    let fingerprint = fingerprint_of(&model);
+    let bin_name = format!("{}.bin", cache_stem("similarity", kind, scale));
+    if let Ok(bytes) = fs::read(dir.join(&bin_name)) {
+        let stale = match ditto_core::binio::from_slice::<CachedSimilarity>(&bytes) {
+            Ok(c) if c.fingerprint == fingerprint => return (c.report, TraceSource::BinCache),
+            Ok(c) => Some(format!("{:016x} != {fingerprint:016x}", c.fingerprint)),
+            // Reports cached before they carried a fingerprint cannot be
+            // vouched for either.
+            Err(_) if ditto_core::binio::from_slice::<SimilarityReport>(&bytes).is_ok() => {
+                Some("no fingerprint".to_string())
+            }
+            Err(e) => {
+                eprintln!("[suite] discarding unreadable cache {bin_name}: {e}");
+                None
+            }
+        };
+        if let Some(why) = stale {
+            telemetry::counter("bench.trace_cache.stale", 1);
+            eprintln!(
+                "[suite] cache {bin_name} was computed from a different {} definition ({why}); \
+                 recomputing",
+                kind.abbr()
+            );
+        }
     }
     eprintln!("[suite] similarity pass for {} (one-time, cached)...", kind.abbr());
-    let model = build_model(kind);
     let mut hook = SimilarityHook::new();
     model.run_reverse(SAMPLE_SEED, &mut hook).expect("similarity run");
-    let report = hook.into_report();
-    store_bin(&dir, &bin_name, &report);
-    report
+    let cached = CachedSimilarity { fingerprint, report: hook.into_report() };
+    store_bin(dir, &bin_name, &cached);
+    (cached.report, TraceSource::Traced)
 }
 
 /// Convenience bundle of all cached inputs.
@@ -704,6 +751,35 @@ mod tests {
         store_bin(&dir, "trace-tiny-DDPM.bin", &stale);
         let (_, source, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
         assert_eq!(source, TraceSource::Traced, "stale bin must force a re-trace, not migration");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn similarity_cache_misses_on_tampered_fingerprint_and_old_format() {
+        let dir = temp_cache("similarity");
+        let name = "similarity-tiny-DDPM.bin";
+        let (r0, s0) = similarity_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
+        assert_eq!(s0, TraceSource::Traced);
+        let (r1, s1) = similarity_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
+        assert_eq!(s1, TraceSource::BinCache);
+        let bytes = |r: &SimilarityReport| ditto_core::binio::to_vec(r);
+        assert_eq!(bytes(&r1), bytes(&r0));
+        // A report written by an edited model definition: same payload,
+        // different fingerprint. It must be recomputed, then heal.
+        store_bin(&dir, name, &CachedSimilarity { fingerprint: 0xDEAD_BEEF, report: r0.clone() });
+        let (r2, s2) = similarity_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
+        assert_eq!(s2, TraceSource::Traced, "a tampered fingerprint must miss the cache");
+        assert_eq!(bytes(&r2), bytes(&r0));
+        assert_eq!(
+            similarity_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny).1,
+            TraceSource::BinCache
+        );
+        // The pre-fingerprint format (a bare report) is a miss as well.
+        store_bin(&dir, name, &r0);
+        assert_eq!(
+            similarity_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny).1,
+            TraceSource::Traced
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1221,10 +1221,10 @@ fn exec_op(
             };
             ops::layer_norm_into(arg(0), rows, cols, gamma.as_slice(), beta.as_slice(), 1e-5, out);
         }
-        OpCode::Silu => ops::silu_into(arg(0), out),
-        OpCode::Gelu => ops::gelu_into(arg(0), out),
-        OpCode::Sigmoid => ops::sigmoid_into(arg(0), out),
-        OpCode::Softmax { rows, cols } => ops::softmax_rows_into(arg(0), rows, cols, out),
+        OpCode::Silu => ops::silu_into_with(kb, arg(0), out),
+        OpCode::Gelu => ops::gelu_into_with(kb, arg(0), out),
+        OpCode::Sigmoid => ops::sigmoid_into_with(kb, arg(0), out),
+        OpCode::Softmax { rows, cols } => ops::softmax_rows_into_with(kb, arg(0), rows, cols, out),
         OpCode::Add => {
             let (a, b) = (arg(0), arg(1));
             for (o, (&x, &y)) in out.iter_mut().zip(a.iter().zip(b)) {

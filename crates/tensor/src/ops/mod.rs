@@ -25,7 +25,8 @@ pub mod pool;
 pub(crate) mod simd;
 
 pub use activation::{
-    gelu, gelu_into, sigmoid, sigmoid_into, silu, silu_into, softmax_rows, softmax_rows_into,
+    exp_f32, exp_into_with, gelu, gelu_into_with, sigmoid, sigmoid_into_with, silu, silu_into_with,
+    softmax_rows, softmax_rows_into_with, tanh_f32, tanh_into_with,
 };
 pub use conv::{
     conv2d, conv2d_class, conv2d_class_in_mode, conv2d_direct, conv2d_direct_into_with,

@@ -348,3 +348,220 @@ proptest! {
         }
     }
 }
+
+/// Equal bits, or NaN on both sides (payloads are not part of the contract).
+fn same_value(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// `(input, tanhf(input), expf(input))` bit patterns, captured once from
+/// glibc 2.36's `tanhf` / `expf` on x86-64 (FMA ifunc variant) at every
+/// branch boundary of the two ports: signed zeros and subnormals, `2⁻⁵⁵`
+/// (tanh's identity arm), `2⁻²⁶` (expm1's), `0.5·ln2 / 2` and
+/// `1.5·ln2 / 2` (expm1's `k = 0` / `k = −1` / general reductions), `±1`,
+/// the first inputs reaching `k` = 22, 23, 56, 57 (the exponent-path edges),
+/// `22` (tanh's saturation), `±88` / `88.72` (expf's special range and
+/// overflow), `−103.28` / `−103.97` (its two underflow arms), `±∞`, NaN,
+/// and the two inputs where glibc's non-FMA `expf` rounds differently.
+const LIBM_PINNED: [(u32, u32, u32); 64] = [
+    (0x00000000, 0x00000000, 0x3f800000),
+    (0x80000000, 0x80000000, 0x3f800000),
+    (0x00000001, 0x00000001, 0x3f800000),
+    (0x807fffff, 0x807fffff, 0x3f800000),
+    (0x00800000, 0x00800000, 0x3f800000),
+    (0x23ffffff, 0x23ffffff, 0x3f800000),
+    (0x24000000, 0x24000000, 0x3f800000),
+    (0xa4000000, 0xa4000000, 0x3f800000),
+    (0x327fffff, 0x327fffff, 0x3f800000),
+    (0x32800000, 0x32800000, 0x3f800000),
+    (0xb2800000, 0xb2800000, 0x3f800000),
+    (0x3e317218, 0x3e2fb0cd, 0x3f9837f0),
+    (0x3e317219, 0x3e2fb0cd, 0x3f9837f0),
+    (0xbe317219, 0xbe2fb0cd, 0x3f5744fd),
+    (0x3f051591, 0x3ef486f8, 0x3fd744fc),
+    (0x3f051592, 0x3ef486f8, 0x3fd744fd),
+    (0xbf051592, 0xbef486f8, 0x3f1837f0),
+    (0x3f7fffff, 0x3f42f7d5, 0x402df854),
+    (0x3f800000, 0x3f42f7d6, 0x402df854),
+    (0xbf800000, 0xbf42f7d6, 0x3ebc5ab2),
+    (0xbf7fffff, 0xbf42f7d5, 0x3ebc5ab2),
+    (0x41afffff, 0x3f800000, 0x4f55ad53),
+    (0x41b00000, 0x3f800000, 0x4f55ad6e),
+    (0xc1b00000, 0xbf800000, 0x2f995a46),
+    (0x3f000000, 0x3eec9a9f, 0x3fd3094c),
+    (0xbf333333, 0xbf1ab7d8, 0x3efe406e),
+    (0x40400000, 0x3f7ebbe9, 0x41a0af2e),
+    (0x41200000, 0x3f800000, 0x46ac14ee),
+    (0x42b00000, 0x3f800000, 0x7ef882b7),
+    (0xc2b00000, 0xbf800000, 0x0041edc4),
+    (0x42b17217, 0x3f800000, 0x7f7fff84),
+    (0x42b17218, 0x3f800000, 0x7f800000),
+    (0xc2b17218, 0xbf800000, 0x001fffff),
+    (0xc2ce8ece, 0xbf800000, 0x00000001),
+    (0xc2ce8ecf, 0xbf800000, 0x00000001),
+    (0xc2ce8ed0, 0xbf800000, 0x00000001),
+    (0xc2cff1b3, 0xbf800000, 0x00000001),
+    (0xc2cff1b4, 0xbf800000, 0x00000001),
+    (0xc2cff1b5, 0xbf800000, 0x00000000),
+    (0x42028b2f, 0x3f800000, 0x5707a4e1),
+    (0xc27b8d59, 0xbf800000, 0x121a87b4),
+    (0x3fc00000, 0x3f67b7cc, 0x408f69ff),
+    (0x40200000, 0x3f7c92c1, 0x4142eb7f),
+    (0x3f400000, 0x3f22991f, 0x40077cee),
+    (0xbf666666, 0xbf375f4c, 0x3ed029e6),
+    (0x3d800000, 0x3d7faacd, 0x3f88415b),
+    (0x7f800000, 0x3f800000, 0x7f800000),
+    (0xff800000, 0xbf800000, 0x00000000),
+    (0x7fc00000, 0x7fc00000, 0x7fc00000),
+    (0x7f7fffff, 0x3f800000, 0x7f800000),
+    (0xff7fffff, 0xbf800000, 0x00000000),
+    (0x40ee714f, 0x3f7ffff5, 0x44d744f5),
+    (0x40ee7150, 0x3f7ffff5, 0x44d744fb),
+    (0xc0ee7150, 0xbf7ffff5, 0x3a1837f1),
+    (0x40f98871, 0x3f7ffffa, 0x451837ed),
+    (0x40f98872, 0x3f7ffffa, 0x451837f2),
+    (0xc0f98872, 0xbf7ffffa, 0x39d744fb),
+    (0x4199e0f0, 0x3f800000, 0x4d5744e8),
+    (0x4199e0f1, 0x3f800000, 0x4d574503),
+    (0xc199e0f1, 0xbf800000, 0x319837ec),
+    (0x419ca6b8, 0x3f800000, 0x4d9837da),
+    (0x419ca6b9, 0x3f800000, 0x4d9837ed),
+    (0xc19ca6b9, 0xbf800000, 0x31574501),
+    (0x3e800000, 0x3e7acbf5, 0x3fa45af2),
+];
+
+/// The ports reproduce the pinned glibc outputs, on the scalar path and on
+/// every vector level — without calling the host libm.
+#[test]
+fn transcendental_ports_match_pinned_glibc_outputs() {
+    let inputs: Vec<f32> = LIBM_PINNED.iter().map(|&(x, ..)| f32::from_bits(x)).collect();
+    for &(x, tanh, exp) in &LIBM_PINNED {
+        let v = f32::from_bits(x);
+        assert!(same_value(ops::tanh_f32(v), f32::from_bits(tanh)), "tanh_f32({x:#010x})");
+        assert!(same_value(ops::exp_f32(v), f32::from_bits(exp)), "exp_f32({x:#010x})");
+    }
+    for (backend, level) in backend_level_matrix() {
+        if let Some(level) = level {
+            set_simd_level(level).unwrap();
+        }
+        let mut got = vec![0.0f32; inputs.len()];
+        for (name, col, f) in [
+            ("tanh", 1, ops::tanh_into_with as fn(KernelBackend, &[f32], &mut [f32])),
+            ("exp", 2, ops::exp_into_with),
+        ] {
+            f(backend, &inputs, &mut got);
+            for (row, &y) in LIBM_PINNED.iter().zip(&got) {
+                let want = if col == 1 { row.1 } else { row.2 };
+                assert!(
+                    same_value(y, f32::from_bits(want)),
+                    "{name}({:#010x}) on {backend} at {level:?}",
+                    row.0
+                );
+            }
+        }
+    }
+    set_simd_level(hw_simd_level()).unwrap();
+}
+
+/// Every 4 099th bit pattern (≈ 1 M inputs spread over all exponents, both
+/// signs, NaNs and infinities) through every element-wise function on
+/// every backend × level, against the scalar forms. The `#[ignore]`d
+/// `exhaustive` test in `ops::simd` covers all 2³² for `tanh` and `exp`.
+#[test]
+fn strided_sweep_vector_kernels_equal_scalar_ports() {
+    let inputs: Vec<f32> = (0..=u32::MAX).step_by(4099).map(f32::from_bits).collect();
+    type Slice = fn(KernelBackend, &[f32], &mut [f32]);
+    type Oracle = fn(&Tensor) -> Tensor;
+    let functions: [(&str, Slice, Oracle); 5] = [
+        ("tanh", ops::tanh_into_with, |x| x.map(ops::tanh_f32)),
+        ("exp", ops::exp_into_with, |x| x.map(ops::exp_f32)),
+        ("gelu", ops::gelu_into_with, ops::gelu),
+        ("silu", ops::silu_into_with, ops::silu),
+        ("sigmoid", ops::sigmoid_into_with, ops::sigmoid),
+    ];
+    let x = Tensor::from_vec(inputs.clone(), &[inputs.len()]).unwrap();
+    let mut got = vec![0.0f32; inputs.len()];
+    for (name, slice, oracle) in functions {
+        let want = oracle(&x).as_slice().to_vec();
+        for (backend, level) in backend_level_matrix() {
+            if let Some(level) = level {
+                set_simd_level(level).unwrap();
+            }
+            slice(backend, &inputs, &mut got);
+            if let Some(i) = (0..inputs.len()).find(|&i| !same_value(got[i], want[i])) {
+                panic!(
+                    "{name}({:#010x}) on {backend} at {level:?}: {:#010x} != {:#010x}",
+                    inputs[i].to_bits(),
+                    got[i].to_bits(),
+                    want[i].to_bits()
+                );
+            }
+        }
+    }
+    set_simd_level(hw_simd_level()).unwrap();
+}
+
+/// The slice activations at lengths around every lane count and the
+/// `64 × 384` GeLU of the Small DiT, and softmax over rows holding `-inf`,
+/// signed zeros and equal large logits, on every backend × level against
+/// the tensor (scalar) forms.
+#[test]
+fn activation_slices_match_scalar_forms_at_every_length() {
+    let mut rng = Rng::seed_from(97);
+    let lengths = [0usize, 1, 7, 8, 9, 15, 16, 17, 33, 64 * 384];
+    type Slice = fn(KernelBackend, &[f32], &mut [f32]);
+    type Oracle = fn(&Tensor) -> Tensor;
+    let functions: [(&str, Slice, Oracle); 3] = [
+        ("gelu", ops::gelu_into_with, ops::gelu),
+        ("silu", ops::silu_into_with, ops::silu),
+        ("sigmoid", ops::sigmoid_into_with, ops::sigmoid),
+    ];
+    for len in lengths {
+        let x = Tensor::randn(&[len], &mut rng).map(|v| v * 6.0);
+        for (name, slice, oracle) in functions {
+            let want = oracle(&x);
+            for (backend, level) in backend_level_matrix() {
+                if let Some(level) = level {
+                    set_simd_level(level).unwrap();
+                }
+                let mut got = vec![0.0f32; len];
+                slice(backend, x.as_slice(), &mut got);
+                for (p, q) in got.iter().zip(want.as_slice()) {
+                    assert!(same_value(*p, *q), "{name} len {len} on {backend} at {level:?}");
+                }
+            }
+        }
+    }
+    for (rows, cols) in
+        [(0usize, 4usize), (1, 1), (3, 7), (8, 8), (9, 9), (17, 15), (16, 33), (64, 384)]
+    {
+        let mut x = Tensor::randn(&[rows, cols], &mut rng).map(|v| v * 8.0);
+        for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+            match i % 13 {
+                2 => *v = f32::NEG_INFINITY,
+                4 => *v = 0.0,
+                6 => *v = -0.0,
+                _ => {}
+            }
+        }
+        // One row of equal large logits, one all -inf (0/0 = NaN on
+        // every path), one of signed zeros only.
+        for (r, fill) in [(1, 1000.0f32), (2, f32::NEG_INFINITY), (3, -0.0)] {
+            if r < rows {
+                x.as_mut_slice()[r * cols..(r + 1) * cols].fill(fill);
+            }
+        }
+        let want = ops::softmax_rows(&x).unwrap();
+        for (backend, level) in backend_level_matrix() {
+            if let Some(level) = level {
+                set_simd_level(level).unwrap();
+            }
+            let mut got = vec![0.0f32; rows * cols];
+            ops::softmax_rows_into_with(backend, x.as_slice(), rows, cols, &mut got);
+            for (p, q) in got.iter().zip(want.as_slice()) {
+                assert!(same_value(*p, *q), "softmax {rows}x{cols} on {backend} at {level:?}");
+            }
+        }
+    }
+    set_simd_level(hw_simd_level()).unwrap();
+}

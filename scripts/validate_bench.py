@@ -9,10 +9,11 @@ shape (identical key sets at every object level, matching value types,
 full kernel/shape coverage) with sane value ranges. It deliberately does
 NOT compare the numbers themselves — perf values are host-dependent, and
 the committed trajectory is reviewed like a changelog, not asserted by CI —
-with two exceptions, both same-run, same-host ratios of the committed
+with three exceptions, all same-run, same-host ratios of the committed
 baseline: its executor ``speedup`` (plan vs tree oracle) must not sit below
-0.95, and a ``simd:*`` ``int_matmul`` rate at 50 % zero activations must not
-sit below 0.8 x its rate at 0 % on the same shape.
+0.95, a ``simd:*`` ``int_matmul`` rate at 50 % zero activations must not
+sit below 0.8 x its rate at 0 % on the same shape, and a ``simd:avx2`` GeLU
+must run at least 2 x the host libm's rate.
 """
 
 import json
@@ -175,6 +176,68 @@ def check_kernels(new, base):
     )
     check_executor(new, base)
     check_encode(new, base)
+    check_activations(new, base)
+
+
+# A committed `simd:avx2` GeLU slower than this multiple of the host libm's
+# rate fails the check: the exact vector tanh measured 3.5-7x, and a kernel
+# that fell back to one scalar call per element would show here first.
+GELU_AVX2_FLOOR = 2.0
+
+
+def check_activations(new, base):
+    """The activations section times each activation at its Small shape in
+    ns per element for the host libm, the scalar ports and every SIMD level
+    (min and median of interleaved trials). Coverage must match the
+    baseline — every (function, shape) has a libm, a port and one row per
+    level the new run measured — the minimum cannot exceed the median, the
+    speedup column is recomputed from the raw ns, and a committed
+    ``simd:avx2`` GeLU must run at least ``GELU_AVX2_FLOOR`` x libm."""
+    levels = sorted({r["impl"] for r in new["activations"]} - {"libm", "port"})
+    if not all(level.startswith("simd:") for level in levels):
+        fail(f"activations: unknown impls {levels}")
+    cells = {(r["function"], r["shape"]) for r in base["activations"]}
+    want = {(*c, i) for c in cells for i in ["libm", "port", *levels]}
+    got = {(r["function"], r["shape"], r["impl"]) for r in new["activations"]}
+    if got != want:
+        fail(
+            f"activations coverage mismatch (missing {sorted(want - got)}, "
+            f"unexpected {sorted(got - want)})"
+        )
+    libm = {
+        (r["function"], r["shape"]): r["ns_per_elem_min"]
+        for r in new["activations"]
+        if r["impl"] == "libm"
+    }
+    for i, r in enumerate(new["activations"]):
+        path = f"activations[{i}]({r['function']}/{r['shape']}/{r['impl']})"
+        rows, cols = (int(x) for x in r["shape"].split("x"))
+        if rows * cols != r["elements"]:
+            fail(f"{path}: elements {r['elements']} != {rows}*{cols}")
+        sane(r["trials"], f"{path}.trials", 3, 1e3)
+        lo, mid = r["ns_per_elem_min"], r["ns_per_elem_median"]
+        sane(lo, f"{path}.ns_per_elem_min", 1e-4, 1e6)
+        sane(mid, f"{path}.ns_per_elem_median", 1e-4, 1e6)
+        if lo > mid:
+            fail(f"{path}: ns_per_elem_min {lo} > ns_per_elem_median {mid}")
+        speedup = r["speedup_vs_libm"]
+        sane(speedup, f"{path}.speedup_vs_libm", 1e-3, 1e4)
+        want_speedup = libm[(r["function"], r["shape"])] / lo
+        if abs(speedup - want_speedup) > 1e-9 * want_speedup:
+            fail(f"{path}: speedup_vs_libm {speedup} != recomputed {want_speedup}")
+    for r in base["activations"]:
+        if r["function"] == "gelu" and r["impl"] == "simd:avx2":
+            if r["speedup_vs_libm"] < GELU_AVX2_FLOOR:
+                fail(
+                    f"committed simd:avx2 gelu {r['shape']}: {r['speedup_vs_libm']:.2f}x "
+                    f"libm is below the {GELU_AVX2_FLOOR}x floor"
+                )
+    gelu = [r for r in new["activations"] if r["function"] == "gelu"]
+    best = max(gelu, key=lambda r: r["speedup_vs_libm"])
+    print(
+        f"validate_bench: activations OK — {len(new['activations'])} rows, "
+        f"gelu best {best['speedup_vs_libm']:.1f}x libm ({best['impl']})"
+    )
 
 
 # A committed `simd:*` `int_matmul` rate at 50 % zero activations below

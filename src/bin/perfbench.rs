@@ -28,7 +28,11 @@
 //!   validator fails when a committed `speedup` is below 0.95.
 //!   An `encode` section times the Encoding Unit's fused pass
 //!   (`quant::encode`) against the scalar one-value-at-a-time oracle at
-//!   three operand sizes, min and median over interleaved trials.
+//!   three operand sizes, min and median over interleaved trials. An
+//!   `activations` section times GeLU, SiLU, sigmoid and softmax in ns per
+//!   element at their Small shapes for the host libm, the scalar ports and
+//!   every SIMD level (min and median over interleaved trials); the
+//!   validator fails when a committed `simd:avx2` GeLU is not 2× `libm`.
 //! * **`BENCH_serve.json`** — loopback `ditto-serve` latency percentiles
 //!   (client-observed, from a fixed-bucket log-scale histogram) and the
 //!   cross-request memo hit rate under a deterministic overlapping
@@ -68,7 +72,8 @@ use serve::{Obs, SuiteApp};
 use tensor::backend::{available_simd_levels, hw_simd_level, set_simd_level, SimdLevel};
 use tensor::ops::{
     conv2d_class_in_mode, conv2d_direct, conv2d_direct_into_with, conv2d_im2col_with, conv2d_with,
-    matmul_scalar, matmul_with, Conv2dParams, ConvClass, ConvMode,
+    gelu_into_with, matmul_scalar, matmul_with, sigmoid_into_with, silu_into_with,
+    softmax_rows_into_with, Conv2dParams, ConvClass, ConvMode,
 };
 use tensor::{KernelBackend, Rng, Tensor};
 
@@ -580,7 +585,164 @@ fn bench_kernels(min_ms: u64) -> Value {
         ("results", Value::Arr(results)),
         ("executor", Value::Arr(bench_executor(min_ms))),
         ("encode", Value::Arr(bench_encode(min_ms))),
+        ("activations", Value::Arr(bench_activations(min_ms))),
     ])
+}
+
+/// Operands `(function, rows, cols)` of the `activations` section: the
+/// Small-scale shapes the compiled plans run them at — the DiT MLP's GeLU
+/// (`64 × 384`), a UNet ResNet block's SiLU (`48` channels of `16 × 16`),
+/// full and DiT self-attention softmax. No Small plan has a sigmoid; it is
+/// measured at the SiLU shape.
+const ACTIVATION_SHAPES: [(&str, usize, usize); 5] = [
+    ("gelu", 64, 384),
+    ("silu", 48, 256),
+    ("sigmoid", 48, 256),
+    ("softmax", 256, 256),
+    ("softmax", 64, 64),
+];
+
+/// Interleaved trials per implementation in the `activations` section.
+const ACTIVATION_TRIALS: usize = 7;
+
+/// `function` by the host libm's `f32::exp` / `f32::tanh` — what the
+/// activations called before they owned their transcendentals. Bench-only:
+/// the `libm` baseline of the `activations` section.
+fn libm_activation(function: &str, x: &[f32], cols: usize, out: &mut [f32]) {
+    match function {
+        "gelu" => {
+            let c = (2.0f32 / std::f32::consts::PI).sqrt();
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o = 0.5 * v * (1.0 + (c * (v + 0.044_715 * v * v * v)).tanh());
+            }
+        }
+        "silu" => {
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o = v / (1.0 + (-v).exp());
+            }
+        }
+        "sigmoid" => {
+            for (o, &v) in out.iter_mut().zip(x) {
+                *o = 1.0 / (1.0 + (-v).exp());
+            }
+        }
+        _ => {
+            for (row, orow) in x.chunks_exact(cols).zip(out.chunks_exact_mut(cols)) {
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let mut sum = 0.0;
+                for (o, &v) in orow.iter_mut().zip(row) {
+                    *o = (v - max).exp();
+                    sum += *o;
+                }
+                for o in orow.iter_mut() {
+                    *o /= sum;
+                }
+            }
+        }
+    }
+}
+
+/// `function` through its `tensor::ops` slice entry on `backend`.
+fn run_activation(
+    function: &str,
+    backend: KernelBackend,
+    x: &[f32],
+    rows: usize,
+    cols: usize,
+    out: &mut [f32],
+) {
+    match function {
+        "gelu" => gelu_into_with(backend, x, out),
+        "silu" => silu_into_with(backend, x, out),
+        "sigmoid" => sigmoid_into_with(backend, x, out),
+        _ => softmax_rows_into_with(backend, x, rows, cols, out),
+    }
+}
+
+/// The `activations` section: ns per element of each activation at its
+/// Small shape for the host libm (`libm`), the scalar ports (`port`, the
+/// `scalar` backend) and the vector kernels at every available SIMD level
+/// (`simd:<level>`; a level without a kernel for the function runs the
+/// port). Trials alternate the implementations; each row reports the min
+/// and median. Every `simd` level is asserted bit-identical to the port
+/// first (the host libm is not: the ports are fixed, hosts' libms differ).
+fn bench_activations(min_ms: u64) -> Vec<Value> {
+    use std::hint::black_box;
+    let mut rng = Rng::seed_from(19);
+    let mut impls: Vec<(String, Option<SimdLevel>)> =
+        vec![("libm".to_string(), None), ("port".to_string(), None)];
+    for level in available_simd_levels() {
+        if level != SimdLevel::None {
+            impls.push((format!("simd:{level}"), Some(level)));
+        }
+    }
+    let mut entries = Vec::new();
+    for &(function, rows, cols) in &ACTIVATION_SHAPES {
+        let n = rows * cols;
+        let x: Vec<f32> = (0..n).map(|_| rng.next_normal() * 3.0).collect();
+        let mut want = vec![0.0f32; n];
+        run_activation(function, KernelBackend::Scalar, &x, rows, cols, &mut want);
+        let mut out = vec![0.0f32; n];
+        for (label, level) in &impls {
+            if let Some(level) = level {
+                set_simd_level(*level).expect("measured levels are hardware-supported");
+                run_activation(function, KernelBackend::Simd, &x, rows, cols, &mut out);
+                assert!(
+                    out.iter().zip(&want).all(|(p, q)| p.to_bits() == q.to_bits()),
+                    "{label} {function} diverged bitwise from the scalar port at {rows}x{cols}"
+                );
+            }
+        }
+        let mut ns = vec![Vec::new(); impls.len()];
+        for _ in 0..ACTIVATION_TRIALS {
+            for ((label, level), ns) in impls.iter().zip(&mut ns) {
+                if let Some(level) = level {
+                    set_simd_level(*level).expect("measured levels are hardware-supported");
+                }
+                let call = ns_per_call(min_ms, || match label.as_str() {
+                    "libm" => libm_activation(function, black_box(&x), cols, &mut out),
+                    "port" => run_activation(
+                        function,
+                        KernelBackend::Scalar,
+                        black_box(&x),
+                        rows,
+                        cols,
+                        &mut out,
+                    ),
+                    _ => run_activation(
+                        function,
+                        KernelBackend::Simd,
+                        black_box(&x),
+                        rows,
+                        cols,
+                        &mut out,
+                    ),
+                });
+                ns.push(call / n as f64);
+            }
+        }
+        let stats: Vec<(f64, f64)> = ns.iter_mut().map(|t| min_median(t)).collect();
+        let libm_min = stats[0].0;
+        for ((label, _), &(lo, mid)) in impls.iter().zip(&stats) {
+            println!(
+                "perfbench: activation {function:>7} {rows:>3}x{cols:<3} {label:>9}: {lo:7.3} \
+                 ns/elem ({:.2}x libm)",
+                libm_min / lo
+            );
+            entries.push(obj(vec![
+                ("function", Value::Str(function.to_string())),
+                ("shape", Value::Str(format!("{rows}x{cols}"))),
+                ("impl", Value::Str(label.clone())),
+                ("elements", n.to_json()),
+                ("trials", ACTIVATION_TRIALS.to_json()),
+                ("ns_per_elem_min", Value::Num(lo)),
+                ("ns_per_elem_median", Value::Num(mid)),
+                ("speedup_vs_libm", Value::Num(libm_min / lo)),
+            ]));
+        }
+    }
+    set_simd_level(hw_simd_level()).expect("hardware level is always available");
+    entries
 }
 
 /// The Encoding Unit pass one value at a time — three classification
