@@ -167,24 +167,22 @@ fn bench_f32_matmul_scalar_vs_tiled(c: &mut Criterion) {
 
 fn bench_im2col_and_conv(c: &mut Criterion) {
     let mut rng = Rng::seed_from(3);
-    // SDM's 32→32 3×3 convolution at 16×16 — large enough that conv2d
-    // routes through im2col + tiled matmul.
+    // SDM's 32→32 3×3 convolution at 16×16: the lowered matmul against
+    // the sliding-window reference loop.
     let x = Tensor::randn(&[32, 16, 16], &mut rng);
     let w = Tensor::randn(&[32, 32, 3, 3], &mut rng);
     let p = Conv2dParams::same3x3();
     let direct = ops::conv2d_direct(&x, &w, None, p).unwrap();
-    let routed = ops::conv2d(&x, &w, None, p).unwrap();
+    let lowered = ops::conv2d(&x, &w, None, p).unwrap();
     assert!(
-        direct.as_slice().iter().zip(routed.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()),
-        "im2col-routed conv2d must be bit-identical to the direct loop"
+        direct.as_slice().iter().zip(lowered.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()),
+        "the lowered conv2d must be bit-identical to the direct loop"
     );
     c.bench_function("im2col_32x16x16", |b| b.iter(|| ops::im2col(black_box(&x), p)));
     c.bench_function("conv2d_direct_32x16x16", |b| {
         b.iter(|| ops::conv2d_direct(black_box(&x), &w, None, p))
     });
-    c.bench_function("conv2d_im2col_tiled_32x16x16", |b| {
-        b.iter(|| ops::conv2d(black_box(&x), &w, None, p))
-    });
+    c.bench_function("conv2d_32x16x16", |b| b.iter(|| ops::conv2d(black_box(&x), &w, None, p)));
 }
 
 /// Binary vs JSON trace-cache decoding — the per-model unit of work behind

@@ -27,7 +27,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use diffusion::plan::OpCode;
-use diffusion::{DiffusionModel, LayerOp, ModelKind, ModelScale};
+use diffusion::{DiffusionModel, ModelKind, ModelScale};
 use ditto_core::binio::{BinError, FromBin, Reader, ToBin};
 use ditto_core::jsonio::Value;
 use ditto_core::runner::{trace_model, ExecPolicy};
@@ -360,15 +360,11 @@ fn trace_cost_estimate(model: &DiffusionModel) -> u64 {
     let macs: usize = plan
         .ops()
         .iter()
-        .map(|op| match (&op.code, &model.graph.node(op.node).op) {
-            (&OpCode::Conv2dDirect { c_in, h, w }, LayerOp::Conv2d { weight, params, .. }) => {
-                let taps = c_in * params.kernel * params.kernel;
-                params.out_extent(h) * params.out_extent(w) * taps * weight.dims()[0]
-            }
-            (&OpCode::Conv2dIm2col { c_out, ckk, pixels, .. }, _) => pixels * ckk * c_out,
-            (&OpCode::Linear { m, k, n }, _)
-            | (&OpCode::MatmulQk { m, k, n, .. }, _)
-            | (&OpCode::MatmulPv { m, k, n }, _) => m * k * n,
+        .map(|op| match op.code {
+            OpCode::Conv2dIm2col { c_out, ckk, pixels, .. } => pixels * ckk * c_out,
+            OpCode::Linear { m, k, n }
+            | OpCode::MatmulQk { m, k, n, .. }
+            | OpCode::MatmulPv { m, k, n } => m * k * n,
             _ => 0,
         })
         .sum();

@@ -95,35 +95,14 @@ pub enum OpCode {
         /// Embedding width.
         dim: usize,
     },
-    /// 2-D convolution on the lowering-free direct route (shapes the
-    /// dispatcher classes `DirectPointwise`/`DirectSmall` — see
-    /// `ops::conv2d_class`); weight/bias/params borrowed from the graph
-    /// node. Runs `ops::conv2d_direct_into_with` (the SIMD strip kernel on
-    /// the `Simd` backend) and needs **no** arena scratch span, which is
-    /// the arena-high-water win over [`OpCode::Conv2dIm2col`] on conv-heavy
-    /// UNets.
-    Conv2dDirect {
-        /// Input channels.
-        c_in: usize,
-        /// Input height.
-        h: usize,
-        /// Input width.
-        w: usize,
-    },
-    /// 2-D convolution pre-lowered to matmul form — the plan-side fast path
-    /// for shapes the tensor layer routes through im2col. Two phases: the
-    /// **transposed** im2col matrix `[ckk, pixels]` is gathered into
-    /// `scratch` (`ops::im2col_transposed_into`), then one accumulation
-    /// `out += weight · colsT` runs with the weight in its native
-    /// `[c_out, ckk]` layout, writing the channel-major output directly.
-    ///
-    /// Versus the tensor path this skips the per-call weight transpose, the
-    /// pixel-major product buffer, and the de-interleave pass, and widens
-    /// the matmul's streaming dimension from `c_out` to `pixels`. Each
-    /// output element still accumulates bias first, then products in
-    /// ascending `(c_in, ky, kx)` order, so values match the tree executor
-    /// bit for bit (asserted across every model/backend by the identity
-    /// suites).
+    /// 2-D convolution — every `Conv2d` compiles to it. Runs
+    /// `ops::conv2d_lowered_into`: the bias seeds the channel-major output,
+    /// the transposed im2col matrix `[ckk, pixels]` is lowered into
+    /// `scratch` (nothing for a pointwise conv, whose input is read in
+    /// place), and one matmul against the weight in its native
+    /// `[c_out, ckk]` layout accumulates onto it. It is the lowering the
+    /// tree executor's `ops::conv2d` runs, so values match it bit for bit
+    /// (asserted across every model/backend by the identity suites).
     Conv2dIm2col {
         /// Input channels.
         c_in: usize,
@@ -137,7 +116,7 @@ pub enum OpCode {
         ckk: usize,
         /// Output spatial extent `h_out · w_out`.
         pixels: usize,
-        /// Arena span holding the transposed im2col matrix between phases.
+        /// Arena span the input is lowered into (`ops::conv2d_scratch_len`).
         scratch: Span,
     },
     /// `[m, k] × [k, n] (+ bias)`; weight/bias borrowed from the graph node.
@@ -301,12 +280,11 @@ pub enum OpCode {
 /// Indexed by [`OpCode::kind_index`]; the fixed arity lets the profiled
 /// interpreter accumulate per-kind totals in a flat array with no hashing
 /// on the hot path.
-pub const KIND_NAMES: [&str; 28] = [
+pub const KIND_NAMES: [&str; 27] = [
     "copy_latent",
     "copy_context",
     "write_t",
     "timestep_embed",
-    "conv2d_direct",
     "conv2d_im2col",
     "linear",
     "matmul_qk",
@@ -340,30 +318,29 @@ impl OpCode {
             OpCode::CopyContext => 1,
             OpCode::WriteT => 2,
             OpCode::TimestepEmbed { .. } => 3,
-            OpCode::Conv2dDirect { .. } => 4,
-            OpCode::Conv2dIm2col { .. } => 5,
-            OpCode::Linear { .. } => 6,
-            OpCode::MatmulQk { .. } => 7,
-            OpCode::MatmulPv { .. } => 8,
-            OpCode::GroupNorm { .. } => 9,
-            OpCode::LayerNorm { .. } => 10,
-            OpCode::Silu => 11,
-            OpCode::Gelu => 12,
-            OpCode::Sigmoid => 13,
-            OpCode::Softmax { .. } => 14,
-            OpCode::Add => 15,
-            OpCode::Mul => 16,
-            OpCode::Scale { .. } => 17,
-            OpCode::Modulate { .. } => 18,
-            OpCode::Gate { .. } => 19,
-            OpCode::AddBias2d { .. } => 20,
-            OpCode::Transpose { .. } => 21,
-            OpCode::AvgPool { .. } => 22,
-            OpCode::SliceCols { .. } => 23,
-            OpCode::ConcatRows { .. } => 24,
-            OpCode::ConcatCols { .. } => 25,
-            OpCode::Upsample2x { .. } => 26,
-            OpCode::Unpatchify { .. } => 27,
+            OpCode::Conv2dIm2col { .. } => 4,
+            OpCode::Linear { .. } => 5,
+            OpCode::MatmulQk { .. } => 6,
+            OpCode::MatmulPv { .. } => 7,
+            OpCode::GroupNorm { .. } => 8,
+            OpCode::LayerNorm { .. } => 9,
+            OpCode::Silu => 10,
+            OpCode::Gelu => 11,
+            OpCode::Sigmoid => 12,
+            OpCode::Softmax { .. } => 13,
+            OpCode::Add => 14,
+            OpCode::Mul => 15,
+            OpCode::Scale { .. } => 16,
+            OpCode::Modulate { .. } => 17,
+            OpCode::Gate { .. } => 18,
+            OpCode::AddBias2d { .. } => 19,
+            OpCode::Transpose { .. } => 20,
+            OpCode::AvgPool { .. } => 21,
+            OpCode::SliceCols { .. } => 22,
+            OpCode::ConcatRows { .. } => 23,
+            OpCode::ConcatCols { .. } => 24,
+            OpCode::Upsample2x { .. } => 25,
+            OpCode::Unpatchify { .. } => 26,
         }
     }
 
@@ -378,8 +355,7 @@ impl OpCode {
     pub fn is_linear_site(&self) -> bool {
         matches!(
             self,
-            OpCode::Conv2dDirect { .. }
-                | OpCode::Conv2dIm2col { .. }
+            OpCode::Conv2dIm2col { .. }
                 | OpCode::Linear { .. }
                 | OpCode::MatmulQk { .. }
                 | OpCode::MatmulPv { .. }
@@ -860,29 +836,17 @@ fn infer_node(
                 return Err(TensorError::InvalidArgument("plan: zero stride".into()));
             }
             let (ho, wo) = (params.out_extent(h), params.out_extent(w));
-            // Mirror the tensor layer's shape-class dispatch at compile
-            // time: shapes it would lower to im2col get the pre-lowered
-            // matmul opcode (plus arena scratch for the transposed im2col
-            // matrix); direct classes get the scratch-free direct opcode.
-            if ops::conv2d_class(c_in, h, w, c_out, *params).is_direct() {
-                Ok((vec![c_out, ho, wo], OpCode::Conv2dDirect { c_in, h, w }, no_scratch))
-            } else {
-                let ckk = c_in * params.kernel * params.kernel;
-                let pixels = ho * wo;
-                Ok((
-                    vec![c_out, ho, wo],
-                    OpCode::Conv2dIm2col {
-                        c_in,
-                        h,
-                        w,
-                        c_out,
-                        ckk,
-                        pixels,
-                        scratch: Span::default(),
-                    },
-                    ckk * pixels,
-                ))
-            }
+            let ckk = c_in * params.kernel * params.kernel;
+            let code = OpCode::Conv2dIm2col {
+                c_in,
+                h,
+                w,
+                c_out,
+                ckk,
+                pixels: ho * wo,
+                scratch: Span::default(),
+            };
+            Ok((vec![c_out, ho, wo], code, ops::conv2d_scratch_len(c_in, h, w, *params)))
         }
         LayerOp::Linear { weight, bias } => {
             rank(ins[0], 2)?;
@@ -1096,6 +1060,38 @@ fn operand<'a>(lo: &'a [f32], hi: &'a [f32], out: Span, s: Span) -> &'a [f32] {
     }
 }
 
+/// Carves `buf` into the operand at `input` and the mutable `out` and
+/// `scratch` spans of one op. The three are pairwise disjoint: the
+/// allocator reserves an op's output and scratch while its inputs are
+/// live.
+fn carve_with_scratch(
+    buf: &mut [f32],
+    input: Span,
+    out: Span,
+    scratch: Span,
+) -> (&[f32], &mut [f32], &mut [f32]) {
+    // Ordered by start, an empty span first, so `second` never starts
+    // inside `first`.
+    let out_first = (out.off, out.len) <= (scratch.off, scratch.len);
+    let (first, second) = if out_first { (out, scratch) } else { (scratch, out) };
+    let (below, rest) = buf.split_at_mut(first.off);
+    let (first_buf, rest) = rest.split_at_mut(first.len);
+    let (between, rest) = rest.split_at_mut(second.off - first.end());
+    let (second_buf, above) = rest.split_at_mut(second.len);
+    let operand = if input.end() <= first.off {
+        &below[input.off..input.end()]
+    } else if input.end() <= second.off {
+        &between[input.off - first.end()..][..input.len]
+    } else {
+        &above[input.off - second.end()..][..input.len]
+    };
+    if out_first {
+        (operand, first_buf, second_buf)
+    } else {
+        (operand, second_buf, first_buf)
+    }
+}
+
 fn exec_op(
     op: &PlanOp,
     graph: &LayerGraph,
@@ -1117,56 +1113,13 @@ fn exec_op(
         OpCode::TimestepEmbed { dim } => {
             crate::embed::timestep_embedding_into(arg(0)[0], dim, out);
         }
-        OpCode::Conv2dDirect { c_in, h, w } => {
+        OpCode::Conv2dIm2col { c_in, h, w, scratch, .. } => {
             let LayerOp::Conv2d { weight, bias, params } = &graph.node(op.node).op else {
                 unreachable!("plan/graph opcode mismatch");
             };
-            // Pinned to the direct route: the class was decided at compile
-            // time, so a mid-run conv-mode flip cannot desync plan and
-            // kernel (and the dispatch telemetry attributes it to
-            // `conv2d_direct_f32`).
-            ops::conv2d_direct_into_with(
-                kb,
-                arg(0),
-                c_in,
-                h,
-                w,
-                weight,
-                bias.as_ref(),
-                *params,
-                out,
-            )?;
-        }
-        OpCode::Conv2dIm2col { c_in, h, w, c_out, ckk, pixels, scratch } => {
-            let LayerOp::Conv2d { weight, bias, params } = &graph.node(op.node).op else {
-                unreachable!("plan/graph opcode mismatch");
-            };
-            // Phase 1: the transposed im2col matrix [ckk, pixels] into the
-            // scratch span (disjoint from out and the input by
-            // construction). Same values as the tensor path's lowering.
-            {
-                let (slo, s, shi) = carve(buf, scratch);
-                let iv = operand(slo, shi, scratch, op.ins[0]);
-                ops::im2col_transposed_into(iv, c_in, h, w, *params, s);
-            }
-            // Phase 2: seed the channel-major output with the bias (the
-            // im2col path's first addend), then one accumulation over the
-            // weight in its native [c_out, ckk] layout. Per output element
-            // the products arrive in the same ascending (c_in, ky, kx)
-            // order as the tensor path, so results are bit-identical —
-            // with no weight transpose, no pixel-major product, and no
-            // de-interleave.
-            let (lo, out, hi) = carve(buf, op.out);
-            let cols_t = operand(lo, hi, op.out, scratch);
-            match bias {
-                Some(b) => {
-                    for (row, &bv) in out.chunks_exact_mut(pixels).zip(b.as_slice()) {
-                        row.fill(bv);
-                    }
-                }
-                None => out.fill(0.0),
-            }
-            ops::matmul_acc_with(kb, out, weight.as_slice(), cols_t, c_out, ckk, pixels);
+            let (input, out, scratch) = carve_with_scratch(buf, op.ins[0], op.out, scratch);
+            let bias = bias.as_ref();
+            ops::conv2d_lowered_into(kb, input, c_in, h, w, weight, bias, *params, scratch, out)?;
         }
         OpCode::Linear { m, k, n } => {
             let LayerOp::Linear { weight, bias } = &graph.node(op.node).op else {
@@ -1316,15 +1269,12 @@ pub fn drain_compile_events() -> Vec<CompileEvent> {
 /// Everything a compilation depends on. The digest covers graph structure
 /// (op kinds, scalar params, wiring — not weight values, which the plan
 /// borrows from the *caller's* graph at execute time, so same-structure
-/// graphs with different weights share one plan soundly). The conv routing
-/// mode is part of the key because the shape-class dispatcher decides which
-/// conv opcode (and how much arena scratch) a shape compiles to.
+/// graphs with different weights share one plan soundly).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PlanCacheKey {
     digest: u64,
     latent_dims: Vec<usize>,
     context_dims: Option<Vec<usize>>,
-    conv_mode: ops::ConvMode,
 }
 
 /// Entries kept before the oldest is evicted. The workloads that benefit
@@ -1342,7 +1292,7 @@ static PLANS_REUSED: AtomicU64 = AtomicU64::new(0);
 pub struct PlanCacheStats {
     /// Cache misses: plans actually compiled.
     pub compiled: u64,
-    /// Cache hits: identical (structure, shapes, conv-mode) requests served
+    /// Cache hits: identical (structure, shapes) requests served
     /// without recompiling.
     pub reused: u64,
 }
@@ -1381,7 +1331,6 @@ pub fn compile_cached(
         digest: graph.structure_digest(),
         latent_dims: latent_dims.to_vec(),
         context_dims: context_dims.map(<[usize]>::to_vec),
-        conv_mode: ops::conv_mode(),
     };
     {
         let cache = PLAN_CACHE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -1663,6 +1612,31 @@ mod tests {
     }
 
     #[test]
+    fn carve_with_scratch_splits_disjoint_spans() {
+        // Output below or above the scratch, the operand anywhere around
+        // them, and the empty scratch of a pointwise conv at offset 0.
+        let mut buf: Vec<f32> = (0..20).map(|i| i as f32).collect();
+        let span = |off, len| Span { off, len };
+        for (input, out, scratch) in [
+            (span(0, 3), span(4, 5), span(10, 6)),
+            (span(17, 3), span(10, 6), span(4, 5)),
+            (span(9, 1), span(4, 5), span(12, 2)),
+            (span(0, 4), span(4, 6), span(0, 0)),
+            (span(6, 4), span(0, 6), span(0, 0)),
+        ] {
+            let (i, o, s) = carve_with_scratch(&mut buf, input, out, scratch);
+            assert_eq!(i[0], input.off as f32);
+            assert_eq!((o.len(), s.len()), (out.len, scratch.len));
+            if out.len > 0 {
+                assert_eq!(o[0], out.off as f32);
+            }
+            if scratch.len > 0 {
+                assert_eq!(s[0], scratch.off as f32);
+            }
+        }
+    }
+
+    #[test]
     fn compile_is_deterministic() {
         let g = attention_graph();
         let a = TracePlan::compile(&g, &[4, 6], None).unwrap();
@@ -1797,33 +1771,6 @@ mod tests {
         assert_plan_matches_tree(&g, &latent, None, 100.0);
     }
 
-    /// Serializes tests that pin the process-wide conv routing mode (the
-    /// mode is one global; concurrent routing-asserting tests would race).
-    static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Holds [`MODE_LOCK`] with the conv mode pinned, restoring the prior
-    /// mode on drop (also on panic) so routing assertions elsewhere — and
-    /// the CI `DITTO_CONV_MODE` legs — see the mode they expect.
-    struct ModePin {
-        _guard: std::sync::MutexGuard<'static, ()>,
-        prev: ops::ConvMode,
-    }
-
-    impl ModePin {
-        fn new(mode: ops::ConvMode) -> Self {
-            let guard = MODE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let prev = ops::conv_mode();
-            ops::set_conv_mode(mode);
-            ModePin { _guard: guard, prev }
-        }
-    }
-
-    impl Drop for ModePin {
-        fn drop(&mut self) {
-            ops::set_conv_mode(self.prev);
-        }
-    }
-
     /// Single-conv graph over a `[c_in, hw, hw]` latent.
     fn conv_graph(
         rng: &mut Rng,
@@ -1841,63 +1788,56 @@ mod tests {
         g
     }
 
+    /// The lowered conv opcode carries the lowering's shape and exactly
+    /// the scratch `ops::conv2d_scratch_len` asks for: none for a
+    /// pointwise conv, which reads its input in place.
+    fn assert_lowered(code: OpCode, c_in: usize, hw: usize, params: Conv2dParams) {
+        let OpCode::Conv2dIm2col { ckk, pixels, scratch, .. } = code else {
+            panic!("conv compiled to {code:?}");
+        };
+        assert_eq!(ckk, c_in * params.kernel * params.kernel);
+        assert_eq!(pixels, params.out_extent(hw).pow(2));
+        assert_eq!(scratch.len, ops::conv2d_scratch_len(c_in, hw, hw, params));
+        assert_eq!(scratch.len == 0, params == Conv2dParams::pointwise());
+    }
+
     #[test]
     fn im2col_classed_conv_compiles_to_lowered_opcode_and_matches_tree() {
-        // A conv the dispatcher classes `Im2col` (wide-channel, above the
-        // MAC threshold) must compile to the pre-lowered matmul opcode
-        // (the plan-side fast path), carry scratch for the transposed
-        // im2col matrix, and still match the tree walker bit for bit —
-        // with and without bias, and on a stride-2 shape whose padding
-        // margins exercise the lowering edges.
-        let _pin = ModePin::new(ops::ConvMode::Auto);
+        // Every conv compiles to the lowered matmul opcode and matches the
+        // tree walker bit for bit — with and without bias, on a stride-2
+        // shape whose padding margins exercise the lowering edges, and on
+        // the narrow-`c_out` 3×3 and pointwise shapes.
         let mut rng = Rng::seed_from(41);
         let cases = [
             (8usize, 12usize, 32usize, Conv2dParams::same3x3(), true),
             (8, 12, 32, Conv2dParams::same3x3(), false),
             (16, 16, 32, Conv2dParams { kernel: 3, stride: 2, padding: 1 }, true),
+            (12, 12, 4, Conv2dParams::same3x3(), true),
+            (4, 6, 4, Conv2dParams::pointwise(), false),
+            (8, 12, 16, Conv2dParams::pointwise(), true),
         ];
         for &(c_in, hw, c_out, params, with_bias) in &cases {
-            assert!(tensor::ops::conv2d_uses_im2col(c_in, hw, hw, c_out, params));
             let g = conv_graph(&mut rng, c_in, c_out, params, with_bias);
             let latent = Tensor::randn(&[c_in, hw, hw], &mut rng);
             let plan = TracePlan::compile(&g, latent.dims(), None).unwrap();
-            let lowered = plan.ops.iter().any(|op| {
-                matches!(
-                    op.code,
-                    OpCode::Conv2dIm2col { ckk, pixels, scratch, .. }
-                        if ckk == c_in * params.kernel * params.kernel
-                            && pixels == params.out_extent(hw).pow(2)
-                            && scratch.len == ckk * pixels
-                )
-            });
-            assert!(lowered, "im2col-classed conv did not compile to Conv2dIm2col");
+            assert_lowered(plan.ops[1].code, c_in, hw, params);
             assert_plan_matches_tree(&g, &latent, None, 0.25);
         }
-        // And the complement: a pointwise conv stays direct.
-        let g = conv_graph(&mut rng, 4, 4, Conv2dParams::pointwise(), false);
-        let plan = TracePlan::compile(&g, &[4, 6, 6], None).unwrap();
-        assert!(plan.ops.iter().any(|op| matches!(op.code, OpCode::Conv2dDirect { .. })));
     }
 
     #[test]
-    fn direct_classed_convs_compile_scratch_free_and_shrink_the_arena() {
-        // A conv-heavy graph whose shapes the dispatcher classes direct —
-        // the gather-bound narrow-c_out 3×3s and a pointwise mix, all well
-        // above the old MAC threshold — must compile every conv to the
-        // scratch-free `Conv2dDirect` opcode, produce byte-identical
-        // plan-vs-tree output, and show a measurably lower arena
-        // high-water than the same graph forced onto the im2col route.
-        let pin = ModePin::new(ops::ConvMode::Auto);
+    fn every_conv_compiles_to_the_lowered_opcode() {
+        // A conv-heavy graph — narrow-`c_out` 3×3s and a pointwise mix
+        // between activations — compiles every conv to the one lowered
+        // opcode and matches the tree bit for bit, over an arena whose
+        // scratch spans other ops reuse.
         let mut rng = Rng::seed_from(43);
         let mut g = LayerGraph::new();
         let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
         let p3 = Conv2dParams::same3x3();
         let mut cur = x;
+        let mut convs = Vec::new();
         for (i, (c_in, c_out)) in [(8usize, 12usize), (12, 12), (12, 8)].into_iter().enumerate() {
-            assert!(
-                ops::conv2d_class(c_in, 12, 12, c_out, p3).is_direct(),
-                "test shape must be direct-classed"
-            );
             let weight = Tensor::randn(&[c_out, c_in, 3, 3], &mut rng);
             let bias = Tensor::randn(&[c_out], &mut rng);
             cur = g.add(
@@ -1905,6 +1845,7 @@ mod tests {
                 LayerOp::Conv2d { weight, bias: Some(bias), params: p3 },
                 &[cur],
             );
+            convs.push((cur, c_in, p3));
             cur = g.add(format!("act{i}"), LayerOp::SiLU, &[cur]);
         }
         let weight = Tensor::randn(&[8, 8, 1, 1], &mut rng);
@@ -1913,56 +1854,21 @@ mod tests {
             LayerOp::Conv2d { weight, bias: None, params: Conv2dParams::pointwise() },
             &[cur],
         );
+        convs.push((cur, 8, Conv2dParams::pointwise()));
         g.set_output(cur);
 
-        let direct_plan = TracePlan::compile(&g, &[8, 12, 12], None).unwrap();
-        let conv_ops: Vec<_> = direct_plan
-            .ops
-            .iter()
-            .filter(|op| matches!(graph_op(&g, op.node), LayerOp::Conv2d { .. }))
-            .collect();
-        assert_eq!(conv_ops.len(), 4);
-        for op in &conv_ops {
-            assert!(
-                matches!(op.code, OpCode::Conv2dDirect { .. }),
-                "direct-classed conv compiled to {:?}",
-                op.code
-            );
-            assert_eq!(op.scratch(), None, "direct conv must not hold arena scratch");
+        let plan = TracePlan::compile(&g, &[8, 12, 12], None).unwrap();
+        for &(node, c_in, params) in &convs {
+            assert_lowered(plan.ops[node].code, c_in, 12, params);
         }
         let latent = Tensor::randn(&[8, 12, 12], &mut rng);
         assert_plan_matches_tree(&g, &latent, None, 50.0);
-
-        // The identical graph forced onto the im2col route needs the
-        // transposed-im2col scratch spans, so its arena high-water is
-        // strictly higher — the plan_profile `arena_f32` win.
-        ops::set_conv_mode(ops::ConvMode::Im2col);
-        let lowered_plan = TracePlan::compile(&g, &[8, 12, 12], None).unwrap();
-        assert!(lowered_plan
-            .ops
-            .iter()
-            .filter(|op| matches!(graph_op(&g, op.node), LayerOp::Conv2d { .. }))
-            .all(|op| op.scratch().is_some()));
-        assert!(
-            direct_plan.arena_len() < lowered_plan.arena_len(),
-            "direct plan arena {} should undercut im2col plan arena {}",
-            direct_plan.arena_len(),
-            lowered_plan.arena_len()
-        );
-        // Forced-im2col output still matches the tree bit for bit.
-        assert_plan_matches_tree(&g, &latent, None, 50.0);
-        drop(pin);
-    }
-
-    fn graph_op(g: &LayerGraph, node: NodeId) -> &LayerOp {
-        &g.node(node).op
     }
 
     #[test]
-    fn plan_cache_reuses_identical_structures_and_keys_on_mode() {
+    fn plan_cache_reuses_identical_structures() {
         // Depth 9 is used by no other test, so the structure digest (and
         // therefore the cache key) is this test's own.
-        let pin = ModePin::new(ops::ConvMode::Auto);
         let g = chain_graph(9);
         let before = plan_cache_stats();
         let (p1, fresh1) = compile_cached(&g, &[4, 4], None).unwrap();
@@ -1974,16 +1880,10 @@ mod tests {
         assert!(after.compiled > before.compiled);
         assert!(after.reused > before.reused);
 
-        // Different latent dims are a different key (a fresh compile), as
-        // is a different conv routing mode on the same dims.
+        // Different latent dims are a different key (a fresh compile).
         let (p3, fresh3) = compile_cached(&g, &[2, 8], None).unwrap();
         assert!(fresh3);
         assert!(!Arc::ptr_eq(&p1, &p3));
-        ops::set_conv_mode(ops::ConvMode::Im2col);
-        let (p4, fresh4) = compile_cached(&g, &[4, 4], None).unwrap();
-        assert!(fresh4, "conv mode must be part of the cache key");
-        assert!(!Arc::ptr_eq(&p1, &p4));
-        drop(pin);
 
         // Same structure, different weights: the shared plan executes
         // against each caller's own graph (weights are borrowed at execute

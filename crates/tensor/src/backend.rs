@@ -504,21 +504,22 @@ fn resolve_from_env() -> KernelBackend {
 // --------------------------------------------------------------------------
 
 /// The hot kernels whose dispatches the telemetry layer counts. One entry
-/// per public dispatcher, not per inner loop: a convolution that lowers to
-/// im2col counts once as `conv2d_f32` *and* once as `matmul_f32` for the
-/// matmul it rides — the counts report actual kernel invocations, not
-/// logical operations.
+/// per public dispatcher, not per inner loop: a tensor-level convolution
+/// counts once as `conv2d_f32` *and* once as `matmul_f32` for the matmul
+/// it lowers to — the counts report actual kernel invocations, not
+/// logical operations. A compiled plan's conv counts only its matmul.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DispatchKernel {
-    /// `tensor::ops::matmul_acc_with` (also reached via `matmul`/im2col).
+    /// The f32 matmul: `tensor::ops::matmul_acc_with` and every lowered
+    /// convolution.
     MatmulF32,
     /// `tensor::ops::matvec_with`.
     MatvecF32,
-    /// `tensor::ops::conv2d_into_with` (shape-classed route).
+    /// `tensor::ops::conv2d_into_with` (the tensor-level conv).
     Conv2dF32,
-    /// `tensor::ops::conv2d_direct_into_with` — the lowering-free direct
-    /// path the compiled-plan `Conv2dDirect` opcode dispatches (SIMD strip
-    /// kernel or the portable direct loop; never im2col).
+    /// No dispatcher counts it any more: the direct f32 convolution is gone
+    /// (every conv lowers onto the matmul core). The row stays, always
+    /// zero, because `benchmark/` reads it by name.
     Conv2dDirectF32,
     /// `quant::kernels::int_matmul_with`.
     IntMatmul,

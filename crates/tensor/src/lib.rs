@@ -10,7 +10,8 @@
 //!   (SplitMix64) with uniform and Gaussian sampling, so every experiment in
 //!   the repository is exactly reproducible.
 //! * [`ops`] — the layer kernels used by denoising models: matrix
-//!   multiplication, 2-D convolution (direct and im2col), normalization
+//!   multiplication, 2-D convolution (lowered onto the matmul, with the
+//!   sliding-window loop kept as the reference), normalization
 //!   (group / layer), activations (SiLU, GeLU, softmax), pooling and
 //!   element-wise arithmetic.
 //! * [`backend`] — the pluggable kernel-backend layer

@@ -8,33 +8,96 @@
 //! the scalar loops, so results are exactly those of the reference
 //! kernels ([`matmul_scalar`], [`matvec_scalar`]) — a requirement
 //! inherited from the Ditto equivalence claim, which rests on exact
-//! accumulator values end to end. The explicit-SIMD backend never
-//! *reassociates* `f32` reductions (that would change bits): its kernels
-//! live in [`super::simd`], where each lane is an independent output
-//! element combined with separate correctly rounded `mul`/`add` — never
-//! FMA — at the active `SimdLevel` (AVX2/SSE2/NEON). The reassociating
-//! intrinsics live in the integer kernels (`quant::kernels::simd`), where
-//! wrapping-`i32` associativity keeps any order exact.
+//! accumulator values end to end.
+//!
+//! The `Simd` backend runs every matmul — linear layers, attention's
+//! `Q·Kᵀ` and `P·V`, and every convolution lowered by [`super::conv`] — on
+//! one register-tile core in [`super::simd`], whatever the sparsity of
+//! `a`. It never *reassociates* an `f32` reduction (that would change
+//! bits): each lane is an independent output element combined with
+//! separate correctly rounded `mul`/`add` — never FMA — and a zero `a` is
+//! skipped exactly as the reference skips it. The core reads its `b`
+//! operand row-major or in the conv lowering's 16-column strips ([`Rhs`]);
+//! the portable paths read it row-major. The reassociating intrinsics live
+//! in the integer kernels (`quant::kernels::simd`), where wrapping-`i32`
+//! associativity keeps any order exact.
 
-use crate::backend::{self, KernelBackend};
+use crate::backend::{self, KernelBackend, SimdLevel};
 use crate::{Result, Tensor, TensorError};
 
 /// Rows of the left operand processed together by the tiled kernels. Each
 /// streamed row of `B` is reused `MR` times from L1 instead of being
 /// re-fetched per output row, and the `MR` live output rows (≤ `MR`·n·4
 /// bytes) stay cache-resident across the whole `k` loop.
-pub(crate) const MR: usize = 8;
+const MR: usize = 8;
 
 /// Columns-of-`A` (depth) block. Bounds the slice of `B` rows streamed per
 /// row block to `KC`·n·4 bytes so it survives in L2 across row blocks.
-pub(crate) const KC: usize = 256;
+const KC: usize = 256;
 
 /// `B` element count below which the row-blocked tiling is not worth it:
 /// a `B` this small stays cache-resident across the plain streaming loop,
 /// so blocking only adds loop overhead and a strided `A` access pattern.
 /// Both orders are bit-identical per output element, so this is purely a
 /// performance dispatch.
-pub(crate) const B_ELEMS_BLOCK_THRESHOLD: usize = 1 << 14;
+const B_ELEMS_BLOCK_THRESHOLD: usize = 1 << 14;
+
+/// Columns per strip of [`Rhs::Strips`]: two AVX2 vectors, the width of
+/// the core's widest tile.
+pub(crate) const STRIP: usize = 16;
+
+/// How the right-hand operand `b [k, n]` of a matmul is laid out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rhs {
+    /// `b[kk][j]` at `kk·n + j`.
+    RowMajor,
+    /// [`STRIP`]-column strips, each stored row after row: `b[kk][j]` at
+    /// `(j / STRIP)·STRIP·k + kk·STRIP + j % STRIP`, the last strip
+    /// zero-padded. A core tile then reads `b` as consecutive 64-byte rows.
+    /// Only the f32 core reads it; the conv lowering writes it.
+    Strips,
+}
+
+impl Rhs {
+    /// Elements of a `[k, n]` operand in this layout.
+    pub(crate) fn len(self, k: usize, n: usize) -> usize {
+        match self {
+            Rhs::RowMajor => k * n,
+            Rhs::Strips => n.div_ceil(STRIP) * STRIP * k,
+        }
+    }
+
+    /// Where `b[row][col]` of a `[k, n]` operand sits, and how many
+    /// elements of that row are contiguous from there on.
+    pub(crate) fn run(self, k: usize, n: usize, row: usize, col: usize) -> (usize, usize) {
+        match self {
+            Rhs::RowMajor => (row * n + col, n - col),
+            Rhs::Strips => {
+                ((col / STRIP) * STRIP * k + row * STRIP + col % STRIP, STRIP - col % STRIP)
+            }
+        }
+    }
+
+    /// Distance between `b[kk][j]` and `b[kk + 1][j]`.
+    pub(crate) fn row_stride(self, n: usize) -> usize {
+        match self {
+            Rhs::RowMajor => n,
+            Rhs::Strips => STRIP,
+        }
+    }
+}
+
+/// The SIMD level whose f32 core runs `backend`'s matmuls: the active
+/// level under `Simd`, if it has a core. Read once per operation, so a
+/// concurrent level switch cannot split one operand's layout from the
+/// kernel that reads it.
+pub(crate) fn core_level(backend: KernelBackend) -> Option<SimdLevel> {
+    if backend != KernelBackend::Simd {
+        return None;
+    }
+    let level = backend::simd_level();
+    super::simd::has_core(level).then_some(level)
+}
 
 /// Streaming-order (`ikj`) core shared by both compilation contexts of the
 /// small-`B` path: for each output row, dense stretches of the `a` row are
@@ -48,17 +111,16 @@ pub(crate) const B_ELEMS_BLOCK_THRESHOLD: usize = 1 << 14;
 /// Autovectorization keeps each element's operation sequence (no
 /// reassociation without fast-math), and the `fma` feature stays disabled
 /// so no fused multiply-add (single rounding) can be emitted. The `Simd`
-/// backend runs the explicitly vectorized equivalents in [`super::simd`]
-/// instead of this portable copy.
+/// backend runs the f32 core in [`super::simd`] instead of this portable
+/// copy.
 #[inline(always)]
 fn stream_acc_body(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    // Fully dense `a` (the compiled-plan conv path hands the conv *weight*
-    // as `a`, which has no exact zeros) unlocks a two-row register-blocked
-    // pass: each block of eight `b` rows is loaded once and accumulated
-    // onto two output rows. Output rows are independent elements and each
-    // still receives its products left-to-right in ascending `k`, so bits
-    // match the one-row path exactly. Sparse `a` operands (e.g. the
-    // tree executor's zero-padded im2col matrix) keep the guarded
+    // Fully dense `a` (the conv path hands the conv *weight* as `a`, which
+    // has no exact zeros) unlocks a two-row register-blocked pass: each
+    // block of eight `b` rows is loaded once and accumulated onto two
+    // output rows. Output rows are independent elements and each still
+    // receives its products left-to-right in ascending `k`, so bits match
+    // the one-row path exactly. An `a` holding any zero keeps the guarded
     // zero-skip path below.
     if m >= 2 && k >= 8 && n >= 8 && a.iter().all(|&v| v != 0.0) {
         // Outer-product micro-kernel: a 2-row × 16-column output tile is
@@ -146,17 +208,8 @@ fn stream_row(orow: &mut [f32], arow: &[f32], b: &[f32], k: usize, n: usize) {
 
 /// Guarded four- and one-step tail of a streaming row, starting at `kk`:
 /// the reference accumulation order with exact zero-skip semantics.
-/// `pub(crate)` because the explicit-SIMD streaming rows ([`super::simd`])
-/// share this exact tail, so the two paths can never drift.
 #[inline(always)]
-pub(crate) fn stream_row_tail(
-    orow: &mut [f32],
-    arow: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    mut kk: usize,
-) {
+fn stream_row_tail(orow: &mut [f32], arow: &[f32], b: &[f32], k: usize, n: usize, mut kk: usize) {
     while kk + 4 <= k {
         let (a0, a1, a2, a3) = (arow[kk], arow[kk + 1], arow[kk + 2], arow[kk + 3]);
         if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
@@ -193,19 +246,23 @@ pub(crate) fn stream_row_tail(
 
 /// Accumulates `a [m,k] × b [k,n]` on top of `out [m,n]` in place on an
 /// explicit backend. `Scalar` runs the reference `ikj` streaming order;
-/// `Tiled` runs the cache-blocked portable order; `Simd` runs the
-/// explicitly vectorized kernels in [`super::simd`] at the active
-/// `SimdLevel` (falling back to the portable tiled path when the level is
-/// `none`). All are bit-identical per output element.
+/// `Tiled` runs the cache-blocked portable order; `Simd` runs the f32
+/// register-tile core in [`super::simd`] at the active `SimdLevel`
+/// (falling back to the portable tiled path when the level is `none`).
+/// All are bit-identical per output element.
 ///
 /// `out` may carry initial values (zeros for a plain matmul, a broadcast
-/// bias for the im2col convolution path). For each output element the
+/// bias for the convolution path). For each output element the
 /// contributions arrive in ascending `k` order and `a` zeros are skipped,
 /// exactly like the scalar reference kernel.
 ///
 /// Public because arena-based executors (`diffusion::plan`) run matmuls
 /// directly over caller-owned buffers; going through this entry point
 /// keeps them bit-identical to the [`matmul`]/[`matmul_with`] tensor path.
+///
+/// # Panics
+///
+/// If `out`, `a` or `b` does not hold `m·n`, `m·k` or `k·n` elements.
 pub fn matmul_acc_with(
     backend: KernelBackend,
     out: &mut [f32],
@@ -215,13 +272,39 @@ pub fn matmul_acc_with(
     k: usize,
     n: usize,
 ) {
-    debug_assert_eq!(out.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
+    matmul_acc_in(backend, core_level(backend), out, a, b, Rhs::RowMajor, m, k, n);
+}
+
+/// [`matmul_acc_with`] with `b` in `rhs` layout, run by the f32 core at
+/// `level` — or, for `None`, by `backend`'s portable path, which reads `b`
+/// row-major only. Callers take `level` from [`core_level`] once per
+/// operation and lay `b` out for it.
+///
+/// # Panics
+///
+/// If a slice length disagrees with `m`, `k`, `n` and `rhs`, or if a
+/// portable path is handed [`Rhs::Strips`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn matmul_acc_in(
+    backend: KernelBackend,
+    level: Option<SimdLevel>,
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    rhs: Rhs,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     backend::count_dispatch(backend::DispatchKernel::MatmulF32, backend);
-    if backend == KernelBackend::Simd && super::simd::matmul_acc(out, a, b, m, k, n) {
+    if let Some(level) = level {
+        super::simd::matmul_acc(level, out, a, b, rhs, m, k, n);
         return;
     }
+    assert_eq!(rhs, Rhs::RowMajor, "the portable matmul paths read b row-major");
+    assert_eq!(out.len(), m * n, "matmul output length");
+    assert_eq!(a.len(), m * k, "matmul lhs length");
+    assert_eq!(b.len(), k * n, "matmul rhs length");
     let scalar = backend == KernelBackend::Scalar;
     if scalar || k * n <= B_ELEMS_BLOCK_THRESHOLD || m < 2 {
         // Scalar backend, or small B where the streaming `ikj` order wins
@@ -552,6 +635,43 @@ mod tests {
         assert!(matvec(&a, &Tensor::zeros(&[4])).is_err());
         assert!(matvec(&a, &Tensor::zeros(&[2, 2])).is_err());
         assert!(matvec_scalar(&a, &Tensor::zeros(&[4])).is_err());
+    }
+
+    #[test]
+    fn strip_layout_places_every_element_once() {
+        // Every `b[row][col]` of a strip-laid operand gets its own offset
+        // inside `len`, each run stays inside one strip row, and exactly
+        // the padding of a ragged last strip is left over.
+        for (k, n) in [(1usize, 1usize), (3, 16), (5, 17), (2, 40)] {
+            let len = Rhs::Strips.len(k, n);
+            assert_eq!(len, n.div_ceil(STRIP) * STRIP * k);
+            let mut seen = vec![false; len];
+            for row in 0..k {
+                for col in 0..n {
+                    let (at, run) = Rhs::Strips.run(k, n, row, col);
+                    assert!(!seen[at], "{k}x{n}: ({row}, {col}) collides");
+                    seen[at] = true;
+                    assert_eq!(run, STRIP - col % STRIP);
+                    let (next, _) = Rhs::Strips.run(k, n, row + 1, col);
+                    assert_eq!(next - at, Rhs::Strips.row_stride(n));
+                }
+            }
+            assert_eq!(seen.iter().filter(|&&s| !s).count(), len - k * n);
+            assert_eq!(Rhs::RowMajor.run(k, n, k - 1, n - 1), (k * n - 1, 1));
+        }
+    }
+
+    /// A `b` shorter than `k·n` must stop at the entry's length check on
+    /// every backend — in release builds too, where it would otherwise be
+    /// read out of bounds by the SIMD core.
+    #[test]
+    #[should_panic(expected = "matmul rhs length")]
+    fn short_rhs_panics_before_any_kernel_reads_it() {
+        let (m, k, n) = (6, 9, 17);
+        let mut out = vec![0.0f32; m * n];
+        let a = vec![1.0f32; m * k];
+        let b = vec![1.0f32; k * n - 1];
+        matmul_acc_with(KernelBackend::Simd, &mut out, &a, &b, m, k, n);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! The hot kernels ([`matmul`], [`matvec`], [`conv2d`]) are thin
 //! dispatchers over the pluggable [`crate::backend`] layer: the scalar
 //! reference loops, the cache-blocked tiled implementations (default
-//! where no SIMD exists), or explicit SIMD. Every backend produces
+//! where no SIMD exists), or explicit SIMD — where one f32 register-tile
+//! core runs every matmul, and every convolution is lowered onto that
+//! matmul ([`conv`]). Every backend produces
 //! *exactly* the same results: the per-output-element accumulation order
 //! of the scalar loops is preserved, so the Ditto equivalence claim
 //! (which rests on exact accumulator values) survives the optimization.
@@ -17,7 +19,6 @@
 
 pub mod activation;
 pub mod conv;
-pub(crate) mod conv_direct_simd;
 pub mod elementwise;
 pub mod matmul;
 pub mod norm;
@@ -29,9 +30,8 @@ pub use activation::{
     softmax_rows, softmax_rows_into_with, tanh_f32, tanh_into_with,
 };
 pub use conv::{
-    conv2d, conv2d_class, conv2d_class_in_mode, conv2d_direct, conv2d_direct_into_with,
-    conv2d_im2col, conv2d_im2col_with, conv2d_into_with, conv2d_uses_im2col, conv2d_with,
-    conv_mode, im2col, im2col_transposed_into, set_conv_mode, Conv2dParams, ConvClass, ConvMode,
+    conv2d, conv2d_direct, conv2d_into_with, conv2d_lowered_into, conv2d_scratch_len, conv2d_with,
+    im2col, Conv2dParams,
 };
 pub use elementwise::{add, mul, scale, sub};
 pub use matmul::{

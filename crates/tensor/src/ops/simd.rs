@@ -1,6 +1,7 @@
 //! Explicit-SIMD `f32` kernels — the `Simd`-backend implementation of
-//! [`super::matmul::matmul_acc_with`] and [`super::matmul::matvec_with`]
-//! (and, through the im2col path, `conv2d`).
+//! [`super::matmul::matmul_acc_with`] (and so of every linear layer,
+//! attention product and lowered convolution) and of
+//! [`super::matmul::matvec_with`].
 //!
 //! # Bit-exactness strategy
 //!
@@ -17,35 +18,41 @@
 //!
 //! The `a`-operand **zero-skip** of the reference kernels is semantic for
 //! `f32` (skipping `0.0 × ∞` or `0.0 × NaN` products, and `+0.0 + -0.0`
-//! corners, changes results), so the sparse paths here mirror the portable
-//! guarded passes exactly, and the register-tiled dense kernel is only
-//! entered when `a` contains no zero at all — where skip and no-skip are
-//! the same program.
+//! corners, changes results), so the core skips exactly the products the
+//! reference skips — see below.
 //!
-//! # Shape of the kernels
+//! # The matmul core
 //!
 //! One generic implementation ([`generic`]) is written against a minimal
-//! vector abstraction (`VecF32`: load/store/splat/mul-then-add/strided
-//! gather) and instantiated per instruction set: AVX2 (8 lanes), SSE2
-//! (4 lanes), and NEON (4 lanes) — the rungs of the
-//! [`crate::backend::SimdLevel`] ladder. Three matmul regimes mirror the
-//! portable dispatch:
+//! vector abstraction (`VecF32`: load / store / splat / mul-then-add /
+//! zero test / strided gather) and instantiated per instruction set: AVX2
+//! (8 lanes), SSE2 (4 lanes), and NEON (4 lanes) — the rungs of the
+//! [`crate::backend::SimdLevel`] ladder.
 //!
-//! * **dense** (`a` has no zeros — e.g. the compiled-plan conv path, which
-//!   hands the conv *weight* as `a`): an output-stationary register-tiled
-//!   kernel holds a 4-row × 2-vector output tile in registers across the
-//!   whole `k` extent, eliminating the per-`k` output traffic that
-//!   dominates the streaming form;
-//! * **streaming** (sparse `a`, small `B` or single row): the guarded
-//!   eight-step pass of the portable kernel with an explicitly vectorized
-//!   column loop;
-//! * **blocked** (sparse `a`, large `B`): the `MR`/`KC` cache-blocked loop
-//!   nest with a vectorized column loop.
+//! * **The tile.** A 6-row × 2-vector output tile (AVX2: 6 × 16 columns)
+//!   holds twelve accumulators across a `k` block — with two `b` vectors
+//!   and one broadcast of `a`, 15 of the 16 vector registers of AVX2 and
+//!   SSE2 — so `out` is read and written once per block. 4-, 2- and 1-row
+//!   tiles take the `m % 6` rows, a 1-vector tile an odd column group, and
+//!   a ragged last column group runs on stack copies of its columns, so
+//!   no shape falls to a scalar loop.
+//! * **Zeros inside the tile.** For each row block and `k` block, one
+//!   vector compare per `a` vector marks the `k` indices where any of the
+//!   block's rows holds `±0.0`. Between marked indices the tile runs
+//!   unguarded; at a marked index it takes one guarded step whose lanes
+//!   keep their old value for a row whose `a` is zero. A dense operand
+//!   runs at the dense rate, and one stray zero costs one guarded step,
+//!   not the whole call.
+//! * **`b` as (pointer, row stride).** Linear layers and attention pass
+//!   `b` row-major; the conv lowering writes it in 16-column strips
+//!   ([`super::matmul::Rhs`]), so a tile reads consecutive 64-byte rows.
+//!   A `k` block (256 indices) of `b` stays in L2 while every row block
+//!   passes over it.
 //!
-//! Dispatch happens on the *active* level ([`crate::backend::simd_level`]),
-//! so forcing `DITTO_SIMD_LEVEL=sse2` on an AVX2 host runs the real SSE2
-//! kernels, and level `none` reports "no kernel" (`false`) and lets the
-//! caller fall back to the portable tiled path.
+//! Callers pass the level ([`matmul_acc`]); the `Simd` backend passes the
+//! *active* one ([`crate::backend::simd_level`]), so forcing
+//! `DITTO_SIMD_LEVEL=sse2` on an AVX2 host runs the real SSE2 kernels, and
+//! level `none` has no core — the caller runs the portable tiled path.
 //!
 //! # Transcendental kernels
 //!
@@ -68,6 +75,7 @@
 //! and the caller runs the scalar port.
 
 use crate::backend::{self, SimdLevel};
+use crate::ops::matmul::Rhs;
 
 /// The element-wise functions [`activation`] has vector kernels for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,41 +136,53 @@ pub(crate) fn softmax_rows(out: &mut [f32], x: &[f32], rows: usize, cols: usize)
     false
 }
 
-/// Explicit-SIMD `out [m,n] += a [m,k] × b [k,n]` at the active SIMD
-/// level. Returns `false` (leaving `out` untouched) when no kernel exists
-/// for the active level on this architecture — the caller falls back to
-/// the portable path.
+/// Whether `level` has an f32 matmul core on this architecture.
+pub(crate) fn has_core(level: SimdLevel) -> bool {
+    match level {
+        SimdLevel::Avx2 | SimdLevel::Sse2 => cfg!(target_arch = "x86_64"),
+        SimdLevel::Neon => cfg!(target_arch = "aarch64"),
+        SimdLevel::None => false,
+    }
+}
+
+/// The f32 core: `out [m,n] += a [m,k] × b [k,n]` at `level`, with `b` in
+/// `rhs` layout (see the module docs).
+///
+/// # Panics
+///
+/// If a slice length disagrees with `m`, `k`, `n` and `rhs`, or if
+/// `level` has no core here or cannot run on this host.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_acc(
+    level: SimdLevel,
     out: &mut [f32],
     a: &[f32],
     b: &[f32],
+    rhs: Rhs,
     m: usize,
     k: usize,
     n: usize,
-) -> bool {
-    match backend::simd_level() {
-        // SAFETY (all arms): only hardware-supported levels can ever be
-        // active (`set_simd_level` and the env resolution both enforce
-        // `is_hw_supported`), so the matched level proves its feature.
+) {
+    // Everything the core's pointer arithmetic relies on, checked in every
+    // build profile: `matmul_acc_with` is a safe public entry.
+    assert_eq!(out.len(), m * n, "matmul output length");
+    assert_eq!(a.len(), m * k, "matmul lhs length");
+    assert_eq!(b.len(), rhs.len(k, n), "matmul rhs length");
+    assert!(has_core(level) && level.is_hw_supported(), "no f32 core at SIMD level {level}");
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    match level {
+        // SAFETY (all arms): the level runs on this host (asserted above),
+        // which is the feature the `target_feature` wrapper enables, and
+        // the slices have the lengths asserted above.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => {
-            unsafe { x86::matmul_acc_avx2(out, a, b, m, k, n) };
-            true
-        }
+        SimdLevel::Avx2 => unsafe { x86::matmul_acc_avx2(out, a, b, rhs, m, k, n) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => {
-            unsafe { x86::matmul_acc_sse2(out, a, b, m, k, n) };
-            true
-        }
+        SimdLevel::Sse2 => unsafe { x86::matmul_acc_sse2(out, a, b, rhs, m, k, n) },
         #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => {
-            unsafe { neon::matmul_acc_neon(out, a, b, m, k, n) };
-            true
-        }
-        _ => {
-            let _ = (out, a, b, m, k, n);
-            false
-        }
+        SimdLevel::Neon => unsafe { neon::matmul_acc_neon(out, a, b, rhs, m, k, n) },
+        _ => unreachable!("has_core admitted {level}"),
     }
 }
 
@@ -200,17 +220,14 @@ pub(crate) fn matvec(out: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) 
 pub(crate) mod generic {
     #[cfg(target_arch = "x86_64")]
     use crate::ops::activation;
-    use crate::ops::matmul::{self, B_ELEMS_BLOCK_THRESHOLD, KC, MR};
+    use crate::ops::matmul::{self, Rhs};
 
     /// The minimal vector contract the generic kernels are written
     /// against. All operations are lane-wise; `muladd` must lower to a
     /// separate correctly rounded multiply and add (never a fused
     /// multiply-add), because one rounding vs two changes bits.
-    /// `pub(crate)` so the direct-conv kernels
-    /// ([`crate::ops::conv_direct_simd`]) instantiate against the same
-    /// contract (and the same per-ISA vector types) as the matmul family.
     pub(crate) trait VecF32: Copy {
-        /// Lane count (vector width in `f32`s).
+        /// Lane count (vector width in `f32`s); divides 64.
         const LANES: usize;
         /// # Safety
         /// `p` must be readable for `LANES` consecutive `f32`s.
@@ -225,222 +242,293 @@ pub(crate) mod generic {
         /// # Safety
         /// Only unsafe because the underlying intrinsics are.
         unsafe fn muladd(self, a: Self, b: Self) -> Self;
+        /// [`VecF32::muladd`] in the lanes where `a` is not `±0.0`, `self`
+        /// unchanged where it is: the reference's zero-skip as a select.
+        /// # Safety
+        /// Only unsafe because the underlying intrinsics are.
+        unsafe fn muladd_nonzero(self, a: Self, b: Self) -> Self;
+        /// Bit `l` set when lane `l` is `±0.0`.
+        /// # Safety
+        /// Only unsafe because the underlying intrinsics are.
+        unsafe fn zero_bits(self) -> u32;
         /// `{p[0], p[stride], …, p[(LANES-1)·stride]}`.
         /// # Safety
         /// Every strided element must be readable.
         unsafe fn gather_stride(p: *const f32, stride: usize) -> Self;
     }
 
-    /// Full matmul-accumulate dispatch, mirroring the portable regimes:
-    /// register-tiled when `a` is entirely nonzero, guarded streaming for
-    /// sparse small-`B`/single-row shapes, `MR`/`KC` blocked otherwise.
+    /// `k` indices per block of the core. A row block's zero mask covers
+    /// one block (a bit per index), so it lives on the stack, and a block
+    /// of `b` rows stays in L2 while every row block passes over it.
+    const KB: usize = 256;
+
+    /// The widest `LANES` of any instantiation (AVX2), sizing stack tiles.
+    const MAX_LANES: usize = 8;
+
+    /// Rows of the tallest tile.
+    const MAX_ROWS: usize = 6;
+
+    /// `R` rows of `a` over one `k` block: where they start, their row
+    /// stride, the block length, and bit `t` set where any of the rows
+    /// holds `±0.0` at block index `t`.
+    struct Panel {
+        a: *const f32,
+        lda: usize,
+        kl: usize,
+        zeros: [u64; KB / 64],
+    }
+
+    /// Rows `kc..` of the core's `b`, a `[k, n]` operand in `rhs` layout.
+    #[derive(Clone, Copy)]
+    struct Block {
+        b: *const f32,
+        rhs: Rhs,
+        k: usize,
+        n: usize,
+        kc: usize,
+    }
+
+    impl Block {
+        /// Column `j` of the block's first row, and the distance to the
+        /// same column of the next row. In bounds of the operand for
+        /// `j < n`.
+        #[inline(always)]
+        fn column(self, j: usize) -> (*const f32, usize) {
+            let (at, _) = self.rhs.run(self.k, self.n, self.kc, j);
+            (self.b.wrapping_add(at), self.rhs.row_stride(self.n))
+        }
+    }
+
+    /// The f32 core: `out [m,n] += a [m,k] × b`, `b` a `[k, n]` operand in
+    /// `rhs` layout. `k` blocks are the outer loop; within one, 6-row
+    /// blocks of `a` (then a 4-, 2- and 1-row remainder) each sweep every
+    /// column group.
     ///
     /// # Safety
     ///
-    /// The instantiating instruction set must be enabled in the enclosing
-    /// `#[target_feature]` context, and the slices must have the declared
-    /// `m·k` / `k·n` / `m·n` lengths (debug-asserted here and by the public
-    /// entry).
+    /// The instruction set of `V` must be enabled in the enclosing
+    /// `#[target_feature]` context, `m`, `k`, `n` must be non-zero, and
+    /// `out`, `a` and `b` must hold `m·n`, `m·k` and `rhs.len(k, n)`
+    /// elements.
     #[inline(always)]
     pub(super) unsafe fn matmul_acc_impl<V: VecF32>(
         out: &mut [f32],
         a: &[f32],
         b: &[f32],
+        rhs: Rhs,
         m: usize,
         k: usize,
         n: usize,
     ) {
-        // Everything the kernels' pointer arithmetic relies on.
-        debug_assert_eq!(out.len(), m * n);
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        if a.is_empty() || n == 0 {
-            return;
-        }
-        if a.iter().all(|&v| v != 0.0) {
-            dense_acc::<V>(out, a, b, m, k, n);
-        } else if k * n <= B_ELEMS_BLOCK_THRESHOLD || m < 2 {
-            for i in 0..m {
-                stream_row::<V>(&mut out[i * n..(i + 1) * n], &a[i * k..(i + 1) * k], b, k, n);
+        let (op, ap) = (out.as_mut_ptr(), a.as_ptr());
+        // SAFETY (every row block below): rows `i..i + R` of `out` and `a`
+        // lie inside their `m·n` and `m·k` elements, columns `kc..kc + kl`
+        // inside a row of `a`, and rows `kc..kc + kl` inside `b`.
+        for kc in (0..k).step_by(KB) {
+            let kl = KB.min(k - kc);
+            let block = Block { b: b.as_ptr(), rhs, k, n, kc };
+            let mut i = 0;
+            while i + 6 <= m {
+                row_block::<V, 6>(op.add(i * n), ap.add(i * k + kc), k, kl, block);
+                i += 6;
             }
-        } else {
-            blocked_acc::<V>(out, a, b, m, k, n);
+            if m - i >= 4 {
+                row_block::<V, 4>(op.add(i * n), ap.add(i * k + kc), k, kl, block);
+                i += 4;
+            }
+            if m - i >= 2 {
+                row_block::<V, 2>(op.add(i * n), ap.add(i * k + kc), k, kl, block);
+                i += 2;
+            }
+            if m - i == 1 {
+                row_block::<V, 1>(op.add(i * n), ap.add(i * k + kc), k, kl, block);
+            }
         }
     }
 
-    /// Output-stationary register-tiled kernel for fully dense `a`: a
-    /// 4-row × 2-vector output tile lives in eight vector accumulators —
-    /// eight independent add chains — across the whole `k` extent (plus two
-    /// `b` registers and the row broadcasts, inside 16 vector registers),
-    /// so each output element is loaded and stored exactly once instead of
-    /// once per streamed pass. Per element the products are still added one
-    /// at a time in ascending `k` — the reference sequence — and `a` has no
-    /// zeros, so the reference zero-skip is vacuously preserved. The
-    /// `m % 4` rows take the same kernel two rows, then one row, high.
-    #[inline(always)]
-    unsafe fn dense_acc<V: VecF32>(
-        out: &mut [f32],
-        a: &[f32],
-        b: &[f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        let mut i = 0;
-        while i + 4 <= m {
-            dense_rows::<V, 4>(&mut out[i * n..(i + 4) * n], &a[i * k..(i + 4) * k], b, k, n);
-            i += 4;
-        }
-        if i + 2 <= m {
-            dense_rows::<V, 2>(&mut out[i * n..(i + 2) * n], &a[i * k..(i + 2) * k], b, k, n);
-            i += 2;
-        }
-        if i < m {
-            dense_rows::<V, 1>(&mut out[i * n..(i + 1) * n], &a[i * k..(i + 1) * k], b, k, n);
-        }
-    }
-
-    /// `R` output rows of [`dense_acc`]: `R × 2`-vector tiles, then an
-    /// `R × 1`-vector tile, then scalar columns, each across the whole `k`
-    /// extent. Every lane (and every scalar column) is one output element
-    /// folding its products in ascending `k` with a separate multiply and
-    /// add.
+    /// `R` rows of one `k` block: pairs of column groups through the
+    /// `R × 2` tile, an odd group through `R × 1`, and a ragged last group
+    /// through `R × 1` on a stack copy of its `out` columns — reading `b`
+    /// in place where strip padding covers the missing columns, from a
+    /// stack copy of its columns where `b` is row-major (the columns past
+    /// `n` are the next row's there, and past the end of `b` on the last).
     ///
     /// # Safety
     ///
-    /// `out` must hold `R·n`, `a` `R·k` and `b` `k·n` elements.
+    /// `out` must hold `R` rows of `block.n` `f32`s `block.n` apart, `a`
+    /// `R` rows of `kl` `f32`s `lda` apart, and `block` must cover `kl`
+    /// rows of its operand.
     #[inline(always)]
-    unsafe fn dense_rows<V: VecF32, const R: usize>(
-        out: &mut [f32],
-        a: &[f32],
-        b: &[f32],
-        k: usize,
-        n: usize,
+    unsafe fn row_block<V: VecF32, const R: usize>(
+        out: *mut f32,
+        a: *const f32,
+        lda: usize,
+        kl: usize,
+        block: Block,
     ) {
-        let w = V::LANES;
-        let (op, ap, bp) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+        let panel = Panel { a, lda, kl, zeros: zero_mask::<V, R>(a, lda, kl) };
+        let (w, n) = (V::LANES, block.n);
         let mut j = 0;
         while j + 2 * w <= n {
-            let mut acc = [[V::load(op); 2]; R];
-            for r in 0..R {
-                acc[r] = [V::load(op.add(r * n + j)), V::load(op.add(r * n + j + w))];
-            }
-            for kk in 0..k {
-                let b0 = V::load(bp.add(kk * n + j));
-                let b1 = V::load(bp.add(kk * n + j + w));
-                for r in 0..R {
-                    let av = V::splat(*ap.add(r * k + kk));
-                    acc[r] = [acc[r][0].muladd(av, b0), acc[r][1].muladd(av, b1)];
-                }
-            }
-            for r in 0..R {
-                acc[r][0].store(op.add(r * n + j));
-                acc[r][1].store(op.add(r * n + j + w));
-            }
+            tile::<V, R, 2>(out.add(j), n, &panel, block.column(j));
             j += 2 * w;
         }
         if j + w <= n {
-            let mut acc = [V::load(op); R];
-            for r in 0..R {
-                acc[r] = V::load(op.add(r * n + j));
-            }
-            for kk in 0..k {
-                let bv = V::load(bp.add(kk * n + j));
-                for r in 0..R {
-                    acc[r] = acc[r].muladd(V::splat(*ap.add(r * k + kk)), bv);
-                }
-            }
-            for r in 0..R {
-                acc[r].store(op.add(r * n + j));
-            }
+            tile::<V, R, 1>(out.add(j), n, &panel, block.column(j));
             j += w;
         }
-        for jj in j..n {
-            for r in 0..R {
-                let mut acc = out[r * n + jj];
-                for kk in 0..k {
-                    acc += a[r * k + kk] * b[kk * n + jj];
+        let ragged = n - j;
+        if ragged == 0 {
+            return;
+        }
+        // SAFETY: columns `j..n` of the `R` rows are in `out`, and `stage`
+        // holds `R` rows of `LANES > ragged` values.
+        let mut stage = [0.0f32; MAX_ROWS * MAX_LANES];
+        for r in 0..R {
+            std::ptr::copy_nonoverlapping(
+                out.add(r * n + j),
+                stage.as_mut_ptr().add(r * w),
+                ragged,
+            );
+        }
+        let mut b_stage: [f32; KB * MAX_LANES];
+        let b = match block.rhs {
+            Rhs::Strips => block.column(j),
+            Rhs::RowMajor => {
+                let (b, ldb) = block.column(j);
+                b_stage = [0.0; KB * MAX_LANES];
+                // SAFETY: columns `j..n` of the block's `kl` rows are in
+                // `b`, and `b_stage` holds `kl <= KB` rows of `LANES`.
+                for t in 0..kl {
+                    let to = b_stage.as_mut_ptr().add(t * w);
+                    std::ptr::copy_nonoverlapping(b.add(t * ldb), to, ragged);
                 }
-                out[r * n + jj] = acc;
+                (b_stage.as_ptr(), w)
             }
+        };
+        tile::<V, R, 1>(stage.as_mut_ptr(), w, &panel, b);
+        for r in 0..R {
+            std::ptr::copy_nonoverlapping(stage.as_ptr().add(r * w), out.add(r * n + j), ragged);
         }
     }
 
-    /// One streaming output row: the portable kernel's guarded eight-step
-    /// head with an explicitly vectorized column loop, falling through to
-    /// the shared portable tail ([`matmul::stream_row_tail`]) at the first
-    /// zero (or for `k % 8`), so zero-skip semantics are exactly the
-    /// reference's.
+    /// Bit `t` of the result is set where any of the `R` rows of `a`
+    /// (`lda` apart) holds `±0.0` at index `t < kl`: one vector compare per
+    /// `LANES` values (`LANES` divides 64, so a compare never straddles a
+    /// word), the `kl % LANES` tail one at a time.
+    ///
+    /// # Safety
+    ///
+    /// `a` must hold `R` rows of `kl` `f32`s `lda` apart, `kl <= KB`.
     #[inline(always)]
-    unsafe fn stream_row<V: VecF32>(orow: &mut [f32], arow: &[f32], b: &[f32], k: usize, n: usize) {
-        let mut kk = 0;
-        while kk + 8 <= k {
-            let a8: [f32; 8] = arow[kk..kk + 8].try_into().expect("slice of 8");
-            if a8.contains(&0.0) {
-                break;
-            }
-            let bp = b.as_ptr().add(kk * n);
-            let mut j = 0;
-            while j + V::LANES <= n {
-                let mut acc = V::load(orow.as_ptr().add(j));
-                for (t, &av) in a8.iter().enumerate() {
-                    acc = acc.muladd(V::splat(av), V::load(bp.add(t * n + j)));
-                }
-                acc.store(orow.as_mut_ptr().add(j));
-                j += V::LANES;
-            }
-            for jj in j..n {
-                let mut acc = orow[jj];
-                for (t, &av) in a8.iter().enumerate() {
-                    acc += av * b[(kk + t) * n + jj];
-                }
-                orow[jj] = acc;
-            }
-            kk += 8;
-        }
-        matmul::stream_row_tail(orow, arow, b, k, n, kk);
-    }
-
-    /// The `MR`/`KC` cache-blocked loop nest of the portable large-`B`
-    /// path with a vectorized column loop. Per output element this is one
-    /// product per non-zero `a[i,kk]` in ascending `k` order (the `kb`
-    /// blocks ascend and `kk` ascends within each block), identical to the
-    /// portable blocked kernel.
-    #[inline(always)]
-    unsafe fn blocked_acc<V: VecF32>(
-        out: &mut [f32],
-        a: &[f32],
-        b: &[f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
+    unsafe fn zero_mask<V: VecF32, const R: usize>(
+        a: *const f32,
+        lda: usize,
+        kl: usize,
+    ) -> [u64; KB / 64] {
+        let mut zeros = [0u64; KB / 64];
         let w = V::LANES;
-        for ib in (0..m).step_by(MR) {
-            let ie = (ib + MR).min(m);
-            for kb in (0..k).step_by(KC) {
-                let ke = (kb + KC).min(k);
-                for kk in kb..ke {
-                    let brow = &b[kk * n..kk * n + n];
-                    let bp = brow.as_ptr();
-                    for i in ib..ie {
-                        let aik = *a.get_unchecked(i * k + kk);
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let av = V::splat(aik);
-                        let orow = &mut out[i * n..i * n + n];
-                        let op = orow.as_mut_ptr();
-                        let mut j = 0;
-                        while j + w <= n {
-                            V::load(op.add(j)).muladd(av, V::load(bp.add(j))).store(op.add(j));
-                            j += w;
-                        }
-                        for jj in j..n {
-                            orow[jj] += aik * brow[jj];
-                        }
-                    }
+        // SAFETY: every read is of index `t < kl` of one of the `R` rows.
+        for r in 0..R {
+            let row = a.add(r * lda);
+            let mut t = 0;
+            while t + w <= kl {
+                zeros[t / 64] |= u64::from(V::load(row.add(t)).zero_bits()) << (t % 64);
+                t += w;
+            }
+            for t in t..kl {
+                if *row.add(t) == 0.0 {
+                    zeros[t / 64] |= 1 << (t % 64);
                 }
+            }
+        }
+        zeros
+    }
+
+    /// The output-stationary micro-kernel: an `R`-row × `C`-vector tile of
+    /// `out` (row stride `ldo`) stays in `R · C` accumulators while the
+    /// panel's `k` block streams through — unguarded steps between the
+    /// panel's zero indices, one guarded step at each. Per output element
+    /// the products arrive in ascending `k`, and exactly the ones with a
+    /// zero `a` are left out: the reference sequence.
+    ///
+    /// # Safety
+    ///
+    /// `out` must be valid for `R` rows of `C · LANES` `f32`s `ldo` apart,
+    /// and `b.0` for `panel.kl` rows of `C · LANES` `f32`s `b.1` apart.
+    #[inline(always)]
+    unsafe fn tile<V: VecF32, const R: usize, const C: usize>(
+        out: *mut f32,
+        ldo: usize,
+        panel: &Panel,
+        b: (*const f32, usize),
+    ) {
+        let mut acc = [[V::splat(0.0); C]; R];
+        // SAFETY: the caller's contract covers these `R × C` vectors of
+        // `out`, and every step index is below `panel.kl`.
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (c, v) in row.iter_mut().enumerate() {
+                *v = V::load(out.add(r * ldo + c * V::LANES));
+            }
+        }
+        let mut t = 0;
+        for (word, &bits) in panel.zeros.iter().enumerate() {
+            let end = panel.kl.min((word + 1) * 64);
+            if bits.count_ones() > 8 {
+                // Zeros everywhere: guard every step rather than find each.
+                while t < end {
+                    step::<V, R, C, true>(&mut acc, panel, b, t);
+                    t += 1;
+                }
+                continue;
+            }
+            let mut zeros = bits;
+            while zeros != 0 {
+                let z = word * 64 + zeros.trailing_zeros() as usize;
+                while t < z {
+                    step::<V, R, C, false>(&mut acc, panel, b, t);
+                    t += 1;
+                }
+                step::<V, R, C, true>(&mut acc, panel, b, z);
+                t = z + 1;
+                zeros &= zeros - 1;
+            }
+            while t < end {
+                step::<V, R, C, false>(&mut acc, panel, b, t);
+                t += 1;
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (c, v) in row.iter().enumerate() {
+                v.store(out.add(r * ldo + c * V::LANES));
+            }
+        }
+    }
+
+    /// One `k` index of [`tile`]: `acc[r][c] += a[r][t] · b[t][c]`, leaving
+    /// the rows whose `a[r][t]` is `±0.0` untouched when `GUARDED`.
+    ///
+    /// # Safety
+    ///
+    /// As for [`tile`], with `t < panel.kl`.
+    #[inline(always)]
+    unsafe fn step<V: VecF32, const R: usize, const C: usize, const GUARDED: bool>(
+        acc: &mut [[V; C]; R],
+        panel: &Panel,
+        (b, ldb): (*const f32, usize),
+        t: usize,
+    ) {
+        // SAFETY: row `t` of the tile's `b` and index `t` of each `a` row
+        // are inside the caller's contract.
+        let bt = b.add(t * ldb);
+        let mut bv = [V::load(bt); C];
+        for (c, v) in bv.iter_mut().enumerate().skip(1) {
+            *v = V::load(bt.add(c * V::LANES));
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = V::splat(*panel.a.add(r * panel.lda + t));
+            for (v, &bc) in row.iter_mut().zip(&bv) {
+                *v = if GUARDED { v.muladd_nonzero(av, bc) } else { v.muladd(av, bc) };
             }
         }
     }
@@ -698,6 +786,7 @@ pub(crate) mod x86 {
         map_impl, matmul_acc_impl, matvec_impl, Gelu, LaneFn, Tanh, VecF32, VecMath,
     };
     use crate::ops::activation;
+    use crate::ops::matmul::Rhs;
 
     /// 8-lane AVX2 vector. The arithmetic (`vmulps`/`vaddps`) only needs
     /// AVX, but the kernels are gated behind the `Avx2` ladder rung to
@@ -723,6 +812,15 @@ pub(crate) mod x86 {
         unsafe fn muladd(self, a: Self, b: Self) -> Self {
             // Separate vmulps + vaddps; never vfmadd (single rounding).
             V256(_mm256_add_ps(self.0, _mm256_mul_ps(a.0, b.0)))
+        }
+        #[inline(always)]
+        unsafe fn muladd_nonzero(self, a: Self, b: Self) -> Self {
+            let zero = _mm256_cmp_ps::<_CMP_EQ_OQ>(a.0, _mm256_setzero_ps());
+            V256(_mm256_blendv_ps(self.muladd(a, b).0, self.0, zero))
+        }
+        #[inline(always)]
+        unsafe fn zero_bits(self) -> u32 {
+            _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(self.0, _mm256_setzero_ps())) as u32
         }
         #[inline(always)]
         unsafe fn gather_stride(p: *const f32, stride: usize) -> Self {
@@ -839,6 +937,16 @@ pub(crate) mod x86 {
             V128(_mm_add_ps(self.0, _mm_mul_ps(a.0, b.0)))
         }
         #[inline(always)]
+        unsafe fn muladd_nonzero(self, a: Self, b: Self) -> Self {
+            let zero = _mm_cmpeq_ps(a.0, _mm_setzero_ps());
+            let sum = self.muladd(a, b).0;
+            V128(_mm_or_ps(_mm_and_ps(zero, self.0), _mm_andnot_ps(zero, sum)))
+        }
+        #[inline(always)]
+        unsafe fn zero_bits(self) -> u32 {
+            _mm_movemask_ps(_mm_cmpeq_ps(self.0, _mm_setzero_ps())) as u32
+        }
+        #[inline(always)]
         unsafe fn gather_stride(p: *const f32, stride: usize) -> Self {
             V128(_mm_set_ps(*p.add(3 * stride), *p.add(2 * stride), *p.add(stride), *p))
         }
@@ -914,31 +1022,33 @@ pub(crate) mod x86 {
     }
 
     /// # Safety
-    /// AVX2 must be available; slice lengths per [`matmul_acc_impl`].
+    /// AVX2 must be available; arguments per [`matmul_acc_impl`].
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn matmul_acc_avx2(
         out: &mut [f32],
         a: &[f32],
         b: &[f32],
+        rhs: Rhs,
         m: usize,
         k: usize,
         n: usize,
     ) {
-        matmul_acc_impl::<V256>(out, a, b, m, k, n)
+        matmul_acc_impl::<V256>(out, a, b, rhs, m, k, n)
     }
 
     /// # Safety
-    /// SSE2 must be available; slice lengths per [`matmul_acc_impl`].
+    /// SSE2 must be available; arguments per [`matmul_acc_impl`].
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn matmul_acc_sse2(
         out: &mut [f32],
         a: &[f32],
         b: &[f32],
+        rhs: Rhs,
         m: usize,
         k: usize,
         n: usize,
     ) {
-        matmul_acc_impl::<V128>(out, a, b, m, k, n)
+        matmul_acc_impl::<V128>(out, a, b, rhs, m, k, n)
     }
 
     /// # Safety
@@ -1246,6 +1356,7 @@ pub(crate) mod neon {
     use core::arch::aarch64::*;
 
     use super::generic::{matmul_acc_impl, matvec_impl, VecF32};
+    use crate::ops::matmul::Rhs;
 
     /// 4-lane NEON vector (NEON is aarch64 baseline).
     #[derive(Clone, Copy)]
@@ -1271,6 +1382,15 @@ pub(crate) mod neon {
             V128N(vaddq_f32(self.0, vmulq_f32(a.0, b.0)))
         }
         #[inline(always)]
+        unsafe fn muladd_nonzero(self, a: Self, b: Self) -> Self {
+            V128N(vbslq_f32(vceqzq_f32(a.0), self.0, self.muladd(a, b).0))
+        }
+        #[inline(always)]
+        unsafe fn zero_bits(self) -> u32 {
+            const LANE_BITS: [u32; 4] = [1, 2, 4, 8];
+            vaddvq_u32(vandq_u32(vceqzq_f32(self.0), vld1q_u32(LANE_BITS.as_ptr())))
+        }
+        #[inline(always)]
         unsafe fn gather_stride(p: *const f32, stride: usize) -> Self {
             let lanes = [*p, *p.add(stride), *p.add(2 * stride), *p.add(3 * stride)];
             V128N(vld1q_f32(lanes.as_ptr()))
@@ -1278,18 +1398,19 @@ pub(crate) mod neon {
     }
 
     /// # Safety
-    /// Slice lengths per [`matmul_acc_impl`] (NEON is always present on
+    /// Arguments per [`matmul_acc_impl`] (NEON is always present on
     /// aarch64).
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn matmul_acc_neon(
         out: &mut [f32],
         a: &[f32],
         b: &[f32],
+        rhs: Rhs,
         m: usize,
         k: usize,
         n: usize,
     ) {
-        matmul_acc_impl::<V128N>(out, a, b, m, k, n)
+        matmul_acc_impl::<V128N>(out, a, b, rhs, m, k, n)
     }
 
     /// # Safety
@@ -1458,8 +1579,8 @@ mod tests {
         }
     }
 
-    /// Scalar reference: `ikj` with zero-skip — the ground truth every
-    /// backend and level must match bitwise.
+    /// Scalar reference: `matmul_scalar`'s `ikj` loop with zero-skip, on a
+    /// seeded `out` — the ground truth every level must match bitwise.
     fn reference_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
         for i in 0..m {
             for kk in 0..k {
@@ -1484,13 +1605,9 @@ mod tests {
         }
     }
 
-    fn rand_f32(rng: &mut Rng, zero_frac: f64) -> f32 {
-        if zero_frac > 0.0 && rng.next_f64() < zero_frac {
-            return 0.0;
-        }
-        let v = (rng.next_f64() * 2.0 - 1.0) as f32;
-        // Dense cases must contain no *exact* zero, or the register-tiled
-        // predicate flips to the streaming path.
+    /// A normal draw that is never an exact zero.
+    fn nonzero(rng: &mut Rng) -> f32 {
+        let v = rng.next_normal();
         if v == 0.0 {
             0.5
         } else {
@@ -1498,62 +1615,127 @@ mod tests {
         }
     }
 
-    /// Every per-level kernel (called directly, independent of the mutable
-    /// active-level global) matches the scalar reference bitwise on shapes
-    /// around every lane and dispatch boundary.
+    /// `b [k, n]` rewritten in the conv lowering's strip order.
+    fn to_strips(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+        let mut strips = vec![0.0f32; Rhs::Strips.len(k, n)];
+        for kk in 0..k {
+            for j in 0..n {
+                strips[Rhs::Strips.run(k, n, kk, j).0] = b[kk * n + j];
+            }
+        }
+        strips
+    }
+
+    /// The zero patterns of `a [m, k]` the core is checked under, each with
+    /// the `k` indices whose `b` rows get poisoned with `±∞` / NaN: no zero;
+    /// one zero at the first and at the last `k`; one zero in each row of
+    /// the first 6-row block; 30 % zeros; all zeros. Zeros alternate between
+    /// `+0.0` and `-0.0`.
+    fn zero_patterns(rng: &mut Rng, m: usize, k: usize) -> Vec<(String, Vec<f32>, Vec<usize>)> {
+        let dense: Vec<f32> = (0..m * k).map(|_| nonzero(rng)).collect();
+        let zero = |i: usize| if i.is_multiple_of(2) { 0.0 } else { -0.0 };
+        let single = |name: String, i: usize, r: usize, kk: usize| {
+            let mut a = dense.clone();
+            a[r * k + kk] = zero(i);
+            (name, a, vec![kk])
+        };
+        let mut patterns = vec![
+            ("none".to_string(), dense.clone(), vec![]),
+            single("first k".into(), 1, 0, 0),
+            single("last k".into(), 2, m - 1, k - 1),
+        ];
+        for r in 0..m.min(6) {
+            patterns.push(single(format!("row {r}"), r, r, k / 2));
+        }
+        let sparse =
+            dense.iter().enumerate().map(
+                |(i, &v)| {
+                    if rng.next_below(100) < 30 {
+                        zero(i)
+                    } else {
+                        v
+                    }
+                },
+            );
+        patterns.push(("30 %".into(), sparse.collect(), vec![]));
+        patterns.push(("all".into(), (0..m * k).map(zero).collect(), vec![0, k - 1]));
+        patterns
+    }
+
+    /// A level without a core is refused before any kernel runs.
+    #[test]
+    #[should_panic(expected = "no f32 core")]
+    fn core_refuses_a_level_without_kernels() {
+        let mut out = [0.0f32; 1];
+        matmul_acc(SimdLevel::None, &mut out, &[1.0], &[1.0], Rhs::RowMajor, 1, 1, 1);
+    }
+
+    /// The core at every level this host runs — called with the level as a
+    /// value, so it races no test that switches the active level — and the
+    /// lane-per-row matvec, against the scalar references. The matmul
+    /// matrix crosses every tile and remainder: `m` across the 6-row block
+    /// and its 4/2/1 remainders, `k` across the vector widths and past a
+    /// 256-index `k` block, `n` across the 4- and 8-lane groups and the
+    /// 16-column strip. Each shape runs under every [`zero_patterns`] case,
+    /// with `±∞` and NaN in the `b` rows a zero `a` must skip, onto a
+    /// seeded `out` holding `-0.0`s, with `b` row-major and in strips.
     #[test]
     fn level_kernels_match_scalar_bitwise() {
-        type AccFn = unsafe fn(&mut [f32], &[f32], &[f32], usize, usize, usize);
-        type MvFn = unsafe fn(&mut [f32], &[f32], &[f32], usize, usize);
-        let mut kernels: Vec<(&str, AccFn, MvFn)> =
-            vec![("sse2", x86::matmul_acc_sse2, x86::matvec_sse2)];
-        if std::arch::is_x86_feature_detected!("avx2") {
-            kernels.push(("avx2", x86::matmul_acc_avx2, x86::matvec_avx2));
-        }
+        let levels: Vec<SimdLevel> =
+            backend::available_simd_levels().into_iter().filter(|&l| has_core(l)).collect();
         let mut rng = Rng::seed_from(41);
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (2, 8, 16),   // exactly one two-row dense register tile (AVX2)
-            (3, 9, 17),   // k % 8 ≠ 0, two-row + one-row remainders, column tails
-            (7, 5, 23),   // four-, two- and one-row tiles; vector and scalar column tails
-            (5, 13, 7),   // n below one AVX2 vector
-            (2, 300, 3),  // n below one SSE2 vector
-            (4, 7, 32),   // k below the eight-step streaming head
-            (9, 300, 60), // k·n above the blocked-dispatch threshold
-        ] {
-            for zero_frac in [0.0, 0.35] {
-                let a: Vec<f32> = (0..m * k).map(|_| rand_f32(&mut rng, zero_frac)).collect();
-                let b: Vec<f32> = (0..k * n).map(|_| rand_f32(&mut rng, 0.0)).collect();
-                let x: Vec<f32> = (0..k).map(|_| rand_f32(&mut rng, 0.0)).collect();
-                // Non-zero initial values: the conv path accumulates onto
-                // a pre-broadcast bias.
-                let seed: Vec<f32> = (0..m * n).map(|_| rand_f32(&mut rng, 0.0)).collect();
-                let mut want = seed.clone();
-                reference_acc(&mut want, &a, &b, m, k, n);
-                let mut want_v = vec![0.0f32; m];
-                reference_matvec(&mut want_v, &a, &x, m, k);
-                for (name, acc_fn, mv_fn) in &kernels {
-                    let mut got = seed.clone();
-                    // SAFETY: SSE2 is x86-64 baseline; AVX2 entries are
-                    // only pushed after runtime detection.
-                    unsafe { acc_fn(&mut got, &a, &b, m, k, n) };
-                    for (p, q) in got.iter().zip(&want) {
-                        assert_eq!(
-                            p.to_bits(),
-                            q.to_bits(),
-                            "{name} matmul_acc diverged at {m}x{k}x{n} z={zero_frac}"
-                        );
+        let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for m in 1..=13usize {
+            for k in [1usize, 2, 7, 8, 9, 259] {
+                for n in [1usize, 7, 8, 9, 15, 16, 17, 24, 33] {
+                    for (pattern, a, poisoned) in zero_patterns(&mut rng, m, k) {
+                        let mut b: Vec<f32> = (0..k * n).map(|_| nonzero(&mut rng)).collect();
+                        for &kk in &poisoned {
+                            for (j, v) in b[kk * n..(kk + 1) * n].iter_mut().enumerate() {
+                                *v = poison[j % 3];
+                            }
+                        }
+                        let seed: Vec<f32> = (0..m * n)
+                            .map(|i| if i.is_multiple_of(3) { -0.0 } else { nonzero(&mut rng) })
+                            .collect();
+                        let mut want = seed.clone();
+                        reference_acc(&mut want, &a, &b, m, k, n);
+                        let strips = to_strips(&b, k, n);
+                        for &level in &levels {
+                            for (rhs, b) in [(Rhs::RowMajor, &b), (Rhs::Strips, &strips)] {
+                                let mut got = seed.clone();
+                                matmul_acc(level, &mut got, &a, b, rhs, m, k, n);
+                                if let Some(i) = (0..m * n).find(|&i| !same_value(got[i], want[i]))
+                                {
+                                    panic!(
+                                        "{level} {rhs:?} core diverged at {m}x{k}x{n}, a zeros \
+                                         {pattern}, out[{i}]: {} vs {}",
+                                        got[i], want[i]
+                                    );
+                                }
+                            }
+                        }
                     }
-                    let mut got_v = vec![0.0f32; m];
-                    // SAFETY: as above.
-                    unsafe { mv_fn(&mut got_v, &a, &x, m, k) };
-                    for (p, q) in got_v.iter().zip(&want_v) {
-                        assert_eq!(
-                            p.to_bits(),
-                            q.to_bits(),
-                            "{name} matvec diverged at {m}x{k} z={zero_frac}"
-                        );
-                    }
+                }
+            }
+        }
+        type MvFn = unsafe fn(&mut [f32], &[f32], &[f32], usize, usize);
+        let mut matvecs: Vec<(&str, MvFn)> = vec![("sse2", x86::matvec_sse2)];
+        if std::arch::is_x86_feature_detected!("avx2") {
+            matvecs.push(("avx2", x86::matvec_avx2));
+        }
+        for &(m, k) in &[(1usize, 1usize), (3, 9), (7, 5), (9, 300), (17, 33)] {
+            let a: Vec<f32> = (0..m * k).map(|_| nonzero(&mut rng)).collect();
+            let x: Vec<f32> = (0..k).map(|_| nonzero(&mut rng)).collect();
+            let mut want = vec![0.0f32; m];
+            reference_matvec(&mut want, &a, &x, m, k);
+            for (name, mv_fn) in &matvecs {
+                let mut got = vec![0.0f32; m];
+                // SAFETY: SSE2 is x86-64 baseline; AVX2 is only pushed after
+                // runtime detection.
+                unsafe { mv_fn(&mut got, &a, &x, m, k) };
+                for (p, q) in got.iter().zip(&want) {
+                    assert_eq!(p.to_bits(), q.to_bits(), "{name} matvec diverged at {m}x{k}");
                 }
             }
         }

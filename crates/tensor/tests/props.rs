@@ -35,44 +35,79 @@ fn small_vals(n: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-8.0f32..8.0, n)
 }
 
-/// The dense register tile is four rows high with two- and one-row
-/// remainders, two vectors wide with one-vector and scalar column tails:
-/// `m` on both sides of every row tile against `n` on both sides of every
-/// column tile at 4 and 8 lanes, `a` without a zero (the dense predicate),
-/// `b` and the seeded `out` carrying zeros of both signs, whose sums show a
-/// reordered or fused reduction.
+/// `matmul_acc_with` on every backend × SIMD level against the scalar
+/// reference, over the f32 core's tiles and remainders: `m` across the
+/// 6-row block and its 4/2/1 remainders, `k` across the vector widths and
+/// past the core's 256-index `k` block, `n` across the 4- and 8-lane
+/// groups and the 16-column strip. `a` runs without a zero, with one zero
+/// at the first and at the last `k`, with one zero in each row of the
+/// first 6-row block, 30 % zeros and all zeros, zeros of both signs; the
+/// `b` rows a single zero skips hold `±∞` and NaN, which only the
+/// reference's zero-skip keeps out of the sums; `out` is seeded with
+/// `-0.0`s. (`ops::simd`'s unit test runs the same matrix on the core
+/// directly, with `b` in the conv lowering's strips as well.)
 #[test]
 fn dense_tile_rows_and_ragged_columns_are_bit_identical() {
     let mut rng = Rng::seed_from(73);
-    let mut signed = |len: usize| -> Vec<f32> {
-        (0..len)
-            .map(|_| match rng.next_below(6) {
-                0 => 0.0,
-                1 => -0.0,
-                _ => rng.next_normal(),
-            })
-            .collect()
+    let nonzero = |rng: &mut Rng| {
+        let v = rng.next_normal();
+        if v == 0.0 {
+            0.5
+        } else {
+            v
+        }
     };
-    for m in [3usize, 4, 5, 7, 8] {
-        for k in [1usize, 5, 9] {
-            for n in [1usize, 3, 4, 7, 8, 9, 12, 15, 16, 17, 23, 33] {
-                let a: Vec<f32> =
-                    signed(m * k).into_iter().map(|v| if v == 0.0 { 0.5 } else { v }).collect();
-                let (b, seed) = (signed(k * n), signed(m * n));
-                let mut want = seed.clone();
-                ops::matmul_acc_with(KernelBackend::Scalar, &mut want, &a, &b, m, k, n);
-                for (backend, level) in backend_level_matrix() {
-                    if let Some(level) = level {
-                        set_simd_level(level).unwrap();
+    let zero = |i: usize| if i.is_multiple_of(2) { 0.0f32 } else { -0.0 };
+    let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let configs = backend_level_matrix();
+    for m in 1..=13usize {
+        for k in [1usize, 2, 7, 8, 9, 259] {
+            for n in [1usize, 7, 8, 9, 15, 16, 17, 24, 33] {
+                let dense: Vec<f32> = (0..m * k).map(|_| nonzero(&mut rng)).collect();
+                // (a, the k indices whose b rows are poisoned).
+                let mut cases = vec![(dense.clone(), vec![])];
+                for (i, (r, kk)) in [(0, 0), (m - 1, k - 1)]
+                    .into_iter()
+                    .chain((0..m.min(6)).map(|r| (r, k / 2)))
+                    .enumerate()
+                {
+                    let mut a = dense.clone();
+                    a[r * k + kk] = zero(i);
+                    cases.push((a, vec![kk]));
+                }
+                let sparse = dense.iter().enumerate().map(|(i, &v)| {
+                    if rng.next_below(100) < 30 {
+                        zero(i)
+                    } else {
+                        v
                     }
-                    let mut got = seed.clone();
-                    ops::matmul_acc_with(backend, &mut got, &a, &b, m, k, n);
-                    for (p, q) in got.iter().zip(&want) {
-                        assert_eq!(
-                            p.to_bits(),
-                            q.to_bits(),
-                            "dense matmul diverged on {backend} at {level:?}, {m}x{k}x{n}"
-                        );
+                });
+                cases.push((sparse.collect(), vec![]));
+                cases.push(((0..m * k).map(zero).collect(), vec![0, k - 1]));
+                for (a, poisoned) in cases {
+                    let mut b: Vec<f32> = (0..k * n).map(|_| nonzero(&mut rng)).collect();
+                    for &kk in &poisoned {
+                        for (j, v) in b[kk * n..(kk + 1) * n].iter_mut().enumerate() {
+                            *v = poison[j % 3];
+                        }
+                    }
+                    let seed: Vec<f32> = (0..m * n)
+                        .map(|i| if i.is_multiple_of(3) { -0.0 } else { nonzero(&mut rng) })
+                        .collect();
+                    let mut want = seed.clone();
+                    ops::matmul_acc_with(KernelBackend::Scalar, &mut want, &a, &b, m, k, n);
+                    for &(backend, level) in &configs {
+                        if let Some(level) = level {
+                            set_simd_level(level).unwrap();
+                        }
+                        let mut got = seed.clone();
+                        ops::matmul_acc_with(backend, &mut got, &a, &b, m, k, n);
+                        for (p, q) in got.iter().zip(&want) {
+                            assert!(
+                                same_value(*p, *q),
+                                "matmul diverged on {backend} at {level:?}, {m}x{k}x{n}: {p} vs {q}"
+                            );
+                        }
                     }
                 }
             }
@@ -107,9 +142,9 @@ proptest! {
     /// reductions in the scalar fixed order, so even they must not move
     /// a single bit). Shape ranges straddle the lane boundaries: `n`
     /// below one vector width, between one and two, and past the 2-vector
-    /// register tile; `k` across the 8-step streaming guard and odd
-    /// remainders. `zero_pct == 0` drives the dense register path (randn
-    /// essentially never emits exact 0.0).
+    /// register tile; `k` across the portable paths' 8-step streaming
+    /// guard and odd remainders; `a` from dense (randn essentially never
+    /// emits an exact 0.0) to 60 % zeros.
     #[test]
     fn backend_matrix_is_bit_identical(
         m in 1usize..10, k in 1usize..40, n in 1usize..24,
@@ -147,7 +182,7 @@ proptest! {
     }
 
     /// conv2d on every backend at every available SIMD level is
-    /// bit-identical, across the direct/im2col routing threshold.
+    /// bit-identical, from single-channel to wide convolutions.
     #[test]
     fn conv_backend_matrix_is_bit_identical(
         c_in in 1usize..8, hw in 3usize..10, c_out in 1usize..12, seed in any::<u64>(),
@@ -172,20 +207,21 @@ proptest! {
         set_simd_level(hw_simd_level()).unwrap();
     }
 
-    /// The lowering-free direct route (`conv2d_direct_into_with`, the
-    /// compiled-plan `Conv2dDirect` entry) is bit-identical to the
-    /// portable reference on every backend at every available SIMD level,
-    /// across the full shape-class matrix: 1×1 and 3×3 kernels, stride
-    /// 1/2, padding 0/1, non-square spatial extents wide enough to cross
-    /// the 8-lane AVX2 strip boundary plus narrow-row/scalar tails, and
-    /// channel counts straddling the lane boundaries.
+    /// The lowered conv (`conv2d_into_with`) is bit-identical to the
+    /// sliding-window reference `conv2d_direct` on every backend at every
+    /// available SIMD level: 1×1, 3×3 and 5×5 kernels, stride 1/2,
+    /// padding 0–2, non-square spatial extents whose pixel counts cross
+    /// the 16-column strips (and end mid-strip), and channel counts
+    /// straddling the 6-row tile.
     #[test]
     fn direct_conv_level_matrix_is_bit_identical(
-        c_in in 1usize..10, h in 3usize..12, w in 3usize..20, c_out in 1usize..10,
-        kernel_is_3 in any::<bool>(), stride in 1usize..3, padding in 0usize..2,
+        c_in in 1usize..10, h in 3usize..12, w in 3usize..20, c_out in 1usize..14,
+        kernel_pick in 0usize..3, stride in 1usize..3, padding in 0usize..3,
         with_bias in any::<bool>(), seed in any::<u64>(),
     ) {
-        let p = Conv2dParams { kernel: if kernel_is_3 { 3 } else { 1 }, stride, padding };
+        let kernel = [1, 3, 5][kernel_pick];
+        prop_assume!(h + 2 * padding >= kernel && w + 2 * padding >= kernel);
+        let p = Conv2dParams { kernel, stride, padding };
         let mut rng = Rng::seed_from(seed);
         let input = Tensor::randn(&[c_in, h, w], &mut rng);
         let weight = Tensor::randn(&[c_out, c_in, p.kernel, p.kernel], &mut rng);
@@ -197,13 +233,13 @@ proptest! {
                 set_simd_level(level).unwrap();
             }
             let mut got = vec![f32::NAN; want.len()];
-            ops::conv2d_direct_into_with(
+            ops::conv2d_into_with(
                 backend, input.as_slice(), c_in, h, w, &weight, b, p, &mut got,
             ).unwrap();
             for (x, y) in got.iter().zip(want.as_slice()) {
                 prop_assert_eq!(
                     x.to_bits(), y.to_bits(),
-                    "direct conv diverged on {} at {:?} (k={} s={} p={})",
+                    "lowered conv diverged on {} at {:?} (k={} s={} p={})",
                     backend, level, p.kernel, stride, padding
                 );
             }
@@ -285,7 +321,7 @@ proptest! {
         }
     }
 
-    /// The im2col-lowered convolution is bit-identical to the direct loop.
+    /// The lowered convolution is bit-identical to the direct loop.
     #[test]
     fn im2col_conv_bitwise_equals_direct(
         c_in in 1usize..4, hw in 3usize..8, c_out in 1usize..4,
@@ -297,7 +333,7 @@ proptest! {
         let w = Tensor::randn(&[c_out, c_in, 3, 3], &mut rng);
         let b = Tensor::randn(&[c_out], &mut rng);
         let direct = ops::conv2d_direct(&x, &w, Some(&b), p).unwrap();
-        let lowered = ops::conv2d_im2col(&x, &w, Some(&b), p).unwrap();
+        let lowered = ops::conv2d(&x, &w, Some(&b), p).unwrap();
         prop_assert_eq!(direct.dims(), lowered.dims());
         for (d, l) in direct.as_slice().iter().zip(lowered.as_slice()) {
             prop_assert_eq!(d.to_bits(), l.to_bits());

@@ -9,11 +9,13 @@ shape (identical key sets at every object level, matching value types,
 full kernel/shape coverage) with sane value ranges. It deliberately does
 NOT compare the numbers themselves — perf values are host-dependent, and
 the committed trajectory is reviewed like a changelog, not asserted by CI —
-with three exceptions, all same-run, same-host ratios of the committed
+with these exceptions, all same-run, same-host ratios of the committed
 baseline: its executor ``speedup`` (plan vs tree oracle) must not sit below
 0.95, a ``simd:*`` ``int_matmul`` rate at 50 % zero activations must not
-sit below 0.8 x its rate at 0 % on the same shape, and a ``simd:avx2`` GeLU
-must run at least 2 x the host libm's rate.
+sit below 0.8 x its rate at 0 % on the same shape, a ``simd:avx2``
+``matmul_f32`` rate with one zero in ``a`` must not sit below 0.8 x the
+dense rate on the same shape, and a ``simd:avx2`` GeLU must run at least
+2 x the host libm's rate.
 """
 
 import json
@@ -43,9 +45,9 @@ def typename(v):
 def same_structure(new, base, path):
     """Identical key sets and value types, recursively. Array elements are
     checked against the baseline element with the same key set — rows may
-    be heterogeneous (conv result rows carry ``class`` and
-    ``speedup_vs_im2col``; matmul rows do not) and lengths may differ (a
-    host without AVX2 legitimately emits fewer kernel result rows)."""
+    be heterogeneous (matmul result rows carry ``zeros_pct``; conv rows do
+    not) and lengths may differ (a host without AVX2 legitimately emits
+    fewer kernel result rows)."""
     if typename(new) != typename(base):
         fail(f"{path}: type {typename(new)} != baseline {typename(base)}")
     if isinstance(base, dict):
@@ -93,14 +95,6 @@ def hist_sane(h, path):
 def check_kernels(new, base):
     if set(new["shapes"]) != set(base["shapes"]):
         fail(f"shapes {new['shapes']} != baseline {base['shapes']}")
-    # conv_shapes entries are {shape, class} objects: the measured grid AND
-    # the committed shape-class routing must both match the baseline.
-    conv_classes = {c["shape"]: c["class"] for c in new["conv_shapes"]}
-    base_classes = {c["shape"]: c["class"] for c in base["conv_shapes"]}
-    if conv_classes != base_classes:
-        fail(f"conv_shapes {conv_classes} != baseline {base_classes}")
-    if not set(conv_classes.values()) <= {"direct_small", "direct_pointwise", "im2col"}:
-        fail(f"unknown conv class in {sorted(set(conv_classes.values()))}")
     for portable in ("scalar", "tiled"):
         if portable not in new["backends"]:
             fail(f"the {portable} backend must always be measured")
@@ -110,8 +104,8 @@ def check_kernels(new, base):
     # host without AVX2 legitimately emits fewer of them); kernel/shape
     # pairs come from the baseline because conv kernels only run at conv
     # shapes (the grid is not a full cartesian product).
-    # Integer rows are measured once per zero share of the activation
-    # operand (`zeros_pct`), which is part of a point's identity.
+    # Matmul rows are measured once per zero share of the left operand
+    # (`zeros_pct`), which is part of a point's identity.
     def point(r):
         return (r["kernel"], r["shape"], r.get("zeros_pct"))
 
@@ -124,14 +118,15 @@ def check_kernels(new, base):
             f"unexpected {sorted(got - want, key=str)})"
         )
     check_zero_share_floor(base)
+    check_f32_one_zero_floor(base)
     by_pair = {}
     for r in new["results"]:
         by_pair[(*point(r), r["backend"])] = r["gflops"]
     for i, r in enumerate(new["results"]):
-        is_int = r["kernel"] in ("int_matmul", "delta_matmul_update")
-        if is_int != ("zeros_pct" in r):
+        is_matmul = r["kernel"] in ("int_matmul", "delta_matmul_update", "matmul_f32")
+        if is_matmul != ("zeros_pct" in r):
             fail(f"results[{i}]: zeros_pct inconsistent with kernel {r['kernel']!r}")
-        if is_int:
+        if is_matmul:
             sane(r["zeros_pct"], f"results[{i}].zeros_pct", 0, 100)
         sane(r["gflops"], f"results[{i}].gflops", 1e-3, 1e5)
         # The speedup columns are derived, so recompute them: baselines
@@ -148,35 +143,30 @@ def check_kernels(new, base):
                 )
             if r["backend"] == baseline and speedup != 1.0:
                 fail(f"results[{i}]: {baseline} {column} must be exactly 1.0")
-        # Conv rows additionally carry the dispatch class (must agree with
-        # the conv_shapes table) and the direct-vs-lowered speedup column,
-        # whose baseline is the same shape+backend's forced-im2col row.
-        is_conv = r["kernel"].startswith("conv2d")
-        if is_conv != ("class" in r) or is_conv != ("speedup_vs_im2col" in r):
-            fail(f"results[{i}]: conv columns inconsistent with kernel {r['kernel']!r}")
-        if is_conv:
-            if r["class"] != conv_classes.get(r["shape"]):
-                fail(
-                    f"results[{i}]: class {r['class']!r} != conv_shapes entry "
-                    f"{conv_classes.get(r['shape'])!r} for {r['shape']}"
-                )
-            speedup = r["speedup_vs_im2col"]
-            sane(speedup, f"results[{i}].speedup_vs_im2col", 1e-3, 1e4)
-            want_speedup = r["gflops"] / by_pair[("conv2d_im2col", r["shape"], None, r["backend"])]
-            if abs(speedup - want_speedup) > 1e-9 * want_speedup:
-                fail(
-                    f"results[{i}]: speedup_vs_im2col {speedup} != "
-                    f"recomputed {want_speedup}"
-                )
-            if r["kernel"] == "conv2d_im2col" and speedup != 1.0:
-                fail(f"results[{i}]: im2col speedup_vs_im2col must be exactly 1.0")
     print(
         f"validate_bench: kernels OK — {len(new['results'])} points, "
         f"backends {new['backends']}"
     )
+    check_roofline(new)
     check_executor(new, base)
     check_encode(new, base)
     check_activations(new, base)
+
+
+def check_roofline(new):
+    """The roofline section holds one no-FMA mul + add peak per SIMD
+    backend the run measured, from a register-only loop: the ceiling the
+    f32 rows are read against. Coverage must match the new run's
+    ``simd:*`` backends."""
+    simd = sorted(b for b in new["backends"] if b.startswith("simd:"))
+    got = sorted(r["backend"] for r in new["roofline"])
+    if got != simd:
+        fail(f"roofline backends {got} != measured simd backends {simd}")
+    for i, r in enumerate(new["roofline"]):
+        sane(r["gflops"], f"roofline[{i}].gflops", 1e-3, 1e5)
+        sane(r["chains"], f"roofline[{i}].chains", 1, 64)
+    peaks = ", ".join(f"{r['backend']} {r['gflops']:.1f}" for r in new["roofline"])
+    print(f"validate_bench: roofline OK — {peaks} GFLOP/s")
 
 
 # A committed `simd:avx2` GeLU slower than this multiple of the host libm's
@@ -264,6 +254,33 @@ def check_zero_share_floor(base):
             fail(
                 f"committed int_matmul {shape} {backend}: {half:.1f} GFLOP/s at 50 % "
                 f"zeros is below {ZERO_SHARE_FLOOR} x the {dense:.1f} at 0 %"
+            )
+
+
+# A committed `simd:avx2` `matmul_f32` rate with one zero in `a` below this
+# share of the dense rate on the same shape fails the check: the f32 core
+# takes one guarded step per zero, and an entry-time scan that sends the
+# whole call down a slow path at the first zero (17 GFLOP/s against ~55
+# dense, before the core) would show here first.
+F32_ONE_ZERO_FLOOR = 0.8
+
+
+def check_f32_one_zero_floor(base):
+    rate = {}
+    for r in base["results"]:
+        if r["kernel"] == "matmul_f32" and r["backend"] == "simd:avx2":
+            zeros = "dense" if r["zeros_pct"] == 0 else "one" if r["zeros_pct"] < 1 else "many"
+            rate[(r["shape"], zeros)] = r["gflops"]
+    for (shape, zeros), dense in sorted(rate.items()):
+        if zeros != "dense":
+            continue
+        one = rate.get((shape, "one"))
+        if one is None:
+            fail(f"committed matmul_f32 {shape} simd:avx2: no one-zero row")
+        if one < F32_ONE_ZERO_FLOOR * dense:
+            fail(
+                f"committed matmul_f32 {shape} simd:avx2: {one:.1f} GFLOP/s with one zero "
+                f"is below {F32_ONE_ZERO_FLOOR} x the {dense:.1f} dense"
             )
 
 

@@ -217,8 +217,7 @@ impl Report {
 
 /// The opcode kinds that execute linear layers: where a hooked pass times
 /// the hook instead of the f32 kernel.
-const LINEAR_KINDS: [&str; 5] =
-    ["conv2d_direct", "conv2d_im2col", "linear", "matmul_qk", "matmul_pv"];
+const LINEAR_KINDS: [&str; 4] = ["conv2d_im2col", "linear", "matmul_qk", "matmul_pv"];
 
 /// Share of a `plan_profile`'s per-kind time spent outside [`LINEAR_KINDS`]
 /// — on a hooked plan, what a hook cannot speed up.

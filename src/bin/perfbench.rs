@@ -6,15 +6,17 @@
 //! ranges) on every push:
 //!
 //! * **`BENCH_kernels.json`** — GFLOP/s per kernel backend per shape for
-//!   the hot kernels (integer matmul and the temporal-difference delta
-//!   update at 0 / 30 / 50 / 70 / 95 % zero activations — the `zeros_pct`
+//!   the hot kernels: integer matmul and the temporal-difference delta
+//!   update at 0 / 30 / 50 / 70 / 95 % zero activations (the `zeros_pct`
 //!   column; the validator fails when a committed `simd:*` `int_matmul`
-//!   rate at 50 % is below 0.8 × its 0 % rate — f32 matmul, and f32 conv2d
-//!   via the auto dispatch plus the
-//!   forced direct and im2col routes, one shape per dispatch class with a
-//!   `speedup_vs_im2col` column) at the UNet im2col
-//!   shapes plus the classic delta-update bench shape (and, for the
-//!   integer kernels, a Tiny-scale conv). The `simd` backend
+//!   rate at 50 % is below 0.8 × its 0 % rate) at the UNet im2col shapes
+//!   plus the classic delta-update bench shape and a Tiny-scale conv; the
+//!   f32 matmul at the shapes a `denoise_plain` profile spends its f32 time
+//!   in, with no zero, one zero and 30 % zeros in `a` (the validator fails
+//!   when a committed `simd:avx2` one-zero rate is below 0.8 × the dense
+//!   one); and f32 conv2d through the compiled plans' lowering. A
+//!   `roofline` section gives the host's no-FMA mul + add peak per SIMD
+//!   level, from a register-only loop. The `simd` backend
 //!   is measured once per *available* SIMD level (rows labeled with the
 //!   resolved name, e.g. `simd:avx2` / `simd:sse2`, exercised via the
 //!   same level override `DITTO_SIMD_LEVEL` uses). Every backend is
@@ -71,9 +73,8 @@ use serve::server::{spawn, ServerConfig};
 use serve::{Obs, SuiteApp};
 use tensor::backend::{available_simd_levels, hw_simd_level, set_simd_level, SimdLevel};
 use tensor::ops::{
-    conv2d_class_in_mode, conv2d_direct, conv2d_direct_into_with, conv2d_im2col_with, conv2d_with,
-    gelu_into_with, matmul_scalar, matmul_with, sigmoid_into_with, silu_into_with,
-    softmax_rows_into_with, Conv2dParams, ConvClass, ConvMode,
+    conv2d_direct, conv2d_lowered_into, conv2d_scratch_len, gelu_into_with, matmul_acc_with,
+    sigmoid_into_with, silu_into_with, softmax_rows_into_with, Conv2dParams,
 };
 use tensor::{KernelBackend, Rng, Tensor};
 
@@ -81,10 +82,26 @@ use tensor::{KernelBackend, Rng, Tensor};
 /// CI validator pins it).
 const SCHEMA: &str = "ditto-perfbench/1";
 
-/// The measured shapes: the delta-update bench shape plus the two UNet
-/// im2col shapes (`[H·W, C_in·K²] × [C_in·K², C_out]`) the Small-scale
-/// models actually produce.
+/// The integer kernels' shapes: the delta-update bench shape plus the two
+/// UNet im2col shapes (`[H·W, C_in·K²] × [C_in·K², C_out]`) the
+/// Small-scale models actually produce.
 const SHAPES: [(usize, usize, usize); 3] = [(64, 256, 128), (256, 288, 32), (256, 576, 64)];
+
+/// The f32 matmul shapes, where a per-op profile of `denoise_plain` puts
+/// the f32 time: two lowered UNet 3 × 3 convs (`c_out × c_in·9 × pixels`),
+/// the DiT MLP down-projection and an attention projection, and a UNet
+/// self-attention `Q·Kᵀ`.
+const F32_SHAPES: [(usize, usize, usize); 5] =
+    [(48, 432, 256), (24, 648, 256), (64, 384, 96), (64, 96, 96), (256, 48, 256)];
+
+/// Zeros in the f32 matmul's `a`: none, exactly one — a single `0.0` in an
+/// activation operand once sent a whole call down a slow path — and 30 %.
+#[derive(Clone, Copy)]
+enum F32Zeros {
+    None,
+    One,
+    Share30,
+}
 
 /// The Tiny-scale conv shape the integer kernels are measured at besides
 /// [`SHAPES`]: one 8-column strip, where remainder handling would show.
@@ -232,10 +249,8 @@ struct KernelRow {
     shape: String,
     backend: String,
     gflops: f64,
-    /// Zero share of the activation operand — integer rows only.
-    zeros_pct: Option<usize>,
-    /// Auto-mode dispatch class of the shape — conv rows only.
-    class: Option<&'static str>,
+    /// Zero share of the left operand in percent — matmul rows only.
+    zeros_pct: Option<f64>,
 }
 
 /// The measured backend configurations: the two portable backends at the
@@ -256,35 +271,106 @@ fn kernel_configs() -> Vec<(KernelBackend, SimdLevel, String)> {
     configs
 }
 
-/// The measured conv2d shapes `(c_in, h, w, c_out, params, class)` — at
-/// least one per dispatch class of the shape-classed conv router, with the
-/// expected auto-mode class pinned so a heuristic change that re-routes a
-/// committed shape fails loudly here instead of silently shifting the
-/// baselines. Each shape measures all three conv kernels: the auto route
-/// (`conv2d_f32`), the forced lowering-free path (`conv2d_direct`), and
-/// the forced lowered path (`conv2d_im2col`).
-const CONV_SHAPES: [(usize, usize, usize, usize, Conv2dParams, ConvClass); 5] = [
-    // ResNet 3×3 block body — small c_out, now direct-classed.
-    (8, 16, 16, 16, Conv2dParams { kernel: 3, stride: 1, padding: 1 }, ConvClass::DirectSmall),
-    // Small-spatial UNet inner block.
-    (8, 12, 12, 8, Conv2dParams { kernel: 3, stride: 1, padding: 1 }, ConvClass::DirectSmall),
-    // 1×1 channel-mixing projection.
-    (32, 16, 16, 64, Conv2dParams { kernel: 1, stride: 1, padding: 0 }, ConvClass::DirectPointwise),
-    // Stride-2 downsampling conv — wide c_out, stays on the im2col route.
-    (16, 16, 16, 32, Conv2dParams { kernel: 3, stride: 2, padding: 1 }, ConvClass::Im2col),
-    // Wide 3×3 body where the lowered matmul's reuse wins.
-    (32, 16, 16, 32, Conv2dParams { kernel: 3, stride: 1, padding: 1 }, ConvClass::Im2col),
+/// The measured conv2d shapes `(c_in, h, w, c_out, params)`: UNet 3 × 3
+/// block bodies (narrow and wide), a 1 × 1 channel mix and a stride-2
+/// downsampling conv.
+const CONV_SHAPES: [(usize, usize, usize, usize, Conv2dParams); 5] = [
+    (8, 16, 16, 16, Conv2dParams { kernel: 3, stride: 1, padding: 1 }),
+    (8, 12, 12, 8, Conv2dParams { kernel: 3, stride: 1, padding: 1 }),
+    (32, 16, 16, 64, Conv2dParams { kernel: 1, stride: 1, padding: 0 }),
+    (16, 16, 16, 32, Conv2dParams { kernel: 3, stride: 2, padding: 1 }),
+    (32, 16, 16, 32, Conv2dParams { kernel: 3, stride: 1, padding: 1 }),
 ];
 
 fn conv_shape_name(c_in: usize, h: usize, w: usize, c_out: usize, p: Conv2dParams) -> String {
     format!("c{c_in}-{c_out}_{h}x{w}_k{}s{}", p.kernel, p.stride)
 }
 
-fn conv_class_name(class: ConvClass) -> &'static str {
-    match class {
-        ConvClass::DirectSmall => "direct_small",
-        ConvClass::DirectPointwise => "direct_pointwise",
-        ConvClass::Im2col => "im2col",
+/// Independent accumulator chains of the roofline loop: every vector
+/// register but the two operands.
+const ROOFLINE_CHAINS: usize = 14;
+
+/// This host's no-FMA mul + add peak at `level` in GFLOP/s, or `None` for
+/// a level without a loop here: [`ROOFLINE_CHAINS`] register-resident
+/// chains of the dependent `acc = acc·x + y`. The dependence is the point:
+/// LLVM hoists a loop-invariant product out of the loop. So is the opaque
+/// start value: from a constant one LLVM folds the chain to its fixed
+/// point and deletes the loop.
+fn roofline_gflops(level: SimdLevel, min_ms: u64) -> Option<f64> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let lanes = match level {
+            SimdLevel::Avx2 => 8,
+            SimdLevel::Sse2 => 4,
+            _ => return None,
+        };
+        const ROUNDS: usize = 1 << 14;
+        let flops = (2 * ROOFLINE_CHAINS * lanes * ROUNDS) as f64;
+        // A peak, so the best of a longer run than a kernel row gets.
+        Some(best_gflops(flops, 3 * min_ms, || {
+            let start = std::hint::black_box(2.0);
+            // SAFETY: `level` is hardware-supported (it came from
+            // `available_simd_levels`), and AVX2 is only called at `Avx2`.
+            std::hint::black_box(unsafe {
+                if lanes == 8 {
+                    roofline::avx2(ROUNDS, start)
+                } else {
+                    roofline::sse2(ROUNDS, start)
+                }
+            });
+        }))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (level, min_ms);
+        None
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod roofline {
+    use std::arch::x86_64::*;
+
+    use super::ROOFLINE_CHAINS;
+
+    /// `rounds` steps of every chain on 8-lane vectors from `start`;
+    /// returns the lane sum.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn avx2(rounds: usize, start: f32) -> f32 {
+        let (x, y) = (_mm256_set1_ps(0.999_9), _mm256_set1_ps(1e-4));
+        let mut acc = [_mm256_set1_ps(start); ROOFLINE_CHAINS];
+        for _ in 0..rounds {
+            for a in &mut acc {
+                *a = _mm256_add_ps(_mm256_mul_ps(*a, x), y);
+            }
+        }
+        let sum = acc.into_iter().fold(_mm256_setzero_ps(), |s, a| _mm256_add_ps(s, a));
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), sum);
+        lanes.iter().sum()
+    }
+
+    /// `rounds` steps of every chain on 4-lane vectors from `start`;
+    /// returns the lane sum.
+    ///
+    /// # Safety
+    /// SSE2 must be available.
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn sse2(rounds: usize, start: f32) -> f32 {
+        let (x, y) = (_mm_set1_ps(0.999_9), _mm_set1_ps(1e-4));
+        let mut acc = [_mm_set1_ps(start); ROOFLINE_CHAINS];
+        for _ in 0..rounds {
+            for a in &mut acc {
+                *a = _mm_add_ps(_mm_mul_ps(*a, x), y);
+            }
+        }
+        let sum = acc.into_iter().fold(_mm_setzero_ps(), |s, a| _mm_add_ps(s, a));
+        let mut lanes = [0.0f32; 4];
+        _mm_storeu_ps(lanes.as_mut_ptr(), sum);
+        lanes.iter().sum()
     }
 }
 
@@ -360,53 +446,63 @@ fn bench_kernels(min_ms: u64) -> Value {
                         shape: shape.clone(),
                         backend: label.clone(),
                         gflops: gf,
-                        zeros_pct: Some(zeros_pct),
-                        class: None,
+                        zeros_pct: Some(zeros_pct as f64),
                     });
                 }
             }
         }
     }
-    for &(m, k, n) in &SHAPES {
+    for &(m, k, n) in &F32_SHAPES {
         let shape = format!("{m}x{k}x{n}");
         let flops = (2 * m * k * n) as f64;
-        let fa = Tensor::randn(&[m, k], &mut rng);
-        let fb = Tensor::randn(&[k, n], &mut rng);
-        let want_f32 = matmul_scalar(&fa, &fb).expect("scalar f32 matmul");
-        for (backend, level, label) in &configs {
-            let (backend, level) = (*backend, *level);
-            set_simd_level(level).expect("measured levels are hardware-supported");
-            let got_f32 = matmul_with(backend, &fa, &fb).expect("f32 matmul");
-            assert!(
-                got_f32
-                    .as_slice()
-                    .iter()
-                    .zip(want_f32.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "{label} f32 matmul diverged bitwise from the scalar reference at {shape}"
-            );
-            let gf = gflops(flops, min_ms, || {
-                black_box(matmul_with(backend, black_box(&fa), black_box(&fb)).unwrap());
-            });
-            println!("perfbench: {:>20} {shape:>16} {label:>9}: {gf:8.3} GFLOP/s", "matmul_f32");
-            rows.push(KernelRow {
-                kernel: "matmul_f32",
-                shape: shape.clone(),
-                backend: label.clone(),
-                gflops: gf,
-                zeros_pct: None,
-                class: None,
-            });
+        let b: Vec<f32> = (0..k * n).map(|_| rng.next_normal()).collect();
+        for zeros in [F32Zeros::None, F32Zeros::One, F32Zeros::Share30] {
+            // Normal draws are never exactly zero; the zeros are placed.
+            let mut a: Vec<f32> = (0..m * k).map(|_| rng.next_normal()).collect();
+            match zeros {
+                F32Zeros::None => {}
+                F32Zeros::One => a[m * k / 2] = 0.0,
+                F32Zeros::Share30 => {
+                    for v in &mut a {
+                        if rng.next_below(100) < 30 {
+                            *v = 0.0;
+                        }
+                    }
+                }
+            }
+            let zeros_pct = 100.0 * a.iter().filter(|&&v| v == 0.0).count() as f64 / a.len() as f64;
+            let mut want = vec![0.0f32; m * n];
+            matmul_acc_with(KernelBackend::Scalar, &mut want, &a, &b, m, k, n);
+            let mut out = vec![0.0f32; m * n];
+            for (backend, level, label) in &configs {
+                let (backend, level) = (*backend, *level);
+                set_simd_level(level).expect("measured levels are hardware-supported");
+                out.fill(0.0);
+                matmul_acc_with(backend, &mut out, &a, &b, m, k, n);
+                assert!(
+                    out.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{label} f32 matmul diverged bitwise from the scalar reference at {shape}"
+                );
+                let gf = best_gflops(flops, min_ms, || {
+                    out.fill(0.0);
+                    matmul_acc_with(backend, black_box(&mut out), black_box(&a), &b, m, k, n);
+                });
+                println!(
+                    "perfbench: {:>20} {shape:>16} z{zeros_pct:<7.4} {label:>9}: {gf:8.3} GFLOP/s",
+                    "matmul_f32"
+                );
+                rows.push(KernelRow {
+                    kernel: "matmul_f32",
+                    shape: shape.clone(),
+                    backend: label.clone(),
+                    gflops: gf,
+                    zeros_pct: Some(zeros_pct),
+                });
+            }
         }
     }
-    for &(c_in, h, w, c_out, params, class) in &CONV_SHAPES {
+    for &(c_in, h, w, c_out, params) in &CONV_SHAPES {
         let shape = conv_shape_name(c_in, h, w, c_out, params);
-        assert_eq!(
-            conv2d_class_in_mode(ConvMode::Auto, c_in, h, w, c_out, params),
-            class,
-            "committed conv shape {shape} re-routed: update CONV_SHAPES to match the heuristic"
-        );
-        let class = conv_class_name(class);
         let kk = params.kernel;
         let (ho, wo) = (params.out_extent(h), params.out_extent(w));
         let flops = (2 * c_out * ho * wo * c_in * kk * kk) as f64;
@@ -414,23 +510,11 @@ fn bench_kernels(min_ms: u64) -> Value {
         let weight = Tensor::randn(&[c_out, c_in, kk, kk], &mut rng);
         let bias = Tensor::randn(&[c_out], &mut rng);
         let want = conv2d_direct(&input, &weight, Some(&bias), params).expect("direct conv2d");
-        for (backend, level, label) in &configs {
-            let (backend, level) = (*backend, *level);
-            set_simd_level(level).expect("measured levels are hardware-supported");
-            // Bit-identity asserted in setup for all three routes: the
-            // auto dispatch, the forced direct path, and the forced im2col
-            // path must agree with the scalar sliding-window reference
-            // before any of them produces a perf number.
-            let bitwise_eq = |got: &Tensor| {
-                got.as_slice().iter().zip(want.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
-            };
-            let got = conv2d_with(backend, &input, &weight, Some(&bias), params).expect("conv2d");
-            assert!(
-                bitwise_eq(&got),
-                "{label} conv2d diverged bitwise from the direct reference at {shape}"
-            );
-            let mut direct_out = Tensor::zeros(&[c_out, ho, wo]);
-            conv2d_direct_into_with(
+        // The compiled plans' entry, over buffers kept across calls.
+        let mut scratch = vec![0.0f32; conv2d_scratch_len(c_in, h, w, params)];
+        let mut out = vec![0.0f32; c_out * ho * wo];
+        let mut conv = |backend, out: &mut [f32]| {
+            conv2d_lowered_into(
                 backend,
                 input.as_slice(),
                 c_in,
@@ -439,82 +523,43 @@ fn bench_kernels(min_ms: u64) -> Value {
                 &weight,
                 Some(&bias),
                 params,
-                direct_out.as_mut_slice(),
+                &mut scratch,
+                out,
             )
-            .expect("direct conv2d route");
+            .expect("conv2d");
+        };
+        for (backend, level, label) in &configs {
+            let (backend, level) = (*backend, *level);
+            set_simd_level(level).expect("measured levels are hardware-supported");
+            conv(backend, &mut out);
             assert!(
-                bitwise_eq(&direct_out),
-                "{label} forced-direct conv2d diverged bitwise at {shape}"
+                out.iter().zip(want.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{label} conv2d diverged bitwise from the direct reference at {shape}"
             );
-            let got_im2col = conv2d_im2col_with(backend, &input, &weight, Some(&bias), params)
-                .expect("im2col conv2d route");
-            assert!(
-                bitwise_eq(&got_im2col),
-                "{label} forced-im2col conv2d diverged bitwise at {shape}"
-            );
-            let mut scratch = vec![0.0f32; c_out * ho * wo];
-            let points: [(&'static str, f64); 3] = [
-                (
-                    "conv2d_f32",
-                    gflops(flops, min_ms, || {
-                        black_box(
-                            conv2d_with(
-                                backend,
-                                black_box(&input),
-                                black_box(&weight),
-                                Some(&bias),
-                                params,
-                            )
-                            .unwrap(),
-                        );
-                    }),
-                ),
-                (
-                    "conv2d_direct",
-                    gflops(flops, min_ms, || {
-                        conv2d_direct_into_with(
-                            backend,
-                            black_box(input.as_slice()),
-                            c_in,
-                            h,
-                            w,
-                            black_box(&weight),
-                            Some(&bias),
-                            params,
-                            black_box(&mut scratch),
-                        )
-                        .unwrap();
-                    }),
-                ),
-                (
-                    "conv2d_im2col",
-                    gflops(flops, min_ms, || {
-                        black_box(
-                            conv2d_im2col_with(
-                                backend,
-                                black_box(&input),
-                                black_box(&weight),
-                                Some(&bias),
-                                params,
-                            )
-                            .unwrap(),
-                        );
-                    }),
-                ),
-            ];
-            for (kernel, gf) in points {
-                println!("perfbench: {kernel:>20} {shape:>16} {label:>9}: {gf:8.3} GFLOP/s");
-                rows.push(KernelRow {
-                    kernel,
-                    shape: shape.clone(),
-                    backend: label.clone(),
-                    gflops: gf,
-                    zeros_pct: None,
-                    class: Some(class),
-                });
-            }
+            let gf = gflops(flops, min_ms, || conv(backend, black_box(&mut out)));
+            println!("perfbench: {:>20} {shape:>16} {label:>9}: {gf:8.3} GFLOP/s", "conv2d_f32");
+            rows.push(KernelRow {
+                kernel: "conv2d_f32",
+                shape: shape.clone(),
+                backend: label.clone(),
+                gflops: gf,
+                zeros_pct: None,
+            });
         }
     }
+    let roofline: Vec<Value> = configs
+        .iter()
+        .filter(|(backend, ..)| *backend == KernelBackend::Simd)
+        .filter_map(|(_, level, label)| {
+            let gf = roofline_gflops(*level, min_ms)?;
+            println!("perfbench: {:>20} {:>16} {label:>9}: {gf:8.3} GFLOP/s", "roofline", "");
+            Some(obj(vec![
+                ("backend", Value::Str(label.clone())),
+                ("chains", ROOFLINE_CHAINS.to_json()),
+                ("gflops", Value::Num(gf)),
+            ]))
+        })
+        .collect();
     set_simd_level(hw_simd_level()).expect("hardware level is always available");
     // Derive the speedup columns against the portable baselines measured
     // for the same (kernel, shape, zero share).
@@ -541,17 +586,7 @@ fn bench_kernels(min_ms: u64) -> Value {
                 ("speedup_vs_tiled", Value::Num(r.gflops / baseline(r.kernel, r, "tiled"))),
             ];
             if let Some(zeros_pct) = r.zeros_pct {
-                fields.push(("zeros_pct", zeros_pct.to_json()));
-            }
-            if let Some(class) = r.class {
-                // Conv rows: dispatch class plus the direct-vs-im2col
-                // ratio against the forced-im2col row measured on the
-                // *same* backend config (not the portable baselines).
-                fields.push(("class", Value::Str(class.to_string())));
-                fields.push((
-                    "speedup_vs_im2col",
-                    Value::Num(r.gflops / baseline("conv2d_im2col", r, &r.backend)),
-                ));
+                fields.push(("zeros_pct", Value::Num(zeros_pct)));
             }
             obj(fields)
         })
@@ -568,21 +603,8 @@ fn bench_kernels(min_ms: u64) -> Value {
             "shapes",
             Value::Arr(SHAPES.iter().map(|(m, k, n)| Value::Str(format!("{m}x{k}x{n}"))).collect()),
         ),
-        (
-            "conv_shapes",
-            Value::Arr(
-                CONV_SHAPES
-                    .iter()
-                    .map(|&(c, h, w, co, p, class)| {
-                        obj(vec![
-                            ("shape", Value::Str(conv_shape_name(c, h, w, co, p))),
-                            ("class", Value::Str(conv_class_name(class).to_string())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
         ("results", Value::Arr(results)),
+        ("roofline", Value::Arr(roofline)),
         ("executor", Value::Arr(bench_executor(min_ms))),
         ("encode", Value::Arr(bench_encode(min_ms))),
         ("activations", Value::Arr(bench_activations(min_ms))),
