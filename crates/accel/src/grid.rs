@@ -19,8 +19,8 @@
 //! consumes trace statistics, and the kernel stack that produces traces is
 //! bit-identical across every `tensor::backend` selection, so a report —
 //! and any memo entry the serve scheduler builds from one — never depends
-//! on `DITTO_KERNEL_BACKEND` (asserted end-to-end in the umbrella
-//! `backend_invariance` test and the grid-engine test below).
+//! on `DITTO_KERNEL_BACKEND` (asserted end-to-end, one child process per
+//! available backend, in the umbrella `backend_invariance` test).
 //!
 //! # Example
 //!

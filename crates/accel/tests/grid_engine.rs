@@ -69,44 +69,94 @@ fn full_grid_is_bit_identical_to_sequential_nested_loop() {
     }
 }
 
+/// Set in the child processes [`grid_is_deterministic_across_kernel_backends`]
+/// spawns; a child prints its results instead of comparing.
+const CHILD_ENV: &str = "GRID_ENGINE_BACKEND_CHILD";
+/// Marks the lines a child prints for its parent.
+const MARK: &str = "grid-engine:";
+
+/// Traces one real model on the process backend, sweeps it, and returns
+/// one line per result: the backend, then the bit patterns of every cell
+/// and GPU baseline.
+fn grid_lines_on_the_process_backend() -> Vec<String> {
+    use tensor::backend;
+    let designs = vec![Design::itc(), Design::ditto(), Design::diffy()];
+    let model = DiffusionModel::build(ModelKind::Ddpm, ModelScale::Tiny, 42);
+    let trace = trace_model(&model, 0, ExecPolicy::TemporalDelta).expect("trace").0;
+    let report = grid::run(&SweepSpec::new(designs, vec![&trace])).expect("valid sweep");
+    let mut lines = vec![format!("backend {}", backend::active().resolved_name())];
+    for c in &report.cells {
+        lines.push(format!(
+            "cell {}/{} cycles={:016x} energy={:016x} dram={:016x} speedup={:016x}",
+            c.run.design,
+            c.run.model,
+            c.run.cycles.to_bits(),
+            c.run.energy.total().to_bits(),
+            c.run.dram_bytes.to_bits(),
+            c.speedup_vs_gpu.to_bits()
+        ));
+    }
+    for (m, g) in report.models.iter().zip(&report.gpu) {
+        lines.push(format!("gpu {m} cycles={:016x}", g.cycles.to_bits()));
+    }
+    lines
+}
+
 #[test]
 fn grid_is_deterministic_across_kernel_backends() {
     // Tracing one real model under every `DITTO_KERNEL_BACKEND` value and
     // sweeping it must be byte-stable: the kernel backends are
     // bit-identical, so both the trace and every derived cell metric are
     // backend-invariant. (The umbrella `backend_invariance` test covers
-    // more models; this one pins the accel-level guarantee.)
-    use tensor::backend::{self, KernelBackend};
-    let initial = backend::active();
-    let designs = vec![Design::itc(), Design::ditto(), Design::diffy()];
-    let mut reference: Option<grid::SweepReport> = None;
+    // more models; this one pins the accel-level guarantee.) A process has
+    // one backend, fixed at startup, so this test re-runs itself once per
+    // available backend with the variable set and compares what each
+    // child prints.
+    use std::process::Command;
+    use tensor::backend::KernelBackend;
+    if std::env::var_os(CHILD_ENV).is_some() {
+        for line in grid_lines_on_the_process_backend() {
+            println!("{MARK} {line}");
+        }
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let mut reference: Option<(String, Vec<String>)> = None;
     for b in KernelBackend::available() {
-        backend::set_active(b).unwrap();
-        let model = DiffusionModel::build(ModelKind::Ddpm, ModelScale::Tiny, 42);
-        let trace = trace_model(&model, 0, ExecPolicy::TemporalDelta).expect("trace").0;
-        let report =
-            grid::run(&SweepSpec::new(designs.clone(), vec![&trace])).expect("valid sweep");
+        let name = b.resolved_name();
+        let out = Command::new(&exe)
+            .args([
+                "--exact",
+                "grid_is_deterministic_across_kernel_backends",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .env(CHILD_ENV, "1")
+            .env("DITTO_KERNEL_BACKEND", &name)
+            .output()
+            .expect("spawn the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "child on {name} failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let lines: Vec<String> = stdout
+            .lines()
+            .filter_map(|l| l.split_once(MARK).map(|(_, rest)| rest.trim().to_string()))
+            .collect();
+        let (ran_on, results) = lines.split_first().expect("child printed its backend");
+        assert_eq!(ran_on, &format!("backend {name}"), "the child did not run {name}");
+        assert_eq!(results.len(), 3 + 1, "{name}: three cells and one GPU baseline");
         match &reference {
-            None => reference = Some(report),
-            Some(want) => {
-                for (a, w) in report.cells.iter().zip(&want.cells) {
-                    assert_eq!(
-                        a.run.cycles.to_bits(),
-                        w.run.cycles.to_bits(),
-                        "backend {b}: {} cycles drifted",
-                        a.run.design
-                    );
-                    assert_eq!(a.run.energy.total().to_bits(), w.run.energy.total().to_bits());
-                    assert_eq!(a.run.dram_bytes.to_bits(), w.run.dram_bytes.to_bits());
-                    assert_eq!(a.speedup_vs_gpu.to_bits(), w.speedup_vs_gpu.to_bits());
-                }
-                for (a, w) in report.gpu.iter().zip(&want.gpu) {
-                    assert_eq!(a.cycles.to_bits(), w.cycles.to_bits());
+            None => reference = Some((name, results.to_vec())),
+            Some((first, want)) => {
+                for (got, want) in results.iter().zip(want) {
+                    assert_eq!(got, want, "backend {name} drifted from {first}");
                 }
             }
         }
     }
-    backend::set_active(initial).unwrap();
 }
 
 #[test]

@@ -1,18 +1,17 @@
 //! Criterion micro-benchmarks of the integer kernels the Ditto algorithm
 //! is built on: dense A8W8 matmul vs the three-stage temporal-difference
-//! update at varying delta sparsity, im2col lowering,
-//! scalar-vs-tiled-vs-simd backend comparison points at the im2col shapes
-//! the UNet models actually produce (one point per
-//! `tensor::KernelBackend` on the kernels it accelerates), and
-//! binary-vs-JSON trace-cache decoding. (The Encoding Unit pass is timed
+//! update at varying delta sparsity, im2col lowering, backend comparison
+//! points at the im2col shapes the UNet models actually produce (one point
+//! per available `tensor::KernelBackend`), and binary-vs-JSON trace-cache
+//! decoding. (The Encoding Unit pass is timed
 //! by `perfbench`'s `encode` section.)
 //!
 //! These measure *host* (simulation) performance of the library, not the
 //! modeled accelerator — they document where the delta path's zero-skipping
-//! pays off in software (the portable loops; the `simd` backend's packed
-//! core runs at one rate whatever the sparsity), and that each faster
-//! backend beats the scalar references it is bit-identical to (identity
-//! asserted in the bench setup below).
+//! pays off in software (the scalar loop; a `simd` backend's packed core
+//! runs at one rate whatever the sparsity), and that each SIMD level beats
+//! the scalar references it is bit-identical to (identity asserted in the
+//! bench setup below).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quant::kernels::{delta_matmul_update_with, int_matmul, int_matmul_with, reference, widen};
@@ -26,11 +25,7 @@ const N: usize = 128;
 
 /// The im2col shapes the Small-scale UNets actually produce
 /// (`[H·W, C_in·K²] × [C_in·K², C_out]`): SDM's 32→32 and 64→64 3×3
-/// ResNet convolutions at 16×16 resolution. The first shape sits *below*
-/// the kernels' streaming-vs-blocked dispatch threshold (`k·n = 9216 ≤
-/// 2¹⁴`), so its "tiled" points run the streaming fallback and document
-/// no-regression at ~1.0×; the second (`k·n = 36864`) exercises the
-/// row-blocked tiling where the speedup shows.
+/// ResNet convolutions at 16×16 resolution.
 const UNET_SHAPES: [(usize, usize, usize); 2] = [(256, 288, 32), (256, 576, 64)];
 
 fn rand_i8(n: usize, rng: &mut Rng) -> Vec<i8> {
@@ -42,12 +37,6 @@ fn sparse_deltas(n: usize, zero_frac: f64, rng: &mut Rng) -> Vec<i16> {
     (0..n)
         .map(|_| if rng.next_f64() < zero_frac { 0 } else { rng.next_below(15) as i16 - 7 })
         .collect()
-}
-
-/// The backends compared by every scalar-vs-tiled-vs-simd point (simd is
-/// skipped gracefully on hosts without intrinsics).
-fn backend_axis() -> Vec<KernelBackend> {
-    KernelBackend::available()
 }
 
 fn bench_matmul(c: &mut Criterion) {
@@ -64,7 +53,7 @@ fn bench_matmul(c: &mut Criterion) {
         let deltas = sparse_deltas(M * K, zero_frac, &mut rng);
         // The acceptance shape for the explicit-SIMD backend: one point
         // per backend at each sparsity, bit-identity asserted first.
-        for backend in backend_axis() {
+        for backend in KernelBackend::available() {
             assert_eq!(
                 delta_matmul_update_with(backend, &prev_out, &deltas, &w, M, K, N),
                 reference::delta_matmul_update(&prev_out, &deltas, &w, M, K, N),
@@ -95,7 +84,7 @@ fn bench_matmul(c: &mut Criterion) {
     g.finish();
 }
 
-/// Scalar-vs-tiled-vs-simd integer matmul at the UNet im2col shapes.
+/// Integer matmul on every available backend at the UNet im2col shapes.
 /// Bit-identity is asserted before timing: every backend must be a pure
 /// speedup.
 fn bench_int_matmul_backends(c: &mut Criterion) {
@@ -110,7 +99,7 @@ fn bench_int_matmul_backends(c: &mut Criterion) {
         // deltas are zero or 4-bit); scalar runs the two-pass reference.
         let deltas = sparse_deltas(m * k, 0.7, &mut rng);
         let want_delta = reference::delta_matmul_update(&want, &deltas, &w, m, k, n);
-        for backend in backend_axis() {
+        for backend in KernelBackend::available() {
             assert_eq!(
                 int_matmul_with(backend, &a, &w, m, k, n),
                 want,
@@ -121,7 +110,7 @@ fn bench_int_matmul_backends(c: &mut Criterion) {
                 want_delta,
                 "{backend} delta update must be bit-identical to the two-pass reference"
             );
-            g.bench_with_input(BenchmarkId::new(backend.name(), &label), &(), |b, ()| {
+            g.bench_with_input(BenchmarkId::new(backend.to_string(), &label), &(), |b, ()| {
                 b.iter(|| int_matmul_with(backend, black_box(&a), black_box(&w), m, k, n))
             });
             g.bench_with_input(
@@ -141,26 +130,28 @@ fn bench_int_matmul_backends(c: &mut Criterion) {
     g.finish();
 }
 
-/// Scalar-vs-tiled f32 matmul at the UNet im2col shapes.
-fn bench_f32_matmul_scalar_vs_tiled(c: &mut Criterion) {
+/// f32 matmul on every available backend at the UNet im2col shapes.
+fn bench_f32_matmul_backends(c: &mut Criterion) {
     let mut rng = Rng::seed_from(8);
     let mut g = c.benchmark_group("matmul_f32_unet");
     for &(m, k, n) in &UNET_SHAPES {
         let a = Tensor::randn(&[m, k], &mut rng);
         let b_mat = Tensor::randn(&[k, n], &mut rng);
-        let tiled = ops::matmul(&a, &b_mat).unwrap();
         let scalar = ops::matmul_scalar(&a, &b_mat).unwrap();
-        assert!(
-            tiled.as_slice().iter().zip(scalar.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "tiled f32 matmul must be bit-identical to the scalar reference"
-        );
         let label = format!("{m}x{k}x{n}");
-        g.bench_with_input(BenchmarkId::new("scalar", &label), &(), |b, ()| {
-            b.iter(|| ops::matmul_scalar(black_box(&a), black_box(&b_mat)))
-        });
-        g.bench_with_input(BenchmarkId::new("tiled", &label), &(), |b, ()| {
-            b.iter(|| ops::matmul(black_box(&a), black_box(&b_mat)))
-        });
+        for backend in KernelBackend::available() {
+            let got = ops::matmul_with(backend, &a, &b_mat).unwrap();
+            assert!(
+                got.as_slice()
+                    .iter()
+                    .zip(scalar.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{backend} f32 matmul must be bit-identical to the scalar reference"
+            );
+            g.bench_with_input(BenchmarkId::new(backend.to_string(), &label), &(), |b, ()| {
+                b.iter(|| ops::matmul_with(backend, black_box(&a), black_box(&b_mat)))
+            });
+        }
     }
     g.finish();
 }
@@ -218,7 +209,7 @@ fn bench_quantize(c: &mut Criterion) {
 criterion_group!(
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_int_matmul_backends, bench_f32_matmul_scalar_vs_tiled,
+    targets = bench_matmul, bench_int_matmul_backends, bench_f32_matmul_backends,
         bench_im2col_and_conv, bench_trace_decode, bench_quantize
 );
 criterion_main!(kernels);

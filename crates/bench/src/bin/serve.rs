@@ -54,12 +54,6 @@ fn handle(line: &str) -> (String, bool) {
     match parse_request(line) {
         Err(e) => (sweep::response_err(&sweep::request_id(line), &e), false),
         Ok(req) => {
-            // Backend override first, so tracing runs on the requested
-            // backend (results are backend-invariant either way).
-            let backend = match sweep::apply_backend(req.backend) {
-                Ok(b) => b,
-                Err(e) => return (sweep::response_err(&req.id, &e), false),
-            };
             // Loading may warm the suite; the credit for reporting the
             // warm-up is claimed only by a successful response, so a
             // failing warmer does not swallow the stats.
@@ -69,6 +63,7 @@ fn handle(line: &str) -> (String, bool) {
                     let hits = HitAccounting::all_simulated(report.cells.len())
                         .with_suite(suite, Suite::take_warm_credit(req.sweep.scale));
                     eprintln!("[serve] {}: {}", req.id, sweep_summary(&report));
+                    let backend = tensor::backend::active();
                     (sweep::response_ok(&req.id, &report, &hits, backend), true)
                 }
                 Err(e) => (sweep::response_err(&req.id, &e.to_string()), false),
@@ -90,6 +85,7 @@ const KNOWN_RESPONSE_FIELDS: &[&str] = &[
     "cache_hits",
     "cells",
     "suite",
+    "plans",
     "best_design",
     "geomean",
     "report",

@@ -41,7 +41,10 @@ use crate::suite::{Suite, MODELS};
 ///   backend selection), and `cells.evictions` (serve memo LRU).
 /// * **3** — adds `plans {compiled, reused}` (process-wide compiled-plan
 ///   cache counters).
-pub const PROTO_VERSION: i64 = 3;
+/// * **4** — `backend` becomes response-only: the process runs the one
+///   kernel backend `DITTO_KERNEL_BACKEND` selects at startup, and a
+///   request carrying `backend` is answered `ok: false`.
+pub const PROTO_VERSION: i64 = 4;
 
 /// One declarative sweep: which designs, which models, at which scale.
 #[derive(Debug, Clone)]
@@ -121,13 +124,6 @@ pub struct ServeRequest {
     /// Defaults to 0. Best-effort — already-running cells are never
     /// preempted, and results are bit-identical regardless of order.
     pub priority: i64,
-    /// Optional kernel-backend override (`"scalar"`/`"tiled"`/`"simd"`),
-    /// applied process-wide before the sweep runs. Purely a performance
-    /// knob: every backend is bit-identical, so responses (and the serve
-    /// memo, whose keys contain nothing backend-dependent) never change —
-    /// only the speed of any tracing the request triggers does. `None`
-    /// keeps the server's current backend.
-    pub backend: Option<KernelBackend>,
 }
 
 fn parse_scale(s: &str) -> Result<ModelScale, String> {
@@ -165,8 +161,9 @@ fn parse_names(v: &Value, what: &str) -> Result<Vec<String>, String> {
 /// # Errors
 ///
 /// Returns a human-readable message for malformed JSON, unknown design or
-/// model names, or a bad scale; the server reports it in an `ok: false`
-/// response instead of dying.
+/// model names, a bad scale, or a `backend` field (the kernel backend is
+/// the process's, not the request's); the server reports it in an
+/// `ok: false` response instead of dying.
 pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
     let v = jsonio::parse(line.as_bytes()).map_err(|e| e.to_string())?;
     let id = match v.get("id") {
@@ -206,33 +203,12 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
         Ok(_) => return Err("`priority` must be an integer".into()),
         Err(_) => 0,
     };
-    let backend = match v.get("backend") {
-        Ok(Value::Str(s)) => Some(KernelBackend::parse(s).ok_or_else(|| {
-            format!("unknown backend `{s}` (expected `scalar`, `tiled`, or `simd`)")
-        })?),
-        Ok(_) => return Err("`backend` must be a string".into()),
-        Err(_) => None,
-    };
-    Ok(ServeRequest { id, sweep: SweepRequest::new(designs, models, scale), priority, backend })
-}
-
-/// Applies a request's backend override (no-op for `None`) and returns
-/// the backend the request resolved to — the override itself, or the
-/// process-wide backend captured *now* (so the response can echo it even
-/// if a concurrent request's override changes the global later).
-///
-/// # Errors
-///
-/// Returns a response-ready message when the named backend is not
-/// available on this host (e.g. `simd` off x86).
-pub fn apply_backend(backend: Option<KernelBackend>) -> Result<KernelBackend, String> {
-    match backend {
-        None => Ok(tensor::backend::active()),
-        Some(b) => {
-            tensor::backend::set_active(b).map_err(|e| e.to_string())?;
-            Ok(b)
-        }
+    if v.get("backend").is_ok() {
+        return Err("a request cannot choose the kernel backend: the server runs the one \
+                    DITTO_KERNEL_BACKEND selects (reported in every response's `backend`)"
+            .into());
     }
+    Ok(ServeRequest { id, sweep: SweepRequest::new(designs, models, scale), priority })
 }
 
 /// Best-effort id extraction from a (possibly malformed) request line, so
@@ -327,15 +303,10 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 }
 
 /// Renders a successful response line: the request id, protocol version,
-/// the kernel backend the request resolved to (its own override, or the
-/// process backend captured when the request applied it — not a re-read
-/// of the global, which a concurrent request's override could have
-/// changed by render time; reported as the *resolved* name, so `simd`
-/// surfaces its active SIMD level as e.g. `simd:avx2` and a forced
-/// `DITTO_SIMD_LEVEL` is visible on the wire), per-request cache
-/// accounting, summary
-/// aggregations, and the full serialized report. See the README protocol
-/// spec for the field-by-field schema.
+/// the kernel backend that served it (its resolved name, e.g.
+/// `simd:avx2`), per-request cache accounting, summary aggregations, and
+/// the full serialized report. See the README protocol spec for the
+/// field-by-field schema.
 pub fn response_ok(
     id: &str,
     report: &SweepReport,
@@ -489,13 +460,13 @@ mod tests {
             suite_fresh: 0,
             process_suite_hits: 7,
         };
-        let ok = response_ok("r9", &report, &hits, KernelBackend::Tiled);
+        let ok = response_ok("r9", &report, &hits, KernelBackend::Scalar);
         assert!(!ok.contains('\n'));
         let v = jsonio::parse(ok.as_bytes()).unwrap();
         assert_eq!(v.get("id").unwrap(), &Value::Str("r9".into()));
         assert_eq!(v.get("ok").unwrap(), &Value::Bool(true));
         assert_eq!(v.get("proto").unwrap(), &Value::Int(PROTO_VERSION.into()));
-        assert_eq!(v.get("backend").unwrap(), &Value::Str("tiled".into()));
+        assert_eq!(v.get("backend").unwrap(), &Value::Str("scalar".into()));
         assert_eq!(v.get("cache_hits").unwrap(), &Value::Int(7));
         let cells = v.get("cells").unwrap();
         assert_eq!(cells.get("total").unwrap(), &Value::Int(2));
@@ -518,15 +489,13 @@ mod tests {
             ditto_core::jsonio::FromJson::from_json(v.get("report").unwrap()).unwrap();
         assert_eq!(back.designs, report.designs);
 
-        // The `simd` backend reports its resolved level, never the bare
-        // request name. Assert the shape only (`simd:<parseable level>`):
-        // the active level is a mutable global another test may be
-        // sweeping concurrently.
-        let ok = response_ok("r9", &report, &hits, KernelBackend::Simd);
-        let v = jsonio::parse(ok.as_bytes()).unwrap();
-        let Value::Str(name) = v.get("backend").unwrap() else { panic!("backend not a string") };
-        let level = name.strip_prefix("simd:").expect("simd backend must render as simd:<level>");
-        assert!(tensor::backend::SimdLevel::parse(level).is_some(), "unknown level `{level}`");
+        // Every backend reports its resolved name: a SIMD one with its
+        // level, never bare `simd`.
+        for backend in KernelBackend::available() {
+            let ok = response_ok("r9", &report, &hits, backend);
+            let v = jsonio::parse(ok.as_bytes()).unwrap();
+            assert_eq!(v.get("backend").unwrap(), &Value::Str(backend.resolved_name()));
+        }
 
         let err = response_err("r9", "boom");
         let v = jsonio::parse(err.as_bytes()).unwrap();
@@ -535,37 +504,21 @@ mod tests {
         assert_eq!(v.get("error").unwrap(), &Value::Str("boom".into()));
     }
 
+    /// `backend` is outside input: any request carrying it — with a valid
+    /// backend name or not — is refused with a message naming the variable
+    /// that does choose it.
     #[test]
     fn parse_backend_field() {
-        let r = parse_request(r#"{"id":"b","backend":"simd","scale":"tiny"}"#).unwrap();
-        assert_eq!(r.backend, Some(KernelBackend::Simd));
-        let r = parse_request(r#"{"id":"b","backend":"SCALAR"}"#).unwrap();
-        assert_eq!(r.backend, Some(KernelBackend::Scalar));
-        let r = parse_request(r#"{"id":"b"}"#).unwrap();
-        assert_eq!(r.backend, None);
-        assert!(parse_request(r#"{"id":"b","backend":"warp9"}"#)
-            .unwrap_err()
-            .contains("unknown backend"));
-        assert!(parse_request(r#"{"id":"b","backend":7}"#)
-            .unwrap_err()
-            .contains("must be a string"));
-    }
-
-    #[test]
-    fn apply_backend_is_noop_for_none_and_switches_for_some() {
-        // `None` resolves to (and reports) the current process backend.
-        assert_eq!(apply_backend(None), Ok(tensor::backend::active()));
-        // Available backends apply cleanly; results are bit-identical so
-        // flipping the process-wide selection here cannot affect other
-        // tests. Restore the default afterwards anyway.
-        let initial = tensor::backend::active();
-        for b in KernelBackend::available() {
-            assert_eq!(apply_backend(Some(b)), Ok(b));
-            assert_eq!(tensor::backend::active(), b);
+        for line in [
+            r#"{"id":"b","backend":"simd","scale":"tiny"}"#,
+            r#"{"id":"b","backend":"scalar"}"#,
+            r#"{"id":"b","backend":"tiled"}"#,
+            r#"{"id":"b","backend":7}"#,
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert!(err.contains("DITTO_KERNEL_BACKEND"), "{line}: {err}");
+            assert_eq!(request_id(line), "b");
         }
-        if !KernelBackend::Simd.is_available() {
-            assert!(apply_backend(Some(KernelBackend::Simd)).unwrap_err().contains("simd"));
-        }
-        tensor::backend::set_active(initial).unwrap();
+        assert!(parse_request(r#"{"id":"b"}"#).is_ok());
     }
 }

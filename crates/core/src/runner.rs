@@ -36,13 +36,12 @@
 //! `Tensor`-level methods (the oracle executor's, and delegating wrappers')
 //! are thin adapters over the same bodies.
 //!
-//! The integer kernels the hook drives (`quant::kernels::*`) dispatch
-//! through the pluggable kernel-backend layer (`tensor::backend`:
-//! scalar / tiled / explicit-SIMD). Backends are bit-identical, so traces
-//! and samples — and therefore the trace cache, whose fingerprints cover
-//! only the model definition — are backend-invariant; selecting a backend
-//! (`DITTO_KERNEL_BACKEND` or the serve protocol's `backend` field) only
-//! changes tracing speed.
+//! The integer kernels the hook drives (`quant::kernels::*`) run on the
+//! process's kernel backend (`tensor::backend::active`: scalar, or
+//! explicit SIMD at one level). Backends are bit-identical, so traces and
+//! samples — and therefore the trace cache, whose fingerprints cover only
+//! the model definition — are backend-invariant; choosing one
+//! (`DITTO_KERNEL_BACKEND`) only changes tracing speed.
 
 use std::collections::HashMap;
 use std::time::Instant;

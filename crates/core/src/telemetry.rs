@@ -10,8 +10,8 @@
 //! atomic load plus a branch. With both env vars unset the global handle is
 //! disabled, no writer thread is ever spawned, and every instrumentation
 //! point in the compute stack costs exactly that load-and-branch. The gate
-//! resolves once (CAS-publish, same pattern as `tensor::backend::active`)
-//! so the hot path never re-reads the environment.
+//! resolves once (CAS-publish) so the hot path never re-reads the
+//! environment.
 //!
 //! # Architecture
 //!

@@ -1,16 +1,13 @@
-//! Every convolution the model zoo compiles, run through the compiled
-//! plan's lowering on every kernel backend and SIMD level, against the
-//! sliding-window reference `conv2d_direct`.
-//!
-//! One test in its own binary: it switches the process-wide backend and
-//! SIMD level, which no other test here observes.
+//! Every convolution the model zoo compiles, through the compiled plan on
+//! the process's kernel backend and through the lowering on every
+//! available backend, against the sliding-window reference
+//! `conv2d_direct`.
 
 use diffusion::plan::OpCode;
 use diffusion::{
     Bindings, DiffusionModel, InputKind, LayerGraph, LayerOp, ModelKind, ModelScale, NullHook,
     PlanArena, StepInfo, TracePlan,
 };
-use tensor::backend::{available_simd_levels, hw_simd_level, set_active, set_simd_level};
 use tensor::ops::{self, Conv2dParams};
 use tensor::{KernelBackend, Rng, Tensor};
 
@@ -75,27 +72,36 @@ fn every_model_conv_geometry_lowers_bit_identically() {
         let want = ops::conv2d_direct(&latent, weight, bias.as_ref(), *params).unwrap();
         let plan = TracePlan::compile(&g, latent.dims(), None).unwrap();
         let bindings = Bindings { latent: &latent, context: None, t: 1.0 };
-        let mut arena = PlanArena::new();
+        let planned = plan.execute(&g, &bindings, step, &mut NullHook, &mut PlanArena::new());
+        let on_plan = format!("the plan on {}", tensor::backend::active());
+        let mut runs = vec![(on_plan, planned.unwrap().as_slice().to_vec())];
         for backend in KernelBackend::available() {
-            set_active(backend).unwrap();
-            let levels = if backend == KernelBackend::Simd {
-                available_simd_levels()
-            } else {
-                vec![hw_simd_level()]
-            };
-            for level in levels {
-                set_simd_level(level).unwrap();
-                let got = plan.execute(&g, &bindings, step, &mut NullHook, &mut arena).unwrap();
-                for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{geometry:?} on {backend} at {level}: element {i} {x} vs {y}"
-                    );
-                }
+            // Dirty buffers: the lowering must write every element it reads.
+            let mut scratch = vec![f32::NAN; ops::conv2d_scratch_len(c_in, h, w, *params)];
+            let mut out = vec![f32::NAN; want.len()];
+            ops::conv2d_lowered_into(
+                backend,
+                latent.as_slice(),
+                c_in,
+                h,
+                w,
+                weight,
+                bias.as_ref(),
+                *params,
+                &mut scratch,
+                &mut out,
+            )
+            .unwrap();
+            runs.push((backend.resolved_name(), out));
+        }
+        for (on, got) in runs {
+            for (i, (x, y)) in got.iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{geometry:?} on {on}: element {i} {x} vs {y}"
+                );
             }
         }
     }
-    set_active(KernelBackend::detect()).unwrap();
-    set_simd_level(hw_simd_level()).unwrap();
 }

@@ -6,25 +6,22 @@
 //! activation operand is taken in the `i16` difference domain so the same
 //! kernel serves dense (`i8` widened) and delta execution.
 //!
-//! Every public kernel is a thin dispatcher over the pluggable
-//! [`tensor::backend`] layer ([`tensor::KernelBackend`]):
+//! Every kernel runs on a [`tensor::KernelBackend`] value — the process
+//! default [`tensor::backend::active`] for the un-suffixed entry points,
+//! the caller's for the `*_with` variants:
 //!
-//! * **Scalar** runs the pre-tiling loops kept verbatim in [`reference`];
-//! * **Tiled** (the default without SIMD, and what the `Simd` backend runs
-//!   at SIMD level `none`) register-tiles [`MR`] activation rows so each
-//!   streamed weight row is reused from L1 while the `i32` accumulator
-//!   rows stay cache-resident across the depth loop;
-//! * **Simd** runs one packed, register-blocked GEMM core ([`simd`]): the
-//!   right-hand operand is packed once into `vpmaddwd` order
-//!   ([`PackedRhs`]) and a 4-row × 2-vector output tile stays in registers
-//!   across the whole depth loop, at the same rate whatever the sparsity.
+//! * **Scalar** runs the `ikj` zero-skip loop kept in [`reference`];
+//! * **Simd** at a level runs one packed, register-blocked GEMM core
+//!   ([`simd`]): the right-hand operand is packed once into `vpmaddwd`
+//!   order ([`PackedRhs`]) and a 4-row × 2-vector output tile stays in
+//!   registers across the whole depth loop, at the same rate whatever the
+//!   sparsity.
 //!
-//! All three are **bit-identical**: `i32` addition is associative
-//! (wrapping), so any accumulation order reproduces the scalar sums
-//! exactly — with or without skipping zero activations, whose products
-//! add nothing. The equivalence is asserted in tests, the cross-backend
-//! property matrix (`tests/props.rs`), and bench setup. Pin a backend
-//! explicitly with the `*_with` variants.
+//! Both are **bit-identical**: `i32` addition is associative (wrapping),
+//! so any accumulation order reproduces the scalar sums exactly — with or
+//! without skipping zero activations, whose products add nothing. The
+//! equivalence is asserted in tests, the cross-backend property matrix
+//! (`tests/props.rs`), and bench setup.
 //!
 //! The `*_into` variants are the hook's: they write into buffers the
 //! caller keeps, the packed operand among them. The others allocate their
@@ -36,20 +33,9 @@ pub use simd::PackedRhs;
 use tensor::backend::{self, KernelBackend};
 use tensor::ops::Conv2dParams;
 
-/// Activation rows processed together by the tiled kernels. Each `B`/weight
-/// row streamed from memory is reused `MR` times, and the `MR` live `i32`
-/// output rows stay in L1 across the whole depth loop.
-const MR: usize = 4;
-
-/// Weight element count below which the row-blocked tiling is skipped: a
-/// `B` that small stays cache-resident across the plain streaming loop, so
-/// blocking only adds overhead. Either order is bit-identical (`i32`
-/// wrapping addition is associative), so this is purely a perf dispatch.
-const B_ELEMS_BLOCK_THRESHOLD: usize = 1 << 14;
-
 /// Dispatches one accumulation pass to the chosen backend: `out [m,n] +=
 /// a [m,k] × b [k,n]`, for `i8` weights and `i16` attention operands
-/// alike. Only the `Simd` backend reads or fills `pack`.
+/// alike. Only a `Simd` backend reads or fills `pack`.
 #[allow(clippy::too_many_arguments)]
 fn accumulate<W: Copy + Into<i16> + Into<i32>>(
     backend: KernelBackend,
@@ -63,15 +49,14 @@ fn accumulate<W: Copy + Into<i16> + Into<i32>>(
 ) {
     match backend {
         KernelBackend::Scalar => accumulate_scalar(out, a, b, m, k, n),
-        KernelBackend::Tiled => accumulate_tiled(out, a, b, m, k, n),
-        KernelBackend::Simd => simd::accumulate(out, a, b, pack, m, k, n),
+        KernelBackend::Simd(level) => simd::accumulate(level, out, a, b, pack, m, k, n),
     }
 }
 
-/// The scalar-backend accumulation: the original streaming `ikj` loop
-/// (the same order [`reference`] keeps for the public reference kernels).
-/// The adds wrap explicitly, so a debug build computes what a release
-/// build does; an `i16 × i16` product cannot overflow.
+/// The scalar-backend accumulation: the streaming `ikj` loop, skipping
+/// zero activations (the same body [`reference`] exposes). The adds wrap
+/// explicitly, so a debug build computes what a release build does; an
+/// `i16 × i16` product cannot overflow.
 fn accumulate_scalar<W: Copy + Into<i32>>(
     out: &mut [i32],
     a: &[i16],
@@ -93,58 +78,6 @@ fn accumulate_scalar<W: Copy + Into<i32>>(
             let orow = &mut out[i * n..(i + 1) * n];
             for j in 0..n {
                 orow[j] = orow[j].wrapping_add(av * brow[j].into());
-            }
-        }
-    }
-}
-
-/// Accumulates `a [m,k] × b [k,n]` on top of `out [m,n]` with `i32`
-/// accumulation, register-tiled over [`MR`] rows, skipping zero activation
-/// values (the delta fast path).
-///
-/// Generic over the weight element (`i8` dense weights, `i16` attention
-/// operands) so both monomorphize to the same tiled loop nest.
-pub(crate) fn accumulate_tiled<W: Copy + Into<i32>>(
-    out: &mut [i32],
-    a: &[i16],
-    b: &[W],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(out.len(), m * n);
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    if k * n <= B_ELEMS_BLOCK_THRESHOLD || m < 2 {
-        // Small B: the streaming `ikj` order wins (see threshold doc).
-        for i in 0..m {
-            for kk in 0..k {
-                let av = a[i * k + kk] as i32;
-                if av == 0 {
-                    continue;
-                }
-                let brow = &b[kk * n..(kk + 1) * n];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for j in 0..n {
-                    orow[j] = orow[j].wrapping_add(av * brow[j].into());
-                }
-            }
-        }
-        return;
-    }
-    for ib in (0..m).step_by(MR) {
-        let ie = (ib + MR).min(m);
-        for kk in 0..k {
-            let brow = &b[kk * n..kk * n + n];
-            for i in ib..ie {
-                let av = a[i * k + kk] as i32;
-                if av == 0 {
-                    continue;
-                }
-                let orow = &mut out[i * n..i * n + n];
-                for j in 0..n {
-                    orow[j] = orow[j].wrapping_add(av * brow[j].into());
-                }
             }
         }
     }
@@ -517,8 +450,8 @@ pub fn int_scores_with(
     out
 }
 
-/// The pre-tiling scalar kernels — the bit-identity ground truth for
-/// tests and the backend benchmark comparisons. The load-bearing `ikj`
+/// The scalar kernels — the bit-identity ground truth for tests and the
+/// backend benchmark comparisons. The load-bearing `ikj`
 /// zero-skip loop itself lives in one place (the parent module's
 /// `accumulate_scalar`, which is also exactly what the `Scalar` backend
 /// dispatches to), so the reference and the scalar backend can never
@@ -573,6 +506,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensor::backend::SimdLevel;
     use tensor::Rng;
 
     fn rand_i8(n: usize, rng: &mut Rng) -> Vec<i8> {
@@ -593,8 +527,9 @@ mod tests {
 
     #[test]
     fn tiled_matches_reference_bitwise() {
-        // Shapes around the MR tile boundary and the streaming-vs-blocked
-        // dispatch threshold (k·n vs 2^14), with delta-grade sparsity.
+        // The default backend's public kernels against the references on
+        // shapes around the 4-row tile and the 8-column strips, with
+        // delta-grade sparsity.
         let mut rng = Rng::seed_from(77);
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -614,7 +549,7 @@ mod tests {
             assert_eq!(
                 int_matmul(&a, &w, m, k, n),
                 reference::int_matmul(&a, &w, m, k, n),
-                "tiled int_matmul diverged at {m}x{k}x{n}"
+                "int_matmul diverged at {m}x{k}x{n}"
             );
             let prev: Vec<i32> =
                 (0..m * n).map(|_| rng.next_below(1 << 20) as i32 - (1 << 19)).collect();
@@ -623,19 +558,13 @@ mod tests {
                 reference::delta_matmul_update(&prev, &a, &w, m, k, n),
                 "fused delta update diverged at {m}x{k}x{n}"
             );
-            let b = rand_i16(k * n, &mut rng);
-            let mut tiled = prev.clone();
-            accumulate_tiled(&mut tiled, &a, &b, m, k, n);
-            let mut scalar = prev.clone();
-            reference::accumulate_i16_matmul(&mut scalar, &a, &b, m, k, n);
-            assert_eq!(tiled, scalar, "tiled i16 accumulate diverged at {m}x{k}x{n}");
         }
     }
 
     #[test]
     fn every_backend_matches_reference_bitwise() {
-        // The backend seam's core contract: scalar, tiled, and simd produce
-        // the same bytes for every integer kernel.
+        // The backend seam's core contract: scalar and every SIMD level
+        // produce the same bytes for every integer kernel.
         let mut rng = Rng::seed_from(41);
         for &(m, k, n) in &[(1usize, 1usize, 1usize), (3, 9, 5), (6, 40, 17), (9, 120, 33)] {
             let a: Vec<i16> = rand_i16(m * k, &mut rng)
@@ -750,5 +679,14 @@ mod tests {
     #[should_panic(expected = "delta length")]
     fn delta_update_length_check() {
         delta_matmul_update(&[0i32; 4], &[0i16; 3], &[0i8; 4], 2, 2, 2);
+    }
+
+    /// A backend value can name any level; one this host cannot run (the
+    /// other ISA family always exists) is refused before an intrinsic runs.
+    #[test]
+    #[should_panic(expected = "cannot run on this host")]
+    fn unsupported_level_is_refused() {
+        let level = SimdLevel::ALL.into_iter().find(|l| !l.is_hw_supported()).unwrap();
+        int_matmul_with(KernelBackend::Simd(level), &[1i16; 4], &[1i8; 4], 2, 2, 2);
     }
 }

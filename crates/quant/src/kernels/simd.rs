@@ -1,7 +1,7 @@
 //! The explicit-SIMD integer GEMM core (`std::arch`: x86 AVX2 and SSE2,
 //! aarch64 NEON) — the [`tensor::backend::KernelBackend::Simd`]
 //! implementation of the paper's hot path, and the only accumulation path
-//! that backend has.
+//! every SIMD level has.
 //!
 //! # What is packed, and when
 //!
@@ -12,8 +12,8 @@
 //! row and a ragged last strip with zero columns. One vector load then
 //! feeds one multiply-add of eight output columns against a broadcast
 //! `(a[i][2p], a[i][2p+1])` pair, which is a plain 32-bit read of the
-//! activation row. The layout is the same at every SIMD level, so a pack
-//! outlives a level switch. Layer weights are packed at the layer's first
+//! activation row. The layout is the same at every SIMD level, so one pack
+//! serves every level. Layer weights are packed at the layer's first
 //! call and kept; attention's activation-as-weight operands are repacked
 //! per call into a buffer the caller keeps (`1/m` of the call's work).
 //!
@@ -48,7 +48,7 @@
 //! tests include). `vpmaddubsw` stays rejected: its `u8 × i8` pair sum
 //! *saturates* in `i16`.
 
-use tensor::backend::{simd_level, SimdLevel};
+use tensor::backend::SimdLevel;
 
 /// Output columns per packed strip (one AVX2 vector of `i32` lanes).
 const STRIP: usize = 8;
@@ -105,9 +105,14 @@ impl PackedRhs {
 }
 
 /// `Simd`-backend accumulation `out [m,n] += a [m,k] × b [k,n]` through
-/// `pack` at the active SIMD level; level `none` (and architectures
-/// without kernels) run the tiled loops on `b` itself.
+/// `pack` at `level`.
+///
+/// # Panics
+///
+/// If `level` cannot run on this host.
+#[allow(clippy::too_many_arguments)]
 pub(super) fn accumulate<W: Copy + Into<i16> + Into<i32>>(
+    level: SimdLevel,
     out: &mut [i32],
     a: &[i16],
     b: &[W],
@@ -116,9 +121,9 @@ pub(super) fn accumulate<W: Copy + Into<i16> + Into<i32>>(
     k: usize,
     n: usize,
 ) {
-    let level = simd_level();
-    if level == SimdLevel::None || m * k * n == 0 {
-        return super::accumulate_tiled(out, a, b, m, k, n);
+    assert!(level.is_hw_supported(), "SIMD level {level} cannot run on this host");
+    if m * k * n == 0 {
+        return;
     }
     pack.ensure(b, k, n);
     accumulate_packed(level, out, a, pack, m);
@@ -132,9 +137,9 @@ fn accumulate_packed(level: SimdLevel, out: &mut [i32], a: &[i16], rhs: &PackedR
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(rhs.data.len(), n.div_ceil(STRIP) * k.div_ceil(2) * ENTRY);
     match level {
-        // SAFETY (all arms): only hardware-supported levels can ever be
-        // active, so the matched level proves its target feature; the
-        // slice lengths are the ones asserted above.
+        // SAFETY (all arms): `accumulate` checked that the level runs on
+        // this host, which proves its target feature; the slice lengths
+        // are the ones asserted above.
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         SimdLevel::Avx2 => unsafe { x86::gemm_avx2(out, a, &rhs.data, m, k, n) },
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -457,9 +462,8 @@ mod neon {
 
 #[cfg(all(test, any(target_arch = "x86", target_arch = "x86_64")))]
 mod tests {
-    use super::super::accumulate_tiled;
+    use super::super::accumulate_scalar;
     use super::*;
-    use tensor::backend::available_simd_levels;
     use tensor::Rng;
 
     /// `len` values, `zeros` of them zero, a quarter of the rest an `i16`
@@ -475,19 +479,17 @@ mod tests {
             .collect()
     }
 
-    /// The core at every hardware-supported level — called with the level
-    /// as a value, not through the mutable active-level global, so this is
-    /// race-free under parallel tests — reproduces the tiled loops (which
-    /// `tiled_matches_reference_bitwise` holds to the scalar reference)
-    /// bit for bit on every tile and remainder: `m` across the 4-row block,
+    /// The core at every hardware-supported level reproduces the scalar
+    /// loop bit for bit on every tile and remainder: `m` across the 4-row
+    /// block,
     /// odd and even `k` (and one long `k`), `n` across the 4- and 8-lane
     /// groups, from dense to all-zero `a`, with `i16` extremes whose pair
     /// sum wraps and onto a non-zero `out`.
     #[test]
-    fn simd_levels_match_tiled_bitwise() {
+    fn simd_levels_match_scalar_bitwise() {
         let mut rng = Rng::seed_from(31);
         let levels: Vec<SimdLevel> =
-            available_simd_levels().into_iter().filter(|&l| l != SimdLevel::None).collect();
+            SimdLevel::ALL.into_iter().filter(|l| l.is_hw_supported()).collect();
         for m in 1..=9usize {
             for k in [1usize, 2, 3, 7, 8, 9, 259] {
                 for n in [1usize, 7, 8, 9, 15, 16, 17, 24, 33] {
@@ -497,9 +499,9 @@ mod tests {
                         let b8: Vec<i8> = b16.iter().map(|&v| v as i8).collect();
                         let init: Vec<i32> = (0..m * n).map(|_| rng.next_u64() as i32).collect();
                         let mut want8 = init.clone();
-                        accumulate_tiled(&mut want8, &a, &b8, m, k, n);
+                        accumulate_scalar(&mut want8, &a, &b8, m, k, n);
                         let mut want16 = init.clone();
-                        accumulate_tiled(&mut want16, &a, &b16, m, k, n);
+                        accumulate_scalar(&mut want16, &a, &b16, m, k, n);
                         let (mut pack8, mut pack16) = (PackedRhs::default(), PackedRhs::default());
                         pack8.ensure(&b8, k, n);
                         pack16.ensure(&b16, k, n);

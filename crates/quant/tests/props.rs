@@ -7,22 +7,8 @@ use quant::kernels::{delta_matmul_update, im2col_i8_into, int_matmul, widen};
 use quant::{
     encode, quantize_into, BitWidthClass, BitWidthHistogram, BopsModel, Emit, Encoded, QTensor,
 };
-use tensor::backend::{available_simd_levels, hw_simd_level, set_simd_level, SimdLevel};
 use tensor::ops::Conv2dParams;
 use tensor::{KernelBackend, Tensor};
-
-/// Backend × SIMD-level configurations: the portable backends, then the
-/// `simd` backend once per hardware-supported level (the sweep the
-/// `DITTO_SIMD_LEVEL` override makes CI-testable). Level `none` is
-/// included deliberately — it exercises the graceful fallback from the
-/// `simd` dispatchers to the tiled loops.
-fn backend_level_matrix() -> Vec<(KernelBackend, Option<SimdLevel>)> {
-    let mut configs = vec![(KernelBackend::Scalar, None), (KernelBackend::Tiled, None)];
-    for level in available_simd_levels() {
-        configs.push((KernelBackend::Simd, Some(level)));
-    }
-    configs
-}
 
 /// The Encoding Unit pass one value at a time: [`BitWidthClass::of`] is
 /// the specification of every count [`encode`] returns, and the operand is
@@ -132,7 +118,7 @@ fn extreme_i16(len: usize, zeros: f64, rng: &mut tensor::Rng) -> Vec<i16> {
 }
 
 /// The packed GEMM core against the scalar reference, bit for bit, on every
-/// backend at every SIMD level this host has: `m` across the 4-row block,
+/// backend this host has: `m` across the 4-row block,
 /// `k` odd, even and long, `n` across the 4- and 8-lane column groups and
 /// their ragged tails, `a` from dense to all-zero (the skipped block), with
 /// `i16` extremes on both operand widths and accumulation onto a non-zero
@@ -164,11 +150,8 @@ fn packed_core_matches_reference_at_lane_boundaries() {
                         k,
                         n,
                     );
-                    for (backend, level) in backend_level_matrix() {
-                        if let Some(level) = level {
-                            set_simd_level(level).unwrap();
-                        }
-                        let case = format!("{backend} at {level:?}, {m}x{k}x{n} z={zeros}");
+                    for backend in KernelBackend::available() {
+                        let case = format!("{backend}, {m}x{k}x{n} z={zeros}");
                         assert_eq!(
                             quant::kernels::int_matmul_with(backend, &a, &w, m, k, n),
                             want_mm,
@@ -193,7 +176,6 @@ fn packed_core_matches_reference_at_lane_boundaries() {
             }
         }
     }
-    set_simd_level(hw_simd_level()).unwrap();
 }
 
 /// The gather loop `im2col_i8_into` replaced: every tap bounds-checked on
@@ -300,9 +282,9 @@ proptest! {
         prop_assert_eq!(dense, via);
     }
 
-    /// The tiled kernels are bit-identical to the scalar reference loops on
-    /// arbitrary shapes and sparsity (larger shapes than the exactness test
-    /// above, straddling the register-tile boundary).
+    /// The default-backend kernels are bit-identical to the scalar reference
+    /// loops on arbitrary shapes and sparsity (larger shapes than the
+    /// exactness test above, straddling the register-tile boundary).
     #[test]
     fn tiled_kernels_match_reference(
         m in 1usize..12, k in 1usize..24, n in 1usize..12,
@@ -328,10 +310,9 @@ proptest! {
         );
     }
 
-    /// Every kernel × every available backend × every available SIMD
-    /// level is bit-identical to the scalar reference loops — the
-    /// cross-backend matrix behind the pluggable kernel-backend layer
-    /// (`tensor::backend`). Covers the dense matmul, the fused delta
+    /// Every kernel × every available backend is bit-identical to the
+    /// scalar reference loops — the cross-backend matrix behind the
+    /// kernel-backend value (`tensor::backend`). Covers the dense matmul, the fused delta
     /// update, and both attention kernels, from dense to delta-realistic
     /// sparsities, on random shapes straddling the 8-lane boundary
     /// (`n < 8`, odd `n`, odd `k` for the packed pairs).
@@ -362,30 +343,26 @@ proptest! {
         let want_attn = quant::kernels::attention_delta_scores_with(
             KernelBackend::Scalar, &prev, &a, &dq, &k_t, &dk_t, m, k, n,
         );
-        for (backend, level) in backend_level_matrix() {
-            if let Some(level) = level {
-                set_simd_level(level).unwrap();
-            }
+        for backend in KernelBackend::available() {
             prop_assert_eq!(
                 &quant::kernels::int_matmul_with(backend, &a, &w, m, k, n),
-                &want_mm, "int_matmul diverged on {} at {:?}", backend, level
+                &want_mm, "int_matmul diverged on {}", backend
             );
             prop_assert_eq!(
                 &quant::kernels::delta_matmul_update_with(backend, &prev, &a, &w, m, k, n),
-                &want_delta, "delta_matmul_update diverged on {} at {:?}", backend, level
+                &want_delta, "delta_matmul_update diverged on {}", backend
             );
             prop_assert_eq!(
                 &quant::kernels::int_scores_with(backend, &a, &k_t, m, k, n),
-                &want_scores, "int_scores diverged on {} at {:?}", backend, level
+                &want_scores, "int_scores diverged on {}", backend
             );
             prop_assert_eq!(
                 &quant::kernels::attention_delta_scores_with(
                     backend, &prev, &a, &dq, &k_t, &dk_t, m, k, n,
                 ),
-                &want_attn, "attention_delta_scores diverged on {} at {:?}", backend, level
+                &want_attn, "attention_delta_scores diverged on {}", backend
             );
         }
-        set_simd_level(hw_simd_level()).unwrap();
     }
 
     /// Quantize→dequantize error is bounded by half a quantization step.

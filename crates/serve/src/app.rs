@@ -6,9 +6,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bench::report::sweep_summary;
-use bench::sweep::{
-    apply_backend, parse_request, request_id, response_err, response_ok, scale_name,
-};
+use bench::sweep::{parse_request, request_id, response_err, response_ok, scale_name};
 use bench::{HitAccounting, Suite};
 
 use crate::diag;
@@ -71,13 +69,6 @@ impl App for SuiteApp {
         // spans nest under in the trace timeline.
         let _req_span = ditto_core::telemetry::on()
             .then(|| ditto_core::telemetry::span("serve", format!("request:{}", req.id)));
-        // Kernel-backend override first, so any tracing this request
-        // triggers runs on the requested backend. Purely a perf knob:
-        // results (and memo keys) are backend-invariant.
-        let backend = match apply_backend(req.backend) {
-            Ok(b) => b,
-            Err(e) => return self.fail(&req.id, started, &e),
-        };
         // Loading may warm the suite; the credit for reporting the
         // warm-up is claimed only once a response can actually carry it
         // (below), so a failing warmer does not swallow the stats.
@@ -130,7 +121,7 @@ impl App for SuiteApp {
                 obs.request_completed(
                     &req.id, true, us, total, memo_hits, coalesced, simulated, evictions,
                 );
-                response_ok(&req.id, &report, &hits, backend)
+                response_ok(&req.id, &report, &hits, tensor::backend::active())
             }
             Err(e) => self.fail(&req.id, started, &e.to_string()),
         }

@@ -1,66 +1,49 @@
-//! Kernel-backend selection: the process-wide seam every hot compute
-//! kernel dispatches through.
+//! Kernel-backend selection: the one value every hot compute kernel is
+//! handed.
 //!
-//! Three backends exist, and **all of them produce bit-identical results
-//! for every kernel** — the Ditto equivalence chain (and the serve memo's
-//! cross-request guarantees) rest on exact accumulator values, so a
-//! backend is only ever a *performance* choice:
+//! A [`KernelBackend`] is either [`KernelBackend::Scalar`] — the reference
+//! loops, kept as ground truth for tests and benchmarks — or
+//! [`KernelBackend::Simd`] at one [`SimdLevel`]: explicit `std::arch`
+//! intrinsics (AVX2 or SSE2 on x86, NEON on aarch64). **Every backend
+//! produces bit-identical results for every kernel** — the Ditto
+//! equivalence chain (and the serve memo's cross-request guarantees) rest
+//! on exact accumulator values, so a backend is only ever a *performance*
+//! choice. The integer kernels reassociate freely (wrapping-`i32` addition
+//! is associative, so SIMD sums equal the scalar ones exactly). The `f32`
+//! kernels never reassociate: every SIMD lane is one independent output
+//! element whose products are folded in ascending-`k` order from an
+//! explicit `0.0` seed with separate correctly rounded `mul`/`add` (never
+//! FMA), which is bit-identical to the scalar fold by construction.
 //!
-//! * [`KernelBackend::Scalar`] — the pre-tiling reference loops, kept as
-//!   ground truth for tests and benchmarks.
-//! * [`KernelBackend::Tiled`] — cache-blocked, autovectorization-friendly
-//!   loop nests (the previous default). Bit-identical to scalar because
-//!   tiling only reorders *which output rows are visited when*; each
-//!   output element still accumulates in ascending-`k` order.
-//! * [`KernelBackend::Simd`] — explicit `std::arch` intrinsics at the
-//!   active [`SimdLevel`] (AVX2/SSE2 on x86, NEON on aarch64). The integer
-//!   kernels reassociate freely (wrapping-`i32` addition is associative,
-//!   so SIMD sums equal the scalar ones exactly). The `f32` kernels never
-//!   reassociate: every SIMD lane is one independent output element whose
-//!   products are folded in ascending-`k` order from an explicit `0.0`
-//!   seed with separate correctly rounded `mul`/`add` (never FMA), which
-//!   is bit-identical to the scalar fold by construction.
+//! # One value, passed down
 //!
-//! # The SIMD-level ladder
-//!
-//! [`SimdLevel`] orders the instruction tiers `None < Neon < Sse2 < Avx2`.
-//! Two levels matter at runtime:
-//!
-//! * [`hw_simd_level`] — what the host silicon supports, detected once and
-//!   immutable for the life of the process.
-//! * [`simd_level`] — the *active* level every `Simd`-backend kernel
-//!   dispatches on. Resolved on first use from `DITTO_SIMD_LEVEL`
-//!   (`avx2`, `sse2`, `neon`, `none`, or `auto`; values the hardware
-//!   cannot run warn once on stderr and fall back to detection), and
-//!   overridable at runtime with [`set_simd_level`] — the hook the
-//!   cross-level bit-identity test matrices and perfbench's per-level rows
-//!   use to exercise SSE2 kernels on an AVX2 host.
-//!
-//! Forcing the level *down* is always allowed (an AVX2 host runs SSE2
-//! code); forcing it up or across ISA families is not ([`set_simd_level`]
-//! rejects, the env fallback warns). `DITTO_SIMD_LEVEL=none` makes the
-//! `Simd` backend unavailable, so `DITTO_KERNEL_BACKEND=simd` degrades to
-//! `tiled` — and the serve protocol reports the *resolved* backend (e.g.
-//! `tiled`, or `simd:sse2`) via [`KernelBackend::resolved_name`], never
-//! the requested one.
+//! Every kernel reads its level from the backend value it is given, never
+//! from a global: the `*_with` entry points take it as an argument, and a
+//! level without a kernel for some op (NEON activations, the f32 kernels
+//! off x86-64 and aarch64) runs the scalar loop for that op. Only the
+//! un-suffixed entry points (`ops::matmul`, `quant::kernels::int_matmul`,
+//! …) and compiled plans (`diffusion::plan::TracePlan::execute`) call
+//! [`active`], the process default.
 //!
 //! # Selection
 //!
-//! The active backend is resolved once per process, in this order:
+//! [`active`] is resolved once, on first use, from `DITTO_KERNEL_BACKEND`
+//! (case-insensitive) and never changes afterwards:
 //!
-//! 1. `DITTO_KERNEL_BACKEND` — `scalar`, `tiled`, `simd`, or `auto`. An
-//!    unknown or unavailable value warns on stderr and falls through to
-//!    detection, so a `simd` job on a host without SIMD degrades
-//!    gracefully instead of dying.
-//! 2. CPU detection ([`KernelBackend::detect`]): `Simd` wherever the
-//!    intrinsics exist, `Tiled` elsewhere.
+//! | value | backend |
+//! |---|---|
+//! | unset, empty or `auto` | [`KernelBackend::detect`]: `simd` at the best level the CPU has, else `scalar` |
+//! | `scalar` | the reference loops |
+//! | `simd` | `simd` at the best level the CPU has |
+//! | `simd:avx2`, `simd:sse2`, `simd:neon` | `simd` at that level — below the hardware's (SSE2 on an AVX2 host) it runs that level's real kernels |
 //!
-//! [`set_active`] overrides the resolved backend at runtime — the serve
-//! wire protocol's optional `backend` field and the cross-backend test
-//! matrices go through it. Because every backend is bit-identical, a
-//! concurrent override can never change any result, only its speed.
+//! Any other value, or a level the CPU cannot run, warns once on stderr and
+//! falls back to detection, so a job pinned to `simd:avx2` degrades on an
+//! older host instead of dying. Serve responses and perfbench rows report
+//! [`KernelBackend::resolved_name`] (`scalar`, `simd:avx2`, …), which
+//! [`KernelBackend::parse`] accepts back.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// The compute-kernel implementations a process can dispatch to.
@@ -68,25 +51,21 @@ use std::sync::OnceLock;
 pub enum KernelBackend {
     /// Reference scalar loops (`ikj` order, zero-skip).
     Scalar,
-    /// Cache-blocked tiled loops relying on autovectorization.
-    Tiled,
-    /// Explicit SIMD intrinsics at the active [`SimdLevel`] for both the
-    /// integer and `f32` kernels (fixed-order lane reduction keeps the
-    /// float results bit-identical).
-    Simd,
+    /// Explicit SIMD intrinsics at one level for both the integer and
+    /// `f32` kernels (fixed-order lane reduction keeps the float results
+    /// bit-identical).
+    Simd(SimdLevel),
 }
 
-/// Explicit-SIMD instruction tier. Variants are declared ascending so the
-/// derived ordering is the ladder itself: `None < Neon < Sse2 < Avx2`.
+/// Explicit-SIMD instruction tier. Variants are declared ascending, so the
+/// derived ordering ranks kernel width: `Neon < Sse2 < Avx2`.
 ///
-/// The ordering ranks kernel width/throughput (NEON and SSE2 are both
-/// 128-bit, but the x86 tiers can widen to AVX2 while NEON cannot); use
-/// [`SimdLevel::is_hw_supported`] — not the ordering — to ask whether a
-/// level can *run* here, since the ISA families never overlap on one host.
+/// NEON and SSE2 are both 128-bit, but only the x86 tiers widen to AVX2;
+/// use [`SimdLevel::is_hw_supported`] — not the ordering — to ask whether
+/// a level can *run* here, since the ISA families never overlap on one
+/// host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
-    /// No SIMD intrinsics; the `Simd` backend is unavailable.
-    None,
     /// 128-bit aarch64 NEON kernels.
     Neon,
     /// 128-bit x86 SSE2 kernels.
@@ -96,63 +75,61 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Every level, ascending the ladder.
-    pub const ALL: [SimdLevel; 4] =
-        [SimdLevel::None, SimdLevel::Neon, SimdLevel::Sse2, SimdLevel::Avx2];
+    /// Every level, ascending.
+    pub const ALL: [SimdLevel; 3] = [SimdLevel::Neon, SimdLevel::Sse2, SimdLevel::Avx2];
 
-    /// Wire/log name of the level, as accepted by [`SimdLevel::parse`] and
-    /// `DITTO_SIMD_LEVEL`.
+    /// Lower-case name, as in `simd:<name>`.
     pub fn name(self) -> &'static str {
         match self {
-            SimdLevel::None => "none",
             SimdLevel::Neon => "neon",
             SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
 
-    /// Parses a level name (case-insensitive). Returns `None` for unknown
-    /// names — including `auto`, which callers resolve through
-    /// [`hw_simd_level`] instead.
+    /// Parses a level name (case-insensitive).
     pub fn parse(s: &str) -> Option<SimdLevel> {
-        match s.to_ascii_lowercase().as_str() {
-            "none" => Some(SimdLevel::None),
-            "neon" => Some(SimdLevel::Neon),
-            "sse2" => Some(SimdLevel::Sse2),
-            "avx2" => Some(SimdLevel::Avx2),
-            _ => None,
-        }
+        SimdLevel::ALL.into_iter().find(|l| l.name().eq_ignore_ascii_case(s))
     }
 
-    /// Whether the host silicon can execute this level. `None` always can
-    /// (it just means "no SIMD"); NEON requires an aarch64 host; the x86
-    /// tiers require detected x86 features at or above the level.
+    /// The best level the host silicon supports, detected once: AVX2 then
+    /// SSE2 on x86 (`is_x86_feature_detected!`), NEON on aarch64 (it is
+    /// baseline), none elsewhere.
+    pub fn detect() -> Option<SimdLevel> {
+        static LEVEL: OnceLock<Option<SimdLevel>> = OnceLock::new();
+        *LEVEL.get_or_init(detect_hw_level)
+    }
+
+    /// Whether the host silicon can execute this level: NEON on an aarch64
+    /// host, an x86 tier on an x86 host detected at or above it.
     pub fn is_hw_supported(self) -> bool {
-        match self {
-            SimdLevel::None => true,
-            SimdLevel::Neon => hw_simd_level() == SimdLevel::Neon,
-            level => hw_simd_level() >= level,
+        match (self, SimdLevel::detect()) {
+            (SimdLevel::Neon, hw) => hw == Some(SimdLevel::Neon),
+            (level, Some(hw)) => hw != SimdLevel::Neon && hw >= level,
+            (_, None) => false,
         }
     }
+}
 
-    fn encode(self) -> u8 {
-        match self {
-            SimdLevel::None => 1,
-            SimdLevel::Neon => 2,
-            SimdLevel::Sse2 => 3,
-            SimdLevel::Avx2 => 4,
-        }
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn detect_hw_level() -> Option<SimdLevel> {
+    if std::arch::is_x86_feature_detected!("avx2") {
+        Some(SimdLevel::Avx2)
+    } else if std::arch::is_x86_feature_detected!("sse2") {
+        Some(SimdLevel::Sse2)
+    } else {
+        None
     }
+}
 
-    fn decode(v: u8) -> Option<SimdLevel> {
-        match v {
-            1 => Some(SimdLevel::None),
-            2 => Some(SimdLevel::Neon),
-            3 => Some(SimdLevel::Sse2),
-            4 => Some(SimdLevel::Avx2),
-            _ => None,
-        }
-    }
+#[cfg(target_arch = "aarch64")]
+fn detect_hw_level() -> Option<SimdLevel> {
+    Some(SimdLevel::Neon)
+}
+
+#[cfg(not(any(target_arch = "x86", target_arch = "x86_64", target_arch = "aarch64")))]
+fn detect_hw_level() -> Option<SimdLevel> {
+    None
 }
 
 impl std::fmt::Display for SimdLevel {
@@ -161,341 +138,109 @@ impl std::fmt::Display for SimdLevel {
     }
 }
 
-/// One-time runtime CPU-feature detection: the best SIMD level the host
-/// silicon supports. Immutable for the life of the process — the *active*
-/// level ([`simd_level`]) starts here but can be forced lower.
-///
-/// On x86/x86-64 this probes AVX2 then SSE2 with
-/// `is_x86_feature_detected!`; aarch64 always has NEON (it is baseline);
-/// every other architecture returns [`SimdLevel::None`].
-pub fn hw_simd_level() -> SimdLevel {
-    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(detect_hw_simd_level)
-}
-
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-fn detect_hw_simd_level() -> SimdLevel {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        SimdLevel::Avx2
-    } else if std::arch::is_x86_feature_detected!("sse2") {
-        SimdLevel::Sse2
-    } else {
-        SimdLevel::None
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-fn detect_hw_simd_level() -> SimdLevel {
-    SimdLevel::Neon
-}
-
-#[cfg(not(any(target_arch = "x86", target_arch = "x86_64", target_arch = "aarch64")))]
-fn detect_hw_simd_level() -> SimdLevel {
-    SimdLevel::None
-}
-
-/// The SIMD levels this host can run, ascending the ladder (always
-/// starting with [`SimdLevel::None`]) — the axis the cross-level
-/// bit-identity matrices and perfbench's per-level rows sweep. An AVX2
-/// host yields `[none, sse2, avx2]`; an aarch64 host `[none, neon]`.
-pub fn available_simd_levels() -> Vec<SimdLevel> {
-    SimdLevel::ALL.into_iter().filter(|l| l.is_hw_supported()).collect()
-}
-
-/// The process-wide active SIMD level: 0 = unresolved, else
-/// `SimdLevel::encode`.
-static ACTIVE_LEVEL: AtomicU8 = AtomicU8::new(0);
-
-/// The *active* SIMD level every `Simd`-backend kernel dispatches on,
-/// resolving `DITTO_SIMD_LEVEL` / hardware detection on first use. One
-/// relaxed atomic load on the hot path.
-pub fn simd_level() -> SimdLevel {
-    match SimdLevel::decode(ACTIVE_LEVEL.load(Ordering::Relaxed)) {
-        Some(l) => l,
-        None => {
-            let resolved = resolve_level_from_env();
-            // Publish only if still unresolved, so a racing
-            // `set_simd_level` override is never clobbered (same CAS
-            // pattern as the backend's `ACTIVE`).
-            match ACTIVE_LEVEL.compare_exchange(
-                0,
-                resolved.encode(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => resolved,
-                Err(winner) => {
-                    SimdLevel::decode(winner).expect("non-zero ACTIVE_LEVEL values are encodings")
-                }
-            }
-        }
-    }
-}
-
-/// Error returned by [`set_simd_level`] for a level the host cannot run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelUnavailable {
-    /// The rejected level.
-    pub level: SimdLevel,
-}
-
-impl std::fmt::Display for LevelUnavailable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "simd level `{}` is not supported by this host (hardware level: `{}`)",
-            self.level,
-            hw_simd_level()
-        )
-    }
-}
-
-impl std::error::Error for LevelUnavailable {}
-
-/// Overrides the active SIMD level for the rest of the process (or until
-/// the next call) — the test hook that lets an AVX2 host exercise its SSE2
-/// kernels, or force `None` to make the `Simd` backend unavailable.
-/// Results are bit-identical across levels, so flipping this concurrently
-/// with running kernels is benign — it changes speed, never values.
-///
-/// # Errors
-///
-/// [`LevelUnavailable`] if the host silicon cannot execute `level`
-/// (forcing *up* the ladder, or across ISA families); the active level is
-/// left unchanged.
-pub fn set_simd_level(level: SimdLevel) -> Result<(), LevelUnavailable> {
-    if !level.is_hw_supported() {
-        return Err(LevelUnavailable { level });
-    }
-    ACTIVE_LEVEL.store(level.encode(), Ordering::Relaxed);
-    Ok(())
-}
-
-/// Resolves the startup SIMD level from `DITTO_SIMD_LEVEL`, falling back
-/// to hardware detection with a (once-only) stderr warning on unknown or
-/// hardware-unsupported values.
-fn resolve_level_from_env() -> SimdLevel {
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    let warn_once = |msg: String| {
-        if !WARNED.swap(true, Ordering::Relaxed) {
-            eprintln!("{msg}");
-        }
-    };
-    match std::env::var("DITTO_SIMD_LEVEL") {
-        Ok(raw) if !raw.trim().is_empty() && !raw.trim().eq_ignore_ascii_case("auto") => {
-            match SimdLevel::parse(raw.trim()) {
-                Some(l) if l.is_hw_supported() => l,
-                Some(l) => {
-                    let fallback = hw_simd_level();
-                    warn_once(format!(
-                        "[tensor] DITTO_SIMD_LEVEL={l} is not supported by this host; \
-                         using `{fallback}`"
-                    ));
-                    fallback
-                }
-                None => {
-                    let fallback = hw_simd_level();
-                    warn_once(format!(
-                        "[tensor] unknown DITTO_SIMD_LEVEL `{raw}` \
-                         (expected none|neon|sse2|avx2|auto); using `{fallback}`"
-                    ));
-                    fallback
-                }
-            }
-        }
-        _ => hw_simd_level(),
-    }
-}
-
 impl KernelBackend {
-    /// Every backend, in `scalar < tiled < simd` "optimization order".
-    /// Filter with [`KernelBackend::is_available`] (or use
+    /// Every backend value, `scalar` first and then the SIMD levels
+    /// ascending. Filter with [`KernelBackend::is_available`] (or use
     /// [`KernelBackend::available`]) before dispatching.
-    pub const ALL: [KernelBackend; 3] =
-        [KernelBackend::Scalar, KernelBackend::Tiled, KernelBackend::Simd];
+    pub const ALL: [KernelBackend; 4] = [
+        KernelBackend::Scalar,
+        KernelBackend::Simd(SimdLevel::Neon),
+        KernelBackend::Simd(SimdLevel::Sse2),
+        KernelBackend::Simd(SimdLevel::Avx2),
+    ];
 
-    /// Canonical lower-case name, as accepted by [`KernelBackend::parse`],
-    /// `DITTO_KERNEL_BACKEND`, and the serve wire protocol.
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelBackend::Scalar => "scalar",
-            KernelBackend::Tiled => "tiled",
-            KernelBackend::Simd => "simd",
-        }
-    }
-
-    /// The *resolved* name, qualifying `Simd` with the active instruction
-    /// level (`simd:avx2`, `simd:sse2`, `simd:neon`). Serve responses and
-    /// perfbench rows report this instead of [`KernelBackend::name`] so a
-    /// `simd` request that resolved lower is never reported as bare
-    /// `simd`. `Scalar`/`Tiled` resolve to their plain names.
+    /// The name serve responses, perfbench rows and dispatch counts report:
+    /// `scalar`, or `simd:<level>`. [`KernelBackend::parse`] inverts it.
     pub fn resolved_name(self) -> String {
-        match self {
-            KernelBackend::Scalar | KernelBackend::Tiled => self.name().to_string(),
-            KernelBackend::Simd => format!("simd:{}", simd_level().name()),
-        }
+        self.to_string()
     }
 
-    /// Parses a backend name (case-insensitive). Returns `None` for
-    /// unknown names — including `auto`, which callers resolve through
-    /// [`KernelBackend::detect`] instead.
+    /// Parses a backend name (case-insensitive): `scalar`, `simd:<level>`,
+    /// or `simd` for the best level the host detects (`None` on a host
+    /// with no SIMD). `auto` is not a name; [`active`] resolves it.
     pub fn parse(s: &str) -> Option<KernelBackend> {
-        match s.to_ascii_lowercase().as_str() {
+        let s = s.to_ascii_lowercase();
+        match s.as_str() {
             "scalar" => Some(KernelBackend::Scalar),
-            "tiled" => Some(KernelBackend::Tiled),
-            "simd" => Some(KernelBackend::Simd),
-            _ => None,
+            "simd" => SimdLevel::detect().map(KernelBackend::Simd),
+            _ => s.strip_prefix("simd:").and_then(SimdLevel::parse).map(KernelBackend::Simd),
         }
     }
 
-    /// Whether this backend can run on the current host. `Scalar` and
-    /// `Tiled` are portable; `Simd` requires a non-`None` *active* SIMD
-    /// level — so `DITTO_SIMD_LEVEL=none` (or `set_simd_level(None)`)
-    /// makes it unavailable even on SIMD-capable silicon.
+    /// Whether this backend can run on the current host: `Scalar` always,
+    /// `Simd` when the host supports its level.
     pub fn is_available(self) -> bool {
         match self {
-            KernelBackend::Scalar | KernelBackend::Tiled => true,
-            KernelBackend::Simd => simd_level() != SimdLevel::None,
+            KernelBackend::Scalar => true,
+            KernelBackend::Simd(level) => level.is_hw_supported(),
         }
     }
 
     /// The backends available on this host, in [`KernelBackend::ALL`]
-    /// order — the axis every cross-backend bit-identity test iterates.
+    /// order — the axis every cross-backend bit-identity test iterates. An
+    /// AVX2 host yields `[scalar, simd:sse2, simd:avx2]`.
     pub fn available() -> Vec<KernelBackend> {
         KernelBackend::ALL.into_iter().filter(|b| b.is_available()).collect()
     }
 
-    /// The best available backend: `Simd` where intrinsics exist (at the
-    /// active level), `Tiled` elsewhere.
+    /// The fastest available backend: `Simd` at the detected level, or
+    /// `Scalar` on a host without SIMD.
     pub fn detect() -> KernelBackend {
-        if KernelBackend::Simd.is_available() {
-            KernelBackend::Simd
-        } else {
-            KernelBackend::Tiled
-        }
+        SimdLevel::detect().map_or(KernelBackend::Scalar, KernelBackend::Simd)
     }
 
-    fn encode(self) -> u8 {
+    /// Position in [`KernelBackend::ALL`].
+    fn index(self) -> usize {
         match self {
-            KernelBackend::Scalar => 1,
-            KernelBackend::Tiled => 2,
-            KernelBackend::Simd => 3,
-        }
-    }
-
-    fn decode(v: u8) -> Option<KernelBackend> {
-        match v {
-            1 => Some(KernelBackend::Scalar),
-            2 => Some(KernelBackend::Tiled),
-            3 => Some(KernelBackend::Simd),
-            _ => None,
+            KernelBackend::Scalar => 0,
+            KernelBackend::Simd(SimdLevel::Neon) => 1,
+            KernelBackend::Simd(SimdLevel::Sse2) => 2,
+            KernelBackend::Simd(SimdLevel::Avx2) => 3,
         }
     }
 }
 
 impl std::fmt::Display for KernelBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+        match self {
+            KernelBackend::Scalar => f.write_str("scalar"),
+            KernelBackend::Simd(level) => write!(f, "simd:{level}"),
+        }
     }
 }
 
-/// Error returned by [`set_active`] for a backend the host cannot run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackendUnavailable {
-    /// The rejected backend.
-    pub backend: KernelBackend,
-}
-
-impl std::fmt::Display for BackendUnavailable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "kernel backend `{}` is not available on this host", self.backend)
-    }
-}
-
-impl std::error::Error for BackendUnavailable {}
-
-/// The process-wide active backend: 0 = unresolved, else
-/// `KernelBackend::encode`.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// The process-wide active kernel backend, resolving
-/// `DITTO_KERNEL_BACKEND` / CPU detection on first use (see the module
-/// docs for the order). This is one relaxed atomic load on the hot path.
+/// The process-wide default kernel backend, resolved from
+/// `DITTO_KERNEL_BACKEND` on first use (see the module docs) and fixed for
+/// the life of the process.
 pub fn active() -> KernelBackend {
-    match KernelBackend::decode(ACTIVE.load(Ordering::Relaxed)) {
-        Some(b) => b,
-        None => {
-            let resolved = resolve_from_env();
-            // Publish only if still unresolved: a plain store could
-            // clobber a `set_active` override that raced with this
-            // resolution. Racing first calls resolve the same value, so
-            // whichever install wins is correct either way.
-            match ACTIVE.compare_exchange(
-                0,
-                resolved.encode(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => resolved,
-                Err(winner) => {
-                    KernelBackend::decode(winner).expect("non-zero ACTIVE values are encodings")
-                }
-            }
+    static ACTIVE: OnceLock<KernelBackend> = OnceLock::new();
+    *ACTIVE.get_or_init(|| {
+        let (backend, warning) = resolve(std::env::var("DITTO_KERNEL_BACKEND").ok().as_deref());
+        if let Some(warning) = warning {
+            eprintln!("{warning}");
         }
-    }
+        backend
+    })
 }
 
-/// Overrides the active backend for the rest of the process (or until the
-/// next call). Results are bit-identical across backends, so flipping this
-/// concurrently with running kernels is benign — it changes speed, never
-/// values.
-///
-/// # Errors
-///
-/// [`BackendUnavailable`] if the host cannot run `backend`; the active
-/// backend is left unchanged.
-pub fn set_active(backend: KernelBackend) -> Result<(), BackendUnavailable> {
-    if !backend.is_available() {
-        return Err(BackendUnavailable { backend });
+/// The backend `DITTO_KERNEL_BACKEND` set to `raw` selects, and the warning
+/// to print when `raw` names no backend this host can run.
+fn resolve(raw: Option<&str>) -> (KernelBackend, Option<String>) {
+    let detected = KernelBackend::detect();
+    let raw = raw.unwrap_or("").trim();
+    if raw.is_empty() || raw.eq_ignore_ascii_case("auto") {
+        return (detected, None);
     }
-    ACTIVE.store(backend.encode(), Ordering::Relaxed);
-    Ok(())
-}
-
-/// Resolves the startup backend from `DITTO_KERNEL_BACKEND`, falling back
-/// to detection with a (once-only) stderr warning on unknown or
-/// unavailable values.
-fn resolve_from_env() -> KernelBackend {
-    static WARNED: AtomicBool = AtomicBool::new(false);
-    let warn_once = |msg: String| {
-        if !WARNED.swap(true, Ordering::Relaxed) {
-            eprintln!("{msg}");
-        }
-    };
-    match std::env::var("DITTO_KERNEL_BACKEND") {
-        Ok(raw) if !raw.trim().is_empty() && !raw.trim().eq_ignore_ascii_case("auto") => {
-            match KernelBackend::parse(raw.trim()) {
-                Some(b) if b.is_available() => b,
-                Some(b) => {
-                    let fallback = KernelBackend::detect();
-                    warn_once(format!(
-                        "[tensor] DITTO_KERNEL_BACKEND={b} is not available on this host \
-                         (simd level: {}); using `{fallback}`",
-                        simd_level().name()
-                    ));
-                    fallback
-                }
-                None => {
-                    let fallback = KernelBackend::detect();
-                    warn_once(format!(
-                        "[tensor] unknown DITTO_KERNEL_BACKEND `{raw}` \
-                         (expected scalar|tiled|simd|auto); using `{fallback}`"
-                    ));
-                    fallback
-                }
-            }
-        }
-        _ => KernelBackend::detect(),
+    match KernelBackend::parse(raw).filter(|b| b.is_available()) {
+        Some(backend) => (backend, None),
+        None => (
+            detected,
+            Some(format!(
+                "[tensor] DITTO_KERNEL_BACKEND `{raw}` is unknown or not available on this host \
+                 (expected auto, scalar, simd, simd:avx2, simd:sse2 or simd:neon); using \
+                 `{detected}`"
+            )),
+        ),
     }
 }
 
@@ -569,17 +314,13 @@ impl DispatchKernel {
 /// dispatcher pays exactly one relaxed load and one branch.
 static COUNTING: AtomicBool = AtomicBool::new(false);
 
-/// `kernel × backend × simd-level` dispatch counters. Scalar/tiled
-/// dispatches land in the `SimdLevel::None` slot (their level is
-/// irrelevant); `Simd` dispatches land in the slot of the level *resolved
-/// at call time*, so a mid-run `set_simd_level` shows up as separate rows.
-static DISPATCHES: [[[AtomicU64; 4]; 3]; 9] = {
+/// `kernel × backend` dispatch counters, the backend axis in
+/// [`KernelBackend::ALL`] order.
+static DISPATCHES: [[AtomicU64; 4]; 9] = {
     #[allow(clippy::declare_interior_mutable_const)]
     const Z: AtomicU64 = AtomicU64::new(0);
     #[allow(clippy::declare_interior_mutable_const)]
-    const L: [AtomicU64; 4] = [Z; 4];
-    #[allow(clippy::declare_interior_mutable_const)]
-    const B: [[AtomicU64; 4]; 3] = [L; 3];
+    const B: [AtomicU64; 4] = [Z; 4];
     [B; 9]
 };
 
@@ -595,19 +336,15 @@ pub fn dispatch_counting() -> bool {
     COUNTING.load(Ordering::Relaxed)
 }
 
-/// Records one kernel dispatch when counting is on. The off path is one
-/// relaxed load and a branch — cheap enough for every dispatcher entry.
+/// Records one kernel dispatch on `backend` when counting is on. The off
+/// path is one relaxed load and a branch — cheap enough for every
+/// dispatcher entry.
 #[inline]
 pub fn count_dispatch(kernel: DispatchKernel, backend: KernelBackend) {
     if !COUNTING.load(Ordering::Relaxed) {
         return;
     }
-    let level = match backend {
-        KernelBackend::Simd => simd_level(),
-        _ => SimdLevel::None,
-    };
-    DISPATCHES[kernel as usize][backend.encode() as usize - 1][level.encode() as usize - 1]
-        .fetch_add(1, Ordering::Relaxed);
+    DISPATCHES[kernel as usize][backend.index()].fetch_add(1, Ordering::Relaxed);
 }
 
 /// One non-zero dispatch counter row.
@@ -615,31 +352,26 @@ pub fn count_dispatch(kernel: DispatchKernel, backend: KernelBackend) {
 pub struct DispatchCount {
     /// Kernel name (`matmul_f32`, …).
     pub kernel: &'static str,
-    /// Resolved backend label (`scalar`, `tiled`, `simd:avx2`, …).
+    /// Resolved backend label (`scalar`, `simd:avx2`, …).
     pub backend: String,
     /// Cumulative dispatches since process start (or the last reset).
     pub count: u64,
 }
 
-/// A snapshot of every non-zero dispatch counter, in stable
-/// kernel-major/backend/level order. Counters are cumulative — repeated
-/// snapshots report running totals, so exporters can emit the latest one.
+/// A snapshot of every non-zero dispatch counter, in stable kernel-major /
+/// backend order. Counters are cumulative — repeated snapshots report
+/// running totals, so exporters can emit the latest one.
 pub fn dispatch_counts() -> Vec<DispatchCount> {
     let mut rows = Vec::new();
     for kernel in DispatchKernel::ALL {
         for backend in KernelBackend::ALL {
-            for level in SimdLevel::ALL {
-                let n = DISPATCHES[kernel as usize][backend.encode() as usize - 1]
-                    [level.encode() as usize - 1]
-                    .load(Ordering::Relaxed);
-                if n == 0 {
-                    continue;
-                }
-                let label = match backend {
-                    KernelBackend::Simd => format!("simd:{}", level.name()),
-                    other => other.name().to_string(),
-                };
-                rows.push(DispatchCount { kernel: kernel.name(), backend: label, count: n });
+            let count = DISPATCHES[kernel as usize][backend.index()].load(Ordering::Relaxed);
+            if count > 0 {
+                rows.push(DispatchCount {
+                    kernel: kernel.name(),
+                    backend: backend.resolved_name(),
+                    count,
+                });
             }
         }
     }
@@ -649,12 +381,8 @@ pub fn dispatch_counts() -> Vec<DispatchCount> {
 /// Zeroes every dispatch counter (test isolation; production exporters
 /// rely on cumulative totals instead).
 pub fn reset_dispatch_counts() {
-    for kernel in &DISPATCHES {
-        for backend in kernel {
-            for slot in backend {
-                slot.store(0, Ordering::Relaxed);
-            }
-        }
+    for slot in DISPATCHES.iter().flatten() {
+        slot.store(0, Ordering::Relaxed);
     }
 }
 
@@ -665,11 +393,45 @@ mod tests {
     #[test]
     fn names_roundtrip_through_parse() {
         for b in KernelBackend::ALL {
-            assert_eq!(KernelBackend::parse(b.name()), Some(b));
-            assert_eq!(KernelBackend::parse(&b.name().to_uppercase()), Some(b));
+            let name = b.resolved_name();
+            assert_eq!(KernelBackend::parse(&name), Some(b));
+            assert_eq!(KernelBackend::parse(&name.to_uppercase()), Some(b));
         }
-        assert_eq!(KernelBackend::parse("auto"), None);
-        assert_eq!(KernelBackend::parse("warp9"), None);
+        assert_eq!(KernelBackend::parse("simd"), SimdLevel::detect().map(KernelBackend::Simd));
+        for bad in ["auto", "tiled", "none", "simd:none", "simd:avx512", "", "warp9"] {
+            assert_eq!(KernelBackend::parse(bad), None, "{bad}");
+        }
+    }
+
+    /// Every value `DITTO_KERNEL_BACKEND` can take resolves as the module
+    /// docs say: a resolved name is taken as given, `auto` / empty / unset
+    /// detect silently, and anything the host cannot run detects with one
+    /// warning naming the variable.
+    #[test]
+    fn env_values_resolve_as_documented() {
+        let detected = KernelBackend::detect();
+        for b in KernelBackend::available() {
+            assert_eq!(resolve(Some(&b.resolved_name())), (b, None));
+        }
+        for quiet in [None, Some(""), Some("  "), Some("auto"), Some("AUTO")] {
+            assert_eq!(resolve(quiet), (detected, None), "{quiet:?}");
+        }
+        assert_eq!(resolve(Some(" Scalar ")), (KernelBackend::Scalar, None));
+        if let Some(level) = SimdLevel::detect() {
+            assert_eq!(resolve(Some("simd")), (KernelBackend::Simd(level), None));
+        }
+        let unavailable =
+            KernelBackend::ALL.into_iter().filter(|b| !b.is_available()).map(|b| b.resolved_name());
+        let unknown = ["tiled", "none", "simd:none", "simd:avx512", "warp9"].map(String::from);
+        for raw in unknown.into_iter().chain(unavailable) {
+            let (backend, warning) = resolve(Some(&raw));
+            assert_eq!(backend, detected, "{raw}");
+            let warning = warning.unwrap_or_else(|| panic!("`{raw}` resolved without a warning"));
+            assert!(
+                warning.contains("DITTO_KERNEL_BACKEND") && warning.contains(&raw),
+                "{warning}"
+            );
+        }
     }
 
     #[test]
@@ -679,15 +441,14 @@ mod tests {
             assert_eq!(SimdLevel::parse(&l.name().to_uppercase()), Some(l));
         }
         assert_eq!(SimdLevel::parse("auto"), None);
+        assert_eq!(SimdLevel::parse("none"), None);
         assert_eq!(SimdLevel::parse("avx512"), None);
     }
 
     #[test]
     fn ladder_ordering_is_explicit() {
-        assert!(SimdLevel::None < SimdLevel::Neon);
         assert!(SimdLevel::Neon < SimdLevel::Sse2);
         assert!(SimdLevel::Sse2 < SimdLevel::Avx2);
-        // ALL ascends the ladder.
         for pair in SimdLevel::ALL.windows(2) {
             assert!(pair[0] < pair[1]);
         }
@@ -695,98 +456,55 @@ mod tests {
 
     #[test]
     fn available_levels_match_hardware() {
-        let avail = available_simd_levels();
-        assert_eq!(avail.first(), Some(&SimdLevel::None), "`none` is always available");
-        for l in SimdLevel::ALL {
-            assert_eq!(avail.contains(&l), l.is_hw_supported());
+        let avail = KernelBackend::available();
+        for b in KernelBackend::ALL {
+            assert_eq!(avail.contains(&b), b.is_available());
         }
         #[cfg(target_arch = "x86_64")]
         {
-            assert_ne!(hw_simd_level(), SimdLevel::None, "x86-64 baseline includes SSE2");
-            assert!(avail.contains(&SimdLevel::Sse2));
-            assert!(!avail.contains(&SimdLevel::Neon), "NEON never runs on x86");
+            assert!(SimdLevel::detect() >= Some(SimdLevel::Sse2), "x86-64 baseline includes SSE2");
+            assert!(avail.contains(&KernelBackend::Simd(SimdLevel::Sse2)));
+            assert!(!SimdLevel::Neon.is_hw_supported(), "NEON never runs on x86");
         }
         #[cfg(target_arch = "aarch64")]
         {
-            assert_eq!(hw_simd_level(), SimdLevel::Neon, "NEON is aarch64 baseline");
-            assert_eq!(avail, vec![SimdLevel::None, SimdLevel::Neon]);
+            assert_eq!(SimdLevel::detect(), Some(SimdLevel::Neon), "NEON is aarch64 baseline");
+            assert_eq!(avail, vec![KernelBackend::Scalar, KernelBackend::Simd(SimdLevel::Neon)]);
         }
     }
 
     #[test]
     fn portable_backends_are_always_available() {
         assert!(KernelBackend::Scalar.is_available());
-        assert!(KernelBackend::Tiled.is_available());
         let avail = KernelBackend::available();
-        assert!(avail.len() >= 2);
-        assert_eq!(avail.contains(&KernelBackend::Simd), KernelBackend::Simd.is_available());
+        assert_eq!(avail.first(), Some(&KernelBackend::Scalar));
+        assert_eq!(avail.len(), 1 + SimdLevel::ALL.iter().filter(|l| l.is_hw_supported()).count());
     }
 
     #[test]
     fn detect_prefers_simd_when_available() {
-        let detected = KernelBackend::detect();
-        if KernelBackend::Simd.is_available() {
-            assert_eq!(detected, KernelBackend::Simd);
-        } else {
-            assert_eq!(detected, KernelBackend::Tiled);
+        match SimdLevel::detect() {
+            Some(level) => assert_eq!(KernelBackend::detect(), KernelBackend::Simd(level)),
+            None => assert_eq!(KernelBackend::detect(), KernelBackend::Scalar),
         }
+        assert!(KernelBackend::detect().is_available());
     }
 
     #[test]
     fn resolved_names_are_level_qualified() {
-        assert_eq!(KernelBackend::Scalar.resolved_name(), "scalar");
-        assert_eq!(KernelBackend::Tiled.resolved_name(), "tiled");
-        // Another test in this binary owns (and mutates) the active level,
-        // so only assert the shape here: `simd:<parseable level>`.
-        let resolved = KernelBackend::Simd.resolved_name();
-        let suffix = resolved.strip_prefix("simd:").expect("Simd resolves level-qualified");
-        assert!(SimdLevel::parse(suffix).is_some(), "unknown level `{suffix}`");
+        let names: Vec<String> = KernelBackend::ALL.iter().map(|b| b.resolved_name()).collect();
+        assert_eq!(names, ["scalar", "simd:neon", "simd:sse2", "simd:avx2"]);
     }
 
+    /// The process default is resolved once, is runnable here, and is what
+    /// the variable of this test process names (or detection).
     #[test]
-    fn set_active_switches_and_rejects_unavailable() {
-        // One test owns the globals to avoid cross-test interference on
-        // the asserted-active values (results never depend on them, but
-        // these assertions do). Restore the resolved defaults afterwards.
-        let initial = active();
-        for b in KernelBackend::available() {
-            set_active(b).unwrap();
-            assert_eq!(active(), b);
-        }
-        if !KernelBackend::Simd.is_available() {
-            set_active(KernelBackend::Tiled).unwrap();
-            let err = set_active(KernelBackend::Simd).unwrap_err();
-            assert_eq!(err.backend, KernelBackend::Simd);
-            assert_eq!(active(), KernelBackend::Tiled, "failed set must not switch");
-        }
-        set_active(initial).unwrap();
-
-        // Level overrides: every hardware-supported level can be forced,
-        // forcing `None` makes the `Simd` backend unavailable, and
-        // hardware-unsupported levels are rejected without switching.
-        let initial_level = simd_level();
-        for l in available_simd_levels() {
-            set_simd_level(l).unwrap();
-            assert_eq!(simd_level(), l);
-            assert_eq!(KernelBackend::Simd.is_available(), l != SimdLevel::None);
-            if l == SimdLevel::None {
-                assert_eq!(
-                    set_active(KernelBackend::Simd).unwrap_err().backend,
-                    KernelBackend::Simd
-                );
-                assert_eq!(KernelBackend::detect(), KernelBackend::Tiled);
-            }
-        }
-        for l in SimdLevel::ALL {
-            if !l.is_hw_supported() {
-                set_simd_level(hw_simd_level()).unwrap();
-                let err = set_simd_level(l).unwrap_err();
-                assert_eq!(err.level, l);
-                assert_eq!(simd_level(), hw_simd_level(), "failed set must not switch");
-            }
-        }
-        set_simd_level(initial_level).unwrap();
-        set_active(initial).unwrap();
+    fn active_is_resolved_once_and_available() {
+        let first = active();
+        assert!(first.is_available());
+        assert_eq!(active(), first);
+        let env = std::env::var("DITTO_KERNEL_BACKEND").ok();
+        assert_eq!(resolve(env.as_deref()).0, first);
     }
 
     #[test]
@@ -798,27 +516,26 @@ mod tests {
                 .find(|r| r.kernel == "int_scores" && r.backend == backend)
                 .map_or(0, |r| r.count)
         };
-        let before = row(&dispatch_counts(), "scalar");
+        let sse2 = KernelBackend::Simd(SimdLevel::Sse2);
+        let avx2 = KernelBackend::Simd(SimdLevel::Avx2);
+        let before: Vec<u64> =
+            ["scalar", "simd:sse2", "simd:avx2"].map(|b| row(&dispatch_counts(), b)).to_vec();
         count_dispatch(DispatchKernel::IntScores, KernelBackend::Scalar);
         assert_eq!(
             row(&dispatch_counts(), "scalar"),
-            before,
+            before[0],
             "dispatches must not be counted while counting is off"
         );
         set_dispatch_counting(true);
         assert!(dispatch_counting());
         count_dispatch(DispatchKernel::IntScores, KernelBackend::Scalar);
-        count_dispatch(DispatchKernel::IntScores, KernelBackend::Tiled);
-        count_dispatch(DispatchKernel::IntScores, KernelBackend::Simd);
+        count_dispatch(DispatchKernel::IntScores, sse2);
+        count_dispatch(DispatchKernel::IntScores, avx2);
+        count_dispatch(DispatchKernel::IntScores, avx2);
         set_dispatch_counting(false);
         let rows = dispatch_counts();
-        assert_eq!(row(&rows, "scalar"), before + 1);
-        assert!(row(&rows, "tiled") >= 1);
-        // The Simd row is labeled with the level resolved at call time
-        // (`simd:<level>`); another test may flip the level concurrently,
-        // so only the label shape is asserted.
-        assert!(rows
-            .iter()
-            .any(|r| r.kernel == "int_scores" && r.backend.starts_with("simd:") && r.count >= 1));
+        assert_eq!(row(&rows, "scalar"), before[0] + 1);
+        assert_eq!(row(&rows, "simd:sse2"), before[1] + 1);
+        assert_eq!(row(&rows, "simd:avx2"), before[2] + 2);
     }
 }

@@ -14,11 +14,11 @@
 //!   sliding-window loop kept as the reference), normalization
 //!   (group / layer), activations (SiLU, GeLU, softmax), pooling and
 //!   element-wise arithmetic.
-//! * [`backend`] — the pluggable kernel-backend layer
-//!   ([`KernelBackend`]: scalar / tiled / explicit-SIMD) every hot kernel
-//!   dispatches through; all backends are bit-identical, so selection
-//!   (`DITTO_KERNEL_BACKEND`, runtime CPU detection, or the serve wire
-//!   protocol) is purely a performance choice.
+//! * [`backend`] — the kernel-backend value ([`KernelBackend`]: scalar,
+//!   or explicit SIMD at one level) every hot kernel is handed; all
+//!   backends are bit-identical, so the choice (`DITTO_KERNEL_BACKEND`,
+//!   else runtime CPU detection, once per process) is purely a
+//!   performance one.
 //! * [`stats`] — the statistics the paper's analyses are built on: value
 //!   ranges, cosine similarity, means and variances.
 //!

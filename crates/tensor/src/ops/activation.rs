@@ -21,11 +21,11 @@
 //! every platform, so the scalar port needs no FMA hardware.
 //!
 //! The `*_into_with` slice forms dispatch like
-//! [`super::matmul::matmul_acc_with`]: the `Simd` backend runs the vector
-//! kernel of the active SIMD level where one exists (`tanh`/GeLU at AVX2 and
-//! SSE2; `exp`, sigmoid, SiLU and softmax at AVX2 on hosts with FMA), and
-//! every other (backend, level, function) runs the scalar port — the same
-//! bits either way.
+//! [`super::matmul::matmul_acc_with`]: a `Simd` backend runs the vector
+//! kernel of its level where one exists (`tanh`/GeLU at AVX2 and SSE2;
+//! `exp`, sigmoid, SiLU and softmax at AVX2 on hosts with FMA), and every
+//! other (backend, function) runs the scalar port — the same bits either
+//! way.
 
 use crate::backend::KernelBackend;
 use crate::{Result, Tensor};
@@ -64,7 +64,7 @@ pub(crate) fn gelu_scalar(v: f32) -> f32 {
 }
 
 /// Slice form of [`sigmoid`] on an explicit backend (see the module docs
-/// for the dispatch). Bit-identical on every backend and level.
+/// for the dispatch). Bit-identical on every backend.
 ///
 /// # Panics
 ///
@@ -74,7 +74,7 @@ pub fn sigmoid_into_with(backend: KernelBackend, xv: &[f32], ov: &mut [f32]) {
 }
 
 /// Slice form of [`silu`] on an explicit backend. Bit-identical on every
-/// backend and level.
+/// backend.
 ///
 /// # Panics
 ///
@@ -84,7 +84,7 @@ pub fn silu_into_with(backend: KernelBackend, xv: &[f32], ov: &mut [f32]) {
 }
 
 /// Slice form of [`gelu`] on an explicit backend. Bit-identical on every
-/// backend and level.
+/// backend.
 ///
 /// # Panics
 ///
@@ -122,8 +122,10 @@ fn map_with(
     ov: &mut [f32],
 ) {
     assert_eq!(xv.len(), ov.len(), "activation operand lengths");
-    if backend == KernelBackend::Simd && super::simd::activation(f, ov, xv) {
-        return;
+    if let KernelBackend::Simd(level) = backend {
+        if super::simd::activation(level, f, ov, xv) {
+            return;
+        }
     }
     for (o, &v) in ov.iter_mut().zip(xv) {
         *o = scalar(v);
@@ -147,7 +149,7 @@ pub fn softmax_rows(x: &Tensor) -> Result<Tensor> {
 
 /// Slice core of [`softmax_rows`] over pre-validated operands on an explicit
 /// backend. Every `out` element is written. Public for arena executors;
-/// bit-identical to the tensor entry point on every backend and level: the
+/// bit-identical to the tensor entry point on every backend: the
 /// vector kernel exponentiates by lane and keeps each row's sum a sequential
 /// ascending-column fold (see [`super::simd`]).
 ///
@@ -163,8 +165,10 @@ pub fn softmax_rows_into_with(
 ) {
     assert_eq!(xv.len(), rows * cols, "softmax input length");
     assert_eq!(ov.len(), rows * cols, "softmax output length");
-    if backend == KernelBackend::Simd && super::simd::softmax_rows(ov, xv, rows, cols) {
-        return;
+    if let KernelBackend::Simd(level) = backend {
+        if super::simd::softmax_rows(level, ov, xv, rows, cols) {
+            return;
+        }
     }
     for (row, orow) in xv.chunks_exact(cols.max(1)).zip(ov.chunks_exact_mut(cols.max(1))) {
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);

@@ -3,7 +3,7 @@
 //! Every convolution is one matmul: `out [c_out, pixels] = bias + weight
 //! [c_out, c·k·k] × cols [c·k·k, pixels]`, where `cols` is the transposed
 //! im2col matrix of the input, so a conv runs on the same kernel as every
-//! linear layer — on the `Simd` backend, the f32 register-tile core of
+//! linear layer — on a `Simd` backend, the f32 register-tile core of
 //! [`super::simd`]. The weight stays in its native layout and the output
 //! is written channel-major directly.
 //!
@@ -13,7 +13,7 @@
 //!   on the tensor path, an arena span in compiled plans — see
 //!   [`conv2d_scratch_len`]). When the core runs, the lowering writes
 //!   `cols` in the core's 16-column strips; it writes every element
-//!   anyway, so the packing costs nothing. The portable backends read it
+//!   anyway, so the packing costs nothing. The reference loop reads it
 //!   row-major.
 //!
 //! Exactness: every output element is its bias, then one product per
@@ -242,8 +242,8 @@ pub fn conv2d_scratch_len(c_in: usize, h: usize, w: usize, params: Conv2dParams)
 /// pointwise), and runs one matmul against the weight in its native
 /// `[c_out, c_in·k·k]` layout. The entry compiled plans use, with an arena
 /// span as `scratch`; the layout of the lowered matrix follows the kernel
-/// that will read it, decided once per call. Not counted as a `conv2d_f32`
-/// dispatch — only its `matmul_f32` is.
+/// `backend` runs it on. Not counted as a `conv2d_f32` dispatch — only its
+/// `matmul_f32` is.
 ///
 /// # Errors
 ///
@@ -280,26 +280,15 @@ pub fn conv2d_lowered_into(
         }
         None => out.fill(0.0),
     }
-    let level = matmul::core_level(backend);
     let taps = c_in * params.kernel * params.kernel;
     let weight = weight.as_slice();
     if is_pointwise(params) {
-        matmul::matmul_acc_in(
-            backend,
-            level,
-            out,
-            weight,
-            input,
-            Rhs::RowMajor,
-            c_out,
-            taps,
-            pixels,
-        );
+        matmul::matmul_acc_in(backend, out, weight, input, Rhs::RowMajor, c_out, taps, pixels);
         return Ok(());
     }
-    let rhs = if level.is_some() { Rhs::Strips } else { Rhs::RowMajor };
+    let rhs = if matmul::core_level(backend).is_some() { Rhs::Strips } else { Rhs::RowMajor };
     let cols = im2col_transposed_into(input, c_in, h, w, params, rhs, scratch);
-    matmul::matmul_acc_in(backend, level, out, weight, cols, rhs, c_out, taps, pixels);
+    matmul::matmul_acc_in(backend, out, weight, cols, rhs, c_out, taps, pixels);
     Ok(())
 }
 

@@ -1,11 +1,10 @@
 //! Layer kernels used by denoising models.
 //!
-//! The hot kernels ([`matmul`], [`matvec`], [`conv2d`]) are thin
-//! dispatchers over the pluggable [`crate::backend`] layer: the scalar
-//! reference loops, the cache-blocked tiled implementations (default
-//! where no SIMD exists), or explicit SIMD — where one f32 register-tile
-//! core runs every matmul, and every convolution is lowered onto that
-//! matmul ([`conv`]). Every backend produces
+//! The hot kernels ([`matmul`], [`matvec`], [`conv2d`]) run on a
+//! [`crate::KernelBackend`] value: the scalar reference loops, or explicit
+//! SIMD at one level — where one f32 register-tile core runs every
+//! matmul, and every convolution is lowered onto that matmul ([`conv`]).
+//! Every backend produces
 //! *exactly* the same results: the per-output-element accumulation order
 //! of the scalar loops is preserved, so the Ditto equivalence claim
 //! (which rests on exact accumulator values) survives the optimization.

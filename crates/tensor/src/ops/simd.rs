@@ -49,10 +49,10 @@
 //!   A `k` block (256 indices) of `b` stays in L2 while every row block
 //!   passes over it.
 //!
-//! Callers pass the level ([`matmul_acc`]); the `Simd` backend passes the
-//! *active* one ([`crate::backend::simd_level`]), so forcing
-//! `DITTO_SIMD_LEVEL=sse2` on an AVX2 host runs the real SSE2 kernels, and
-//! level `none` has no core — the caller runs the portable tiled path.
+//! Every entry point takes the level as a value — the one in the
+//! `KernelBackend::Simd` the caller was handed — so `simd:sse2` on an AVX2
+//! host runs the real SSE2 kernels. A level that cannot run on this host
+//! is refused before any intrinsic executes.
 //!
 //! # Transcendental kernels
 //!
@@ -74,7 +74,7 @@
 //! Every other (level, function) pair, NEON included, reports "no kernel"
 //! and the caller runs the scalar port.
 
-use crate::backend::{self, SimdLevel};
+use crate::backend::SimdLevel;
 use crate::ops::matmul::Rhs;
 
 /// The element-wise functions [`activation`] has vector kernels for.
@@ -87,52 +87,69 @@ pub(crate) enum Activation {
     Silu,
 }
 
-/// Whether the `f64`-FMA `exp` kernels can run: AVX2 active and FMA present.
-#[cfg(target_arch = "x86_64")]
-fn exp_kernels_available() -> bool {
-    backend::simd_level() == SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("fma")
+/// `level`, checked to run on this host: every kernel below enables its
+/// target feature on that premise, and a backend value can name any level.
+fn runnable(level: SimdLevel) -> SimdLevel {
+    assert!(level.is_hw_supported(), "SIMD level {level} cannot run on this host");
+    level
 }
 
-/// Explicit-SIMD element-wise `out = f(x)` at the active SIMD level.
-/// Returns `false` (leaving `out` untouched) when the level has no kernel
-/// for `f`; the caller then runs the scalar port.
-pub(crate) fn activation(f: Activation, out: &mut [f32], x: &[f32]) -> bool {
+/// Whether the `f64`-FMA `exp` kernels can run at `level`: AVX2, and FMA
+/// present.
+#[cfg(target_arch = "x86_64")]
+fn exp_kernels_available(level: SimdLevel) -> bool {
+    level == SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("fma")
+}
+
+/// Explicit-SIMD element-wise `out = f(x)` at `level`. Returns `false`
+/// (leaving `out` untouched) when the level has no kernel for `f`; the
+/// caller then runs the scalar port.
+pub(crate) fn activation(level: SimdLevel, f: Activation, out: &mut [f32], x: &[f32]) -> bool {
+    let level = runnable(level);
     #[cfg(target_arch = "x86_64")]
     {
         type Kernel = unsafe fn(&mut [f32], &[f32]);
-        let kernel: Option<Kernel> = match (backend::simd_level(), f) {
+        let kernel: Option<Kernel> = match (level, f) {
             (SimdLevel::Avx2, Activation::Tanh) => Some(x86::tanh_avx2),
             (SimdLevel::Avx2, Activation::Gelu) => Some(x86::gelu_avx2),
             (SimdLevel::Sse2, Activation::Tanh) => Some(x86::tanh_sse2),
             (SimdLevel::Sse2, Activation::Gelu) => Some(x86::gelu_sse2),
-            (_, Activation::Exp) if exp_kernels_available() => Some(x86::exp_avx2),
-            (_, Activation::Sigmoid) if exp_kernels_available() => Some(x86::sigmoid_avx2),
-            (_, Activation::Silu) if exp_kernels_available() => Some(x86::silu_avx2),
+            (_, Activation::Exp) if exp_kernels_available(level) => Some(x86::exp_avx2),
+            (_, Activation::Sigmoid) if exp_kernels_available(level) => Some(x86::sigmoid_avx2),
+            (_, Activation::Silu) if exp_kernels_available(level) => Some(x86::silu_avx2),
             _ => None,
         };
         if let Some(kernel) = kernel {
-            // SAFETY: only hardware-supported levels can be active, and the
-            // FMA kernels are only picked after detecting FMA; each kernel
+            // SAFETY: `level` runs on this host (checked above), and the FMA
+            // kernels are only picked after detecting FMA; each kernel
             // asserts its slice lengths.
             unsafe { kernel(out, x) };
             return true;
         }
     }
-    let _ = (f, out, x);
+    let _ = (level, f, out, x);
     false
 }
 
-/// Explicit-SIMD row-wise softmax of `x [rows, cols]` into `out`. Returns
-/// `false` when the active level has no kernel (see [`activation`]'s `exp`).
-pub(crate) fn softmax_rows(out: &mut [f32], x: &[f32], rows: usize, cols: usize) -> bool {
+/// Explicit-SIMD row-wise softmax of `x [rows, cols]` into `out` at
+/// `level`. Returns `false` when the level has no kernel (see
+/// [`activation`]'s `exp`).
+pub(crate) fn softmax_rows(
+    level: SimdLevel,
+    out: &mut [f32],
+    x: &[f32],
+    rows: usize,
+    cols: usize,
+) -> bool {
+    let level = runnable(level);
     #[cfg(target_arch = "x86_64")]
-    if exp_kernels_available() {
-        // SAFETY: AVX2 is active and FMA detected; the kernel asserts the
-        // slice lengths against `rows · cols`.
+    if exp_kernels_available(level) {
+        // SAFETY: the level is AVX2 and runs here, and FMA was detected;
+        // the kernel asserts the slice lengths against `rows · cols`.
         unsafe { x86::softmax_rows_avx2(out, x, rows, cols) };
         return true;
     }
-    let _ = (out, x, rows, cols);
+    let _ = (level, out, x, rows, cols);
     false
 }
 
@@ -141,7 +158,6 @@ pub(crate) fn has_core(level: SimdLevel) -> bool {
     match level {
         SimdLevel::Avx2 | SimdLevel::Sse2 => cfg!(target_arch = "x86_64"),
         SimdLevel::Neon => cfg!(target_arch = "aarch64"),
-        SimdLevel::None => false,
     }
 }
 
@@ -186,14 +202,21 @@ pub(crate) fn matmul_acc(
     }
 }
 
-/// Explicit-SIMD `out [m] = a [m,k] × x [k]` at the active SIMD level
+/// Explicit-SIMD `out [m] = a [m,k] × x [k]` at `level`
 /// (lane-per-output-row; each row's dot product folds sequentially from an
 /// explicit `0.0` seed exactly like the scalar `dot`). Returns `false`
-/// when no kernel exists for the active level.
-pub(crate) fn matvec(out: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) -> bool {
-    match backend::simd_level() {
-        // SAFETY (all arms): as in `matmul_acc` — an active level is
-        // always hardware-supported.
+/// when the level has no kernel on this architecture.
+pub(crate) fn matvec(
+    level: SimdLevel,
+    out: &mut [f32],
+    a: &[f32],
+    x: &[f32],
+    m: usize,
+    k: usize,
+) -> bool {
+    match runnable(level) {
+        // SAFETY (all arms): the level runs on this host (checked by
+        // `runnable`), and `matvec_with` validated the operand shapes.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
             unsafe { x86::matvec_avx2(out, a, x, m, k) };
@@ -1662,17 +1685,17 @@ mod tests {
         patterns
     }
 
-    /// A level without a core is refused before any kernel runs.
+    /// A level without a core here (NEON on x86-64) is refused before any
+    /// kernel runs.
     #[test]
     #[should_panic(expected = "no f32 core")]
     fn core_refuses_a_level_without_kernels() {
         let mut out = [0.0f32; 1];
-        matmul_acc(SimdLevel::None, &mut out, &[1.0], &[1.0], Rhs::RowMajor, 1, 1, 1);
+        matmul_acc(SimdLevel::Neon, &mut out, &[1.0], &[1.0], Rhs::RowMajor, 1, 1, 1);
     }
 
-    /// The core at every level this host runs — called with the level as a
-    /// value, so it races no test that switches the active level — and the
-    /// lane-per-row matvec, against the scalar references. The matmul
+    /// The core at every level this host runs and the lane-per-row matvec,
+    /// against the scalar references. The matmul
     /// matrix crosses every tile and remainder: `m` across the 6-row block
     /// and its 4/2/1 remainders, `k` across the vector widths and past a
     /// 256-index `k` block, `n` across the 4- and 8-lane groups and the
@@ -1682,7 +1705,7 @@ mod tests {
     #[test]
     fn level_kernels_match_scalar_bitwise() {
         let levels: Vec<SimdLevel> =
-            backend::available_simd_levels().into_iter().filter(|&l| has_core(l)).collect();
+            SimdLevel::ALL.into_iter().filter(|&l| l.is_hw_supported() && has_core(l)).collect();
         let mut rng = Rng::seed_from(41);
         let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
         for m in 1..=13usize {

@@ -5,23 +5,8 @@
 //! is exercised here on randomized shapes and values.
 
 use proptest::prelude::*;
-use tensor::backend::{available_simd_levels, hw_simd_level, set_simd_level, SimdLevel};
 use tensor::ops::{self, Conv2dParams};
 use tensor::{stats, KernelBackend, Rng, Tensor};
-
-/// Backend × SIMD-level configurations for the bit-identity matrices: the
-/// portable backends, then the `simd` backend once per hardware-supported
-/// level — including `none`, which exercises the graceful-degradation
-/// seam (simd selected, no kernels available → the tiled path). This is
-/// exactly the sweep the `DITTO_SIMD_LEVEL` override makes CI-testable on
-/// hosts whose native level is higher.
-fn backend_level_matrix() -> Vec<(KernelBackend, Option<SimdLevel>)> {
-    let mut configs = vec![(KernelBackend::Scalar, None), (KernelBackend::Tiled, None)];
-    for level in available_simd_levels() {
-        configs.push((KernelBackend::Simd, Some(level)));
-    }
-    configs
-}
 
 fn approx_eq(a: &Tensor, b: &Tensor, tol: f32) -> bool {
     a.dims() == b.dims()
@@ -35,7 +20,7 @@ fn small_vals(n: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-8.0f32..8.0, n)
 }
 
-/// `matmul_acc_with` on every backend × SIMD level against the scalar
+/// `matmul_acc_with` on every available backend against the scalar
 /// reference, over the f32 core's tiles and remainders: `m` across the
 /// 6-row block and its 4/2/1 remainders, `k` across the vector widths and
 /// past the core's 256-index `k` block, `n` across the 4- and 8-lane
@@ -59,7 +44,7 @@ fn dense_tile_rows_and_ragged_columns_are_bit_identical() {
     };
     let zero = |i: usize| if i.is_multiple_of(2) { 0.0f32 } else { -0.0 };
     let poison = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
-    let configs = backend_level_matrix();
+    let backends = KernelBackend::available();
     for m in 1..=13usize {
         for k in [1usize, 2, 7, 8, 9, 259] {
             for n in [1usize, 7, 8, 9, 15, 16, 17, 24, 33] {
@@ -96,16 +81,13 @@ fn dense_tile_rows_and_ragged_columns_are_bit_identical() {
                         .collect();
                     let mut want = seed.clone();
                     ops::matmul_acc_with(KernelBackend::Scalar, &mut want, &a, &b, m, k, n);
-                    for &(backend, level) in &configs {
-                        if let Some(level) = level {
-                            set_simd_level(level).unwrap();
-                        }
+                    for &backend in &backends {
                         let mut got = seed.clone();
                         ops::matmul_acc_with(backend, &mut got, &a, &b, m, k, n);
                         for (p, q) in got.iter().zip(&want) {
                             assert!(
                                 same_value(*p, *q),
-                                "matmul diverged on {backend} at {level:?}, {m}x{k}x{n}: {p} vs {q}"
+                                "matmul diverged on {backend}, {m}x{k}x{n}: {p} vs {q}"
                             );
                         }
                     }
@@ -113,7 +95,6 @@ fn dense_tile_rows_and_ragged_columns_are_bit_identical() {
             }
         }
     }
-    set_simd_level(hw_simd_level()).unwrap();
 }
 
 proptest! {
@@ -137,14 +118,13 @@ proptest! {
         prop_assert!(approx_eq(&lhs, &rhs, 1e-4));
     }
 
-    /// The f32 kernels are bit-identical on every available backend at
-    /// every available SIMD level (the explicit-SIMD kernels keep f32
-    /// reductions in the scalar fixed order, so even they must not move
-    /// a single bit). Shape ranges straddle the lane boundaries: `n`
-    /// below one vector width, between one and two, and past the 2-vector
-    /// register tile; `k` across the portable paths' 8-step streaming
-    /// guard and odd remainders; `a` from dense (randn essentially never
-    /// emits an exact 0.0) to 60 % zeros.
+    /// The f32 kernels are bit-identical on every available backend (the
+    /// explicit-SIMD kernels keep f32 reductions in the scalar fixed order,
+    /// so even they must not move a single bit). Shape ranges straddle the
+    /// lane boundaries: `n` below one vector width, between one and two,
+    /// and past the 2-vector register tile; `k` across the vector widths
+    /// and odd remainders; `a` from dense (randn essentially never emits an
+    /// exact 0.0) to 60 % zeros.
     #[test]
     fn backend_matrix_is_bit_identical(
         m in 1usize..10, k in 1usize..40, n in 1usize..24,
@@ -161,28 +141,23 @@ proptest! {
         let x = Tensor::randn(&[k], &mut rng);
         let want = ops::matmul_with(KernelBackend::Scalar, &a, &b).unwrap();
         let want_v = ops::matvec_with(KernelBackend::Scalar, &a, &x).unwrap();
-        for (backend, level) in backend_level_matrix() {
-            if let Some(level) = level {
-                set_simd_level(level).unwrap();
-            }
+        for backend in KernelBackend::available() {
             let got = ops::matmul_with(backend, &a, &b).unwrap();
             for (p, q) in got.as_slice().iter().zip(want.as_slice()) {
                 prop_assert_eq!(
-                    p.to_bits(), q.to_bits(), "matmul diverged on {} at {:?}", backend, level
+                    p.to_bits(), q.to_bits(), "matmul diverged on {}", backend
                 );
             }
             let got_v = ops::matvec_with(backend, &a, &x).unwrap();
             for (p, q) in got_v.as_slice().iter().zip(want_v.as_slice()) {
                 prop_assert_eq!(
-                    p.to_bits(), q.to_bits(), "matvec diverged on {} at {:?}", backend, level
+                    p.to_bits(), q.to_bits(), "matvec diverged on {}", backend
                 );
             }
         }
-        set_simd_level(hw_simd_level()).unwrap();
     }
 
-    /// conv2d on every backend at every available SIMD level is
-    /// bit-identical, from single-channel to wide convolutions.
+    /// conv2d on every available backend is bit-identical, from single-channel to wide convolutions.
     #[test]
     fn conv_backend_matrix_is_bit_identical(
         c_in in 1usize..8, hw in 3usize..10, c_out in 1usize..12, seed in any::<u64>(),
@@ -193,23 +168,19 @@ proptest! {
         let weight = Tensor::randn(&[c_out, c_in, 3, 3], &mut rng);
         let bias = Tensor::randn(&[c_out], &mut rng);
         let want = ops::conv2d_with(KernelBackend::Scalar, &input, &weight, Some(&bias), p).unwrap();
-        for (backend, level) in backend_level_matrix() {
-            if let Some(level) = level {
-                set_simd_level(level).unwrap();
-            }
+        for backend in KernelBackend::available() {
             let got = ops::conv2d_with(backend, &input, &weight, Some(&bias), p).unwrap();
             for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
                 prop_assert_eq!(
-                    x.to_bits(), y.to_bits(), "conv2d diverged on {} at {:?}", backend, level
+                    x.to_bits(), y.to_bits(), "conv2d diverged on {}", backend
                 );
             }
         }
-        set_simd_level(hw_simd_level()).unwrap();
     }
 
     /// The lowered conv (`conv2d_into_with`) is bit-identical to the
-    /// sliding-window reference `conv2d_direct` on every backend at every
-    /// available SIMD level: 1×1, 3×3 and 5×5 kernels, stride 1/2,
+    /// sliding-window reference `conv2d_direct` on every available backend:
+    /// 1×1, 3×3 and 5×5 kernels, stride 1/2,
     /// padding 0–2, non-square spatial extents whose pixel counts cross
     /// the 16-column strips (and end mid-strip), and channel counts
     /// straddling the 6-row tile.
@@ -228,10 +199,7 @@ proptest! {
         let bias = Tensor::randn(&[c_out], &mut rng);
         let b = with_bias.then_some(&bias);
         let want = ops::conv2d_direct(&input, &weight, b, p).unwrap();
-        for (backend, level) in backend_level_matrix() {
-            if let Some(level) = level {
-                set_simd_level(level).unwrap();
-            }
+        for backend in KernelBackend::available() {
             let mut got = vec![f32::NAN; want.len()];
             ops::conv2d_into_with(
                 backend, input.as_slice(), c_in, h, w, &weight, b, p, &mut got,
@@ -239,12 +207,11 @@ proptest! {
             for (x, y) in got.iter().zip(want.as_slice()) {
                 prop_assert_eq!(
                     x.to_bits(), y.to_bits(),
-                    "lowered conv diverged on {} at {:?} (k={} s={} p={})",
-                    backend, level, p.kernel, stride, padding
+                    "lowered conv diverged on {} (k={} s={} p={})",
+                    backend, p.kernel, stride, padding
                 );
             }
         }
-        set_simd_level(hw_simd_level()).unwrap();
     }
 
     /// conv2d(x + d) == conv2d(x) + conv2d(d) when bias is folded once.
@@ -296,8 +263,9 @@ proptest! {
         }
     }
 
-    /// The tiled matmul is bit-identical to the scalar reference on random
-    /// shapes straddling the tile boundaries, including sparse operands.
+    /// The default-backend matmul and matvec are bit-identical to the scalar
+    /// references on random shapes straddling the tile boundaries,
+    /// including sparse operands.
     #[test]
     fn tiled_matmul_bitwise_equals_scalar(
         m in 1usize..20, k in 1usize..40, n in 1usize..20, seed in 0u64..1000
@@ -308,9 +276,9 @@ proptest! {
             if rng.next_f64() < 0.25 { *v = 0.0; }
         }
         let b = Tensor::randn(&[k, n], &mut rng);
-        let tiled = ops::matmul(&a, &b).unwrap();
+        let got = ops::matmul(&a, &b).unwrap();
         let scalar = ops::matmul_scalar(&a, &b).unwrap();
-        for (x, y) in tiled.as_slice().iter().zip(scalar.as_slice()) {
+        for (x, y) in got.as_slice().iter().zip(scalar.as_slice()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
         let x = Tensor::randn(&[k], &mut rng);
@@ -467,7 +435,7 @@ const LIBM_PINNED: [(u32, u32, u32); 64] = [
 ];
 
 /// The ports reproduce the pinned glibc outputs, on the scalar path and on
-/// every vector level — without calling the host libm.
+/// every available SIMD backend — without calling the host libm.
 #[test]
 fn transcendental_ports_match_pinned_glibc_outputs() {
     let inputs: Vec<f32> = LIBM_PINNED.iter().map(|&(x, ..)| f32::from_bits(x)).collect();
@@ -476,10 +444,7 @@ fn transcendental_ports_match_pinned_glibc_outputs() {
         assert!(same_value(ops::tanh_f32(v), f32::from_bits(tanh)), "tanh_f32({x:#010x})");
         assert!(same_value(ops::exp_f32(v), f32::from_bits(exp)), "exp_f32({x:#010x})");
     }
-    for (backend, level) in backend_level_matrix() {
-        if let Some(level) = level {
-            set_simd_level(level).unwrap();
-        }
+    for backend in KernelBackend::available() {
         let mut got = vec![0.0f32; inputs.len()];
         for (name, col, f) in [
             ("tanh", 1, ops::tanh_into_with as fn(KernelBackend, &[f32], &mut [f32])),
@@ -490,18 +455,17 @@ fn transcendental_ports_match_pinned_glibc_outputs() {
                 let want = if col == 1 { row.1 } else { row.2 };
                 assert!(
                     same_value(y, f32::from_bits(want)),
-                    "{name}({:#010x}) on {backend} at {level:?}",
+                    "{name}({:#010x}) on {backend}",
                     row.0
                 );
             }
         }
     }
-    set_simd_level(hw_simd_level()).unwrap();
 }
 
 /// Every 4 099th bit pattern (≈ 1 M inputs spread over all exponents, both
 /// signs, NaNs and infinities) through every element-wise function on
-/// every backend × level, against the scalar forms. The `#[ignore]`d
+/// every available backend, against the scalar forms. The `#[ignore]`d
 /// `exhaustive` test in `ops::simd` covers all 2³² for `tanh` and `exp`.
 #[test]
 fn strided_sweep_vector_kernels_equal_scalar_ports() {
@@ -519,14 +483,11 @@ fn strided_sweep_vector_kernels_equal_scalar_ports() {
     let mut got = vec![0.0f32; inputs.len()];
     for (name, slice, oracle) in functions {
         let want = oracle(&x).as_slice().to_vec();
-        for (backend, level) in backend_level_matrix() {
-            if let Some(level) = level {
-                set_simd_level(level).unwrap();
-            }
+        for backend in KernelBackend::available() {
             slice(backend, &inputs, &mut got);
             if let Some(i) = (0..inputs.len()).find(|&i| !same_value(got[i], want[i])) {
                 panic!(
-                    "{name}({:#010x}) on {backend} at {level:?}: {:#010x} != {:#010x}",
+                    "{name}({:#010x}) on {backend}: {:#010x} != {:#010x}",
                     inputs[i].to_bits(),
                     got[i].to_bits(),
                     want[i].to_bits()
@@ -534,12 +495,11 @@ fn strided_sweep_vector_kernels_equal_scalar_ports() {
             }
         }
     }
-    set_simd_level(hw_simd_level()).unwrap();
 }
 
 /// The slice activations at lengths around every lane count and the
 /// `64 × 384` GeLU of the Small DiT, and softmax over rows holding `-inf`,
-/// signed zeros and equal large logits, on every backend × level against
+/// signed zeros and equal large logits, on every available backend against
 /// the tensor (scalar) forms.
 #[test]
 fn activation_slices_match_scalar_forms_at_every_length() {
@@ -556,14 +516,11 @@ fn activation_slices_match_scalar_forms_at_every_length() {
         let x = Tensor::randn(&[len], &mut rng).map(|v| v * 6.0);
         for (name, slice, oracle) in functions {
             let want = oracle(&x);
-            for (backend, level) in backend_level_matrix() {
-                if let Some(level) = level {
-                    set_simd_level(level).unwrap();
-                }
+            for backend in KernelBackend::available() {
                 let mut got = vec![0.0f32; len];
                 slice(backend, x.as_slice(), &mut got);
                 for (p, q) in got.iter().zip(want.as_slice()) {
-                    assert!(same_value(*p, *q), "{name} len {len} on {backend} at {level:?}");
+                    assert!(same_value(*p, *q), "{name} len {len} on {backend}");
                 }
             }
         }
@@ -588,16 +545,12 @@ fn activation_slices_match_scalar_forms_at_every_length() {
             }
         }
         let want = ops::softmax_rows(&x).unwrap();
-        for (backend, level) in backend_level_matrix() {
-            if let Some(level) = level {
-                set_simd_level(level).unwrap();
-            }
+        for backend in KernelBackend::available() {
             let mut got = vec![0.0f32; rows * cols];
             ops::softmax_rows_into_with(backend, x.as_slice(), rows, cols, &mut got);
             for (p, q) in got.iter().zip(want.as_slice()) {
-                assert!(same_value(*p, *q), "softmax {rows}x{cols} on {backend} at {level:?}");
+                assert!(same_value(*p, *q), "softmax {rows}x{cols} on {backend}");
             }
         }
     }
-    set_simd_level(hw_simd_level()).unwrap();
 }

@@ -95,9 +95,8 @@ def hist_sane(h, path):
 def check_kernels(new, base):
     if set(new["shapes"]) != set(base["shapes"]):
         fail(f"shapes {new['shapes']} != baseline {base['shapes']}")
-    for portable in ("scalar", "tiled"):
-        if portable not in new["backends"]:
-            fail(f"the {portable} backend must always be measured")
+    if "scalar" not in new["backends"]:
+        fail("the scalar backend must always be measured")
     # Coverage: every (kernel, shape) pair the baseline measured must be
     # measured for every backend the *new* run reports. Backends come from
     # the new document because the SIMD-level rows are host-dependent (a
@@ -129,20 +128,17 @@ def check_kernels(new, base):
         if is_matmul:
             sane(r["zeros_pct"], f"results[{i}].zeros_pct", 0, 100)
         sane(r["gflops"], f"results[{i}].gflops", 1e-3, 1e5)
-        # The speedup columns are derived, so recompute them: baselines
-        # are same-document rows and the JSON numbers round-trip exactly
+        # The speedup column is derived, so recompute it: the baseline is
+        # a same-document row and the JSON numbers round-trip exactly
         # (shortest-representation float printing), so a tight relative
         # tolerance only absorbs the division itself.
-        for column, baseline in (("speedup_vs_scalar", "scalar"), ("speedup_vs_tiled", "tiled")):
-            speedup = r[column]
-            sane(speedup, f"results[{i}].{column}", 1e-3, 1e4)
-            want_speedup = r["gflops"] / by_pair[(*point(r), baseline)]
-            if abs(speedup - want_speedup) > 1e-9 * want_speedup:
-                fail(
-                    f"results[{i}]: {column} {speedup} != recomputed {want_speedup}"
-                )
-            if r["backend"] == baseline and speedup != 1.0:
-                fail(f"results[{i}]: {baseline} {column} must be exactly 1.0")
+        speedup = r["speedup_vs_scalar"]
+        sane(speedup, f"results[{i}].speedup_vs_scalar", 1e-3, 1e4)
+        want_speedup = r["gflops"] / by_pair[(*point(r), "scalar")]
+        if abs(speedup - want_speedup) > 1e-9 * want_speedup:
+            fail(f"results[{i}]: speedup_vs_scalar {speedup} != recomputed {want_speedup}")
+        if r["backend"] == "scalar" and speedup != 1.0:
+            fail(f"results[{i}]: scalar speedup_vs_scalar must be exactly 1.0")
     print(
         f"validate_bench: kernels OK — {len(new['results'])} points, "
         f"backends {new['backends']}"

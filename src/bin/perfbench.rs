@@ -16,12 +16,10 @@
 //!   when a committed `simd:avx2` one-zero rate is below 0.8 × the dense
 //!   one); and f32 conv2d through the compiled plans' lowering. A
 //!   `roofline` section gives the host's no-FMA mul + add peak per SIMD
-//!   level, from a register-only loop. The `simd` backend
-//!   is measured once per *available* SIMD level (rows labeled with the
-//!   resolved name, e.g. `simd:avx2` / `simd:sse2`, exercised via the
-//!   same level override `DITTO_SIMD_LEVEL` uses). Every backend is
-//!   asserted bit-identical to the scalar reference *before* it is
-//!   timed. An `executor` section times the compiled trace plan
+//!   level, from a register-only loop. Every available backend is
+//!   measured — `scalar` and each SIMD level the host runs, rows labeled
+//!   with the resolved name (`simd:avx2`, `simd:sse2`) — and asserted
+//!   bit-identical to the scalar reference *before* it is timed. An `executor` section times the compiled trace plan
 //!   (`diffusion::plan`) against the tree-walking oracle
 //!   `executor::forward`, bit-identity asserted in setup: a `forward` row
 //!   per Table I benchmark (one hook-free model call) and a `calibrate`
@@ -71,7 +69,7 @@ use quant::kernels::{delta_matmul_update_with, int_matmul_with, reference};
 use quant::{encode, BitWidthClass, BitWidthHistogram, Emit, Encoded};
 use serve::server::{spawn, ServerConfig};
 use serve::{Obs, SuiteApp};
-use tensor::backend::{available_simd_levels, hw_simd_level, set_simd_level, SimdLevel};
+use tensor::backend::SimdLevel;
 use tensor::ops::{
     conv2d_direct, conv2d_lowered_into, conv2d_scratch_len, gelu_into_with, matmul_acc_with,
     sigmoid_into_with, silu_into_with, softmax_rows_into_with, Conv2dParams,
@@ -241,9 +239,8 @@ fn sparse_i16(n: usize, zeros_pct: usize, span: usize, rng: &mut Rng) -> Vec<i16
         .collect()
 }
 
-/// One measured point, pre-derivation. The speedup columns are computed
-/// once all rows exist (the tiled baseline for a shape may be measured
-/// after a SIMD level on a re-ordered config list).
+/// One measured point, pre-derivation. The speedup column is computed once
+/// all rows exist.
 struct KernelRow {
     kernel: &'static str,
     shape: String,
@@ -251,24 +248,6 @@ struct KernelRow {
     gflops: f64,
     /// Zero share of the left operand in percent — matmul rows only.
     zeros_pct: Option<f64>,
-}
-
-/// The measured backend configurations: the two portable backends at the
-/// hardware SIMD level, then the `simd` backend once per *available*
-/// SIMD level (so an AVX2 host also measures and commits the SSE2 rows).
-/// Labels are resolved names (`simd:avx2`), matching the serve protocol.
-fn kernel_configs() -> Vec<(KernelBackend, SimdLevel, String)> {
-    let hw = hw_simd_level();
-    let mut configs = vec![
-        (KernelBackend::Scalar, hw, "scalar".to_string()),
-        (KernelBackend::Tiled, hw, "tiled".to_string()),
-    ];
-    for lvl in available_simd_levels() {
-        if lvl != SimdLevel::None {
-            configs.push((KernelBackend::Simd, lvl, format!("simd:{lvl}")));
-        }
-    }
-    configs
 }
 
 /// The measured conv2d shapes `(c_in, h, w, c_out, params)`: UNet 3 × 3
@@ -291,7 +270,7 @@ fn conv_shape_name(c_in: usize, h: usize, w: usize, c_out: usize, p: Conv2dParam
 const ROOFLINE_CHAINS: usize = 14;
 
 /// This host's no-FMA mul + add peak at `level` in GFLOP/s, or `None` for
-/// a level without a loop here: [`ROOFLINE_CHAINS`] register-resident
+/// a level without a loop here (`level` must run on this host): [`ROOFLINE_CHAINS`] register-resident
 /// chains of the dependent `acc = acc·x + y`. The dependence is the point:
 /// LLVM hoists a loop-invariant product out of the loop. So is the opaque
 /// start value: from a constant one LLVM folds the chain to its fixed
@@ -309,8 +288,8 @@ fn roofline_gflops(level: SimdLevel, min_ms: u64) -> Option<f64> {
         // A peak, so the best of a longer run than a kernel row gets.
         Some(best_gflops(flops, 3 * min_ms, || {
             let start = std::hint::black_box(2.0);
-            // SAFETY: `level` is hardware-supported (it came from
-            // `available_simd_levels`), and AVX2 is only called at `Avx2`.
+            // SAFETY: `level` runs on this host (it came from an available
+            // backend), and AVX2 is only called at `Avx2`.
             std::hint::black_box(unsafe {
                 if lanes == 8 {
                     roofline::avx2(ROUNDS, start)
@@ -376,7 +355,7 @@ mod roofline {
 
 fn bench_kernels(min_ms: u64) -> Value {
     use std::hint::black_box;
-    let configs = kernel_configs();
+    let backends = KernelBackend::available();
     let mut rows: Vec<KernelRow> = Vec::new();
     let mut rng = Rng::seed_from(11);
     for &(m, k, n) in SHAPES.iter().chain([&TINY_SHAPE]) {
@@ -389,12 +368,11 @@ fn bench_kernels(min_ms: u64) -> Value {
             // Scalar references: the identity oracle and the speedup baseline.
             let want_int = reference::int_matmul(&a, &w, m, k, n);
             let want_delta = reference::delta_matmul_update(&want_int, &deltas, &w, m, k, n);
-            for (backend, level, label) in &configs {
-                let (backend, level) = (*backend, *level);
-                set_simd_level(level).expect("measured levels are hardware-supported");
-                // Bit-identity asserted in setup: a backend (at a SIMD
-                // level) that drifts from the scalar reference must never
-                // produce a perf number.
+            for &backend in &backends {
+                let label = backend.resolved_name();
+                // Bit-identity asserted in setup: a backend that drifts
+                // from the scalar reference must never produce a perf
+                // number.
                 assert_eq!(
                     int_matmul_with(backend, &a, &w, m, k, n),
                     want_int,
@@ -405,7 +383,7 @@ fn bench_kernels(min_ms: u64) -> Value {
                     want_delta,
                     "{label} delta_matmul_update diverged from the reference at {shape}"
                 );
-                // Both time the allocating entry points, so on the `simd`
+                // Both time the allocating entry points, so on a `simd`
                 // backend every call also packs `w`.
                 let points: [(&'static str, f64); 2] = [
                     (
@@ -474,9 +452,8 @@ fn bench_kernels(min_ms: u64) -> Value {
             let mut want = vec![0.0f32; m * n];
             matmul_acc_with(KernelBackend::Scalar, &mut want, &a, &b, m, k, n);
             let mut out = vec![0.0f32; m * n];
-            for (backend, level, label) in &configs {
-                let (backend, level) = (*backend, *level);
-                set_simd_level(level).expect("measured levels are hardware-supported");
+            for &backend in &backends {
+                let label = backend.resolved_name();
                 out.fill(0.0);
                 matmul_acc_with(backend, &mut out, &a, &b, m, k, n);
                 assert!(
@@ -528,9 +505,8 @@ fn bench_kernels(min_ms: u64) -> Value {
             )
             .expect("conv2d");
         };
-        for (backend, level, label) in &configs {
-            let (backend, level) = (*backend, *level);
-            set_simd_level(level).expect("measured levels are hardware-supported");
+        for &backend in &backends {
+            let label = backend.resolved_name();
             conv(backend, &mut out);
             assert!(
                 out.iter().zip(want.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
@@ -547,32 +523,32 @@ fn bench_kernels(min_ms: u64) -> Value {
             });
         }
     }
-    let roofline: Vec<Value> = configs
+    let roofline: Vec<Value> = backends
         .iter()
-        .filter(|(backend, ..)| *backend == KernelBackend::Simd)
-        .filter_map(|(_, level, label)| {
-            let gf = roofline_gflops(*level, min_ms)?;
+        .filter_map(|&backend| {
+            let KernelBackend::Simd(level) = backend else { return None };
+            let gf = roofline_gflops(level, min_ms)?;
+            let label = backend.resolved_name();
             println!("perfbench: {:>20} {:>16} {label:>9}: {gf:8.3} GFLOP/s", "roofline", "");
             Some(obj(vec![
-                ("backend", Value::Str(label.clone())),
+                ("backend", Value::Str(label)),
                 ("chains", ROOFLINE_CHAINS.to_json()),
                 ("gflops", Value::Num(gf)),
             ]))
         })
         .collect();
-    set_simd_level(hw_simd_level()).expect("hardware level is always available");
-    // Derive the speedup columns against the portable baselines measured
-    // for the same (kernel, shape, zero share).
-    let baseline = |kernel: &str, of: &KernelRow, backend: &str| {
+    // Derive the speedup column against the scalar row measured for the
+    // same (kernel, shape, zero share).
+    let scalar = |of: &KernelRow| {
         rows.iter()
             .find(|r| {
-                r.kernel == kernel
+                r.kernel == of.kernel
                     && r.shape == of.shape
                     && r.zeros_pct == of.zeros_pct
-                    && r.backend == backend
+                    && r.backend == "scalar"
             })
             .map(|r| r.gflops)
-            .expect("every (kernel, shape) measures every config")
+            .expect("every (kernel, shape) measures every backend")
     };
     let results: Vec<Value> = rows
         .iter()
@@ -582,8 +558,7 @@ fn bench_kernels(min_ms: u64) -> Value {
                 ("shape", Value::Str(r.shape.clone())),
                 ("backend", Value::Str(r.backend.clone())),
                 ("gflops", Value::Num(r.gflops)),
-                ("speedup_vs_scalar", Value::Num(r.gflops / baseline(r.kernel, r, "scalar"))),
-                ("speedup_vs_tiled", Value::Num(r.gflops / baseline(r.kernel, r, "tiled"))),
+                ("speedup_vs_scalar", Value::Num(r.gflops / scalar(r))),
             ];
             if let Some(zeros_pct) = r.zeros_pct {
                 fields.push(("zeros_pct", Value::Num(zeros_pct)));
@@ -595,10 +570,7 @@ fn bench_kernels(min_ms: u64) -> Value {
         ("schema", Value::Str(SCHEMA.into())),
         ("kind", Value::Str("kernels".into())),
         ("units", Value::Str("gflops = 2*m*k*n ops / second / 1e9".into())),
-        (
-            "backends",
-            Value::Arr(configs.iter().map(|(_, _, label)| Value::Str(label.clone())).collect()),
-        ),
+        ("backends", Value::Arr(backends.iter().map(|b| Value::Str(b.resolved_name())).collect())),
         (
             "shapes",
             Value::Arr(SHAPES.iter().map(|(m, k, n)| Value::Str(format!("{m}x{k}x{n}"))).collect()),
@@ -683,20 +655,20 @@ fn run_activation(
 
 /// The `activations` section: ns per element of each activation at its
 /// Small shape for the host libm (`libm`), the scalar ports (`port`, the
-/// `scalar` backend) and the vector kernels at every available SIMD level
-/// (`simd:<level>`; a level without a kernel for the function runs the
-/// port). Trials alternate the implementations; each row reports the min
-/// and median. Every `simd` level is asserted bit-identical to the port
-/// first (the host libm is not: the ports are fixed, hosts' libms differ).
+/// `scalar` backend) and every available SIMD backend (`simd:<level>`; a
+/// level without a kernel for the function runs the port). Trials
+/// alternate the implementations; each row reports the min and median.
+/// Every `simd` level is asserted bit-identical to the port first (the host libm is not: the ports are fixed, hosts' libms differ).
 fn bench_activations(min_ms: u64) -> Vec<Value> {
     use std::hint::black_box;
     let mut rng = Rng::seed_from(19);
-    let mut impls: Vec<(String, Option<SimdLevel>)> =
-        vec![("libm".to_string(), None), ("port".to_string(), None)];
-    for level in available_simd_levels() {
-        if level != SimdLevel::None {
-            impls.push((format!("simd:{level}"), Some(level)));
-        }
+    let mut impls: Vec<(String, Option<KernelBackend>)> = vec![("libm".to_string(), None)];
+    for backend in KernelBackend::available() {
+        let label = match backend {
+            KernelBackend::Scalar => "port".to_string(),
+            simd => simd.resolved_name(),
+        };
+        impls.push((label, Some(backend)));
     }
     let mut entries = Vec::new();
     for &(function, rows, cols) in &ACTIVATION_SHAPES {
@@ -705,10 +677,9 @@ fn bench_activations(min_ms: u64) -> Vec<Value> {
         let mut want = vec![0.0f32; n];
         run_activation(function, KernelBackend::Scalar, &x, rows, cols, &mut want);
         let mut out = vec![0.0f32; n];
-        for (label, level) in &impls {
-            if let Some(level) = level {
-                set_simd_level(*level).expect("measured levels are hardware-supported");
-                run_activation(function, KernelBackend::Simd, &x, rows, cols, &mut out);
+        for (label, backend) in &impls {
+            if let Some(backend) = *backend {
+                run_activation(function, backend, &x, rows, cols, &mut out);
                 assert!(
                     out.iter().zip(&want).all(|(p, q)| p.to_bits() == q.to_bits()),
                     "{label} {function} diverged bitwise from the scalar port at {rows}x{cols}"
@@ -717,28 +688,12 @@ fn bench_activations(min_ms: u64) -> Vec<Value> {
         }
         let mut ns = vec![Vec::new(); impls.len()];
         for _ in 0..ACTIVATION_TRIALS {
-            for ((label, level), ns) in impls.iter().zip(&mut ns) {
-                if let Some(level) = level {
-                    set_simd_level(*level).expect("measured levels are hardware-supported");
-                }
-                let call = ns_per_call(min_ms, || match label.as_str() {
-                    "libm" => libm_activation(function, black_box(&x), cols, &mut out),
-                    "port" => run_activation(
-                        function,
-                        KernelBackend::Scalar,
-                        black_box(&x),
-                        rows,
-                        cols,
-                        &mut out,
-                    ),
-                    _ => run_activation(
-                        function,
-                        KernelBackend::Simd,
-                        black_box(&x),
-                        rows,
-                        cols,
-                        &mut out,
-                    ),
+            for ((_, backend), ns) in impls.iter().zip(&mut ns) {
+                let call = ns_per_call(min_ms, || match *backend {
+                    None => libm_activation(function, black_box(&x), cols, &mut out),
+                    Some(backend) => {
+                        run_activation(function, backend, black_box(&x), rows, cols, &mut out)
+                    }
                 });
                 ns.push(call / n as f64);
             }
@@ -763,7 +718,6 @@ fn bench_activations(min_ms: u64) -> Vec<Value> {
             ]));
         }
     }
-    set_simd_level(hw_simd_level()).expect("hardware level is always available");
     entries
 }
 

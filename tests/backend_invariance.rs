@@ -1,103 +1,106 @@
 //! End-to-end kernel-backend invariance: the whole pipeline — integer
 //! kernels → quantized tracing → (design × model) grid simulation — must
-//! produce bit-identical results under every `DITTO_KERNEL_BACKEND`
-//! value, at every `DITTO_SIMD_LEVEL` the host supports. This is the
-//! property that lets the serve scheduler memoize cells across requests
-//! that selected different backends, and lets CI run the same
-//! golden-figure byte-diffs per backend × level leg.
+//! produce bit-identical results under every `DITTO_KERNEL_BACKEND` value
+//! the host can run. This is the property that lets the serve scheduler
+//! memoize cells without keying them by backend, and lets one CI leg stand
+//! in for the others.
+//!
+//! A process has one backend, fixed at startup, so the parent test re-runs
+//! this test binary once per available backend with the variable set: each
+//! child runs [`digests_on_the_process_backend`] alone and prints its
+//! digests, and the parent compares them.
+
+use std::collections::BTreeMap;
+use std::process::Command;
 
 use accel::design::Design;
 use accel::grid::{self, SweepSpec};
+use diffusion::graph::{fnv1a_fold, FNV1A_OFFSET};
 use diffusion::{DiffusionModel, ModelKind, ModelScale};
 use ditto_core::runner::{trace_model, ExecPolicy};
-use ditto_core::trace::WorkloadTrace;
-use tensor::backend::{self, KernelBackend, SimdLevel};
+use tensor::backend::{self, KernelBackend};
+use tensor::Tensor;
 
-/// The swept configurations: both portable backends at the hardware SIMD
-/// level, then the `simd` backend once per hardware-supported level
-/// (skipping `none`, where `set_active(Simd)` rightly refuses) — the same
-/// ladder sweep the `DITTO_SIMD_LEVEL` override exposes to CI.
-fn backend_level_matrix() -> Vec<(KernelBackend, SimdLevel)> {
-    let hw = backend::hw_simd_level();
-    let mut configs = vec![(KernelBackend::Scalar, hw), (KernelBackend::Tiled, hw)];
-    for level in backend::available_simd_levels() {
-        if level != SimdLevel::None {
-            configs.push((KernelBackend::Simd, level));
-        }
-    }
-    configs
+/// Marks the lines a child prints for its parent.
+const MARK: &str = "backend-invariance:";
+
+fn fnv(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV1A_OFFSET, bytes)
 }
 
-/// Traces one Tiny model under an explicit backend + SIMD level, both
-/// dense and delta-policy, asserting the two policies agree (the §IV-A
-/// equivalence must hold on every backend, not just the default one).
-fn trace_under(
-    backend: KernelBackend,
-    level: SimdLevel,
-    kind: ModelKind,
-) -> (WorkloadTrace, Vec<u32>) {
-    backend::set_simd_level(level).unwrap();
-    backend::set_active(backend).unwrap();
-    let model = DiffusionModel::build(kind, ModelScale::Tiny, 6);
-    let (trace, out_dense) = trace_model(&model, 2, ExecPolicy::Dense).unwrap();
-    let (_, out_delta) = trace_model(&model, 2, ExecPolicy::TemporalDelta).unwrap();
-    assert_eq!(
-        out_dense, out_delta,
-        "dense/delta equivalence broke under backend {backend} for {kind:?}"
+fn sample_bytes(sample: &Tensor) -> Vec<u8> {
+    sample.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect()
+}
+
+/// Traces one conv-heavy UNet and one attention-heavy transformer at Tiny
+/// under Dense and TemporalDelta — together every integer kernel (dense
+/// matmul, fused delta update, attention scores) and every f32 one —
+/// checks the two policies agree (the §IV-A equivalence, on this backend),
+/// sweeps the traces on the grid, and prints one digest line per result
+/// plus the backend that produced them.
+#[test]
+fn digests_on_the_process_backend() {
+    println!("{MARK} backend {}", backend::active().resolved_name());
+    let mut traces = Vec::new();
+    for kind in [ModelKind::Ddpm, ModelKind::Dit] {
+        let model = DiffusionModel::build(kind, ModelScale::Tiny, 6);
+        let (trace, sample) = trace_model(&model, 2, ExecPolicy::Dense).unwrap();
+        let (delta_trace, delta_sample) =
+            trace_model(&model, 2, ExecPolicy::TemporalDelta).unwrap();
+        let trace_bytes = ditto_core::binio::to_vec(&trace);
+        assert_eq!(trace_bytes, ditto_core::binio::to_vec(&delta_trace), "{kind:?} traces");
+        let bits = sample_bytes(&sample);
+        assert_eq!(bits, sample_bytes(&delta_sample), "{kind:?} dense/delta samples");
+        println!("{MARK} trace.{} {:016x}", kind.abbr(), fnv(&trace_bytes));
+        println!("{MARK} sample.{} {:016x}", kind.abbr(), fnv(&bits));
+        traces.push(trace);
+    }
+    let designs = vec![Design::itc(), Design::ditto(), Design::diffy()];
+    let report = grid::run(&SweepSpec::new(designs, traces.iter().collect())).unwrap();
+    println!("{MARK} grid {:016x}", fnv(&ditto_core::binio::to_vec(&report)));
+}
+
+/// What one child printed: its backend and its digests by name.
+fn run_child(backend: &str) -> (String, BTreeMap<String, String>) {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = Command::new(exe)
+        .args(["--exact", "digests_on_the_process_backend", "--nocapture", "--test-threads=1"])
+        .env("DITTO_KERNEL_BACKEND", backend)
+        .output()
+        .expect("spawn the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "child on {backend} failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
     );
-    let bits = out_dense.as_slice().iter().map(|v| v.to_bits()).collect();
-    (trace, bits)
+    let mut ran_on = String::new();
+    let mut digests = BTreeMap::new();
+    for line in stdout.lines() {
+        let Some((_, rest)) = line.split_once(MARK) else { continue };
+        let (key, value) = rest.trim().split_once(' ').expect("`key value` line");
+        if key == "backend" {
+            ran_on = value.to_string();
+        } else {
+            digests.insert(key.to_string(), value.to_string());
+        }
+    }
+    (ran_on, digests)
 }
 
 #[test]
 fn tracing_and_grid_are_backend_invariant() {
-    let initial = backend::active();
-    // One conv-heavy UNet and one attention-heavy transformer cover every
-    // integer kernel (dense matmul, fused delta update, attention scores).
-    let kinds = [ModelKind::Ddpm, ModelKind::Dit];
-    let hw = backend::hw_simd_level();
-    let reference: Vec<(WorkloadTrace, Vec<u32>)> =
-        kinds.iter().map(|&k| trace_under(KernelBackend::Scalar, hw, k)).collect();
-
-    for (b, level) in backend_level_matrix() {
-        for (&kind, (want_trace, want_bits)) in kinds.iter().zip(&reference) {
-            let (trace, bits) = trace_under(b, level, kind);
-            assert_eq!(&bits, want_bits, "{kind:?} sample bits diverged under backend {b}@{level}");
-            // Byte-compare the serialized traces: every histogram of every
-            // layer at every step must be identical.
-            assert_eq!(
-                ditto_core::binio::to_vec(&trace),
-                ditto_core::binio::to_vec(want_trace),
-                "{kind:?} workload trace diverged under backend {b}@{level}"
-            );
+    let mut reference: Option<(String, BTreeMap<String, String>)> = None;
+    for backend in KernelBackend::available() {
+        let name = backend.resolved_name();
+        let (ran_on, digests) = run_child(&name);
+        assert_eq!(ran_on, name, "the child did not run the backend it was given");
+        assert_eq!(digests.len(), 5, "{name}: digests {digests:?}");
+        match &reference {
+            None => reference = Some((name, digests)),
+            Some((first, want)) => {
+                assert_eq!(&digests, want, "{name} diverged from {first}");
+            }
         }
     }
-
-    // The grid engine over backend-produced traces: identical traces in,
-    // so every cell metric must match bit for bit regardless of which
-    // backend is active while simulating.
-    let traces: Vec<&WorkloadTrace> = reference.iter().map(|(t, _)| t).collect();
-    let designs = vec![Design::itc(), Design::ditto(), Design::diffy()];
-    backend::set_active(KernelBackend::Scalar).unwrap();
-    let want = grid::run(&SweepSpec::new(designs.clone(), traces.clone())).unwrap();
-    for (b, level) in backend_level_matrix() {
-        backend::set_simd_level(level).unwrap();
-        backend::set_active(b).unwrap();
-        let got = grid::run(&SweepSpec::new(designs.clone(), traces.clone())).unwrap();
-        assert_eq!(got.designs, want.designs);
-        for (x, y) in got.cells.iter().zip(&want.cells) {
-            assert_eq!(
-                x.run.cycles.to_bits(),
-                y.run.cycles.to_bits(),
-                "grid diverged under {b}@{level}"
-            );
-            assert_eq!(x.run.energy.total().to_bits(), y.run.energy.total().to_bits());
-            assert_eq!(x.speedup_vs_gpu.to_bits(), y.speedup_vs_gpu.to_bits());
-        }
-        for (x, y) in got.gpu.iter().zip(&want.gpu) {
-            assert_eq!(x.cycles.to_bits(), y.cycles.to_bits());
-        }
-    }
-    backend::set_simd_level(hw).unwrap();
-    backend::set_active(initial).unwrap();
 }

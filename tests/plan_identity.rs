@@ -1,7 +1,7 @@
 //! Umbrella identity tests for compiled trace plans (`diffusion::plan`).
 //!
-//! The contract under test: for every benchmark model, sampler, hook and
-//! kernel backend, what the compiled plan produces is **byte-identical** to
+//! The contract under test: for every benchmark model, sampler and hook,
+//! what the compiled plan produces is **byte-identical** to
 //! the tree-walking oracle `executor::forward` — same float op order, same
 //! `-0.0`s, no tolerance. The oracle is called directly (`forward`, or the
 //! `run_reverse*_oracle` loops that share the sampler code); there is no
@@ -15,7 +15,6 @@ use diffusion::{
     SamplerKind, TracePlan,
 };
 use proptest::prelude::*;
-use tensor::backend::{self, KernelBackend};
 use tensor::{Rng, Tensor};
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -23,35 +22,27 @@ fn bits(t: &Tensor) -> Vec<u32> {
 }
 
 /// End-to-end: full reverse-process runs on the oracle and on the plan must
-/// produce bit-identical samples for every benchmark × both samplers ×
-/// every available kernel backend.
-///
-/// The kernel backend is a process global, so this lives in one `#[test]`
-/// that owns it and restores the initial state (the pattern from
-/// `backend_invariance.rs`); the sibling tests below never touch globals.
+/// produce bit-identical samples for every benchmark × both samplers, on
+/// the process's kernel backend (the backends' agreement with each other
+/// is `backend_invariance.rs`' claim).
 #[test]
 fn plan_and_tree_sampler_runs_are_bit_identical() {
-    let initial_backend = backend::active();
     for kind in ModelKind::all() {
         for sampler in [SamplerKind::Ddim, SamplerKind::Plms] {
             let mut model = DiffusionModel::build(kind, ModelScale::Tiny, 21);
             model.sampler = sampler;
-            for b in KernelBackend::available() {
-                backend::set_active(b).unwrap();
-                let tree = model.run_reverse_oracle(4, &mut NullHook).unwrap();
-                let planned = model.run_reverse(4, &mut NullHook).unwrap();
-                assert_eq!(
-                    bits(&tree),
-                    bits(&planned),
-                    "{kind:?}/{sampler:?} diverged between executors under backend {b}"
-                );
-            }
+            let tree = model.run_reverse_oracle(4, &mut NullHook).unwrap();
+            let planned = model.run_reverse(4, &mut NullHook).unwrap();
+            assert_eq!(
+                bits(&tree),
+                bits(&planned),
+                "{kind:?}/{sampler:?} diverged between executors"
+            );
         }
     }
     // Classifier-free guidance doubles the per-step model calls through its
     // own dispatch path; cover it on the one context-conditioned benchmark.
     let sdm = DiffusionModel::build(ModelKind::Sdm, ModelScale::Tiny, 21);
-    backend::set_active(initial_backend).unwrap();
     let tree = sdm.run_reverse_cfg_oracle(4, 3.0, &mut NullHook, &mut NullHook).unwrap();
     let planned = sdm.run_reverse_cfg(4, 3.0, &mut NullHook, &mut NullHook).unwrap();
     assert_eq!(bits(&tree), bits(&planned), "SDM CFG diverged between executors");
