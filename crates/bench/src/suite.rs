@@ -6,7 +6,9 @@
 //! FNV-1a digest of the model definition they were computed from (graph
 //! structure, op parameters, weight shapes, sampler, step count, seeds) —
 //! so editing a model definition invalidates its cached trace and
-//! similarity report instead of serving stale data. Legacy JSON trace
+//! similarity report instead of serving stale data. The fingerprint is
+//! computed from a weight-free [`ModelSpec`], so a cache hit draws no
+//! weights: only a miss builds the model it traces. Legacy JSON trace
 //! caches (`trace-*.json`) from earlier revisions are read once and
 //! migrated to `.bin`; corrupt, truncated, fingerprint-mismatched or
 //! pre-fingerprint cache files are treated as misses and recomputed. The
@@ -27,7 +29,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use diffusion::plan::OpCode;
-use diffusion::{DiffusionModel, ModelKind, ModelScale};
+use diffusion::{DiffusionModel, ModelKind, ModelScale, ModelSpec};
 use ditto_core::binio::{BinError, FromBin, Reader, ToBin};
 use ditto_core::jsonio::Value;
 use ditto_core::runner::{trace_model, ExecPolicy};
@@ -259,28 +261,15 @@ impl FromBin for CachedTrace {
     }
 }
 
-/// Fingerprint of everything a cached trace depends on: the model's graph
-/// structure digest (op parameters and weight shapes included), sampler,
-/// step count, latent/context dims, the suite seeds, and the execution
-/// policy. Weight *values* are excluded — they are a pure function of
-/// [`WEIGHT_SEED`], which is hashed.
-fn fingerprint_of(model: &DiffusionModel) -> u64 {
-    let mut h = model.graph.structure_digest();
-    let mut eat = |bytes: &[u8]| {
+/// Fingerprint of everything a cached trace depends on: the model
+/// definition ([`ModelSpec::digest`], which covers the seed the weights are
+/// drawn from), the sample seed and the execution policy. No weights are
+/// drawn to compute it.
+fn fingerprint_of(spec: &ModelSpec) -> u64 {
+    let mut h = spec.digest();
+    for bytes in [&SAMPLE_SEED.to_le_bytes()[..], b"Dense"] {
         h = diffusion::graph::fnv1a_fold(h, bytes);
-    };
-    eat(model.kind.abbr().as_bytes());
-    eat(format!("{:?}", model.sampler).as_bytes());
-    eat(&(model.steps as u64).to_le_bytes());
-    for &d in &model.latent_dims {
-        eat(&(d as u64).to_le_bytes());
     }
-    for d in model.context_dims.iter().flatten() {
-        eat(&(*d as u64).to_le_bytes());
-    }
-    eat(&WEIGHT_SEED.to_le_bytes());
-    eat(&SAMPLE_SEED.to_le_bytes());
-    eat(b"Dense");
     h
 }
 
@@ -289,10 +278,11 @@ fn trace_in_dir(
     kind: ModelKind,
     scale: ModelScale,
 ) -> (WorkloadTrace, TraceSource, u64) {
-    let model = DiffusionModel::build(kind, scale, WEIGHT_SEED);
-    let fingerprint = fingerprint_of(&model);
-    let (trace, source) = lookup_in_dir(dir, kind, scale, fingerprint)
-        .unwrap_or_else(|| (trace_and_store(dir, &model, scale, fingerprint), TraceSource::Traced));
+    let spec = ModelSpec::new(kind, scale, WEIGHT_SEED);
+    let fingerprint = fingerprint_of(&spec);
+    let (trace, source) = lookup_in_dir(dir, kind, scale, fingerprint).unwrap_or_else(|| {
+        (trace_and_store(dir, &DiffusionModel::from(spec), scale, fingerprint), TraceSource::Traced)
+    });
     (trace, source, fingerprint)
 }
 
@@ -351,12 +341,13 @@ fn trace_and_store(
     cached.trace
 }
 
-/// Estimated cost of tracing `model`: model calls × the multiply-accumulates
-/// of one call's linear layers, read off the compiled plan's shape
-/// immediates. Only the order of the estimates matters (it decides which
-/// model a pool worker claims first); a model without a plan sorts last.
-fn trace_cost_estimate(model: &DiffusionModel) -> u64 {
-    let Some(plan) = &model.plan else { return 0 };
+/// Estimated cost of tracing `spec`'s model: model calls × the
+/// multiply-accumulates of one call's linear layers, read off the compiled
+/// plan's shape immediates (no weights needed). Only the order of the
+/// estimates matters (it decides which model a pool worker claims first); a
+/// model without a plan sorts last.
+fn trace_cost_estimate(spec: &ModelSpec) -> u64 {
+    let Some(plan) = spec.plan() else { return 0 };
     let macs: usize = plan
         .ops()
         .iter()
@@ -368,7 +359,7 @@ fn trace_cost_estimate(model: &DiffusionModel) -> u64 {
             _ => 0,
         })
         .sum();
-    (macs * model.model_calls()) as u64
+    (macs * spec.model_calls()) as u64
 }
 
 /// Returns the cached workload trace for `kind`, computing (and caching) it
@@ -418,8 +409,8 @@ fn similarity_in_dir(
     kind: ModelKind,
     scale: ModelScale,
 ) -> (SimilarityReport, TraceSource) {
-    let model = DiffusionModel::build(kind, scale, WEIGHT_SEED);
-    let fingerprint = fingerprint_of(&model);
+    let spec = ModelSpec::new(kind, scale, WEIGHT_SEED);
+    let fingerprint = fingerprint_of(&spec);
     let bin_name = format!("{}.bin", cache_stem("similarity", kind, scale));
     if let Ok(bytes) = fs::read(dir.join(&bin_name)) {
         let stale = match ditto_core::binio::from_slice::<CachedSimilarity>(&bytes) {
@@ -446,7 +437,7 @@ fn similarity_in_dir(
     }
     eprintln!("[suite] similarity pass for {} (one-time, cached)...", kind.abbr());
     let mut hook = SimilarityHook::new();
-    model.run_reverse(SAMPLE_SEED, &mut hook).expect("similarity run");
+    DiffusionModel::from(spec).run_reverse(SAMPLE_SEED, &mut hook).expect("similarity run");
     let cached = CachedSimilarity { fingerprint, report: hook.into_report() };
     store_bin(dir, &bin_name, &cached);
     (cached.report, TraceSource::Traced)
@@ -598,19 +589,19 @@ impl Suite {
 
     fn load_in_dir(dir: &Path, scale: ModelScale) -> Self {
         let workers = accel::pool::default_workers();
-        let build = |i: usize| {
-            let model = DiffusionModel::build(MODELS[i], scale, WEIGHT_SEED);
-            let fingerprint = fingerprint_of(&model);
-            (model, fingerprint)
+        let spec = |i: usize| {
+            let spec = ModelSpec::new(MODELS[i], scale, WEIGHT_SEED);
+            let fingerprint = fingerprint_of(&spec);
+            (spec, fingerprint)
         };
-        // First what the cache holds. A miss only reports what tracing it
-        // is estimated to cost: keeping its model for the second pass would
-        // hold all seven in memory on a cold load.
+        // First what the cache holds, from the specs alone: a hit draws no
+        // weights. A miss only reports what tracing it is estimated to
+        // cost; its model is built in the second pass, one per worker.
         let mut loaded = accel::pool::run_indexed(MODELS.len(), workers, |i| {
-            let (model, fingerprint) = build(i);
-            lookup_in_dir(dir, model.kind, scale, fingerprint)
+            let (spec, fingerprint) = spec(i);
+            lookup_in_dir(dir, spec.kind, scale, fingerprint)
                 .map(|(trace, source)| (trace, source, fingerprint))
-                .ok_or_else(|| trace_cost_estimate(&model))
+                .ok_or_else(|| trace_cost_estimate(&spec))
         });
         // Then the misses, costliest first. Workers claim jobs in index
         // order, so the longest trace never starts behind a short one and
@@ -622,7 +613,8 @@ impl Suite {
             .collect();
         misses.sort_by_key(|&(_, cost)| std::cmp::Reverse(cost));
         let traced = accel::pool::run_indexed(misses.len(), workers, |job| {
-            let (model, fingerprint) = build(misses[job].0);
+            let (spec, fingerprint) = spec(misses[job].0);
+            let model = DiffusionModel::from(spec);
             (trace_and_store(dir, &model, scale, fingerprint), TraceSource::Traced, fingerprint)
         });
         for (&(i, _), fresh) in misses.iter().zip(traced) {
@@ -781,17 +773,15 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_model_definition() {
-        let tiny = fingerprint_of(&DiffusionModel::build(ModelKind::Ddpm, ModelScale::Tiny, 42));
+        let of = |kind, scale, seed| fingerprint_of(&ModelSpec::new(kind, scale, seed));
+        let tiny = of(ModelKind::Ddpm, ModelScale::Tiny, 42);
         // Deterministic across rebuilds of the same definition.
-        assert_eq!(
-            tiny,
-            fingerprint_of(&DiffusionModel::build(ModelKind::Ddpm, ModelScale::Tiny, 42))
-        );
-        // Scale changes dims/steps, kind changes the whole graph.
-        let small = fingerprint_of(&DiffusionModel::build(ModelKind::Ddpm, ModelScale::Small, 42));
-        assert_ne!(tiny, small);
-        let other = fingerprint_of(&DiffusionModel::build(ModelKind::Dit, ModelScale::Tiny, 42));
-        assert_ne!(tiny, other);
+        assert_eq!(tiny, of(ModelKind::Ddpm, ModelScale::Tiny, 42));
+        // Scale changes dims/steps, kind changes the whole graph, and the
+        // weight seed changes every weight.
+        assert_ne!(tiny, of(ModelKind::Ddpm, ModelScale::Small, 42));
+        assert_ne!(tiny, of(ModelKind::Dit, ModelScale::Tiny, 42));
+        assert_ne!(tiny, of(ModelKind::Ddpm, ModelScale::Tiny, 43));
     }
 
     #[test]
@@ -829,7 +819,7 @@ mod tests {
         assert_eq!(warm.fingerprints, cold.fingerprints);
         assert_eq!(
             warm.fingerprint(ModelKind::Ddpm),
-            fingerprint_of(&DiffusionModel::build(ModelKind::Ddpm, ModelScale::Tiny, WEIGHT_SEED))
+            fingerprint_of(&ModelSpec::new(ModelKind::Ddpm, ModelScale::Tiny, WEIGHT_SEED))
         );
         let _ = fs::remove_dir_all(&dir);
     }
@@ -846,7 +836,7 @@ mod tests {
         }
         // At the experiment scale BED is the longest job and Latte the
         // shortest, whatever their Table I positions.
-        let cost = |kind| trace_cost_estimate(&DiffusionModel::build(kind, ModelScale::Small, 1));
+        let cost = |kind| trace_cost_estimate(&ModelSpec::new(kind, ModelScale::Small, 1));
         let costs = MODELS.map(cost);
         assert_eq!(costs.iter().max(), Some(&cost(ModelKind::Bed)));
         assert_eq!(costs.iter().min(), Some(&cost(ModelKind::Latte)));

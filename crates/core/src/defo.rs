@@ -203,10 +203,9 @@ fn collect_summation_consumers(
 mod tests {
     use super::*;
     use diffusion::{InputKind, LayerGraph, LayerOp};
-    use tensor::Tensor;
 
     fn linear_op(n: usize) -> LayerOp {
-        LayerOp::Linear { weight: Tensor::eye(n), bias: None }
+        LayerOp::Linear { d_in: n, d_out: n, bias: false }
     }
 
     /// input → fc1 → fc2 → silu → fc3 → (output)

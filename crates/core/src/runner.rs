@@ -46,7 +46,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use diffusion::{DiffusionModel, LayerOp, LinearHook, Node, NodeId, OperandView, StepInfo};
+use diffusion::{DiffusionModel, LayerOp, LinearHook, Node, NodeId, OperandView, Params, StepInfo};
 use quant::kernels::{
     attention_delta_scores_into, delta_matmul_update_into, im2col_i8_into, int_matmul_into,
     int_scores, widen, widen_into, PackedRhs,
@@ -89,7 +89,7 @@ impl ExecPolicy {
     }
 }
 
-/// Quantized weights of a conv/FC layer; the bias stays in the graph node.
+/// Quantized weights of a conv/FC layer, with its f32 bias.
 #[derive(Debug)]
 struct QWeight {
     /// `[k, n]` weight levels (k = reduction dim).
@@ -100,37 +100,28 @@ struct QWeight {
     scale: f32,
     k: usize,
     n: usize,
+    /// `[n]` bias added at dequantization.
+    bias: Option<Vec<f32>>,
 }
 
 impl QWeight {
-    fn of(node: &Node) -> Self {
-        match &node.op {
-            LayerOp::Conv2d { weight, params, .. } => {
-                let n = weight.dims()[0];
-                let k = weight.dims()[1] * params.kernel * params.kernel;
-                // Reshape [C_out, C_in*K*K] → transpose to [k, n].
-                let q = QTensor::quantize_dynamic(weight);
-                let mut data = vec![0i8; k * n];
-                for co in 0..n {
-                    for kk in 0..k {
-                        data[kk * n + co] = q.data()[co * k + kk];
-                    }
-                }
-                QWeight { data, pack: PackedRhs::default(), scale: q.scale(), k, n }
+    /// Quantizes conv/FC layer `op`'s `params`; `None` for any other op.
+    fn of(op: &LayerOp, params: &Params) -> Option<Self> {
+        let (k, n) = match *op {
+            LayerOp::Conv2d { c_in, c_out, params, .. } => {
+                (c_in * params.kernel * params.kernel, c_out)
             }
-            LayerOp::Linear { weight, .. } => {
-                let q = QTensor::quantize_dynamic(weight);
-                let (k, n) = (weight.dims()[0], weight.dims()[1]);
-                QWeight {
-                    data: q.data().to_vec(),
-                    pack: PackedRhs::default(),
-                    scale: q.scale(),
-                    k,
-                    n,
-                }
-            }
-            _ => unreachable!("attention matmuls have no weights"),
-        }
+            LayerOp::Linear { d_in, d_out, .. } => (d_in, d_out),
+            _ => return None,
+        };
+        let q = QTensor::quantize_dynamic(&params.weight);
+        let data = match op {
+            // The filter bank is [C_out, C_in·K·K] = [n, k]: transpose it.
+            LayerOp::Conv2d { .. } => (0..k * n).map(|i| q.data()[(i % n) * k + i / n]).collect(),
+            _ => q.data().to_vec(),
+        };
+        let bias = params.bias.as_ref().map(|b| b.as_slice().to_vec());
+        Some(QWeight { data, pack: PackedRhs::default(), scale: q.scale(), k, n, bias })
     }
 }
 
@@ -342,14 +333,25 @@ pub struct DittoHook {
 
 impl DittoHook {
     /// Creates a hook for `model`, running Defo's static dependency
-    /// analysis up front.
+    /// analysis and quantizing every conv/FC layer's weights up front.
     pub fn new(model: &DiffusionModel, quantizer: Quantizer, policy: ExecPolicy) -> Self {
         let defo = analyze(&model.graph);
         let model_abbr = model.kind.abbr();
+        let weights = model.weights();
+        let layers = model
+            .graph
+            .nodes()
+            .iter()
+            .filter_map(|node| {
+                let params = weights.get(node.id).ok()?;
+                let weight = QWeight::of(&node.op, params)?;
+                Some((node.id, Layer { weight: Some(weight), ..Layer::default() }))
+            })
+            .collect();
         DittoHook {
             quantizer,
             policy,
-            layers: HashMap::new(),
+            layers,
             recorder: Recorder {
                 boundaries: defo.boundaries.into_iter().map(|b| (b.node, b)).collect(),
                 metas: Vec::new(),
@@ -372,6 +374,11 @@ impl DittoHook {
 }
 
 impl Layer {
+    /// A conv/FC layer's bias.
+    fn bias(&self) -> Option<&[f32]> {
+        self.weight.as_ref().and_then(|qw| qw.bias.as_deref())
+    }
+
     /// Executes a conv/FC layer in the integer domain and records stats:
     /// `self.a.cur` holds the quantized `[m, k]` operand (im2col for convs)
     /// on `grid`, `raw_in_elems` is the raw input tensor size for byte
@@ -392,7 +399,7 @@ impl Layer {
         clock: &mut StageClock,
     ) -> f32 {
         let Layer { index, weight, a, acc, .. } = self;
-        let qw = weight.as_mut().expect("weights are quantized before the first run");
+        let qw = weight.as_mut().expect("DittoHook::new quantizes every weighted layer");
         let (k, n) = (qw.k, qw.n);
         debug_assert_eq!(a.cur.len(), m * k);
         let idx = *index.get_or_insert_with(|| {
@@ -560,12 +567,10 @@ impl Layer {
 fn site_out_dims(node: &Node, inputs: &[&Tensor]) -> Option<Vec<usize>> {
     let dims = |i: usize| inputs[i].dims();
     match &node.op {
-        LayerOp::Conv2d { weight, params, .. } => Some(vec![
-            weight.dims()[0],
-            params.out_extent(dims(0)[1]),
-            params.out_extent(dims(0)[2]),
-        ]),
-        LayerOp::Linear { weight, .. } => Some(vec![dims(0)[0], weight.dims()[1]]),
+        LayerOp::Conv2d { c_out, params, .. } => {
+            Some(vec![*c_out, params.out_extent(dims(0)[1]), params.out_extent(dims(0)[2])])
+        }
+        LayerOp::Linear { d_out, .. } => Some(vec![dims(0)[0], *d_out]),
         LayerOp::MatmulQK => Some(vec![dims(0)[0], dims(1)[0]]),
         LayerOp::MatmulPV => Some(vec![dims(0)[0], dims(1)[1]]),
         _ => None,
@@ -598,16 +603,15 @@ impl LinearHook for DittoHook {
         let policy = *policy;
         let mut clock = StageClock::start();
         match &node.op {
-            LayerOp::Conv2d { params, bias, .. } => {
+            &LayerOp::Conv2d { c_out: n, params, .. } => {
                 let x = inputs[0];
                 let (c, h, w) = (x.dims[0], x.dims[1], x.dims[2]);
-                let layer = layers.entry(node.id).or_default();
-                let n = layer.weight.get_or_insert_with(|| QWeight::of(node)).n;
+                let layer = layers.get_mut(&node.id).expect("DittoHook::new quantized this conv");
                 // Quantize the raw input once, then expand to im2col so
                 // padding zeros and duplicated taps are exact.
                 let grid = layer.a.grid_scale(quantizer, node.id, s, x.data);
                 quantize_into(x.data, grid, &mut scratch.levels);
-                let (m, _) = im2col_i8_into(&scratch.levels, c, h, w, *params, &mut layer.a.cur);
+                let (m, _) = im2col_i8_into(&scratch.levels, c, h, w, params, &mut layer.a.cur);
                 let out_scale = layer.run_weighted(
                     node,
                     s,
@@ -621,19 +625,18 @@ impl LinearHook for DittoHook {
                     &mut clock,
                 );
                 // [m, n] accumulators → [n, ho, wo] with bias.
-                let acc = &layer.acc;
+                let (acc, bias) = (&layer.acc, layer.bias());
                 for (co, plane) in out.chunks_exact_mut(m).enumerate() {
-                    let b = bias.as_ref().map_or(0.0, |bv| bv.as_slice()[co]);
+                    let b = bias.map_or(0.0, |bv| bv[co]);
                     for (pix, o) in plane.iter_mut().enumerate() {
                         *o = acc[pix * n + co] as f32 * out_scale + b;
                     }
                 }
             }
-            LayerOp::Linear { bias, .. } => {
+            &LayerOp::Linear { d_out: n, .. } => {
                 let x = inputs[0];
                 let m = x.dims[0];
-                let layer = layers.entry(node.id).or_default();
-                let n = layer.weight.get_or_insert_with(|| QWeight::of(node)).n;
+                let layer = layers.get_mut(&node.id).expect("DittoHook::new quantized this layer");
                 let grid = layer.a.grid_scale(quantizer, node.id, s, x.data);
                 quantize_into(x.data, grid, &mut layer.a.cur);
                 let out_scale = layer.run_weighted(
@@ -648,7 +651,7 @@ impl LinearHook for DittoHook {
                     scratch,
                     &mut clock,
                 );
-                let bias = bias.as_ref().map(Tensor::as_slice);
+                let bias = layer.bias();
                 for (orow, arow) in out.chunks_exact_mut(n).zip(layer.acc.chunks_exact(n)) {
                     for (j, (o, &v)) in orow.iter_mut().zip(arow).enumerate() {
                         *o = v as f32 * out_scale + bias.map_or(0.0, |bv| bv[j]);

@@ -4,7 +4,6 @@
 use diffusion::{InputKind, LayerGraph, LayerOp, OpClass};
 use ditto_core::defo::{analyze, Domain};
 use proptest::prelude::*;
-use tensor::Tensor;
 
 /// Op alphabet for random graph construction (single-operand ops plus Add).
 #[derive(Debug, Clone, Copy)]
@@ -37,11 +36,9 @@ fn build_graph(ops: &[(OpPick, u64)]) -> LayerGraph {
         let pick = |rng: &mut tensor::Rng, hi: usize| rng.next_below(hi);
         let a = pick(&mut rng, last + 1);
         last = match op {
-            OpPick::Linear => g.add(
-                format!("fc{i}"),
-                LayerOp::Linear { weight: Tensor::eye(2), bias: None },
-                &[a],
-            ),
+            OpPick::Linear => {
+                g.add(format!("fc{i}"), LayerOp::Linear { d_in: 2, d_out: 2, bias: false }, &[a])
+            }
             OpPick::Silu => g.add(format!("silu{i}"), LayerOp::SiLU, &[a]),
             OpPick::Gelu => g.add(format!("gelu{i}"), LayerOp::GeLU, &[a]),
             OpPick::Scale => g.add(format!("scale{i}"), LayerOp::Scale(0.5), &[a]),

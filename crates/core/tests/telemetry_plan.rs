@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use diffusion::{
     Bindings, InputKind, LayerGraph, LayerOp, LinearHook, Node, NullHook, PlanArena, StepInfo,
-    TracePlan,
+    TracePlan, Weights,
 };
 use ditto_core::jsonio::{self, Value};
 use ditto_core::telemetry::Telemetry;
@@ -27,7 +27,7 @@ fn temp(tag: &str) -> std::path::PathBuf {
 fn silu_chain(depth: usize) -> LayerGraph {
     let mut g = LayerGraph::new();
     let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
-    let mut cur = g.add("fc", LayerOp::Linear { weight: Tensor::eye(8), bias: None }, &[x]);
+    let mut cur = g.add("fc", LayerOp::Linear { d_in: 8, d_out: 8, bias: false }, &[x]);
     for i in 0..depth {
         cur = g.add(format!("silu{i}"), LayerOp::SiLU, &[cur]);
     }
@@ -53,6 +53,7 @@ fn plan_profiles_flow_through_telemetry_to_both_exporters() {
     let graph = silu_chain(5);
     let latent = Tensor::from_vec(vec![0.25; 64], &[8, 8]).unwrap();
     let bindings = Bindings { latent: &latent, context: None, t: 3.0 };
+    let weights = Weights::seeded(&graph, 1);
     let plan = TracePlan::compile(&graph, &[8, 8], None).unwrap();
     let digest_hex = format!("{:016x}", plan.digest());
     let mut arena = PlanArena::new();
@@ -66,10 +67,10 @@ fn plan_profiles_flow_through_telemetry_to_both_exporters() {
         // Enabling telemetry must have armed the plan profiler.
         assert!(diffusion::plan::profiling_enabled());
         for _ in 0..steps {
-            plan.execute(&graph, &bindings, step, &mut NullHook, &mut arena).unwrap();
+            plan.execute(&graph, &weights, &bindings, step, &mut NullHook, &mut arena).unwrap();
         }
         for _ in 0..hooked_steps {
-            plan.execute(&graph, &bindings, step, &mut counter, &mut arena).unwrap();
+            plan.execute(&graph, &weights, &bindings, step, &mut counter, &mut arena).unwrap();
         }
         tel.flush();
     } // drop drains the stream and runs the final idle tick

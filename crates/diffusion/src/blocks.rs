@@ -12,37 +12,27 @@
 //! * [`BlockCtx::dit_block`] — the DiT/Latte adaLN transformer block with
 //!   scale/shift/gate modulation from the conditioning embedding.
 //!
-//! Weight initialization is seeded Gaussian with 1/√fan-in scaling so the
-//! random-weight models keep well-conditioned activations across layers —
-//! the property that lets temporal similarity emerge as it does in trained
-//! checkpoints (see DESIGN.md §1).
+//! Builders emit structure only; conv and FC layers carry a bias, and
+//! [`crate::weights::Weights::seeded`] draws the values.
 
 use crate::graph::{LayerGraph, NodeId};
 use crate::op::LayerOp;
 use tensor::ops::Conv2dParams;
-use tensor::{Rng, Tensor};
 
-/// Graph-building context: the graph plus the weight-init RNG.
+/// Graph-building context.
 #[derive(Debug)]
 pub struct BlockCtx<'a> {
     /// The graph being built.
     pub g: &'a mut LayerGraph,
-    /// Weight-initialization RNG.
-    pub rng: &'a mut Rng,
 }
 
 impl<'a> BlockCtx<'a> {
     /// Creates a context.
-    pub fn new(g: &'a mut LayerGraph, rng: &'a mut Rng) -> Self {
-        BlockCtx { g, rng }
+    pub fn new(g: &'a mut LayerGraph) -> Self {
+        BlockCtx { g }
     }
 
-    fn init(&mut self, dims: &[usize], fan_in: usize) -> Tensor {
-        let std = 1.0 / (fan_in as f32).sqrt();
-        Tensor::randn(dims, self.rng).map(|v| v * std)
-    }
-
-    /// Adds a 2-D convolution with seeded weights.
+    /// Adds a 2-D convolution with a bias.
     pub fn conv(
         &mut self,
         name: &str,
@@ -51,31 +41,22 @@ impl<'a> BlockCtx<'a> {
         c_out: usize,
         params: Conv2dParams,
     ) -> NodeId {
-        let k = params.kernel;
-        let weight = self.init(&[c_out, c_in, k, k], c_in * k * k);
-        let bias = Some(Tensor::zeros(&[c_out]));
-        self.g.add(name, LayerOp::Conv2d { weight, bias, params }, &[x])
+        self.g.add(name, LayerOp::Conv2d { c_in, c_out, params, bias: true }, &[x])
     }
 
-    /// Adds a fully connected layer with seeded weights.
+    /// Adds a fully connected layer with a bias.
     pub fn linear(&mut self, name: &str, x: NodeId, d_in: usize, d_out: usize) -> NodeId {
-        let weight = self.init(&[d_in, d_out], d_in);
-        let bias = Some(Tensor::zeros(&[d_out]));
-        self.g.add(name, LayerOp::Linear { weight, bias }, &[x])
+        self.g.add(name, LayerOp::Linear { d_in, d_out, bias: true }, &[x])
     }
 
-    /// Adds a group norm with identity affine parameters.
+    /// Adds a group norm.
     pub fn group_norm(&mut self, name: &str, x: NodeId, channels: usize, groups: usize) -> NodeId {
-        let gamma = Tensor::full(&[channels], 1.0);
-        let beta = Tensor::zeros(&[channels]);
-        self.g.add(name, LayerOp::GroupNorm { groups, gamma, beta }, &[x])
+        self.g.add(name, LayerOp::GroupNorm { groups, channels }, &[x])
     }
 
-    /// Adds a layer norm with identity affine parameters.
+    /// Adds a layer norm.
     pub fn layer_norm(&mut self, name: &str, x: NodeId, features: usize) -> NodeId {
-        let gamma = Tensor::full(&[features], 1.0);
-        let beta = Tensor::zeros(&[features]);
-        self.g.add(name, LayerOp::LayerNorm { gamma, beta }, &[x])
+        self.g.add(name, LayerOp::LayerNorm { features }, &[x])
     }
 
     /// ResNet block (Fig. 2, left): two GN→SiLU→Conv stages with a
@@ -301,10 +282,18 @@ mod tests {
     use super::*;
     use crate::executor::{forward, Bindings, NullHook, StepInfo};
     use crate::op::InputKind;
+    use crate::weights::{Params, Weights};
+    use tensor::{Rng, Tensor};
 
-    fn run(g: &LayerGraph, latent: &Tensor, context: Option<&Tensor>) -> Tensor {
+    fn run_with(
+        g: &LayerGraph,
+        weights: &Weights,
+        latent: &Tensor,
+        context: Option<&Tensor>,
+    ) -> Tensor {
         forward(
             g,
+            weights,
             &Bindings { latent, context, t: 500.0 },
             StepInfo { step_index: 0, t: 500.0, total_steps: 1 },
             &mut NullHook,
@@ -312,11 +301,15 @@ mod tests {
         .unwrap()
     }
 
+    /// Runs `g` on the zoo initialisation of its weights.
+    fn run(g: &LayerGraph, latent: &Tensor, context: Option<&Tensor>) -> Tensor {
+        run_with(g, &Weights::seeded(g, 1), latent, context)
+    }
+
     #[test]
     fn resnet_block_preserves_shape_and_width_change() {
         let mut g = LayerGraph::new();
-        let mut rng = Rng::seed_from(1);
-        let mut ctx = BlockCtx::new(&mut g, &mut rng);
+        let mut ctx = BlockCtx::new(&mut g);
         let x = ctx.g.add("x", LayerOp::Input(InputKind::Latent), &[]);
         let t = ctx.g.add("t", LayerOp::Input(InputKind::Timestep), &[]);
         let emb = ctx.time_embedding(t, 8, 16);
@@ -333,8 +326,7 @@ mod tests {
     #[test]
     fn resnet_block_same_width_has_no_skip_conv() {
         let mut g = LayerGraph::new();
-        let mut rng = Rng::seed_from(1);
-        let mut ctx = BlockCtx::new(&mut g, &mut rng);
+        let mut ctx = BlockCtx::new(&mut g);
         let x = ctx.g.add("x", LayerOp::Input(InputKind::Latent), &[]);
         let t = ctx.g.add("t", LayerOp::Input(InputKind::Timestep), &[]);
         let emb = ctx.time_embedding(t, 8, 16);
@@ -346,8 +338,7 @@ mod tests {
     #[test]
     fn attention_block_shapes() {
         let mut g = LayerGraph::new();
-        let mut rng = Rng::seed_from(3);
-        let mut ctx = BlockCtx::new(&mut g, &mut rng);
+        let mut ctx = BlockCtx::new(&mut g);
         let x = ctx.g.add("x", LayerOp::Input(InputKind::Latent), &[]);
         let out = ctx.attention_block("attn", x, 8, 4, 4, 2, None);
         g.set_output(out);
@@ -360,8 +351,7 @@ mod tests {
     #[test]
     fn pooled_attention_has_pool_node() {
         let mut g = LayerGraph::new();
-        let mut rng = Rng::seed_from(3);
-        let mut ctx = BlockCtx::new(&mut g, &mut rng);
+        let mut ctx = BlockCtx::new(&mut g);
         let x = ctx.g.add("x", LayerOp::Input(InputKind::Latent), &[]);
         let out = ctx.attention_block("attn", x, 8, 4, 4, 2, Some(2));
         g.set_output(out);
@@ -374,8 +364,7 @@ mod tests {
     #[test]
     fn cond_transformer_block_uses_context() {
         let mut g = LayerGraph::new();
-        let mut rng = Rng::seed_from(5);
-        let mut ctx = BlockCtx::new(&mut g, &mut rng);
+        let mut ctx = BlockCtx::new(&mut g);
         let x = ctx.g.add("x", LayerOp::Input(InputKind::Latent), &[]);
         let c = ctx.g.add("ctx", LayerOp::Input(InputKind::Context), &[]);
         let out = ctx.cond_transformer_block("blk", x, c, 16, 12);
@@ -395,8 +384,7 @@ mod tests {
     fn multi_head_attention_runs_and_scales_head_count() {
         for heads in [1, 2, 4] {
             let mut g = LayerGraph::new();
-            let mut rng = Rng::seed_from(11);
-            let mut ctx = BlockCtx::new(&mut g, &mut rng);
+            let mut ctx = BlockCtx::new(&mut g);
             let x = ctx.g.add("x", LayerOp::Input(InputKind::Latent), &[]);
             let out = ctx.multi_head_self_attention("mha", x, 16, heads);
             g.set_output(out);
@@ -416,11 +404,9 @@ mod tests {
         // another's; perturbing features in head 1's slice must leave
         // head 0's output columns untouched before the final projection.
         let mut g = LayerGraph::new();
-        let mut rng = Rng::seed_from(13);
-        let ctx = &mut BlockCtx::new(&mut g, &mut rng);
+        let ctx = &mut BlockCtx::new(&mut g);
         let x = ctx.g.add("x", LayerOp::Input(InputKind::Latent), &[]);
-        // Identity projections expose heads directly.
-        let q = ctx.g.add("q", LayerOp::Linear { weight: Tensor::eye(4), bias: None }, &[x]);
+        let q = ctx.g.add("q", LayerOp::Linear { d_in: 4, d_out: 4, bias: false }, &[x]);
         let h0 = ctx.g.add("h0", LayerOp::SliceCols { start: 0, len: 2 }, &[q]);
         let h1 = ctx.g.add("h1", LayerOp::SliceCols { start: 2, len: 2 }, &[q]);
         let s0 = ctx.g.add("qk0", LayerOp::MatmulQK, &[h0, h0]);
@@ -431,11 +417,14 @@ mod tests {
         let o1 = ctx.g.add("pv1", LayerOp::MatmulPV, &[p1, h1]);
         let cat = ctx.g.add("cat", LayerOp::ConcatCols, &[o0, o1]);
         g.set_output(cat);
+        // An identity projection exposes the heads directly.
+        let mut w = Weights::new();
+        w.set(&g, q, Params { weight: Tensor::eye(4), bias: None });
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], &[2, 4]).unwrap();
         let mut b = a.clone();
         b.set(&[0, 3], 40.0); // perturb head-1 territory only
-        let ya = run(&g, &a, None);
-        let yb = run(&g, &b, None);
+        let ya = run_with(&g, &w, &a, None);
+        let yb = run_with(&g, &w, &b, None);
         for r in 0..2 {
             for c in 0..2 {
                 assert_eq!(ya.at(&[r, c]), yb.at(&[r, c]), "head 0 isolated at [{r},{c}]");
@@ -447,8 +436,7 @@ mod tests {
     #[test]
     fn dit_block_modulates_by_cond() {
         let mut g = LayerGraph::new();
-        let mut rng = Rng::seed_from(9);
-        let mut ctx = BlockCtx::new(&mut g, &mut rng);
+        let mut ctx = BlockCtx::new(&mut g);
         let x = ctx.g.add("x", LayerOp::Input(InputKind::Latent), &[]);
         let t = ctx.g.add("t", LayerOp::Input(InputKind::Timestep), &[]);
         let cond = ctx.time_embedding(t, 8, 16);

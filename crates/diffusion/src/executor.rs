@@ -25,6 +25,7 @@
 use crate::embed::timestep_embedding;
 use crate::graph::{LayerGraph, Node};
 use crate::op::{InputKind, LayerOp};
+use crate::weights::{Params, Weights};
 use tensor::ops;
 use tensor::{Result, Tensor, TensorError};
 
@@ -172,14 +173,17 @@ pub struct Bindings<'a> {
     pub t: f32,
 }
 
-/// Evaluates `graph` once under `bindings`, returning the output tensor.
+/// Evaluates `graph` with `weights` once under `bindings`, returning the
+/// output tensor.
 ///
 /// # Errors
 ///
-/// Propagates shape errors from the kernels — a well-formed model built by
-/// [`crate::models`] never triggers them.
+/// Propagates shape errors from the kernels, and fails on a weighted node
+/// `weights` holds nothing for — a well-formed model built by
+/// [`crate::models`] never triggers either.
 pub fn forward(
     graph: &LayerGraph,
+    weights: &Weights,
     bindings: &Bindings<'_>,
     step: StepInfo,
     hook: &mut dyn LinearHook,
@@ -193,7 +197,7 @@ pub fn forward(
             *slot = values[i].as_ref().expect("topological order");
         }
         let inputs = &slots[..node.inputs.len()];
-        let out = eval_node(node, inputs, bindings, step, hook)?;
+        let out = eval_node(node, weights, inputs, bindings, step, hook)?;
         if !noop {
             hook.observe(node, step, inputs, &out);
         }
@@ -204,6 +208,7 @@ pub fn forward(
 
 fn eval_node(
     node: &Node,
+    weights: &Weights,
     inputs: &[&Tensor],
     bindings: &Bindings<'_>,
     step: StepInfo,
@@ -215,6 +220,7 @@ fn eval_node(
             return Ok(out);
         }
     }
+    let params = || weights.get(node.id);
     match &node.op {
         LayerOp::Input(kind) => match kind {
             InputKind::Latent => Ok(bindings.latent.clone()),
@@ -225,10 +231,14 @@ fn eval_node(
             InputKind::Timestep => Tensor::from_vec(vec![bindings.t], &[1]),
         },
         LayerOp::TimestepEmbed { dim } => Ok(timestep_embedding(inputs[0].as_slice()[0], *dim)),
-        LayerOp::Conv2d { weight, bias, params } => {
-            ops::conv2d(inputs[0], weight, bias.as_ref(), *params)
+        LayerOp::Conv2d { params: conv, .. } => {
+            let p = params()?;
+            ops::conv2d(inputs[0], &p.weight, p.bias.as_ref(), *conv)
         }
-        LayerOp::Linear { weight, bias } => linear(inputs[0], weight, bias.as_ref()),
+        LayerOp::Linear { .. } => {
+            let p = params()?;
+            linear(inputs[0], &p.weight, p.bias.as_ref())
+        }
         LayerOp::MatmulQK => {
             let q = inputs[0];
             let k = inputs[1];
@@ -237,10 +247,14 @@ fn eval_node(
             Ok(ops::scale(&scores, 1.0 / d.sqrt()))
         }
         LayerOp::MatmulPV => ops::matmul(inputs[0], inputs[1]),
-        LayerOp::GroupNorm { groups, gamma, beta } => {
+        LayerOp::GroupNorm { groups, .. } => {
+            let (gamma, beta) = norm_params(params()?);
             ops::group_norm(inputs[0], *groups, gamma, beta, 1e-5)
         }
-        LayerOp::LayerNorm { gamma, beta } => ops::layer_norm(inputs[0], gamma, beta, 1e-5),
+        LayerOp::LayerNorm { .. } => {
+            let (gamma, beta) = norm_params(params()?);
+            ops::layer_norm(inputs[0], gamma, beta, 1e-5)
+        }
         LayerOp::SiLU => Ok(ops::silu(inputs[0])),
         LayerOp::GeLU => Ok(ops::gelu(inputs[0])),
         LayerOp::Sigmoid => Ok(ops::sigmoid(inputs[0])),
@@ -260,6 +274,11 @@ fn eval_node(
         LayerOp::Upsample2x => upsample2x(inputs[0]),
         LayerOp::Unpatchify { c, hp, wp, p } => unpatchify(inputs[0], *c, *hp, *wp, *p),
     }
+}
+
+/// A norm's `(γ, β)`: [`Weights::set`] guarantees `β` is present.
+pub(crate) fn norm_params(p: &Params) -> (&Tensor, &Tensor) {
+    (&p.weight, p.bias.as_ref().expect("norms carry a shift"))
 }
 
 // ---------------------------------------------------------------------------
@@ -550,11 +569,14 @@ mod tests {
     fn forward_identity_linear() {
         let mut g = LayerGraph::new();
         let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
-        let l = g.add("fc", LayerOp::Linear { weight: Tensor::eye(3), bias: None }, &[x]);
+        let l = g.add("fc", LayerOp::Linear { d_in: 3, d_out: 3, bias: false }, &[x]);
         g.set_output(l);
+        let mut w = Weights::new();
+        w.set(&g, l, Params { weight: Tensor::eye(3), bias: None });
         let latent = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]).unwrap();
         let out = forward(
             &g,
+            &w,
             &Bindings { latent: &latent, context: None, t: 0.0 },
             step0(),
             &mut NullHook,
@@ -578,11 +600,12 @@ mod tests {
         }
         let mut g = LayerGraph::new();
         let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
-        let l = g.add("fc", LayerOp::Linear { weight: Tensor::eye(2), bias: None }, &[x]);
+        let l = g.add("fc", LayerOp::Linear { d_in: 2, d_out: 2, bias: false }, &[x]);
         g.set_output(l);
         let latent = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).unwrap();
         let out = forward(
             &g,
+            &Weights::new(),
             &Bindings { latent: &latent, context: None, t: 0.0 },
             step0(),
             &mut Override,
@@ -605,8 +628,21 @@ mod tests {
         g.set_output(s);
         let latent = Tensor::zeros(&[1, 2]);
         let mut c = Counter(0);
-        forward(&g, &Bindings { latent: &latent, context: None, t: 0.0 }, step0(), &mut c).unwrap();
+        let bindings = Bindings { latent: &latent, context: None, t: 0.0 };
+        forward(&g, &Weights::new(), &bindings, step0(), &mut c).unwrap();
         assert_eq!(c.0, 2);
+    }
+
+    #[test]
+    fn weighted_node_without_weights_errors() {
+        let mut g = LayerGraph::new();
+        let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
+        let l = g.add("fc", LayerOp::Linear { d_in: 2, d_out: 2, bias: false }, &[x]);
+        g.set_output(l);
+        let latent = Tensor::zeros(&[1, 2]);
+        let bindings = Bindings { latent: &latent, context: None, t: 0.0 };
+        let err = forward(&g, &Weights::new(), &bindings, step0(), &mut NullHook).unwrap_err();
+        assert!(err.to_string().contains("node 1 has no weights"), "{err}");
     }
 
     #[test]
@@ -672,6 +708,7 @@ mod tests {
         let latent = Tensor::zeros(&[1, 1]);
         let r = forward(
             &g,
+            &Weights::new(),
             &Bindings { latent: &latent, context: None, t: 0.0 },
             step0(),
             &mut NullHook,
@@ -694,6 +731,7 @@ mod tests {
         let latent = Tensor::zeros(&[1, 1]);
         let out = forward(
             &g,
+            &Weights::new(),
             &Bindings { latent: &latent, context: None, t: 0.0 },
             step0(),
             &mut NullHook,
@@ -713,6 +751,7 @@ mod tests {
         let latent = Tensor::full(&[1, 4, 4], 3.0);
         let out = forward(
             &g,
+            &Weights::new(),
             &Bindings { latent: &latent, context: None, t: 0.0 },
             step0(),
             &mut NullHook,
@@ -731,6 +770,7 @@ mod tests {
         let latent = Tensor::zeros(&[3, 2]); // wrong token count
         assert!(forward(
             &g,
+            &Weights::new(),
             &Bindings { latent: &latent, context: None, t: 0.0 },
             step0(),
             &mut NullHook,
@@ -748,6 +788,7 @@ mod tests {
         let latent = Tensor::from_vec(vec![2.0, 0.0], &[1, 2]).unwrap();
         let out = forward(
             &g,
+            &Weights::new(),
             &Bindings { latent: &latent, context: None, t: 0.0 },
             step0(),
             &mut NullHook,

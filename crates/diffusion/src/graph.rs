@@ -14,8 +14,8 @@ pub type NodeId = usize;
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds `bytes` into an FNV-1a 64-bit hash state. Shared by
-/// [`LayerGraph::structure_digest`] and `bench`'s model fingerprint so the
-/// two hashes cannot drift apart.
+/// [`LayerGraph::structure_digest`], `ModelSpec::digest` and `bench`'s
+/// trace fingerprint so the hashes cannot drift apart.
 pub fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
     for &b in bytes {
@@ -143,12 +143,13 @@ impl LayerGraph {
         c
     }
 
-    /// A 64-bit FNV-1a digest of the graph *structure*: node names, op
-    /// signatures ([`LayerOp::signature`] — variant, scalar parameters,
-    /// weight shapes), edges, and the output id. Weight values are
-    /// excluded: they are a pure function of the build seed, which cache
-    /// keys hash alongside this digest. `bench`'s trace cache uses it to
-    /// invalidate cached traces whenever a model definition changes.
+    /// A 64-bit FNV-1a digest of the graph: node names, op signatures
+    /// ([`LayerOp::signature`] — variant, scalar parameters, weight
+    /// shapes), edges, and the output id. A graph holds no weight values
+    /// (see [`crate::weights`]); cache keys hash the seed they are drawn
+    /// from alongside this digest. The plan cache keys on it, and `bench`'s
+    /// trace cache uses it to invalidate cached traces whenever a model
+    /// definition changes.
     pub fn structure_digest(&self) -> u64 {
         fn eat(h: &mut u64, bytes: &[u8]) {
             *h = fnv1a_fold(*h, bytes);
@@ -222,13 +223,11 @@ impl GraphCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tensor::Tensor;
 
     fn tiny_graph() -> LayerGraph {
         let mut g = LayerGraph::new();
         let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
-        let w = Tensor::eye(2);
-        let l = g.add("fc", LayerOp::Linear { weight: w, bias: None }, &[x]);
+        let l = g.add("fc", LayerOp::Linear { d_in: 2, d_out: 2, bias: false }, &[x]);
         let s = g.add("act", LayerOp::SiLU, &[l]);
         g.set_output(s);
         g
@@ -295,13 +294,13 @@ mod tests {
         renamed.nodes[1].name = "fc-renamed".into();
         assert_ne!(renamed.structure_digest(), g.structure_digest());
         // A different op parameterization changes the digest (3×3 weight
-        // instead of 2×2), but same weight *values* do not matter.
+        // instead of 2×2, or an added bias).
         let mut rewired = g.clone();
-        rewired.nodes[1].op = LayerOp::Linear { weight: Tensor::eye(3), bias: None };
+        rewired.nodes[1].op = LayerOp::Linear { d_in: 3, d_out: 3, bias: false };
         assert_ne!(rewired.structure_digest(), g.structure_digest());
-        let mut same_shape = g.clone();
-        same_shape.nodes[1].op = LayerOp::Linear { weight: Tensor::full(&[2, 2], 5.0), bias: None };
-        assert_eq!(same_shape.structure_digest(), g.structure_digest());
+        let mut biased = g.clone();
+        biased.nodes[1].op = LayerOp::Linear { d_in: 2, d_out: 2, bias: true };
+        assert_ne!(biased.structure_digest(), g.structure_digest());
         // An extra node changes the digest.
         let mut grown = g.clone();
         grown.add("extra", LayerOp::GeLU, &[2]);

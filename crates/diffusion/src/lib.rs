@@ -11,6 +11,10 @@
 //!   pooled attention).
 //! * [`models`] — the seven Table I benchmarks, scaled down but
 //!   structurally faithful, with paper sampler identities and step counts.
+//!   A [`models::ModelSpec`] is a benchmark without its weights: cache keys
+//!   and plans come from it, and a [`models::DiffusionModel`] draws its
+//!   [`weights::Weights`] on first evaluation.
+//! * [`weights`] — the learned tensors, kept apart from the graph.
 //! * [`sampler`] — linear-β schedule, DDIM, and PLMS (with its warm-up
 //!   extra model call, Fig. 4a's "50′").
 //! * [`executor`] — the PyTorch-hook-style interception interface
@@ -46,10 +50,12 @@ pub mod models;
 pub mod op;
 pub mod plan;
 pub mod sampler;
+pub mod weights;
 
 pub use executor::{forward, Bindings, LinearHook, NullHook, OperandView, StepInfo};
 pub use graph::{LayerGraph, Node, NodeId};
-pub use models::{DiffusionModel, ModelKind, ModelScale};
+pub use models::{DiffusionModel, ModelKind, ModelScale, ModelSpec};
 pub use op::{InputKind, LayerOp, OpClass};
 pub use plan::{PlanArena, TracePlan};
 pub use sampler::{SamplerKind, Schedule};
+pub use weights::{Params, Weights};

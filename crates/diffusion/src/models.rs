@@ -16,19 +16,24 @@
 //! full suite runs in CI time; block topology, layer mix, non-linearity
 //! placement, sampler identity and step counts match the paper.
 //!
-//! Every model evaluation of [`DiffusionModel::run_reverse`] /
-//! [`DiffusionModel::run_reverse_cfg`] runs the model's compiled
-//! [`plan`](crate::plan), under any hook. The `*_oracle` twins run the same
-//! sampler loops over `executor::forward` for the identity tests.
+//! A [`ModelSpec`] is a benchmark without its weights — what cache keys and
+//! plans are computed from. A [`DiffusionModel`] wraps one and draws the
+//! weights the first time it runs. Every model evaluation of
+//! [`DiffusionModel::run_reverse`] / [`DiffusionModel::run_reverse_cfg`]
+//! runs the model's compiled [`plan`](crate::plan), under any hook. The
+//! `*_oracle` twins run the same sampler loops over `executor::forward` for
+//! the identity tests.
 
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, OnceLock};
 
 use crate::blocks::BlockCtx;
 use crate::executor::{forward, Bindings, LinearHook, StepInfo};
-use crate::graph::LayerGraph;
+use crate::graph::{fnv1a_fold, LayerGraph};
 use crate::op::{InputKind, LayerOp};
 use crate::plan::{self, PlanArena, TracePlan};
 use crate::sampler::{ddim_update, plms_combine, SamplerKind, Schedule};
+use crate::weights::Weights;
 use tensor::ops::Conv2dParams;
 use tensor::{ops, Result, Rng, Tensor};
 
@@ -143,9 +148,14 @@ impl ModelScale {
     }
 }
 
-/// A fully constructed benchmark model: graph, schedule and run metadata.
+/// A benchmark model without its weights: the graph (structure and
+/// parameter shapes), the sampler, the input shapes and the seed the
+/// weights are drawn from. Building one costs no weight generation, so
+/// everything keyed on a model definition — trace-cache fingerprints,
+/// compiled plans — comes from a spec; a [`DiffusionModel`] adds the
+/// weights when it first runs.
 #[derive(Debug, Clone)]
-pub struct DiffusionModel {
+pub struct ModelSpec {
     /// Which Table I benchmark this is.
     pub kind: ModelKind,
     /// The denoising network.
@@ -160,51 +170,19 @@ pub struct DiffusionModel {
     pub latent_dims: Vec<usize>,
     /// Context dims, if conditional.
     pub context_dims: Option<Vec<usize>>,
-    /// The compiled trace plan every model evaluation runs, under any hook
-    /// (`None` falls back to the oracle walk `executor::forward`). Compiled
-    /// once at build time and shared by clones; reused across all sampler
-    /// steps and re-simulations.
-    pub plan: Option<Arc<TracePlan>>,
+    /// Seed of the weight stream [`Weights::seeded`] draws from.
+    pub weight_seed: u64,
 }
 
-/// Compiles (or, for a structurally identical model already compiled this
-/// process, reuses) the trace plan for a freshly built graph via the
-/// process-wide plan cache, recording a [`plan::CompileEvent`] for the
-/// observability stream only on fresh compilations. A compile failure is
-/// not an error: the model silently falls back to `executor::forward`, which
-/// reports the authoritative diagnostics on first forward.
-fn compile_plan(
-    label: &str,
-    graph: &LayerGraph,
-    latent_dims: &[usize],
-    context_dims: Option<&[usize]>,
-) -> Option<Arc<TracePlan>> {
-    let start = std::time::Instant::now();
-    let (compiled, fresh) = plan::compile_cached(graph, latent_dims, context_dims).ok()?;
-    if fresh {
-        plan::record_compile_event(plan::CompileEvent {
-            label: label.to_string(),
-            nodes: graph.len(),
-            ops: compiled.op_count(),
-            arena_f32: compiled.arena_len(),
-            micros: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
-        });
-    }
-    Some(compiled)
-}
-
-impl DiffusionModel {
-    /// Builds a benchmark model with seeded weights.
-    pub fn build(kind: ModelKind, scale: ModelScale, weight_seed: u64) -> Self {
-        let mut rng = Rng::seed_from(weight_seed ^ kind as u64);
+impl ModelSpec {
+    /// The spec of a Table I benchmark whose weights are drawn from
+    /// `weight_seed`.
+    pub fn new(kind: ModelKind, scale: ModelScale, weight_seed: u64) -> Self {
         let mut graph = LayerGraph::new();
-        let (latent_dims, context_dims, steps) = {
-            let mut ctx = BlockCtx::new(&mut graph, &mut rng);
-            build_graph(kind, scale, &mut ctx)
-        };
+        let (latent_dims, context_dims, steps) =
+            build_graph(kind, scale, &mut BlockCtx::new(&mut graph));
         graph.validate();
-        let plan = compile_plan(kind.abbr(), &graph, &latent_dims, context_dims.as_deref());
-        DiffusionModel {
+        ModelSpec {
             kind,
             graph,
             schedule: Schedule::linear(1000),
@@ -212,8 +190,123 @@ impl DiffusionModel {
             steps,
             latent_dims,
             context_dims,
-            plan,
+            weight_seed: weight_seed ^ kind as u64,
         }
+    }
+
+    /// Total model evaluations the reverse process performs (PLMS adds its
+    /// warm-up call — the paper's "50′" step).
+    pub fn model_calls(&self) -> usize {
+        self.sampler.model_calls(self.steps)
+    }
+
+    /// A 64-bit FNV-1a digest of the definition: the graph's structure
+    /// digest (parameter shapes included), the benchmark, sampler, step
+    /// count, input dims and weight seed. Two specs with equal digests draw
+    /// equal weights and, from equal seeds, equal samples; cache keys are
+    /// built on it.
+    pub fn digest(&self) -> u64 {
+        let mut h = self.graph.structure_digest();
+        let mut eat = |bytes: &[u8]| h = fnv1a_fold(h, bytes);
+        eat(self.kind.abbr().as_bytes());
+        eat(format!("{:?}", self.sampler).as_bytes());
+        eat(&(self.steps as u64).to_le_bytes());
+        for &d in self.latent_dims.iter().chain(self.context_dims.iter().flatten()) {
+            eat(&(d as u64).to_le_bytes());
+        }
+        eat(&self.weight_seed.to_le_bytes());
+        h
+    }
+
+    /// The seeded initial latent and conditioning context a reverse run
+    /// with `sample_seed` starts from. Exposed so metrics (e.g. the CLIP
+    /// proxy of Table II) can reference the conditioning.
+    pub fn sample_inputs(&self, sample_seed: u64) -> (Tensor, Option<Tensor>) {
+        let mut rng = Rng::seed_from(sample_seed.wrapping_mul(0x9E37_79B9).wrapping_add(7));
+        let latent = Tensor::randn(&self.latent_dims, &mut rng);
+        let context = self.context_dims.as_ref().map(|d| Tensor::randn(d, &mut rng));
+        (latent, context)
+    }
+
+    /// Draws the model's weights from [`Self::weight_seed`].
+    pub fn draw_weights(&self) -> Weights {
+        Weights::seeded(&self.graph, self.weight_seed)
+    }
+
+    /// The compiled trace plan for this spec's graph and input shapes, from
+    /// the process-wide plan cache (compiled on a miss, which records a
+    /// [`plan::CompileEvent`] for the observability stream). `None` if the
+    /// graph does not compile: the model then runs `executor::forward`,
+    /// which reports the authoritative diagnostics on first forward.
+    pub fn plan(&self) -> Option<Arc<TracePlan>> {
+        let start = std::time::Instant::now();
+        let context_dims = self.context_dims.as_deref();
+        let (compiled, fresh) =
+            plan::compile_cached(&self.graph, &self.latent_dims, context_dims).ok()?;
+        if fresh {
+            plan::record_compile_event(plan::CompileEvent {
+                label: self.kind.abbr().to_string(),
+                nodes: self.graph.len(),
+                ops: compiled.op_count(),
+                arena_f32: compiled.arena_len(),
+                micros: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
+            });
+        }
+        Some(compiled)
+    }
+}
+
+/// A runnable benchmark model: a [`ModelSpec`] (reached through `Deref`)
+/// plus its weights and compiled plan, each made on first use (a clone
+/// copies what is made by then). Building one is as cheap as building its
+/// spec.
+#[derive(Debug, Clone)]
+pub struct DiffusionModel {
+    spec: ModelSpec,
+    weights: OnceLock<Weights>,
+    plan: OnceLock<Option<Arc<TracePlan>>>,
+}
+
+impl From<ModelSpec> for DiffusionModel {
+    fn from(spec: ModelSpec) -> Self {
+        DiffusionModel { spec, weights: OnceLock::new(), plan: OnceLock::new() }
+    }
+}
+
+impl Deref for DiffusionModel {
+    type Target = ModelSpec;
+
+    fn deref(&self) -> &ModelSpec {
+        &self.spec
+    }
+}
+
+impl DerefMut for DiffusionModel {
+    /// Mutable access to the spec drops the weights and plan made from it;
+    /// the next run makes them again from the edited spec.
+    fn deref_mut(&mut self) -> &mut ModelSpec {
+        self.weights = OnceLock::new();
+        self.plan = OnceLock::new();
+        &mut self.spec
+    }
+}
+
+impl DiffusionModel {
+    /// A Table I benchmark whose weights are drawn from `weight_seed` when
+    /// it first runs.
+    pub fn build(kind: ModelKind, scale: ModelScale, weight_seed: u64) -> Self {
+        ModelSpec::new(kind, scale, weight_seed).into()
+    }
+
+    /// The model's weights, drawn on first call.
+    pub fn weights(&self) -> &Weights {
+        self.weights.get_or_init(|| self.spec.draw_weights())
+    }
+
+    /// The trace plan every model evaluation runs, under any hook (see
+    /// [`ModelSpec::plan`]); looked up on first call.
+    pub fn plan(&self) -> Option<&Arc<TracePlan>> {
+        self.plan.get_or_init(|| self.spec.plan()).as_ref()
     }
 
     /// Evaluates the model once through the compiled plan, whatever the
@@ -229,28 +322,13 @@ impl DiffusionModel {
         arena: &mut PlanArena,
         oracle: bool,
     ) -> Result<Tensor> {
-        match &self.plan {
+        let weights = self.weights();
+        match self.plan() {
             Some(p) if !oracle && p.matches(bindings) => {
-                p.execute(&self.graph, bindings, step, hook, arena)
+                p.execute(&self.graph, weights, bindings, step, hook, arena)
             }
-            _ => forward(&self.graph, bindings, step, hook),
+            _ => forward(&self.graph, weights, bindings, step, hook),
         }
-    }
-
-    /// Total model evaluations the reverse process performs (PLMS adds its
-    /// warm-up call — the paper's "50′" step).
-    pub fn model_calls(&self) -> usize {
-        self.sampler.model_calls(self.steps)
-    }
-
-    /// The seeded initial latent and conditioning context a reverse run
-    /// with `sample_seed` starts from. Exposed so metrics (e.g. the CLIP
-    /// proxy of Table II) can reference the conditioning.
-    pub fn sample_inputs(&self, sample_seed: u64) -> (Tensor, Option<Tensor>) {
-        let mut rng = Rng::seed_from(sample_seed.wrapping_mul(0x9E37_79B9).wrapping_add(7));
-        let latent = Tensor::randn(&self.latent_dims, &mut rng);
-        let context = self.context_dims.as_ref().map(|d| Tensor::randn(d, &mut rng));
-        (latent, context)
     }
 
     /// Runs the reverse process with classifier-free guidance: every step
@@ -493,11 +571,10 @@ const EPS_RESIDUAL_GAIN: f32 = 0.05;
 /// calibration policy).
 pub fn build_hierarchical_unet(scale: ModelScale, weight_seed: u64) -> DiffusionModel {
     let kind = ModelKind::Ddpm;
-    let mut rng = Rng::seed_from(weight_seed ^ 0xBEEF);
     let mut graph = LayerGraph::new();
     let (c_io, c, hw) = (3, scale.halved(16), scale.halved(16));
     {
-        let ctx = &mut BlockCtx::new(&mut graph, &mut rng);
+        let ctx = &mut BlockCtx::new(&mut graph);
         let groups = 4;
         let emb_dim = 2 * c;
         let x = ctx.g.add("input", LayerOp::Input(InputKind::Latent), &[]);
@@ -528,18 +605,17 @@ pub fn build_hierarchical_unet(scale: ModelScale, weight_seed: u64) -> Diffusion
         ctx.g.set_output(eps);
     }
     graph.validate();
-    let latent_dims = vec![c_io, hw, hw];
-    let plan = compile_plan("HIER", &graph, &latent_dims, None);
-    DiffusionModel {
+    ModelSpec {
         kind,
         graph,
         schedule: Schedule::linear(1000),
         sampler: SamplerKind::Ddim,
         steps: scale.steps(kind),
-        latent_dims,
+        latent_dims: vec![c_io, hw, hw],
         context_dims: None,
-        plan,
+        weight_seed: weight_seed ^ 0xBEEF,
     }
+    .into()
 }
 
 /// Conditioning style of the UNet mid section.
@@ -668,6 +744,48 @@ mod tests {
             assert!(!m.graph.is_empty(), "{kind:?}");
             assert!(m.graph.class_census().linear > 5, "{kind:?} too few linear layers");
         }
+    }
+
+    #[test]
+    fn a_spec_is_the_model_without_weights() {
+        let spec = ModelSpec::new(ModelKind::Sdm, ModelScale::Tiny, 5);
+        let model = DiffusionModel::build(ModelKind::Sdm, ModelScale::Tiny, 5);
+        assert_eq!(spec.graph.structure_digest(), model.graph.structure_digest());
+        assert_eq!(spec.weight_seed, model.weight_seed);
+        assert_eq!(&spec.draw_weights(), model.weights());
+        assert!(Arc::ptr_eq(&spec.plan().unwrap(), model.plan().unwrap()));
+        // Every weighted node gets exactly the shapes its op declares.
+        for node in spec.graph.nodes() {
+            assert_eq!(node.op.param_dims().is_some(), model.weights().get(node.id).is_ok());
+        }
+    }
+
+    #[test]
+    fn digest_covers_the_definition() {
+        let spec = ModelSpec::new(ModelKind::Ddpm, ModelScale::Tiny, 5);
+        assert_eq!(spec.digest(), ModelSpec::new(ModelKind::Ddpm, ModelScale::Tiny, 5).digest());
+        let edits: [fn(&mut ModelSpec); 5] = [
+            |s| s.steps += 1,
+            |s| s.weight_seed ^= 1,
+            |s| s.sampler = SamplerKind::Plms,
+            |s| s.latent_dims[1] += 2,
+            |s| s.kind = ModelKind::Bed,
+        ];
+        for edit in edits {
+            let mut edited = spec.clone();
+            edit(&mut edited);
+            assert_ne!(edited.digest(), spec.digest());
+        }
+    }
+
+    #[test]
+    fn editing_the_spec_redraws_the_weights() {
+        let mut model = DiffusionModel::build(ModelKind::Ddpm, ModelScale::Tiny, 5);
+        let before = model.run_reverse(0, &mut NullHook).unwrap();
+        let drawn = model.weights().clone();
+        model.weight_seed ^= 1;
+        assert_ne!(model.weights(), &drawn);
+        assert_ne!(model.run_reverse(0, &mut NullHook).unwrap(), before);
     }
 
     #[test]

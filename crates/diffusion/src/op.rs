@@ -11,9 +11,13 @@
 //! * **Difference-transparent structure** (`Add`, `Mul`-by-constant-shape
 //!   operands, reshapes, slices) — linear maps through which a difference
 //!   domain can flow unchanged.
+//!
+//! An op carries shapes, never values: the learned tensors of the weighted
+//! ops (conv, FC, the norms) live in a separate [`crate::weights::Weights`]
+//! table, so a graph — and every cache key hashed from it — exists without
+//! them.
 
 use tensor::ops::Conv2dParams;
-use tensor::Tensor;
 
 /// What an [`crate::graph::Node`] computes.
 #[derive(Debug, Clone)]
@@ -25,42 +29,45 @@ pub enum LayerOp {
         /// Embedding width.
         dim: usize,
     },
-    /// 2-D convolution over `[C, H, W]`.
+    /// 2-D convolution over `[C, H, W]` with a `[C_out, C_in, K, K]` filter
+    /// bank.
     Conv2d {
-        /// Filter bank `[C_out, C_in, K, K]`.
-        weight: Tensor,
-        /// Optional `[C_out]` bias.
-        bias: Option<Tensor>,
+        /// Input channels.
+        c_in: usize,
+        /// Output channels.
+        c_out: usize,
         /// Kernel/stride/padding.
         params: Conv2dParams,
+        /// Whether a `[C_out]` bias is added.
+        bias: bool,
     },
     /// Fully connected layer over `[tokens, in] × [in, out]`.
     Linear {
-        /// Weight `[in, out]`.
-        weight: Tensor,
-        /// Optional `[out]` bias.
-        bias: Option<Tensor>,
+        /// Input features.
+        d_in: usize,
+        /// Output features.
+        d_out: usize,
+        /// Whether an `[out]` bias is added.
+        bias: bool,
     },
     /// Attention scores `Q·Kᵀ/√d` from two inputs `(Q, K)`, each
     /// `[tokens, d]`.
     MatmulQK,
     /// Attention-weighted values `P·V` from `(P, V)`.
     MatmulPV,
-    /// Group normalization (non-linear: involves data-dependent statistics).
+    /// Group normalization (non-linear: involves data-dependent statistics)
+    /// with a per-channel scale and shift.
     GroupNorm {
         /// Number of channel groups.
         groups: usize,
-        /// Per-channel scale `[C]`.
-        gamma: Tensor,
-        /// Per-channel shift `[C]`.
-        beta: Tensor,
+        /// Channels `C`.
+        channels: usize,
     },
-    /// Layer normalization over the last dim of `[tokens, features]`.
+    /// Layer normalization over the last dim of `[tokens, features]` with a
+    /// per-feature scale and shift.
     LayerNorm {
-        /// Per-feature scale.
-        gamma: Tensor,
-        /// Per-feature shift.
-        beta: Tensor,
+        /// Features per token.
+        features: usize,
     },
     /// SiLU activation.
     SiLU,
@@ -254,36 +261,48 @@ impl LayerOp {
         }
     }
 
+    /// The shapes of this op's learned tensors — `(weight, bias)` for conv
+    /// and FC, `(γ, Some(β))` for the norms — or `None` for an op without
+    /// any.
+    pub fn param_dims(&self) -> Option<(Vec<usize>, Option<Vec<usize>>)> {
+        match *self {
+            LayerOp::Conv2d { c_in, c_out, params, bias } => {
+                Some((vec![c_out, c_in, params.kernel, params.kernel], bias.then(|| vec![c_out])))
+            }
+            LayerOp::Linear { d_in, d_out, bias } => {
+                Some((vec![d_in, d_out], bias.then(|| vec![d_out])))
+            }
+            LayerOp::GroupNorm { channels: c, .. } | LayerOp::LayerNorm { features: c } => {
+                Some((vec![c], Some(vec![c])))
+            }
+            _ => None,
+        }
+    }
+
     /// A structural signature of this op: [`Self::kind_name`] plus scalar
-    /// parameters and weight/bias *shapes* (not values — parameter values
-    /// are a pure function of the build seed, which model fingerprints
-    /// hash separately). Feeds [`crate::graph::LayerGraph::structure_digest`].
+    /// parameters and weight/bias *shapes* (parameter values live outside
+    /// the graph; model fingerprints hash the seed they are drawn from).
+    /// Feeds [`crate::graph::LayerGraph::structure_digest`].
     pub fn signature(&self) -> String {
-        fn dims(t: &Tensor) -> String {
-            let strs: Vec<String> = t.dims().iter().map(usize::to_string).collect();
+        fn dims(d: &[usize]) -> String {
+            let strs: Vec<String> = d.iter().map(usize::to_string).collect();
             strs.join("x")
         }
-        fn opt_dims(t: &Option<Tensor>) -> String {
-            t.as_ref().map_or_else(|| "-".to_string(), dims)
-        }
         let kind = self.kind_name();
+        let (w, b) = self.param_dims().unwrap_or_default();
+        let b = b.as_deref().map_or_else(|| "-".to_string(), dims);
         match self {
             LayerOp::TimestepEmbed { dim } => format!("{kind}({dim})"),
-            LayerOp::Conv2d { weight, bias, params } => format!(
-                "{kind}(w={},b={},k={},s={},p={})",
-                dims(weight),
-                opt_dims(bias),
+            LayerOp::Conv2d { params, .. } => format!(
+                "{kind}(w={},b={b},k={},s={},p={})",
+                dims(&w),
                 params.kernel,
                 params.stride,
                 params.padding
             ),
-            LayerOp::Linear { weight, bias } => {
-                format!("{kind}(w={},b={})", dims(weight), opt_dims(bias))
-            }
-            LayerOp::GroupNorm { groups, gamma, .. } => {
-                format!("{kind}(g={groups},c={})", dims(gamma))
-            }
-            LayerOp::LayerNorm { gamma, .. } => format!("{kind}(c={})", dims(gamma)),
+            LayerOp::Linear { .. } => format!("{kind}(w={},b={b})", dims(&w)),
+            LayerOp::GroupNorm { groups, channels } => format!("{kind}(g={groups},c={channels})"),
+            LayerOp::LayerNorm { features } => format!("{kind}(c={features})"),
             LayerOp::Scale(s) => format!("{kind}({:08x})", s.to_bits()),
             LayerOp::AvgPool { window } => format!("{kind}({window})"),
             LayerOp::SliceCols { start, len } => format!("{kind}({start},{len})"),
@@ -300,17 +319,12 @@ mod tests {
 
     #[test]
     fn classification_matches_paper_families() {
-        assert!(LayerOp::Linear { weight: Tensor::zeros(&[1, 1]), bias: None }.is_linear_layer());
+        assert!(LayerOp::Linear { d_in: 1, d_out: 1, bias: false }.is_linear_layer());
         assert!(LayerOp::MatmulQK.is_linear_layer());
         assert!(LayerOp::MatmulPV.is_linear_layer());
         assert!(LayerOp::SiLU.is_nonlinear());
         assert!(LayerOp::Softmax.is_nonlinear());
-        assert!(LayerOp::GroupNorm {
-            groups: 1,
-            gamma: Tensor::zeros(&[1]),
-            beta: Tensor::zeros(&[1])
-        }
-        .is_nonlinear());
+        assert!(LayerOp::GroupNorm { groups: 1, channels: 1 }.is_nonlinear());
         assert_eq!(LayerOp::Add.class(), OpClass::Transparent);
         assert_eq!(LayerOp::Input(InputKind::Latent).class(), OpClass::Input);
     }
@@ -322,6 +336,25 @@ mod tests {
         assert_eq!(LayerOp::Add.arity(), 2);
         assert_eq!(LayerOp::MatmulQK.arity(), 2);
         assert_eq!(LayerOp::Modulate.arity(), 3);
+    }
+
+    #[test]
+    fn signatures_name_parameter_shapes() {
+        // The strings the weight-carrying ops produced before weights moved
+        // out of the graph: fingerprints and plan-cache keys hash them.
+        let conv =
+            LayerOp::Conv2d { c_in: 4, c_out: 8, params: Conv2dParams::same3x3(), bias: true };
+        assert_eq!(conv.signature(), "conv2d(w=8x4x3x3,b=8,k=3,s=1,p=1)");
+        assert_eq!(
+            LayerOp::Linear { d_in: 16, d_out: 96, bias: false }.signature(),
+            "linear(w=16x96,b=-)"
+        );
+        assert_eq!(
+            LayerOp::GroupNorm { groups: 4, channels: 32 }.signature(),
+            "group_norm(g=4,c=32)"
+        );
+        assert_eq!(LayerOp::LayerNorm { features: 96 }.signature(), "layer_norm(c=96)");
+        assert_eq!(LayerOp::SiLU.param_dims(), None);
     }
 
     #[test]

@@ -47,11 +47,13 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::executor::{
-    add_bias2d_into, add_row_bias, concat_cols_into, gate_into, modulate_into, slice_cols_into,
-    transpose_into, unpatchify_into, upsample2x_into, Bindings, LinearHook, OperandView, StepInfo,
+    add_bias2d_into, add_row_bias, concat_cols_into, gate_into, modulate_into, norm_params,
+    slice_cols_into, transpose_into, unpatchify_into, upsample2x_into, Bindings, LinearHook,
+    OperandView, StepInfo,
 };
 use crate::graph::{LayerGraph, NodeId};
 use crate::op::{InputKind, LayerOp};
+use crate::weights::Weights;
 use tensor::ops;
 use tensor::{backend, Result, Tensor, TensorError};
 
@@ -80,7 +82,7 @@ impl Span {
 
 /// Opcode + shape immediates. Tensor-valued parameters (weights, norm
 /// gains) are *not* copied into the plan; the interpreter borrows them from
-/// the graph node identified by [`PlanOp::node`].
+/// the caller's [`Weights`] under [`PlanOp::node`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OpCode {
     /// Copy the latent binding into the slot.
@@ -116,10 +118,13 @@ pub enum OpCode {
         ckk: usize,
         /// Output spatial extent `h_out · w_out`.
         pixels: usize,
+        /// Kernel/stride/padding.
+        params: ops::Conv2dParams,
         /// Arena span the input is lowered into (`ops::conv2d_scratch_len`).
         scratch: Span,
     },
-    /// `[m, k] × [k, n] (+ bias)`; weight/bias borrowed from the graph node.
+    /// `[m, k] × [k, n] (+ bias)`; weight/bias borrowed from the node's
+    /// [`Weights`].
     Linear {
         /// Output rows.
         m: usize,
@@ -151,7 +156,7 @@ pub enum OpCode {
         /// Output columns.
         n: usize,
     },
-    /// Group normalization; gamma/beta borrowed from the graph node.
+    /// Group normalization; gamma/beta borrowed from the node's [`Weights`].
     GroupNorm {
         /// Group count.
         groups: usize,
@@ -160,7 +165,7 @@ pub enum OpCode {
         /// Spatial extent `h·w`.
         plane: usize,
     },
-    /// Layer normalization; gamma/beta borrowed from the graph node.
+    /// Layer normalization; gamma/beta borrowed from the node's [`Weights`].
     LayerNorm {
         /// Token rows.
         rows: usize,
@@ -543,9 +548,9 @@ impl TracePlan {
                     let scratch = planner.alloc(scratch_len);
                     OpCode::MatmulQk { m, k, n, scratch, scale }
                 }
-                OpCode::Conv2dIm2col { c_in, h, w, c_out, ckk, pixels, .. } => {
+                OpCode::Conv2dIm2col { c_in, h, w, c_out, ckk, pixels, params, .. } => {
                     let scratch = planner.alloc(scratch_len);
-                    OpCode::Conv2dIm2col { c_in, h, w, c_out, ckk, pixels, scratch }
+                    OpCode::Conv2dIm2col { c_in, h, w, c_out, ckk, pixels, params, scratch }
                 }
                 other => other,
             };
@@ -672,16 +677,18 @@ impl TracePlan {
     /// # Errors
     ///
     /// Returns an error if the bindings' shapes disagree with the compiled
-    /// shapes, or (matching the oracle) the graph needs a context the
-    /// bindings lack.
+    /// shapes, (matching the oracle) the graph needs a context the bindings
+    /// lack, or `weights` holds nothing for a weighted node.
     ///
     /// # Panics
     ///
     /// Panics if `graph` is not the graph this plan was compiled from
-    /// (debug builds assert the structure digest).
+    /// (debug builds assert the structure digest), or `weights` were set for
+    /// another structure.
     pub fn execute(
         &self,
         graph: &LayerGraph,
+        weights: &Weights,
         bindings: &Bindings<'_>,
         step: StepInfo,
         hook: &mut dyn LinearHook,
@@ -700,6 +707,7 @@ impl TracePlan {
         let run = Run {
             plan: self,
             graph,
+            weights,
             bindings,
             step,
             hooked: !hook.is_noop(),
@@ -723,6 +731,7 @@ impl TracePlan {
 struct Run<'a> {
     plan: &'a TracePlan,
     graph: &'a LayerGraph,
+    weights: &'a Weights,
     bindings: &'a Bindings<'a>,
     step: StepInfo,
     /// Whether the pass runs under a non-noop hook.
@@ -736,7 +745,7 @@ impl Run<'_> {
     /// shows it the f32 result.
     fn op(&self, op: &PlanOp, hook: &mut dyn LinearHook, buf: &mut [f32]) -> Result<()> {
         if !(self.hooked && op.code.is_linear_site()) {
-            return exec_op(op, self.graph, self.bindings, self.kb, buf);
+            return exec_op(op, self.weights, self.bindings, self.kb, buf);
         }
         let node = self.graph.node(op.node);
         let dims = &self.plan.dims;
@@ -747,7 +756,7 @@ impl Run<'_> {
                 return Ok(());
             }
         }
-        exec_op(op, self.graph, self.bindings, self.kb, buf)?;
+        exec_op(op, self.weights, self.bindings, self.kb, buf)?;
         let (lo, out, hi) = carve(buf, op.out);
         let inputs = site_inputs(op, dims, lo, hi);
         let output = OperandView { data: out, dims: &dims[op.node] };
@@ -816,21 +825,11 @@ fn infer_node(
             }
             Ok((vec![1, *dim], OpCode::TimestepEmbed { dim: *dim }, no_scratch))
         }
-        LayerOp::Conv2d { weight, bias, params } => {
+        &LayerOp::Conv2d { c_in: want, c_out, params, .. } => {
             rank(ins[0], 3)?;
             let (c_in, h, w) = (ins[0][0], ins[0][1], ins[0][2]);
-            rank(weight.dims(), 4)?;
-            let c_out = weight.dims()[0];
-            if weight.dims()[1] != c_in
-                || weight.dims()[2] != params.kernel
-                || weight.dims()[3] != params.kernel
-            {
-                return Err(shape_err(ins[0], weight.dims()));
-            }
-            if let Some(b) = bias {
-                if b.dims() != [c_out] {
-                    return Err(shape_err(&[c_out], b.dims()));
-                }
+            if c_in != want {
+                return Err(shape_err(ins[0], &[c_out, want, params.kernel, params.kernel]));
             }
             if params.stride == 0 {
                 return Err(TensorError::InvalidArgument("plan: zero stride".into()));
@@ -844,22 +843,16 @@ fn infer_node(
                 c_out,
                 ckk,
                 pixels: ho * wo,
+                params,
                 scratch: Span::default(),
             };
-            Ok((vec![c_out, ho, wo], code, ops::conv2d_scratch_len(c_in, h, w, *params)))
+            Ok((vec![c_out, ho, wo], code, ops::conv2d_scratch_len(c_in, h, w, params)))
         }
-        LayerOp::Linear { weight, bias } => {
+        &LayerOp::Linear { d_in, d_out: n, .. } => {
             rank(ins[0], 2)?;
-            rank(weight.dims(), 2)?;
             let (m, k) = (ins[0][0], ins[0][1]);
-            if weight.dims()[0] != k {
-                return Err(shape_err(ins[0], weight.dims()));
-            }
-            let n = weight.dims()[1];
-            if let Some(b) = bias {
-                if b.len() != n {
-                    return Err(TensorError::LengthMismatch { expected: n, actual: b.len() });
-                }
+            if d_in != k {
+                return Err(shape_err(ins[0], &[d_in, n]));
             }
             Ok((vec![m, n], OpCode::Linear { m, k, n }, no_scratch))
         }
@@ -887,28 +880,28 @@ fn infer_node(
             }
             Ok((vec![m, ins[1][1]], OpCode::MatmulPv { m, k, n: ins[1][1] }, no_scratch))
         }
-        LayerOp::GroupNorm { groups, gamma, beta } => {
+        &LayerOp::GroupNorm { groups, channels } => {
             rank(ins[0], 3)?;
             let c = ins[0][0];
-            if *groups == 0 || !c.is_multiple_of(*groups) {
+            if groups == 0 || !c.is_multiple_of(groups) {
                 return Err(TensorError::InvalidArgument(format!(
                     "groups {groups} must divide channels {c}"
                 )));
             }
-            if gamma.len() != c || beta.len() != c {
-                return Err(TensorError::LengthMismatch { expected: c, actual: gamma.len() });
+            if channels != c {
+                return Err(TensorError::LengthMismatch { expected: c, actual: channels });
             }
             Ok((
                 ins[0].to_vec(),
-                OpCode::GroupNorm { groups: *groups, c, plane: ins[0][1] * ins[0][2] },
+                OpCode::GroupNorm { groups, c, plane: ins[0][1] * ins[0][2] },
                 no_scratch,
             ))
         }
-        LayerOp::LayerNorm { gamma, beta } => {
+        &LayerOp::LayerNorm { features } => {
             rank(ins[0], 2)?;
             let cols = ins[0][1];
-            if gamma.len() != cols || beta.len() != cols {
-                return Err(TensorError::LengthMismatch { expected: cols, actual: gamma.len() });
+            if features != cols {
+                return Err(TensorError::LengthMismatch { expected: cols, actual: features });
             }
             Ok((ins[0].to_vec(), OpCode::LayerNorm { rows: ins[0][0], cols }, no_scratch))
         }
@@ -1094,7 +1087,7 @@ fn carve_with_scratch(
 
 fn exec_op(
     op: &PlanOp,
-    graph: &LayerGraph,
+    weights: &Weights,
     bindings: &Bindings<'_>,
     kb: backend::KernelBackend,
     buf: &mut [f32],
@@ -1113,21 +1106,17 @@ fn exec_op(
         OpCode::TimestepEmbed { dim } => {
             crate::embed::timestep_embedding_into(arg(0)[0], dim, out);
         }
-        OpCode::Conv2dIm2col { c_in, h, w, scratch, .. } => {
-            let LayerOp::Conv2d { weight, bias, params } = &graph.node(op.node).op else {
-                unreachable!("plan/graph opcode mismatch");
-            };
+        OpCode::Conv2dIm2col { c_in, h, w, params, scratch, .. } => {
+            let p = weights.get(op.node)?;
             let (input, out, scratch) = carve_with_scratch(buf, op.ins[0], op.out, scratch);
-            let bias = bias.as_ref();
-            ops::conv2d_lowered_into(kb, input, c_in, h, w, weight, bias, *params, scratch, out)?;
+            let (weight, bias) = (&p.weight, p.bias.as_ref());
+            ops::conv2d_lowered_into(kb, input, c_in, h, w, weight, bias, params, scratch, out)?;
         }
         OpCode::Linear { m, k, n } => {
-            let LayerOp::Linear { weight, bias } = &graph.node(op.node).op else {
-                unreachable!("plan/graph opcode mismatch");
-            };
+            let p = weights.get(op.node)?;
             out.fill(0.0);
-            ops::matmul_acc_with(kb, out, arg(0), weight.as_slice(), m, k, n);
-            if let Some(b) = bias {
+            ops::matmul_acc_with(kb, out, arg(0), p.weight.as_slice(), m, k, n);
+            if let Some(b) = &p.bias {
                 add_row_bias(out, b.as_slice(), m, n);
             }
         }
@@ -1154,9 +1143,7 @@ fn exec_op(
             ops::matmul_acc_with(kb, out, arg(0), arg(1), m, k, n);
         }
         OpCode::GroupNorm { groups, c, plane } => {
-            let LayerOp::GroupNorm { gamma, beta, .. } = &graph.node(op.node).op else {
-                unreachable!("plan/graph opcode mismatch");
-            };
+            let (gamma, beta) = norm_params(weights.get(op.node)?);
             ops::group_norm_into(
                 arg(0),
                 c,
@@ -1169,9 +1156,7 @@ fn exec_op(
             );
         }
         OpCode::LayerNorm { rows, cols } => {
-            let LayerOp::LayerNorm { gamma, beta } = &graph.node(op.node).op else {
-                unreachable!("plan/graph opcode mismatch");
-            };
+            let (gamma, beta) = norm_params(weights.get(op.node)?);
             ops::layer_norm_into(arg(0), rows, cols, gamma.as_slice(), beta.as_slice(), 1e-5, out);
         }
         OpCode::Silu => ops::silu_into_with(kb, arg(0), out),
@@ -1266,10 +1251,11 @@ pub fn drain_compile_events() -> Vec<CompileEvent> {
 // Process-wide compiled-plan cache.
 // ---------------------------------------------------------------------------
 
-/// Everything a compilation depends on. The digest covers graph structure
-/// (op kinds, scalar params, wiring — not weight values, which the plan
-/// borrows from the *caller's* graph at execute time, so same-structure
-/// graphs with different weights share one plan soundly).
+/// Everything a compilation depends on: the graph's structure digest (op
+/// kinds, scalar params, parameter shapes, wiring) and the input shapes.
+/// Graphs carry no weight values — the plan borrows the caller's
+/// [`Weights`] at execute time — so a key is computed without any, and
+/// models that differ only in weights share one plan soundly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct PlanCacheKey {
     digest: u64,
@@ -1560,26 +1546,32 @@ mod tests {
         StepInfo { step_index: 0, t: 321.0, total_steps: 1 }
     }
 
+    /// Checks the plan against the tree walk on Gaussian weights drawn from
+    /// `rng` (biases and norm affines included).
     fn assert_plan_matches_tree(
         graph: &LayerGraph,
+        rng: &mut Rng,
         latent: &Tensor,
         context: Option<&Tensor>,
         t: f32,
     ) {
+        let weights = Weights::randn(graph, rng);
         let bindings = Bindings { latent, context, t };
-        let tree = forward(graph, &bindings, step0(), &mut NullHook).unwrap();
+        let tree = forward(graph, &weights, &bindings, step0(), &mut NullHook).unwrap();
         let plan = TracePlan::compile(graph, latent.dims(), context.map(Tensor::dims)).unwrap();
         plan.validate_liveness().unwrap();
         let mut arena = PlanArena::new();
-        let fast = plan.execute(graph, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
+        let run = |arena: &mut PlanArena| {
+            plan.execute(graph, &weights, &bindings, step0(), &mut NullHook, arena).unwrap()
+        };
+        let fast = run(&mut arena);
         assert_eq!(fast.dims(), tree.dims());
         for (i, (a, b)) in fast.as_slice().iter().zip(tree.as_slice()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "element {i}: plan {a} vs tree {b}");
         }
         // Re-running over the same (now dirty) arena must stay identical —
         // the full-write invariant.
-        let again = plan.execute(graph, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
-        assert_eq!(again.as_slice(), fast.as_slice());
+        assert_eq!(run(&mut arena).as_slice(), fast.as_slice());
     }
 
     #[test]
@@ -1686,19 +1678,23 @@ mod tests {
         let plan = TracePlan::compile(&g, &[4, 4], None).unwrap();
         let digest = plan.digest();
         let mut arena = PlanArena::new();
+        let mut run = || {
+            plan.execute(&g, &Weights::new(), &bindings, step0(), &mut NullHook, &mut arena)
+                .unwrap()
+        };
 
         // Gated off: an execute leaves no trace in the registry.
         set_profiling(false);
         drain_exec_telemetry();
-        let baseline = plan.execute(&g, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
+        let baseline = run();
         let quiet = drain_exec_telemetry();
         assert!(quiet.profiles.iter().all(|p| p.digest != digest));
         assert!(quiet.spans.iter().all(|s| s.digest != digest));
 
         // Enabled: two steps fold into one profile, bit-identical output.
         set_profiling(true);
-        let a = plan.execute(&g, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
-        let b = plan.execute(&g, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
+        let a = run();
+        let b = run();
         set_profiling(false);
         assert_eq!(a.as_slice(), baseline.as_slice());
         assert_eq!(b.as_slice(), baseline.as_slice());
@@ -1720,15 +1716,12 @@ mod tests {
     }
 
     fn attention_graph() -> LayerGraph {
-        let mut rng = Rng::seed_from(5);
         let mut g = LayerGraph::new();
         let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
-        let wq = Tensor::randn(&[6, 6], &mut rng);
-        let wk = Tensor::randn(&[6, 6], &mut rng);
-        let wv = Tensor::randn(&[6, 6], &mut rng);
-        let q = g.add("q", LayerOp::Linear { weight: wq, bias: None }, &[x]);
-        let k = g.add("k", LayerOp::Linear { weight: wk, bias: None }, &[x]);
-        let v = g.add("v", LayerOp::Linear { weight: wv, bias: None }, &[x]);
+        let proj = LayerOp::Linear { d_in: 6, d_out: 6, bias: false };
+        let q = g.add("q", proj.clone(), &[x]);
+        let k = g.add("k", proj.clone(), &[x]);
+        let v = g.add("v", proj, &[x]);
         let qk = g.add("qk", LayerOp::MatmulQK, &[q, k]);
         let sm = g.add("sm", LayerOp::Softmax, &[qk]);
         let pv = g.add("pv", LayerOp::MatmulPV, &[sm, v]);
@@ -1741,7 +1734,7 @@ mod tests {
     fn attention_block_is_bit_identical() {
         let mut rng = Rng::seed_from(17);
         let latent = Tensor::randn(&[4, 6], &mut rng);
-        assert_plan_matches_tree(&attention_graph(), &latent, None, 0.0);
+        assert_plan_matches_tree(&attention_graph(), &mut rng, &latent, None, 0.0);
     }
 
     #[test]
@@ -1749,41 +1742,22 @@ mod tests {
         let mut rng = Rng::seed_from(23);
         let mut g = LayerGraph::new();
         let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
-        let w = Tensor::randn(&[4, 2, 3, 3], &mut rng);
-        let b = Tensor::randn(&[4], &mut rng);
-        let conv = g.add(
-            "conv",
-            LayerOp::Conv2d {
-                weight: w,
-                bias: Some(b),
-                params: Conv2dParams { kernel: 3, stride: 1, padding: 1 },
-            },
-            &[x],
-        );
-        let gamma = Tensor::full(&[4], 1.5);
-        let beta = Tensor::randn(&[4], &mut rng);
-        let gn = g.add("gn", LayerOp::GroupNorm { groups: 2, gamma, beta }, &[conv]);
+        let params = Conv2dParams { kernel: 3, stride: 1, padding: 1 };
+        let conv = g.add("conv", LayerOp::Conv2d { c_in: 2, c_out: 4, params, bias: true }, &[x]);
+        let gn = g.add("gn", LayerOp::GroupNorm { groups: 2, channels: 4 }, &[conv]);
         let act = g.add("act", LayerOp::SiLU, &[gn]);
         let up = g.add("up", LayerOp::Upsample2x, &[act]);
         let pool = g.add("pool", LayerOp::AvgPool { window: 2 }, &[up]);
         g.set_output(pool);
         let latent = Tensor::randn(&[2, 4, 4], &mut rng);
-        assert_plan_matches_tree(&g, &latent, None, 100.0);
+        assert_plan_matches_tree(&g, &mut rng, &latent, None, 100.0);
     }
 
     /// Single-conv graph over a `[c_in, hw, hw]` latent.
-    fn conv_graph(
-        rng: &mut Rng,
-        c_in: usize,
-        c_out: usize,
-        params: Conv2dParams,
-        with_bias: bool,
-    ) -> LayerGraph {
+    fn conv_graph(c_in: usize, c_out: usize, params: Conv2dParams, bias: bool) -> LayerGraph {
         let mut g = LayerGraph::new();
         let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
-        let weight = Tensor::randn(&[c_out, c_in, params.kernel, params.kernel], rng);
-        let bias = with_bias.then(|| Tensor::randn(&[c_out], rng));
-        let conv = g.add("conv", LayerOp::Conv2d { weight, bias, params }, &[x]);
+        let conv = g.add("conv", LayerOp::Conv2d { c_in, c_out, params, bias }, &[x]);
         g.set_output(conv);
         g
     }
@@ -1817,11 +1791,11 @@ mod tests {
             (8, 12, 16, Conv2dParams::pointwise(), true),
         ];
         for &(c_in, hw, c_out, params, with_bias) in &cases {
-            let g = conv_graph(&mut rng, c_in, c_out, params, with_bias);
+            let g = conv_graph(c_in, c_out, params, with_bias);
             let latent = Tensor::randn(&[c_in, hw, hw], &mut rng);
             let plan = TracePlan::compile(&g, latent.dims(), None).unwrap();
             assert_lowered(plan.ops[1].code, c_in, hw, params);
-            assert_plan_matches_tree(&g, &latent, None, 0.25);
+            assert_plan_matches_tree(&g, &mut rng, &latent, None, 0.25);
         }
     }
 
@@ -1838,22 +1812,14 @@ mod tests {
         let mut cur = x;
         let mut convs = Vec::new();
         for (i, (c_in, c_out)) in [(8usize, 12usize), (12, 12), (12, 8)].into_iter().enumerate() {
-            let weight = Tensor::randn(&[c_out, c_in, 3, 3], &mut rng);
-            let bias = Tensor::randn(&[c_out], &mut rng);
-            cur = g.add(
-                format!("conv{i}"),
-                LayerOp::Conv2d { weight, bias: Some(bias), params: p3 },
-                &[cur],
-            );
+            let conv = LayerOp::Conv2d { c_in, c_out, params: p3, bias: true };
+            cur = g.add(format!("conv{i}"), conv, &[cur]);
             convs.push((cur, c_in, p3));
             cur = g.add(format!("act{i}"), LayerOp::SiLU, &[cur]);
         }
-        let weight = Tensor::randn(&[8, 8, 1, 1], &mut rng);
-        cur = g.add(
-            "mix",
-            LayerOp::Conv2d { weight, bias: None, params: Conv2dParams::pointwise() },
-            &[cur],
-        );
+        let mix =
+            LayerOp::Conv2d { c_in: 8, c_out: 8, params: Conv2dParams::pointwise(), bias: false };
+        cur = g.add("mix", mix, &[cur]);
         convs.push((cur, 8, Conv2dParams::pointwise()));
         g.set_output(cur);
 
@@ -1862,7 +1828,7 @@ mod tests {
             assert_lowered(plan.ops[node].code, c_in, 12, params);
         }
         let latent = Tensor::randn(&[8, 12, 12], &mut rng);
-        assert_plan_matches_tree(&g, &latent, None, 50.0);
+        assert_plan_matches_tree(&g, &mut rng, &latent, None, 50.0);
     }
 
     #[test]
@@ -1885,32 +1851,29 @@ mod tests {
         assert!(fresh3);
         assert!(!Arc::ptr_eq(&p1, &p3));
 
-        // Same structure, different weights: the shared plan executes
-        // against each caller's own graph (weights are borrowed at execute
-        // time), bit-identical to the tree walk on both.
+        // One structure, two sets of weights: the shared plan executes
+        // against each caller's own weights (borrowed at execute time),
+        // bit-identical to the tree walk on both.
         let mut rng = Rng::seed_from(47);
-        let mk = |rng: &mut Rng| {
-            let mut g = LayerGraph::new();
-            let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
-            let w = Tensor::randn(&[3, 3], rng);
-            let lin = g.add("lin", LayerOp::Linear { weight: w, bias: None }, &[x]);
-            g.set_output(lin);
-            g
-        };
-        let ga = mk(&mut rng);
-        let gb = mk(&mut rng);
-        assert_eq!(ga.structure_digest(), gb.structure_digest());
-        let (pa, _) = compile_cached(&ga, &[3, 3], None).unwrap();
-        let (pb, _) = compile_cached(&gb, &[3, 3], None).unwrap();
+        let mut g = LayerGraph::new();
+        let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
+        let lin = g.add("lin", LayerOp::Linear { d_in: 3, d_out: 3, bias: false }, &[x]);
+        g.set_output(lin);
+        let (pa, _) = compile_cached(&g, &[3, 3], None).unwrap();
+        let (pb, _) = compile_cached(&g.clone(), &[3, 3], None).unwrap();
         assert!(Arc::ptr_eq(&pa, &pb));
         let latent = Tensor::randn(&[3, 3], &mut rng);
         let bindings = Bindings { latent: &latent, context: None, t: 0.0 };
         let mut arena = PlanArena::new();
-        for graph in [&ga, &gb] {
-            let tree = forward(graph, &bindings, step0(), &mut NullHook).unwrap();
-            let fast = pa.execute(graph, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
+        let mut outputs = Vec::new();
+        for weights in [Weights::randn(&g, &mut rng), Weights::randn(&g, &mut rng)] {
+            let tree = forward(&g, &weights, &bindings, step0(), &mut NullHook).unwrap();
+            let fast =
+                pa.execute(&g, &weights, &bindings, step0(), &mut NullHook, &mut arena).unwrap();
             assert_eq!(fast.as_slice(), tree.as_slice());
+            outputs.push(fast);
         }
+        assert_ne!(outputs[0], outputs[1]);
     }
 
     #[test]
@@ -1928,7 +1891,7 @@ mod tests {
         g.set_output(gated);
         let latent = Tensor::randn(&[1, 4], &mut rng);
         let context = Tensor::randn(&[1, 4], &mut rng);
-        assert_plan_matches_tree(&g, &latent, Some(&context), 512.0);
+        assert_plan_matches_tree(&g, &mut rng, &latent, Some(&context), 512.0);
     }
 
     #[test]
@@ -1943,8 +1906,9 @@ mod tests {
         let plan = TracePlan::compile(&g, &[1, 1], Some(&[1, 2])).unwrap();
         let latent = Tensor::zeros(&[1, 1]);
         let bindings = Bindings { latent: &latent, context: None, t: 0.0 };
-        let err =
-            plan.execute(&g, &bindings, step0(), &mut NullHook, &mut PlanArena::new()).unwrap_err();
+        let err = plan
+            .execute(&g, &Weights::new(), &bindings, step0(), &mut NullHook, &mut PlanArena::new())
+            .unwrap_err();
         assert!(err.to_string().contains("model needs a context"), "{err}");
     }
 
@@ -1956,7 +1920,7 @@ mod tests {
         let bindings = Bindings { latent: &wrong, context: None, t: 0.0 };
         assert!(!plan.matches(&bindings));
         assert!(plan
-            .execute(&g, &bindings, step0(), &mut NullHook, &mut PlanArena::new())
+            .execute(&g, &Weights::new(), &bindings, step0(), &mut NullHook, &mut PlanArena::new())
             .is_err());
     }
 

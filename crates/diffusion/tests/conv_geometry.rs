@@ -5,8 +5,8 @@
 
 use diffusion::plan::OpCode;
 use diffusion::{
-    Bindings, DiffusionModel, InputKind, LayerGraph, LayerOp, ModelKind, ModelScale, NullHook,
-    PlanArena, StepInfo, TracePlan,
+    Bindings, InputKind, LayerGraph, LayerOp, ModelKind, ModelScale, ModelSpec, NullHook,
+    PlanArena, StepInfo, TracePlan, Weights,
 };
 use tensor::ops::{self, Conv2dParams};
 use tensor::{KernelBackend, Rng, Tensor};
@@ -14,20 +14,16 @@ use tensor::{KernelBackend, Rng, Tensor};
 /// `(c_in, h, w, c_out, params)` of one convolution.
 type Geometry = (usize, usize, usize, usize, Conv2dParams);
 
-/// The geometry of every `Conv2d` the seven models compile at both scales.
+/// The geometry of every `Conv2d` the seven models compile at both scales
+/// (read off their specs: no weights are drawn).
 fn model_geometries() -> Vec<Geometry> {
     let mut found = Vec::new();
     for scale in [ModelScale::Tiny, ModelScale::Small] {
         for kind in ModelKind::all() {
-            let model = DiffusionModel::build(kind, scale, 1);
-            let plan = model.plan.as_ref().expect("zoo models compile");
+            let plan = ModelSpec::new(kind, scale, 1).plan().expect("zoo models compile");
             for op in plan.ops() {
-                if let (
-                    OpCode::Conv2dIm2col { c_in, h, w, c_out, .. },
-                    LayerOp::Conv2d { params, .. },
-                ) = (op.code, &model.graph.node(op.node).op)
-                {
-                    let geometry = (c_in, h, w, c_out, *params);
+                if let OpCode::Conv2dIm2col { c_in, h, w, c_out, params, .. } = op.code {
+                    let geometry = (c_in, h, w, c_out, params);
                     if !found.contains(&geometry) {
                         found.push(geometry);
                     }
@@ -39,12 +35,10 @@ fn model_geometries() -> Vec<Geometry> {
 }
 
 /// A graph holding the one convolution, with a bias.
-fn conv_graph(rng: &mut Rng, (c_in, _, _, c_out, params): Geometry) -> LayerGraph {
+fn conv_graph((c_in, _, _, c_out, params): Geometry) -> LayerGraph {
     let mut g = LayerGraph::new();
     let x = g.add("x", LayerOp::Input(InputKind::Latent), &[]);
-    let weight = Tensor::randn(&[c_out, c_in, params.kernel, params.kernel], rng);
-    let bias = Some(Tensor::randn(&[c_out], rng));
-    let conv = g.add("conv", LayerOp::Conv2d { weight, bias, params }, &[x]);
+    let conv = g.add("conv", LayerOp::Conv2d { c_in, c_out, params, bias: true }, &[x]);
     g.set_output(conv);
     g
 }
@@ -65,19 +59,22 @@ fn every_model_conv_geometry_lowers_bit_identically() {
     let mut rng = Rng::seed_from(59);
     let step = StepInfo { step_index: 0, t: 1.0, total_steps: 1 };
     for geometry in geometries {
-        let (c_in, h, w, ..) = geometry;
-        let g = conv_graph(&mut rng, geometry);
-        let LayerOp::Conv2d { weight, bias, params } = &g.node(1).op else { unreachable!() };
+        let (c_in, h, w, _, params) = geometry;
+        let g = conv_graph(geometry);
+        let weights = Weights::randn(&g, &mut rng);
+        let conv = weights.get(1).unwrap();
+        let (weight, bias) = (&conv.weight, conv.bias.as_ref());
         let latent = Tensor::randn(&[c_in, h, w], &mut rng);
-        let want = ops::conv2d_direct(&latent, weight, bias.as_ref(), *params).unwrap();
+        let want = ops::conv2d_direct(&latent, weight, bias, params).unwrap();
         let plan = TracePlan::compile(&g, latent.dims(), None).unwrap();
         let bindings = Bindings { latent: &latent, context: None, t: 1.0 };
-        let planned = plan.execute(&g, &bindings, step, &mut NullHook, &mut PlanArena::new());
+        let planned =
+            plan.execute(&g, &weights, &bindings, step, &mut NullHook, &mut PlanArena::new());
         let on_plan = format!("the plan on {}", tensor::backend::active());
         let mut runs = vec![(on_plan, planned.unwrap().as_slice().to_vec())];
         for backend in KernelBackend::available() {
             // Dirty buffers: the lowering must write every element it reads.
-            let mut scratch = vec![f32::NAN; ops::conv2d_scratch_len(c_in, h, w, *params)];
+            let mut scratch = vec![f32::NAN; ops::conv2d_scratch_len(c_in, h, w, params)];
             let mut out = vec![f32::NAN; want.len()];
             ops::conv2d_lowered_into(
                 backend,
@@ -86,8 +83,8 @@ fn every_model_conv_geometry_lowers_bit_identically() {
                 h,
                 w,
                 weight,
-                bias.as_ref(),
-                *params,
+                bias,
+                params,
                 &mut scratch,
                 &mut out,
             )

@@ -846,14 +846,15 @@ fn bench_executor(min_ms: u64) -> Vec<Value> {
     let mut entries = Vec::new();
     for kind in ModelKind::all() {
         let model = DiffusionModel::build(kind, ModelScale::Tiny, 13);
-        let plan = model.plan.as_ref().expect("benchmark model compiles a plan");
+        let plan = model.plan().expect("benchmark model compiles a plan");
+        let (graph, weights) = (&model.graph, model.weights());
         let (latent, context) = model.sample_inputs(29);
         let bindings = Bindings { latent: &latent, context: context.as_ref(), t: 0.5 };
         let step = StepInfo { step_index: 0, t: 0.5, total_steps: 1 };
-        let want = forward(&model.graph, &bindings, step, &mut NullHook).expect("tree forward");
+        let want = forward(graph, weights, &bindings, step, &mut NullHook).expect("tree forward");
         let mut arena = PlanArena::new();
         let got = plan
-            .execute(&model.graph, &bindings, step, &mut NullHook, &mut arena)
+            .execute(graph, weights, &bindings, step, &mut NullHook, &mut arena)
             .expect("plan execute");
         assert!(
             want.as_slice().iter().zip(got.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
@@ -867,13 +868,14 @@ fn bench_executor(min_ms: u64) -> Vec<Value> {
         for _ in 0..EXECUTOR_TRIALS {
             tree_ns = tree_ns.min(ns_per_call(min_ms, || {
                 black_box(
-                    forward(&model.graph, black_box(&bindings), step, &mut NullHook).unwrap(),
+                    forward(graph, weights, black_box(&bindings), step, &mut NullHook).unwrap(),
                 );
             }));
             plan_ns = plan_ns.min(ns_per_call(min_ms, || {
                 black_box(
                     plan.execute(
-                        &model.graph,
+                        graph,
+                        weights,
                         black_box(&bindings),
                         step,
                         &mut NullHook,

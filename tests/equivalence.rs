@@ -139,11 +139,10 @@ fn delta_path_exact_with_multi_head_attention() {
     // Multi-head attention multiplies the per-block QK/PV matmul count;
     // the difference path must stay bit-exact through every head.
     use diffusion::blocks::BlockCtx;
-    use diffusion::{InputKind, LayerGraph, LayerOp, SamplerKind, Schedule};
+    use diffusion::{InputKind, LayerGraph, LayerOp, ModelSpec, SamplerKind, Schedule};
     let mut graph = LayerGraph::new();
-    let mut rng = tensor::Rng::seed_from(5);
     {
-        let ctx = &mut BlockCtx::new(&mut graph, &mut rng);
+        let ctx = &mut BlockCtx::new(&mut graph);
         let x = ctx.g.add("input", LayerOp::Input(InputKind::Latent), &[]);
         let a = ctx.multi_head_self_attention("mha0", x, 16, 4);
         let b = ctx.multi_head_self_attention("mha1", a, 16, 2);
@@ -152,7 +151,7 @@ fn delta_path_exact_with_multi_head_attention() {
         ctx.g.set_output(eps);
     }
     graph.validate();
-    let model = diffusion::DiffusionModel {
+    let model: DiffusionModel = ModelSpec {
         kind: ModelKind::Dit, // dynamic quantization policy
         graph,
         schedule: Schedule::linear(1000),
@@ -160,8 +159,9 @@ fn delta_path_exact_with_multi_head_attention() {
         steps: 8,
         latent_dims: vec![12, 16],
         context_dims: None,
-        plan: None,
-    };
+        weight_seed: 5,
+    }
+    .into();
     let (trace, dense) = trace_model(&model, 1, ExecPolicy::Dense).expect("dense");
     let (_, delta) = trace_model(&model, 1, ExecPolicy::TemporalDelta).expect("delta");
     assert_eq!(dense, delta);

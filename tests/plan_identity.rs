@@ -12,7 +12,7 @@ use diffusion::executor::{forward, Bindings, LinearHook, NullHook, StepInfo};
 use diffusion::models::build_hierarchical_unet;
 use diffusion::{
     DiffusionModel, InputKind, LayerGraph, LayerOp, ModelKind, ModelScale, Node, NodeId, PlanArena,
-    SamplerKind, TracePlan,
+    SamplerKind, TracePlan, Weights,
 };
 use proptest::prelude::*;
 use tensor::{Rng, Tensor};
@@ -54,20 +54,25 @@ fn plan_and_tree_sampler_runs_are_bit_identical() {
 /// It filters on `is_linear_layer()`, so it logs the same under the oracle
 /// (which shows `observe` every node) and under the plan (declined linear
 /// sites only) — through the plan's default slice-to-`Tensor` adapters.
-#[derive(Default)]
-struct AlternatingHook {
+struct AlternatingHook<'a> {
+    /// The model's weights, for the sites the hook computes.
+    weights: &'a Weights,
     computed: usize,
     /// `(node, step, operand count, bits of the output)` per declined site.
     observed: Vec<(NodeId, usize, usize, Vec<u32>)>,
 }
 
-impl AlternatingHook {
+impl<'a> AlternatingHook<'a> {
+    fn new(weights: &'a Weights) -> Self {
+        AlternatingHook { weights, computed: 0, observed: Vec::new() }
+    }
+
     fn computes(node: &Node) -> bool {
         node.id.is_multiple_of(2)
     }
 }
 
-impl LinearHook for AlternatingHook {
+impl LinearHook for AlternatingHook<'_> {
     fn compute_linear(
         &mut self,
         node: &Node,
@@ -87,8 +92,12 @@ impl LinearHook for AlternatingHook {
             .collect();
         let site = g.add("site", node.op.clone(), &ins);
         g.set_output(site);
+        let mut weights = Weights::new();
+        if let Ok(params) = self.weights.get(node.id) {
+            weights.set(&g, site, params.clone());
+        }
         let bindings = Bindings { latent: inputs[0], context: inputs.get(1).copied(), t: step.t };
-        let plain = forward(&g, &bindings, step, &mut NullHook).unwrap();
+        let plain = forward(&g, &weights, &bindings, step, &mut NullHook).unwrap();
         self.computed += 1;
         Some(plain.map(|v| v + 0.001 * (node.id % 7) as f32))
     }
@@ -106,7 +115,9 @@ impl LinearHook for AlternatingHook {
 fn partially_declining_hook_matches_the_oracle() {
     for kind in [ModelKind::Ddpm, ModelKind::Sdm, ModelKind::Dit] {
         let model = DiffusionModel::build(kind, ModelScale::Tiny, 17);
-        let (mut on_tree, mut on_plan) = (AlternatingHook::default(), AlternatingHook::default());
+        let weights = model.weights();
+        let (mut on_tree, mut on_plan) =
+            (AlternatingHook::new(weights), AlternatingHook::new(weights));
         let tree = model.run_reverse_oracle(6, &mut on_tree).unwrap();
         let planned = model.run_reverse(6, &mut on_plan).unwrap();
         assert_eq!(bits(&tree), bits(&planned), "{kind:?}: samples diverged");
@@ -127,16 +138,17 @@ fn partially_declining_hook_matches_the_oracle() {
 fn model_plans_match_tree_forward_per_step() {
     for kind in ModelKind::all() {
         let model = DiffusionModel::build(kind, ModelScale::Tiny, 9);
-        let plan = model.plan.as_ref().expect("every benchmark compiles a plan");
+        let plan = model.plan().expect("every benchmark compiles a plan");
         plan.validate_liveness().unwrap();
+        let (graph, weights) = (&model.graph, model.weights());
         let (latent, context) = model.sample_inputs(11);
         let mut arena = PlanArena::new();
         for (i, &t) in [0.0f32, 0.25, 0.5, 1.0].iter().enumerate() {
             let bindings = Bindings { latent: &latent, context: context.as_ref(), t };
             let step = StepInfo { step_index: i, t, total_steps: 4 };
-            let want = forward(&model.graph, &bindings, step, &mut NullHook).unwrap();
+            let want = forward(graph, weights, &bindings, step, &mut NullHook).unwrap();
             let got =
-                plan.execute(&model.graph, &bindings, step, &mut NullHook, &mut arena).unwrap();
+                plan.execute(graph, weights, &bindings, step, &mut NullHook, &mut arena).unwrap();
             assert_eq!(want.dims(), got.dims(), "{kind:?} output dims at t={t}");
             assert_eq!(bits(&want), bits(&got), "{kind:?} diverged at t={t}");
         }
@@ -149,14 +161,15 @@ fn model_plans_match_tree_forward_per_step() {
 #[test]
 fn hierarchical_unet_plan_matches_tree() {
     let model = build_hierarchical_unet(ModelScale::Tiny, 3);
-    let plan = model.plan.as_ref().expect("hierarchical unet compiles a plan");
+    let plan = model.plan().expect("hierarchical unet compiles a plan");
     plan.validate_liveness().unwrap();
+    let (graph, weights) = (&model.graph, model.weights());
     let (latent, context) = model.sample_inputs(2);
     let mut arena = PlanArena::new();
     let bindings = Bindings { latent: &latent, context: context.as_ref(), t: 0.375 };
     let step = StepInfo { step_index: 0, t: 0.375, total_steps: 1 };
-    let want = forward(&model.graph, &bindings, step, &mut NullHook).unwrap();
-    let got = plan.execute(&model.graph, &bindings, step, &mut NullHook, &mut arena).unwrap();
+    let want = forward(graph, weights, &bindings, step, &mut NullHook).unwrap();
+    let got = plan.execute(graph, weights, &bindings, step, &mut NullHook, &mut arena).unwrap();
     assert_eq!(bits(&want), bits(&got));
 }
 
@@ -189,9 +202,8 @@ fn arena_planning_is_deterministic_and_compacts() {
 /// string: linears, activations, layer norms, scales, and residual adds
 /// against randomly chosen width-compatible ancestors (exercising diamond
 /// liveness patterns the hand-built benchmarks may not hit).
-fn random_graph(codes: &[u8], cols: usize, seed: u64) -> LayerGraph {
+fn random_graph(codes: &[u8], cols: usize) -> LayerGraph {
     let mut g = LayerGraph::new();
-    let mut rng = Rng::seed_from(seed);
     let x0 = g.add("input", LayerOp::Input(InputKind::Latent), &[]);
     let mut widths: Vec<(NodeId, usize)> = vec![(x0, cols)];
     let (mut last, mut last_cols) = (x0, cols);
@@ -200,19 +212,14 @@ fn random_graph(codes: &[u8], cols: usize, seed: u64) -> LayerGraph {
         let (node, ncols) = match c % 7 {
             0 => {
                 let out_c = 4 + (c as usize % 3) * 4;
-                let weight = Tensor::randn(&[last_cols, out_c], &mut rng);
-                let bias = Some(Tensor::randn(&[out_c], &mut rng));
-                (g.add(&name, LayerOp::Linear { weight, bias }, &[last]), out_c)
+                let op = LayerOp::Linear { d_in: last_cols, d_out: out_c, bias: true };
+                (g.add(&name, op, &[last]), out_c)
             }
             1 => (g.add(&name, LayerOp::SiLU, &[last]), last_cols),
             2 => (g.add(&name, LayerOp::GeLU, &[last]), last_cols),
             3 => (g.add(&name, LayerOp::Sigmoid, &[last]), last_cols),
             4 => (g.add(&name, LayerOp::Scale(0.5 + c as f32 / 512.0), &[last]), last_cols),
-            5 => {
-                let gamma = Tensor::randn(&[last_cols], &mut rng);
-                let beta = Tensor::randn(&[last_cols], &mut rng);
-                (g.add(&name, LayerOp::LayerNorm { gamma, beta }, &[last]), last_cols)
-            }
+            5 => (g.add(&name, LayerOp::LayerNorm { features: last_cols }, &[last]), last_cols),
             _ => {
                 let peers: Vec<NodeId> =
                     widths.iter().filter(|&&(_, w)| w == last_cols).map(|&(n, _)| n).collect();
@@ -243,7 +250,8 @@ proptest! {
         t in 0.0f32..1.0,
     ) {
         let cols = [4usize, 8, 12][width_pick];
-        let graph = random_graph(&codes, cols, seed);
+        let graph = random_graph(&codes, cols);
+        let weights = Weights::randn(&graph, &mut Rng::seed_from(seed));
         let latent_dims = vec![rows, cols];
         let plan = TracePlan::compile(&graph, &latent_dims, None).unwrap();
         prop_assert!(plan.validate_liveness().is_ok());
@@ -251,11 +259,13 @@ proptest! {
         let latent = Tensor::randn(&latent_dims, &mut rng);
         let bindings = Bindings { latent: &latent, context: None, t };
         let step = StepInfo { step_index: 0, t, total_steps: 1 };
-        let want = forward(&graph, &bindings, step, &mut NullHook).unwrap();
+        let want = forward(&graph, &weights, &bindings, step, &mut NullHook).unwrap();
         let mut arena = PlanArena::new();
-        let got = plan.execute(&graph, &bindings, step, &mut NullHook, &mut arena).unwrap();
-        prop_assert_eq!(bits(&want), bits(&got));
-        let again = plan.execute(&graph, &bindings, step, &mut NullHook, &mut arena).unwrap();
+        let mut run = || {
+            plan.execute(&graph, &weights, &bindings, step, &mut NullHook, &mut arena).unwrap()
+        };
+        prop_assert_eq!(bits(&want), bits(&run()));
+        let again = run();
         prop_assert_eq!(bits(&want), bits(&again));
     }
 }
