@@ -176,7 +176,7 @@ fn bench_im2col_and_conv(c: &mut Criterion) {
     c.bench_function("conv2d_32x16x16", |b| b.iter(|| ops::conv2d(black_box(&x), &w, None, p)));
 }
 
-/// Binary vs JSON trace-cache decoding — the per-model unit of work behind
+/// Binary trace-cache decoding — the per-model unit of work behind
 /// `Suite::load`'s warm path (the parallel fan-out then divides the total
 /// across cores).
 fn bench_trace_decode(c: &mut Criterion) {
@@ -187,11 +187,7 @@ fn bench_trace_decode(c: &mut Criterion) {
     let model = DiffusionModel::build(ModelKind::Ddpm, ModelScale::Tiny, 8);
     let (trace, _) = trace_model(&model, 0, ExecPolicy::Dense).unwrap();
     let bin = ditto_core::binio::to_vec(&trace);
-    let json = ditto_core::jsonio::to_vec(&trace);
     let mut g = c.benchmark_group("trace_cache_decode");
-    g.bench_function(BenchmarkId::new("json", format!("{}B", json.len())), |b| {
-        b.iter(|| ditto_core::jsonio::from_slice::<WorkloadTrace>(black_box(&json)).unwrap())
-    });
     g.bench_function(BenchmarkId::new("bin", format!("{}B", bin.len())), |b| {
         b.iter(|| ditto_core::binio::from_slice::<WorkloadTrace>(black_box(&bin)).unwrap())
     });

@@ -62,10 +62,13 @@ pub fn fig03a() {
         let series = &r.temporal_cosine[l];
         let n = series.len();
         // Step indices counted from the end of the run (the paper's time
-        // steps count down; step 1 is the last).
-        let at = |steps_from_end: usize| series[n - steps_from_end];
+        // steps count down; step 1 is the last). A step the run does not
+        // reach (a short Tiny-scale run) renders as a dash.
+        let at = |steps_from_end: usize| {
+            n.checked_sub(steps_from_end).map_or_else(|| "—".to_string(), |i| f3(series[i] as f64))
+        };
         let mean: f32 = series.iter().sum::<f32>() / n as f32;
-        t.row([name.to_string(), f3(at(24) as f64), f3(at(1) as f64), f3(mean as f64)]);
+        t.row([name.to_string(), at(24), at(1), f3(mean as f64)]);
     }
     t.print();
     println!("(paper: 0.9997 / 0.9972 for conv-in, 0.9934 / 0.948 for up.0.0.skip)");

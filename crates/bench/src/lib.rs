@@ -11,11 +11,10 @@
 //! rows/series the paper reports (see DESIGN.md §3 for the index). The
 //! heavy inputs — per-model workload traces and similarity reports from
 //! full reverse-process runs at `ModelScale::Small` with the paper's step
-//! counts — are computed in parallel across models and cached in the
-//! versioned binary format of `ditto_core::binio` under
-//! `target/ditto-cache/` (override with `DITTO_CACHE_DIR`), so the full
-//! figure suite runs in seconds after the first trace pass. Legacy JSON
-//! caches are migrated to binary on first read.
+//! counts — are computed in parallel across models and cached in one
+//! content-addressed [`store::Store`] under `target/ditto-cache/`
+//! (override with `DITTO_CACHE_DIR`), so the full figure suite runs in
+//! seconds after the first trace pass.
 //!
 //! Run everything with:
 //!
@@ -24,11 +23,11 @@
 //! ```
 
 pub mod report;
+pub mod store;
 pub mod suite;
 
 pub use suite::{
-    cached_similarity, cached_trace, cached_trace_scaled, sweep_cache_dir, sweep_cache_dir_for,
-    Suite, TraceSource, CACHE_DIR_ENV, CACHE_MAX_BYTES_ENV, MODELS,
+    cached_similarity, Suite, TraceSource, CACHE_DIR_ENV, CACHE_MAX_BYTES_ENV, MODELS,
 };
 pub mod ablations;
 pub mod experiments;

@@ -1,19 +1,18 @@
 //! The benchmark suite: the seven Table I models with cached traces.
 //!
-//! Traces and similarity reports are cached on disk in the versioned
-//! little-endian binary format of [`ditto_core::binio`] (`trace-*.bin`,
-//! `similarity-*.bin`). Both carry a **model fingerprint** header — an
-//! FNV-1a digest of the model definition they were computed from (graph
-//! structure, op parameters, weight shapes, sampler, step count, seeds) —
-//! so editing a model definition invalidates its cached trace and
-//! similarity report instead of serving stale data. The fingerprint is
-//! computed from a weight-free [`ModelSpec`], so a cache hit draws no
-//! weights: only a miss builds the model it traces. Legacy JSON trace
-//! caches (`trace-*.json`) from earlier revisions are read once and
-//! migrated to `.bin`; corrupt, truncated, fingerprint-mismatched or
-//! pre-fingerprint cache files are treated as misses and recomputed. The
-//! cache directory defaults to `target/ditto-cache` and can be redirected
-//! with the `DITTO_CACHE_DIR` environment variable.
+//! Traces and similarity reports live in one content-addressed
+//! [`Store`] (`trace-<scale>-<model>-<key>.bin`,
+//! `similarity-<scale>-<model>-<key>.bin`, each just the
+//! [`ditto_core::binio`] encoding of the value). The key digests what the
+//! artifact was computed from: the weight-free [`ModelSpec`] (graph
+//! structure, op parameters, weight shapes and seed, sampler, step count,
+//! dims), the sample seed, and for traces the execution policy. Editing a
+//! model definition therefore changes the name it is looked up under,
+//! never serving stale data, and a cache hit draws no weights: only a miss
+//! builds the model it traces. A file that fails to decode is a miss that
+//! the recomputed value overwrites. The cache directory defaults to
+//! `target/ditto-cache` and can be redirected with the `DITTO_CACHE_DIR`
+//! environment variable.
 //!
 //! [`Suite::load`] fans the per-model trace work out across CPU cores on
 //! the shared work-stealing pool ([`accel::pool`]), which collapses
@@ -23,20 +22,20 @@
 //! the whole process: the experiment drivers and the `serve` front-end all
 //! read the same in-memory traces instead of re-deserializing per call.
 
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use diffusion::graph::fnv1a_fold;
 use diffusion::plan::OpCode;
 use diffusion::{DiffusionModel, ModelKind, ModelScale, ModelSpec};
-use ditto_core::binio::{BinError, FromBin, Reader, ToBin};
 use ditto_core::jsonio::Value;
 use ditto_core::runner::{trace_model, ExecPolicy};
 use ditto_core::similarity::{SimilarityHook, SimilarityReport};
 use ditto_core::telemetry;
 use ditto_core::trace::WorkloadTrace;
 
+use crate::store::Store;
 use crate::sweep::{experiment_scale, scale_name};
 
 /// The Table I benchmark order.
@@ -58,21 +57,25 @@ pub const SAMPLE_SEED: u64 = 0;
 /// Environment variable overriding the on-disk cache location.
 pub const CACHE_DIR_ENV: &str = "DITTO_CACHE_DIR";
 
-/// Environment variable bounding the total bytes of cached `trace-*.bin`
-/// files; the oldest-mtime entries are evicted first once the cap is
-/// exceeded (see [`sweep_cache_dir`]).
+/// Environment variable bounding the total bytes of the cache's store
+/// entries, traces and similarity reports alike; every [`Suite::load`]
+/// ends with a sweep that evicts the least recently used first once the
+/// cap is exceeded (see [`Store::sweep`]).
 pub const CACHE_MAX_BYTES_ENV: &str = "DITTO_CACHE_MAX_BYTES";
 
-/// Default trace-cache size cap: generous (16 GiB) so eviction only ever
+/// Default cache size cap: generous (16 GiB) so eviction only ever
 /// triggers when explicitly configured or on genuinely huge sweeps.
 pub const DEFAULT_CACHE_MAX_BYTES: u64 = 16 * 1024 * 1024 * 1024;
 
+/// Store kind of a [`WorkloadTrace`].
+const TRACE: &str = "trace";
+/// Store kind of a [`SimilarityReport`].
+const SIMILARITY: &str = "similarity";
+
 fn cache_dir() -> PathBuf {
-    let dir = std::env::var_os(CACHE_DIR_ENV).map(PathBuf::from).unwrap_or_else(|| {
+    std::env::var_os(CACHE_DIR_ENV).map(PathBuf::from).unwrap_or_else(|| {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/ditto-cache")
-    });
-    fs::create_dir_all(&dir).expect("create cache dir");
-    dir
+    })
 }
 
 fn cache_max_bytes() -> u64 {
@@ -82,115 +85,12 @@ fn cache_max_bytes() -> u64 {
         .unwrap_or(DEFAULT_CACHE_MAX_BYTES)
 }
 
-/// Best-effort mtime refresh marking a cache entry as recently used (the
-/// LRU clock for [`sweep_cache_dir`]). Failure is harmless: the entry
-/// merely keeps its older timestamp.
-fn touch(path: &Path) {
-    if let Ok(f) = fs::File::options().append(true).open(path) {
-        let _ = f.set_modified(std::time::SystemTime::now());
-    }
-}
-
-/// One telemetry event per trace-cache acquisition: how the trace was
-/// obtained (`hit` / `migrated` / `traced`), for which model at which
-/// scale, and how long the decode (or fresh trace) took. Counters
-/// (`bench.trace_cache.*`) and a per-outcome timing series ride along so
-/// `obs-report` can show hit rates without replaying the stream.
-fn note_trace_cache(kind: ModelKind, scale: ModelScale, outcome: &str, started: Instant) {
-    if !telemetry::on() {
-        return;
-    }
-    let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    telemetry::event(
-        "trace_cache",
-        vec![
-            ("model", Value::Str(kind.abbr().to_string())),
-            ("scale", Value::Str(scale_name(scale).to_string())),
-            ("outcome", Value::Str(outcome.to_string())),
-            ("us", Value::Int(i128::from(us))),
-        ],
-    );
-    telemetry::counter(&format!("bench.trace_cache.{outcome}"), 1);
-    telemetry::series(&format!("bench.trace_{outcome}_us"), us);
-}
-
-/// Bounds the cache directory's `trace-*.bin` footprint to `max_bytes` by
-/// deleting the least-recently-used entries first (LRU by mtime: a cache
-/// *hit* re-stamps the entry's mtime via [`touch`], so the timestamp
-/// tracks last use, not creation). Other cache artifacts —
-/// `similarity-*.bin`, legacy `trace-*.json` — are never touched. Returns
-/// how many files were evicted. Evictions are unattributed on the event
-/// stream; suite loads go through [`sweep_cache_dir_for`] so each evicted
-/// file is charged to the scale whose load forced it out.
-pub fn sweep_cache_dir(dir: &Path, max_bytes: u64) -> usize {
-    sweep_cache_dir_for(dir, max_bytes, "unattributed")
-}
-
-/// [`sweep_cache_dir`] attributing each eviction to `requester` — the
-/// scale (or driver) whose load pushed the cache over the cap. Earlier
-/// revisions only printed the evicted path to stderr, so a tiny-scale
-/// sweep evicting small-scale entries was indistinguishable from the
-/// reverse; the `trace_cache_evict` events carry the requester explicitly.
-pub fn sweep_cache_dir_for(dir: &Path, max_bytes: u64, requester: &str) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else { return 0 };
-    let mut traces: Vec<(PathBuf, u64, std::time::SystemTime)> = entries
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name().to_string_lossy().into_owned();
-            if !(name.starts_with("trace-") && name.ends_with(".bin")) {
-                return None;
-            }
-            let meta = e.metadata().ok()?;
-            Some((e.path(), meta.len(), meta.modified().ok()?))
-        })
-        .collect();
-    let mut total: u64 = traces.iter().map(|(_, size, _)| size).sum();
-    if total <= max_bytes {
-        return 0;
-    }
-    // Oldest first; ties (same-mtime filesystems) break by name so the
-    // eviction order is deterministic.
-    traces.sort_by(|a, b| a.2.cmp(&b.2).then_with(|| a.0.cmp(&b.0)));
-    let mut evicted = 0;
-    for (path, size, _) in traces {
-        if total <= max_bytes {
-            break;
-        }
-        match fs::remove_file(&path) {
-            Ok(()) => {
-                eprintln!("[suite] cache over {max_bytes} B cap: evicted {}", path.display());
-                if telemetry::on() {
-                    let name = path.file_name().map_or_else(
-                        || path.display().to_string(),
-                        |n| n.to_string_lossy().into_owned(),
-                    );
-                    telemetry::event(
-                        "trace_cache_evict",
-                        vec![
-                            ("file", Value::Str(name)),
-                            ("bytes", Value::Int(i128::from(size))),
-                            ("requester", Value::Str(requester.to_string())),
-                        ],
-                    );
-                    telemetry::counter("bench.trace_cache.evict", 1);
-                }
-                total -= size;
-                evicted += 1;
-            }
-            Err(e) => eprintln!("[suite] failed to evict {}: {e}", path.display()),
-        }
-    }
-    evicted
-}
-
 /// How a cached artifact was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceSource {
-    /// Loaded from the binary cache.
+    /// Loaded from the store.
     BinCache,
-    /// Migrated from a legacy JSON cache file (and re-stored as binary).
-    JsonMigrated,
-    /// No usable cache entry: traced from scratch (then cached as binary).
+    /// No usable store entry: computed from scratch (then stored).
     Traced,
 }
 
@@ -201,144 +101,34 @@ impl TraceSource {
     }
 }
 
-/// Cache file stem for a model at a scale. `Small` keeps the historical
-/// un-suffixed names so existing caches stay valid; other scales are
-/// namespaced to avoid clashing with them.
-fn cache_stem(prefix: &str, kind: ModelKind, scale: ModelScale) -> String {
-    match scale {
-        ModelScale::Small => format!("{prefix}-{}", kind.abbr()),
-        ModelScale::Tiny => format!("{prefix}-tiny-{}", kind.abbr()),
-    }
-}
-
-fn load_bin<T: ditto_core::binio::FromBin>(dir: &Path, name: &str) -> Option<T> {
-    let path = dir.join(name);
-    let bytes = fs::read(&path).ok()?;
-    match ditto_core::binio::from_slice(&bytes) {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("[suite] discarding unreadable cache {}: {e}", path.display());
-            None
-        }
-    }
-}
-
-fn store_bin<T: ditto_core::binio::ToBin>(dir: &Path, name: &str, value: &T) {
-    fs::write(dir.join(name), ditto_core::binio::to_vec(value)).expect("write cache");
-}
-
-fn load_json<T: ditto_core::jsonio::FromJson>(dir: &Path, name: &str) -> Option<T> {
-    let bytes = fs::read(dir.join(name)).ok()?;
-    ditto_core::jsonio::from_slice(&bytes).ok()
-}
-
 /// Builds the model instance used throughout the experiments, at the
 /// experiment scale (see [`experiment_scale`]).
 pub fn build_model(kind: ModelKind) -> DiffusionModel {
     DiffusionModel::build(kind, experiment_scale(), WEIGHT_SEED)
 }
 
-/// On-disk form of a cached trace: the fingerprint of the model definition
-/// it was traced from, then the trace itself. A fingerprint mismatch at
-/// load time is a cache miss — stale traces from an edited model cannot be
-/// served. (Pre-fingerprint cache files fail to decode as this wrapper and
-/// are likewise re-traced once.)
-struct CachedTrace {
-    fingerprint: u64,
-    trace: WorkloadTrace,
-}
-
-impl ToBin for CachedTrace {
-    fn write(&self, out: &mut Vec<u8>) {
-        self.fingerprint.write(out);
-        self.trace.write(out);
-    }
-}
-
-impl FromBin for CachedTrace {
-    fn read(r: &mut Reader<'_>) -> Result<Self, BinError> {
-        Ok(CachedTrace { fingerprint: FromBin::read(r)?, trace: FromBin::read(r)? })
-    }
-}
-
-/// Fingerprint of everything a cached trace depends on: the model
-/// definition ([`ModelSpec::digest`], which covers the seed the weights are
-/// drawn from), the sample seed and the execution policy. No weights are
-/// drawn to compute it.
+/// Store key of `spec`'s trace, also the serve memo's model key:
+/// [`ModelSpec::digest`] (which covers the seed the weights are drawn
+/// from) folded with the sample seed and the execution policy. No weights
+/// are drawn to compute it.
 fn fingerprint_of(spec: &ModelSpec) -> u64 {
-    let mut h = spec.digest();
-    for bytes in [&SAMPLE_SEED.to_le_bytes()[..], b"Dense"] {
-        h = diffusion::graph::fnv1a_fold(h, bytes);
-    }
-    h
+    fnv1a_fold(similarity_key(spec), b"Dense")
 }
 
-fn trace_in_dir(
-    dir: &Path,
-    kind: ModelKind,
-    scale: ModelScale,
-) -> (WorkloadTrace, TraceSource, u64) {
-    let spec = ModelSpec::new(kind, scale, WEIGHT_SEED);
-    let fingerprint = fingerprint_of(&spec);
-    let (trace, source) = lookup_in_dir(dir, kind, scale, fingerprint).unwrap_or_else(|| {
-        (trace_and_store(dir, &DiffusionModel::from(spec), scale, fingerprint), TraceSource::Traced)
-    });
-    (trace, source, fingerprint)
+/// Store key of `spec`'s similarity report: the digest and the sample seed.
+fn similarity_key(spec: &ModelSpec) -> u64 {
+    fnv1a_fold(spec.digest(), &SAMPLE_SEED.to_le_bytes())
 }
 
-/// The trace the cache holds for a model with this `fingerprint`, if any.
-fn lookup_in_dir(
-    dir: &Path,
-    kind: ModelKind,
-    scale: ModelScale,
-    fingerprint: u64,
-) -> Option<(WorkloadTrace, TraceSource)> {
+/// Traces `spec`'s model and stores the trace under `key`.
+fn trace_and_store(store: &Store, spec: ModelSpec, scale: ModelScale, key: u64) -> WorkloadTrace {
     let started = Instant::now();
-    let stem = cache_stem("trace", kind, scale);
-    let bin_name = format!("{stem}.bin");
-    if let Some(c) = load_bin::<CachedTrace>(dir, &bin_name) {
-        if c.fingerprint == fingerprint {
-            touch(&dir.join(&bin_name));
-            note_trace_cache(kind, scale, "hit", started);
-            return Some((c.trace, TraceSource::BinCache));
-        }
-        telemetry::counter("bench.trace_cache.stale", 1);
-        eprintln!(
-            "[suite] cache {bin_name} was traced from a different {} definition \
-             ({:016x} != {:016x}); re-tracing",
-            kind.abbr(),
-            c.fingerprint,
-            fingerprint
-        );
-        // No JSON migration after a binary entry failed the fingerprint
-        // check: the model definitely changed, so a same-era JSON would
-        // launder stale data as fingerprint-valid.
-        return None;
-    }
-    // One-shot migration: read a legacy JSON cache and persist it as binary
-    // so the JSON is never parsed again. JSON caches predate fingerprints
-    // and are stamped with the current model's fingerprint on trust.
-    let trace = load_json::<WorkloadTrace>(dir, &format!("{stem}.json"))?;
-    let cached = CachedTrace { fingerprint, trace };
-    store_bin(dir, &bin_name, &cached);
-    note_trace_cache(kind, scale, "migrated", started);
-    Some((cached.trace, TraceSource::JsonMigrated))
-}
-
-/// Traces `model` and stores the trace under its `fingerprint`.
-fn trace_and_store(
-    dir: &Path,
-    model: &DiffusionModel,
-    scale: ModelScale,
-    fingerprint: u64,
-) -> WorkloadTrace {
-    let started = Instant::now();
-    eprintln!("[suite] tracing {} (one-time, cached afterwards)...", model.kind.abbr());
-    let (trace, _) = trace_model(model, SAMPLE_SEED, ExecPolicy::Dense).expect("trace");
-    let cached = CachedTrace { fingerprint, trace };
-    store_bin(dir, &format!("{}.bin", cache_stem("trace", model.kind, scale)), &cached);
-    note_trace_cache(model.kind, scale, "traced", started);
-    cached.trace
+    let kind = spec.kind;
+    eprintln!("[suite] tracing {} (one-time, cached afterwards)...", kind.abbr());
+    let (trace, _) =
+        trace_model(&DiffusionModel::from(spec), SAMPLE_SEED, ExecPolicy::Dense).expect("trace");
+    store.put(TRACE, scale, kind.abbr(), key, &trace, started);
+    trace
 }
 
 /// Estimated cost of tracing `spec`'s model: model calls × the
@@ -362,85 +152,31 @@ fn trace_cost_estimate(spec: &ModelSpec) -> u64 {
     (macs * spec.model_calls()) as u64
 }
 
-/// Returns the cached workload trace for `kind`, computing (and caching) it
-/// on first use. One trace = one full reverse process at the paper's step
-/// count, with Q-Diffusion-style calibration for the UNet models.
-pub fn cached_trace(kind: ModelKind) -> WorkloadTrace {
-    cached_trace_scaled(kind, ModelScale::Small).0
-}
-
-/// [`cached_trace`] at an explicit scale, also reporting where the trace
-/// came from (used by `Suite::load` reporting and the CI cache smoke test).
-pub fn cached_trace_scaled(kind: ModelKind, scale: ModelScale) -> (WorkloadTrace, TraceSource) {
-    let (trace, source, _) = trace_in_dir(&cache_dir(), kind, scale);
-    (trace, source)
-}
-
-/// On-disk form of a cached similarity report, fingerprinted like
-/// [`CachedTrace`]: a report from an edited model definition is a miss.
-struct CachedSimilarity {
-    fingerprint: u64,
-    report: SimilarityReport,
-}
-
-impl ToBin for CachedSimilarity {
-    fn write(&self, out: &mut Vec<u8>) {
-        self.fingerprint.write(out);
-        self.report.write(out);
-    }
-}
-
-impl FromBin for CachedSimilarity {
-    fn read(r: &mut Reader<'_>) -> Result<Self, BinError> {
-        Ok(CachedSimilarity { fingerprint: FromBin::read(r)?, report: FromBin::read(r)? })
-    }
-}
-
 /// Returns the cached similarity report for `kind` (Fig. 3 / Fig. 4 data).
 pub fn cached_similarity(kind: ModelKind) -> SimilarityReport {
-    similarity_in_dir(&cache_dir(), kind, experiment_scale()).0
+    similarity_in(&Store::new(cache_dir()), kind, experiment_scale()).0
 }
 
-/// The similarity report for `kind` at `scale`: the cache entry if it was
-/// computed from this model definition, else a fresh similarity pass
-/// (stored under the current fingerprint).
-fn similarity_in_dir(
-    dir: &Path,
+/// The similarity report for `kind` at `scale`: the store entry if there is
+/// one for this model definition, else a fresh similarity pass (then
+/// stored).
+fn similarity_in(
+    store: &Store,
     kind: ModelKind,
     scale: ModelScale,
 ) -> (SimilarityReport, TraceSource) {
     let spec = ModelSpec::new(kind, scale, WEIGHT_SEED);
-    let fingerprint = fingerprint_of(&spec);
-    let bin_name = format!("{}.bin", cache_stem("similarity", kind, scale));
-    if let Ok(bytes) = fs::read(dir.join(&bin_name)) {
-        let stale = match ditto_core::binio::from_slice::<CachedSimilarity>(&bytes) {
-            Ok(c) if c.fingerprint == fingerprint => return (c.report, TraceSource::BinCache),
-            Ok(c) => Some(format!("{:016x} != {fingerprint:016x}", c.fingerprint)),
-            // Reports cached before they carried a fingerprint cannot be
-            // vouched for either.
-            Err(_) if ditto_core::binio::from_slice::<SimilarityReport>(&bytes).is_ok() => {
-                Some("no fingerprint".to_string())
-            }
-            Err(e) => {
-                eprintln!("[suite] discarding unreadable cache {bin_name}: {e}");
-                None
-            }
-        };
-        if let Some(why) = stale {
-            telemetry::counter("bench.trace_cache.stale", 1);
-            eprintln!(
-                "[suite] cache {bin_name} was computed from a different {} definition ({why}); \
-                 recomputing",
-                kind.abbr()
-            );
-        }
+    let key = similarity_key(&spec);
+    if let Some(report) = store.get(SIMILARITY, scale, kind.abbr(), key) {
+        return (report, TraceSource::BinCache);
     }
+    let started = Instant::now();
     eprintln!("[suite] similarity pass for {} (one-time, cached)...", kind.abbr());
     let mut hook = SimilarityHook::new();
     DiffusionModel::from(spec).run_reverse(SAMPLE_SEED, &mut hook).expect("similarity run");
-    let cached = CachedSimilarity { fingerprint, report: hook.into_report() };
-    store_bin(dir, &bin_name, &cached);
-    (cached.report, TraceSource::Traced)
+    let report = hook.into_report();
+    store.put(SIMILARITY, scale, kind.abbr(), key, &report, started);
+    (report, TraceSource::Traced)
 }
 
 /// Convenience bundle of all cached inputs.
@@ -451,11 +187,11 @@ pub struct Suite {
     /// Where each trace came from, in [`MODELS`] order.
     pub sources: Vec<TraceSource>,
     /// Model-definition fingerprint of each trace, in [`MODELS`] order —
-    /// the same digest stored in the `trace-*.bin` cache header, exposed so
-    /// serving layers can key cross-request memo tables on it.
+    /// the trace's store key, exposed so serving layers can key
+    /// cross-request memo tables on it.
     pub fingerprints: Vec<u64>,
-    /// How many `trace-*.bin` files the post-load LRU sweep evicted to
-    /// respect [`CACHE_MAX_BYTES_ENV`] (0 unless the cap was exceeded).
+    /// How many store entries the post-load LRU sweep evicted to respect
+    /// [`CACHE_MAX_BYTES_ENV`] (0 unless the cap was exceeded).
     pub evictions: usize,
 }
 
@@ -486,8 +222,8 @@ impl Suite {
         let mut suite = Self::load_in_dir(&dir, scale);
         // The sweep runs on behalf of *this* load, so its evictions are
         // attributed to the requesting scale even when the files it
-        // removes belong to the other scale's namespace.
-        suite.evictions = sweep_cache_dir_for(&dir, cache_max_bytes(), scale_name(scale));
+        // removes belong to another scale or kind.
+        suite.evictions = Store::new(dir).sweep(cache_max_bytes(), scale_name(scale));
         eprintln!(
             "[suite] {} traces loaded: {} cache hit(s), {} freshly traced, {} evicted by size cap",
             suite.traces.len(),
@@ -514,8 +250,7 @@ impl Suite {
     ///
     /// Every consumer — the experiment drivers, the ablations, each
     /// concurrent `serve` request — shares the same in-memory traces, so a
-    /// trace is deserialized (or computed) at most once per process
-    /// instead of once per `cached_trace` call.
+    /// trace is deserialized (or computed) at most once per process.
     pub fn shared(scale: ModelScale) -> &'static Suite {
         Self::shared_observed(scale).0
     }
@@ -588,19 +323,21 @@ impl Suite {
     }
 
     fn load_in_dir(dir: &Path, scale: ModelScale) -> Self {
+        let store = Store::new(dir);
         let workers = accel::pool::default_workers();
         let spec = |i: usize| {
             let spec = ModelSpec::new(MODELS[i], scale, WEIGHT_SEED);
             let fingerprint = fingerprint_of(&spec);
             (spec, fingerprint)
         };
-        // First what the cache holds, from the specs alone: a hit draws no
+        // First what the store holds, from the specs alone: a hit draws no
         // weights. A miss only reports what tracing it is estimated to
         // cost; its model is built in the second pass, one per worker.
         let mut loaded = accel::pool::run_indexed(MODELS.len(), workers, |i| {
             let (spec, fingerprint) = spec(i);
-            lookup_in_dir(dir, spec.kind, scale, fingerprint)
-                .map(|(trace, source)| (trace, source, fingerprint))
+            store
+                .get(TRACE, scale, spec.kind.abbr(), fingerprint)
+                .map(|trace| (trace, TraceSource::BinCache, fingerprint))
                 .ok_or_else(|| trace_cost_estimate(&spec))
         });
         // Then the misses, costliest first. Workers claim jobs in index
@@ -614,8 +351,7 @@ impl Suite {
         misses.sort_by_key(|&(_, cost)| std::cmp::Reverse(cost));
         let traced = accel::pool::run_indexed(misses.len(), workers, |job| {
             let (spec, fingerprint) = spec(misses[job].0);
-            let model = DiffusionModel::from(spec);
-            (trace_and_store(dir, &model, scale, fingerprint), TraceSource::Traced, fingerprint)
+            (trace_and_store(&store, spec, scale, fingerprint), TraceSource::Traced, fingerprint)
         });
         for (&(i, _), fresh) in misses.iter().zip(traced) {
             loaded[i] = Ok(fresh);
@@ -639,22 +375,68 @@ impl Suite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::testing::{len, mtime, read, write, TempDir};
+    use ditto_core::binio::{self, FromBin, ToBin};
     use ditto_core::trace::StatView;
 
-    /// A unique throwaway cache directory (tests must not touch the shared
-    /// `target/ditto-cache`, and env-var overrides would race across the
-    /// parallel test harness).
-    fn temp_cache(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("ditto-suite-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("create temp cache dir");
-        dir
+    fn temp_cache(tag: &str) -> TempDir {
+        TempDir::new(&format!("suite-{tag}"))
+    }
+
+    const TINY: ModelScale = ModelScale::Tiny;
+
+    fn tiny_spec() -> ModelSpec {
+        ModelSpec::new(ModelKind::Ddpm, TINY, WEIGHT_SEED)
+    }
+
+    /// One model's trace through the store, as [`Suite::load_in_dir`] gets
+    /// it: the entry if there is one, else a fresh trace (then stored).
+    fn trace_in(store: &Store) -> (WorkloadTrace, TraceSource) {
+        let spec = tiny_spec();
+        let key = fingerprint_of(&spec);
+        match store.get(TRACE, TINY, "DDPM", key) {
+            Some(trace) => (trace, TraceSource::BinCache),
+            None => (trace_and_store(store, spec, TINY, key), TraceSource::Traced),
+        }
+    }
+
+    fn similarity(store: &Store) -> (SimilarityReport, TraceSource) {
+        similarity_in(store, ModelKind::Ddpm, TINY)
     }
 
     fn tiny_trace() -> WorkloadTrace {
         let model = DiffusionModel::build(ModelKind::Ddpm, ModelScale::Tiny, 1);
         trace_model(&model, 0, ExecPolicy::Dense).unwrap().0
+    }
+
+    /// Runs one store kind through an entry's life: cold → hit → truncated
+    /// → healed → garbage → made, and an entry under another key (an
+    /// edited model definition) is never served.
+    fn lifecycle<T: ToBin + FromBin>(kind: &str, key: u64, load: fn(&Store) -> (T, TraceSource)) {
+        let dir = temp_cache(kind);
+        let store = dir.store();
+        let path = store.path(kind, TINY, "DDPM", key);
+        let bytes = |v: &T| binio::to_vec(v);
+        let (v0, s0) = load(&store);
+        assert_eq!(s0, TraceSource::Traced, "cold");
+        assert_eq!(read(&path), bytes(&v0), "an entry is just the value's encoding");
+        let (v1, s1) = load(&store);
+        assert_eq!(s1, TraceSource::BinCache, "warm");
+        assert_eq!(bytes(&v1), bytes(&v0));
+        // Truncated: recomputed, not a panic, and the cache heals.
+        write(&path, &bytes(&v0)[..bytes(&v0).len() / 2]);
+        let (v2, s2) = load(&store);
+        assert_eq!(s2, TraceSource::Traced, "truncated");
+        assert_eq!(bytes(&v2), bytes(&v0));
+        assert_eq!(load(&store).1, TraceSource::BinCache, "healed");
+        // Garbage (wrong magic) is made again too.
+        write(&path, b"not a cache file");
+        assert_eq!(load(&store).1, TraceSource::Traced, "garbage");
+        assert_eq!(load(&store).1, TraceSource::BinCache);
+        // The same value under another key is ignored.
+        store.put(kind, TINY, "DDPM", key ^ 1, &v0, Instant::now());
+        write(&path, b"");
+        assert_eq!(load(&store).1, TraceSource::Traced, "another key's entry");
     }
 
     #[test]
@@ -666,109 +448,53 @@ mod tests {
 
     #[test]
     fn binary_cache_roundtrip() {
-        // Mirrors the original JSON cache_roundtrip test on the binary
-        // path: store, load, and compare layer/step/merged-histogram views.
+        // Store, load, and compare layer/step/merged-histogram views.
         let dir = temp_cache("roundtrip");
+        let store = dir.store();
         let trace = tiny_trace();
-        store_bin(&dir, "test-roundtrip.bin", &trace);
-        let back: WorkloadTrace = load_bin(&dir, "test-roundtrip.bin").unwrap();
+        store.put(TRACE, TINY, "test", 1, &trace, Instant::now());
+        let back: WorkloadTrace = store.get(TRACE, TINY, "test", 1).unwrap();
         assert_eq!(back.layer_count(), trace.layer_count());
         assert_eq!(back.step_count(), trace.step_count());
         for view in [StatView::Activation, StatView::Spatial, StatView::Temporal] {
             assert_eq!(back.merged(view), trace.merged(view));
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn cold_then_warm_then_corrupt() {
-        let dir = temp_cache("lifecycle");
-        // Cold: no cache entry → traced.
-        let (t0, s0, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(s0, TraceSource::Traced);
-        assert!(dir.join("trace-tiny-DDPM.bin").exists());
-        // Warm: binary cache hit, same content.
-        let (t1, s1, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(s1, TraceSource::BinCache);
-        assert_eq!(t1.layer_count(), t0.layer_count());
-        assert_eq!(t1.step_count(), t0.step_count());
-        assert_eq!(t1.merged(StatView::Temporal), t0.merged(StatView::Temporal));
-        // Corrupt: truncated file falls back to re-tracing, not a panic,
-        // and heals the cache.
-        let bytes = fs::read(dir.join("trace-tiny-DDPM.bin")).unwrap();
-        fs::write(dir.join("trace-tiny-DDPM.bin"), &bytes[..bytes.len() / 2]).unwrap();
-        let (t2, s2, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(s2, TraceSource::Traced);
-        assert_eq!(t2.merged(StatView::Temporal), t0.merged(StatView::Temporal));
-        let (_, s3, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(s3, TraceSource::BinCache, "cache healed after corruption");
-        // Garbage (wrong magic) also falls back.
-        fs::write(dir.join("trace-tiny-DDPM.bin"), b"not a cache file").unwrap();
-        let (_, s4, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(s4, TraceSource::Traced);
-        let _ = fs::remove_dir_all(&dir);
+        lifecycle(TRACE, fingerprint_of(&tiny_spec()), trace_in);
     }
 
     #[test]
     fn changed_model_definition_misses_cache() {
         let dir = temp_cache("fingerprint");
-        let (t0, s0, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(s0, TraceSource::Traced);
-        // Simulate a cache entry written by an *older/edited* model
-        // definition: same trace payload, different fingerprint header.
-        let stale = CachedTrace { fingerprint: 0xDEAD_BEEF, trace: t0.clone() };
-        store_bin(&dir, "trace-tiny-DDPM.bin", &stale);
-        let (t1, s1, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(s1, TraceSource::Traced, "a changed model config must miss the cache");
+        let store = dir.store();
+        // An entry written by an older/edited model definition: same trace
+        // payload, another key.
+        let old = store.path(TRACE, TINY, "DDPM", 0xDEAD_BEEF);
+        store.put(TRACE, TINY, "DDPM", 0xDEAD_BEEF, &tiny_trace(), Instant::now());
+        let (t0, s0) = trace_in(&store);
+        assert_eq!(s0, TraceSource::Traced, "a changed model config must miss the cache");
+        let (t1, s1) = trace_in(&store);
+        assert_eq!(s1, TraceSource::BinCache);
         assert_eq!(t1.merged(StatView::Temporal), t0.merged(StatView::Temporal));
-        // The re-trace heals the cache with the current fingerprint.
-        let (_, s2, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(s2, TraceSource::BinCache);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_bin_blocks_json_migration() {
-        // A fingerprint-mismatched .bin proves the model changed; a legacy
-        // .json sitting beside it is same-era-or-older and must NOT be
-        // migrated (that would stamp stale data with the new fingerprint).
-        let dir = temp_cache("stale-json");
-        let (t0, _, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        fs::write(dir.join("trace-tiny-DDPM.json"), ditto_core::jsonio::to_vec(&t0)).unwrap();
-        let stale = CachedTrace { fingerprint: 0xDEAD_BEEF, trace: t0 };
-        store_bin(&dir, "trace-tiny-DDPM.bin", &stale);
-        let (_, source, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(source, TraceSource::Traced, "stale bin must force a re-trace, not migration");
-        let _ = fs::remove_dir_all(&dir);
+        // Both versions coexist, so switching back needs no re-trace.
+        assert!(old.exists());
     }
 
     #[test]
     fn similarity_cache_misses_on_tampered_fingerprint_and_old_format() {
-        let dir = temp_cache("similarity");
-        let name = "similarity-tiny-DDPM.bin";
-        let (r0, s0) = similarity_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(s0, TraceSource::Traced);
-        let (r1, s1) = similarity_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(s1, TraceSource::BinCache);
-        let bytes = |r: &SimilarityReport| ditto_core::binio::to_vec(r);
-        assert_eq!(bytes(&r1), bytes(&r0));
-        // A report written by an edited model definition: same payload,
-        // different fingerprint. It must be recomputed, then heal.
-        store_bin(&dir, name, &CachedSimilarity { fingerprint: 0xDEAD_BEEF, report: r0.clone() });
-        let (r2, s2) = similarity_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(s2, TraceSource::Traced, "a tampered fingerprint must miss the cache");
-        assert_eq!(bytes(&r2), bytes(&r0));
-        assert_eq!(
-            similarity_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny).1,
-            TraceSource::BinCache
-        );
-        // The pre-fingerprint format (a bare report) is a miss as well.
-        store_bin(&dir, name, &r0);
-        assert_eq!(
-            similarity_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny).1,
-            TraceSource::Traced
-        );
-        let _ = fs::remove_dir_all(&dir);
+        lifecycle(SIMILARITY, similarity_key(&tiny_spec()), similarity);
+        // Reports from before the store (a bare report, or one behind a
+        // fingerprint header, under a key-less name) are never read.
+        let dir = temp_cache("similarity-old");
+        let store = dir.store();
+        let (report, _) = similarity(&store);
+        write(&dir.join("similarity-tiny-DDPM.bin"), &binio::to_vec(&report));
+        write(&store.path(SIMILARITY, TINY, "DDPM", similarity_key(&tiny_spec())), b"");
+        assert_eq!(similarity(&store).1, TraceSource::Traced);
+        assert_eq!(read(&dir.join("similarity-tiny-DDPM.bin")), binio::to_vec(&report));
     }
 
     #[test]
@@ -782,21 +508,8 @@ mod tests {
         assert_ne!(tiny, of(ModelKind::Ddpm, ModelScale::Small, 42));
         assert_ne!(tiny, of(ModelKind::Dit, ModelScale::Tiny, 42));
         assert_ne!(tiny, of(ModelKind::Ddpm, ModelScale::Tiny, 43));
-    }
-
-    #[test]
-    fn legacy_json_cache_migrates_to_binary() {
-        let dir = temp_cache("migrate");
-        let trace = tiny_trace();
-        fs::write(dir.join("trace-tiny-DDPM.json"), ditto_core::jsonio::to_vec(&trace)).unwrap();
-        let (t, source, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(source, TraceSource::JsonMigrated);
-        assert_eq!(t.merged(StatView::Temporal), trace.merged(StatView::Temporal));
-        assert!(dir.join("trace-tiny-DDPM.bin").exists(), "migration writes the binary cache");
-        // Second load prefers the migrated binary.
-        let (_, source, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
-        assert_eq!(source, TraceSource::BinCache);
-        let _ = fs::remove_dir_all(&dir);
+        // The trace key also folds in the policy the similarity key lacks.
+        assert_ne!(tiny, similarity_key(&tiny_spec()));
     }
 
     #[test]
@@ -821,7 +534,6 @@ mod tests {
             warm.fingerprint(ModelKind::Ddpm),
             fingerprint_of(&ModelSpec::new(ModelKind::Ddpm, ModelScale::Tiny, WEIGHT_SEED))
         );
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -842,86 +554,79 @@ mod tests {
         assert_eq!(costs.iter().min(), Some(&cost(ModelKind::Latte)));
     }
 
-    /// Writes a fake trace cache entry of `size` bytes and nudges its mtime
-    /// ordering by creation order (a short sleep keeps mtimes distinct on
-    /// coarse-granularity filesystems).
-    fn fake_trace_file(dir: &Path, name: &str, size: usize) {
-        fs::write(dir.join(name), vec![0u8; size]).expect("write fake trace");
-        std::thread::sleep(std::time::Duration::from_millis(15));
-    }
-
     #[test]
     fn lru_sweep_evicts_oldest_first_under_tiny_cap() {
         let dir = temp_cache("lru");
-        fake_trace_file(&dir, "trace-old.bin", 100);
-        fake_trace_file(&dir, "trace-mid.bin", 100);
-        fake_trace_file(&dir, "trace-new.bin", 100);
-        // Non-trace artifacts are exempt from both accounting and eviction.
-        fake_trace_file(&dir, "similarity-DDPM.bin", 10_000);
-        fake_trace_file(&dir, "trace-legacy.json", 10_000);
+        let store = dir.store();
+        let entry = |kind, model| store.path(kind, TINY, model, 0x0123_4567_89ab_cdef);
+        let (old, mid, new) = (entry(TRACE, "DDPM"), entry(SIMILARITY, "SDM"), entry(TRACE, "DiT"));
+        for path in [&old, &mid, &new] {
+            write(path, &[0; 100]);
+        }
+        // Files that are not store entries (pre-store names, a temporary
+        // file, anything else) are exempt from both accounting and eviction.
+        let others = ["trace-DDPM.bin", "similarity-tiny-SDM.bin", ".x.tmp", "notes.txt"];
+        for name in others {
+            write(&dir.join(name), &[0; 10_000]);
+        }
 
         // Under the cap: nothing happens.
-        assert_eq!(sweep_cache_dir(&dir, 300), 0);
-        assert!(dir.join("trace-old.bin").exists());
+        assert_eq!(store.sweep(300, "test"), 0);
+        assert!(old.exists());
 
-        // 300 B of traces against a 250 B cap: exactly the oldest goes.
-        assert_eq!(sweep_cache_dir(&dir, 250), 1);
-        assert!(!dir.join("trace-old.bin").exists(), "oldest-mtime entry is evicted first");
-        assert!(dir.join("trace-mid.bin").exists());
-        assert!(dir.join("trace-new.bin").exists());
+        // 300 B of entries against a 250 B cap: exactly the oldest goes.
+        assert_eq!(store.sweep(250, "test"), 1);
+        assert!(!old.exists(), "oldest-mtime entry is evicted first");
+        assert!(mid.exists() && new.exists());
 
-        // 200 B left against a 10 B cap: both remaining traces go, the
-        // similarity report and legacy JSON stay.
-        assert_eq!(sweep_cache_dir(&dir, 10), 2);
-        assert!(!dir.join("trace-mid.bin").exists());
-        assert!(!dir.join("trace-new.bin").exists());
-        assert!(dir.join("similarity-DDPM.bin").exists());
-        assert!(dir.join("trace-legacy.json").exists());
+        // 200 B left against a 10 B cap: the similarity report goes like
+        // the trace, and the other files stay.
+        assert_eq!(store.sweep(10, "test"), 2);
+        assert!(!mid.exists() && !new.exists());
+        assert!(others.iter().all(|name| dir.join(name).exists()));
 
-        // Idempotent on an empty (or missing) cache.
-        assert_eq!(sweep_cache_dir(&dir, 10), 0);
-        let _ = fs::remove_dir_all(&dir);
-        assert_eq!(sweep_cache_dir(&dir, 10), 0);
+        // Idempotent on an empty (or missing) store.
+        assert_eq!(store.sweep(10, "test"), 0);
+        drop(dir);
+        assert_eq!(store.sweep(10, "test"), 0);
     }
 
     #[test]
     fn cache_hits_refresh_mtime_so_hot_entries_survive_lru() {
         let dir = temp_cache("lru-touch");
-        let (_, s0, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
+        let store = dir.store();
+        let (_, s0) = trace_in(&store);
         assert_eq!(s0, TraceSource::Traced);
-        let path = dir.join("trace-tiny-DDPM.bin");
-        let created = fs::metadata(&path).unwrap().modified().unwrap();
+        let path = store.path(TRACE, TINY, "DDPM", fingerprint_of(&tiny_spec()));
+        let created = mtime(&path);
         std::thread::sleep(std::time::Duration::from_millis(20));
         // A hit must re-stamp the entry as recently used...
-        let (_, s1, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
+        let (_, s1) = trace_in(&store);
         assert_eq!(s1, TraceSource::BinCache);
-        let after_hit = fs::metadata(&path).unwrap().modified().unwrap();
-        assert!(after_hit > created, "a cache hit must refresh mtime (LRU, not FIFO)");
-        // ...so an older-but-newer-created idle entry is evicted first.
+        assert!(mtime(&path) > created, "a cache hit must refresh mtime (LRU, not FIFO)");
+        // ...so an older-used but newer-created idle entry is evicted first.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        fs::write(dir.join("trace-idle.bin"), vec![0u8; 64]).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let (_, s2, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
+        let idle = store.path(SIMILARITY, TINY, "DDPM", 0);
+        write(&idle, &[0; 64]);
+        let (_, s2) = trace_in(&store);
         assert_eq!(s2, TraceSource::BinCache);
-        let hot_size = fs::metadata(&path).unwrap().len();
-        assert_eq!(sweep_cache_dir(&dir, hot_size), 1, "only the idle entry must go");
+        assert_eq!(store.sweep(len(&path), "test"), 1, "only the idle entry must go");
         assert!(path.exists(), "the recently used entry survives");
-        assert!(!dir.join("trace-idle.bin").exists());
-        let _ = fs::remove_dir_all(&dir);
+        assert!(!idle.exists());
     }
 
     #[test]
     fn lru_sweep_eviction_is_a_cache_miss_not_corruption() {
         let dir = temp_cache("lru-miss");
-        let (t0, s0, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
+        let store = dir.store();
+        let (t0, s0) = trace_in(&store);
         assert_eq!(s0, TraceSource::Traced);
         // A 1-byte cap evicts the freshly written entry...
-        assert_eq!(sweep_cache_dir(&dir, 1), 1);
-        assert!(!dir.join("trace-tiny-DDPM.bin").exists());
+        assert_eq!(store.sweep(1, "test"), 1);
+        assert!(!store.path(TRACE, TINY, "DDPM", fingerprint_of(&tiny_spec())).exists());
         // ...and the next load simply re-traces, bit-identically.
-        let (t1, s1, _) = trace_in_dir(&dir, ModelKind::Ddpm, ModelScale::Tiny);
+        let (t1, s1) = trace_in(&store);
         assert_eq!(s1, TraceSource::Traced);
         assert_eq!(t1.merged(StatView::Temporal), t0.merged(StatView::Temporal));
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,15 +1,15 @@
 //! Versioned little-endian binary (de)serialization for the cacheable
 //! trace types.
 //!
-//! The JSON cache ([`crate::jsonio`]) is human-inspectable but slow and
-//! bulky: a Small-scale SDM trace is tens of megabytes of ASCII digits that
-//! must be re-parsed on every suite load. This codec stores the same data
-//! as fixed-width little-endian fields behind a 5-byte header — the magic
+//! JSON ([`crate::jsonio`]) would be slow and bulky here: a Small-scale
+//! SDM trace is tens of megabytes of ASCII digits that would be re-parsed
+//! on every suite load. This codec stores the data as fixed-width
+//! little-endian fields behind a 5-byte header — the magic
 //! [`MAGIC`] (`"DITB"`) followed by the [`FORMAT_VERSION`] byte — so loads
 //! are a single pass with no number parsing, and stale caches from a future
 //! (or corrupted) format are rejected cleanly instead of misread. Every
-//! decode error is recoverable: `bench::suite` treats any [`BinError`] as a
-//! cache miss and re-traces.
+//! decode error is recoverable: `bench::store` treats any [`BinError`] as a
+//! cache miss, and the artifact is recomputed.
 //!
 //! Wire format (all multi-byte values little-endian):
 //!
@@ -565,9 +565,12 @@ mod tests {
 
     #[test]
     fn binary_is_denser_than_json() {
-        let t = sample_trace();
-        let bin = to_vec(&t);
-        let json = crate::jsonio::to_vec(&t);
+        // Per-step cosines of a similarity report: four bytes each here,
+        // ten to twenty ASCII digits in JSON.
+        let series: Vec<Vec<f32>> =
+            (0..4).map(|l| (0..50).map(|s| 1.0 - (l * 50 + s) as f32 * 1e-4).collect()).collect();
+        let bin = to_vec(&series);
+        let json = crate::jsonio::to_vec(&series);
         assert!(
             bin.len() < json.len(),
             "binary ({}) should undercut JSON ({})",

@@ -1,16 +1,14 @@
-//! Dependency-free JSON (de)serialization for the cacheable trace types.
+//! Dependency-free JSON: a [`Value`] tree, its compact and pretty writers,
+//! a parser, the [`ToJson`] / [`FromJson`] codec traits for the primitive
+//! and container types, and [`LineFramer`] for line-delimited streams.
 //!
 //! The build environment cannot reach a crates registry, so `serde` /
-//! `serde_json` are unavailable; this module provides exactly the
-//! serialization the workspace needs — the `bench` crate's on-disk cache of
-//! [`WorkloadTrace`]s and [`SimilarityReport`]s under `target/ditto-cache/`.
-//! The emitted shape matches what `#[derive(serde::Serialize)]` would
-//! produce (objects keyed by field name, enums as variant-name strings), so
-//! swapping the real serde back in later will read existing caches.
-
-use crate::similarity::SimilarityReport;
-use crate::trace::{LayerMeta, LinearKind, StepStats, SubOp, WorkloadTrace};
-use quant::BitWidthHistogram;
+//! `serde_json` are unavailable; this module provides exactly the JSON the
+//! workspace speaks — sweep requests and reports, the serve protocol,
+//! telemetry streams and benchmark records. Structured types implement the
+//! traits beside their definitions, objects keyed by field name as
+//! `#[derive(serde::Serialize)]` would. On-disk caches use
+//! [`crate::binio`] instead.
 
 /// A parsed JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -613,267 +611,20 @@ impl<T: FromJson> FromJson for Option<T> {
     }
 }
 
-/// Builds an object from `("field", value)` pairs.
-macro_rules! obj {
-    ($(($key:literal, $val:expr)),* $(,)?) => {
-        Value::Obj(vec![$(($key.to_string(), $val)),*])
-    };
-}
-
-impl ToJson for BitWidthHistogram {
-    fn to_json(&self) -> Value {
-        obj![
-            ("zero", self.zero.to_json()),
-            ("low4", self.low4.to_json()),
-            ("full8", self.full8.to_json()),
-            ("over8", self.over8.to_json()),
-        ]
-    }
-}
-
-impl FromJson for BitWidthHistogram {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(BitWidthHistogram {
-            zero: u64::from_json(v.get("zero")?)?,
-            low4: u64::from_json(v.get("low4")?)?,
-            full8: u64::from_json(v.get("full8")?)?,
-            over8: u64::from_json(v.get("over8")?)?,
-        })
-    }
-}
-
-impl ToJson for LinearKind {
-    fn to_json(&self) -> Value {
-        let name = match self {
-            LinearKind::Conv => "Conv",
-            LinearKind::Fc => "Fc",
-            LinearKind::MatmulQk => "MatmulQk",
-            LinearKind::MatmulPv => "MatmulPv",
-        };
-        Value::Str(name.to_string())
-    }
-}
-
-impl FromJson for LinearKind {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Str(s) => match s.as_str() {
-                "Conv" => Ok(LinearKind::Conv),
-                "Fc" => Ok(LinearKind::Fc),
-                "MatmulQk" => Ok(LinearKind::MatmulQk),
-                "MatmulPv" => Ok(LinearKind::MatmulPv),
-                other => err(format!("unknown LinearKind `{other}`")),
-            },
-            _ => err("expected LinearKind string"),
-        }
-    }
-}
-
-impl ToJson for SubOp {
-    fn to_json(&self) -> Value {
-        obj![
-            ("label", self.label.to_json()),
-            ("elems", self.elems.to_json()),
-            ("reuse", self.reuse.to_json()),
-        ]
-    }
-}
-
-impl FromJson for SubOp {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(SubOp {
-            label: String::from_json(v.get("label")?)?,
-            elems: u64::from_json(v.get("elems")?)?,
-            reuse: u64::from_json(v.get("reuse")?)?,
-        })
-    }
-}
-
-impl ToJson for LayerMeta {
-    fn to_json(&self) -> Value {
-        obj![
-            ("node", self.node.to_json()),
-            ("name", self.name.to_json()),
-            ("kind", self.kind.to_json()),
-            ("macs", self.macs.to_json()),
-            ("elems", self.elems.to_json()),
-            ("reuse", self.reuse.to_json()),
-            ("subops", self.subops.to_json()),
-            ("in_bytes", self.in_bytes.to_json()),
-            ("weight_bytes", self.weight_bytes.to_json()),
-            ("out_bytes", self.out_bytes.to_json()),
-            ("needs_diff_calc", self.needs_diff_calc.to_json()),
-            ("needs_summation", self.needs_summation.to_json()),
-            ("in_boundary", self.in_boundary.to_json()),
-            ("out_boundary", self.out_boundary.to_json()),
-        ]
-    }
-}
-
-impl FromJson for LayerMeta {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(LayerMeta {
-            node: FromJson::from_json(v.get("node")?)?,
-            name: FromJson::from_json(v.get("name")?)?,
-            kind: FromJson::from_json(v.get("kind")?)?,
-            macs: FromJson::from_json(v.get("macs")?)?,
-            elems: FromJson::from_json(v.get("elems")?)?,
-            reuse: FromJson::from_json(v.get("reuse")?)?,
-            subops: FromJson::from_json(v.get("subops")?)?,
-            in_bytes: FromJson::from_json(v.get("in_bytes")?)?,
-            weight_bytes: FromJson::from_json(v.get("weight_bytes")?)?,
-            out_bytes: FromJson::from_json(v.get("out_bytes")?)?,
-            needs_diff_calc: FromJson::from_json(v.get("needs_diff_calc")?)?,
-            needs_summation: FromJson::from_json(v.get("needs_summation")?)?,
-            in_boundary: FromJson::from_json(v.get("in_boundary")?)?,
-            out_boundary: FromJson::from_json(v.get("out_boundary")?)?,
-        })
-    }
-}
-
-impl ToJson for StepStats {
-    fn to_json(&self) -> Value {
-        obj![
-            ("act", self.act.to_json()),
-            ("spa", self.spa.to_json()),
-            ("temporal", self.temporal.to_json()),
-        ]
-    }
-}
-
-impl FromJson for StepStats {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(StepStats {
-            act: FromJson::from_json(v.get("act")?)?,
-            spa: FromJson::from_json(v.get("spa")?)?,
-            temporal: FromJson::from_json(v.get("temporal")?)?,
-        })
-    }
-}
-
-impl ToJson for WorkloadTrace {
-    fn to_json(&self) -> Value {
-        obj![
-            ("model", self.model.to_json()),
-            ("layers", self.layers.to_json()),
-            ("steps", self.steps.to_json()),
-        ]
-    }
-}
-
-impl FromJson for WorkloadTrace {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(WorkloadTrace {
-            model: FromJson::from_json(v.get("model")?)?,
-            layers: FromJson::from_json(v.get("layers")?)?,
-            steps: FromJson::from_json(v.get("steps")?)?,
-        })
-    }
-}
-
-impl ToJson for SimilarityReport {
-    fn to_json(&self) -> Value {
-        obj![
-            ("names", self.names.to_json()),
-            ("temporal_cosine", self.temporal_cosine.to_json()),
-            ("spatial_cosine", self.spatial_cosine.to_json()),
-            ("act_range", self.act_range.to_json()),
-            ("diff_range", self.diff_range.to_json()),
-        ]
-    }
-}
-
-impl FromJson for SimilarityReport {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(SimilarityReport {
-            names: FromJson::from_json(v.get("names")?)?,
-            temporal_cosine: FromJson::from_json(v.get("temporal_cosine")?)?,
-            spatial_cosine: FromJson::from_json(v.get("spatial_cosine")?)?,
-            act_range: FromJson::from_json(v.get("act_range")?)?,
-            diff_range: FromJson::from_json(v.get("diff_range")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{LayerMeta, LinearKind, StepStats, SubOp, WorkloadTrace};
-
-    fn sample_trace() -> WorkloadTrace {
-        let meta = LayerMeta {
-            node: 3,
-            name: "conv \"quoted\"\nname".into(),
-            kind: LinearKind::MatmulQk,
-            macs: 1 << 60,
-            elems: 128,
-            reuse: 1 << 53,
-            subops: vec![SubOp { label: "dk".into(), elems: 7, reuse: 2 }],
-            in_bytes: 11,
-            weight_bytes: 0,
-            out_bytes: 13,
-            needs_diff_calc: true,
-            needs_summation: false,
-            in_boundary: vec!["silu".into()],
-            out_boundary: vec![],
-        };
-        let st = StepStats {
-            act: BitWidthHistogram { zero: 1, low4: 2, full8: 3, over8: 4 },
-            spa: BitWidthHistogram::default(),
-            temporal: Some(vec![BitWidthHistogram { zero: 9, low4: 0, full8: 0, over8: 0 }]),
-        };
-        WorkloadTrace {
-            model: "SDM".into(),
-            layers: vec![meta],
-            steps: vec![vec![StepStats::default()], vec![st]],
-        }
-    }
-
-    #[test]
-    fn trace_roundtrips_exactly() {
-        let t = sample_trace();
-        let bytes = to_vec(&t);
-        let back: WorkloadTrace = from_slice(&bytes).unwrap();
-        assert_eq!(back.model, t.model);
-        assert_eq!(back.layers.len(), 1);
-        let (a, b) = (&back.layers[0], &t.layers[0]);
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.kind, b.kind);
-        assert_eq!(a.macs, b.macs);
-        assert_eq!(a.reuse, b.reuse);
-        assert_eq!(a.subops, b.subops);
-        assert!(back.steps[0][0].temporal.is_none());
-        assert_eq!(back.steps[1][0].temporal.as_ref().unwrap()[0].zero, 9);
-        assert_eq!(back.steps[1][0].act.over8, 4);
-    }
-
-    #[test]
-    fn similarity_report_roundtrips_floats() {
-        let r = SimilarityReport {
-            names: vec!["conv-in".into()],
-            temporal_cosine: vec![vec![0.999_7, -1.0, 0.0]],
-            spatial_cosine: vec![vec![0.31]],
-            act_range: vec![vec![21.88, f32::MIN_POSITIVE]],
-            diff_range: vec![vec![4.83e-12]],
-        };
-        let back: SimilarityReport = from_slice(&to_vec(&r)).unwrap();
-        assert_eq!(back.names, r.names);
-        assert_eq!(back.temporal_cosine, r.temporal_cosine);
-        assert_eq!(back.act_range, r.act_range);
-        assert_eq!(back.diff_range, r.diff_range);
-    }
 
     #[test]
     fn non_finite_floats_become_null_then_nan() {
-        let r = SimilarityReport {
-            names: vec!["l".into()],
-            temporal_cosine: vec![vec![f32::NAN]],
-            spatial_cosine: vec![vec![]],
-            act_range: vec![vec![]],
-            diff_range: vec![vec![]],
-        };
-        let back: SimilarityReport = from_slice(&to_vec(&r)).unwrap();
-        assert!(back.temporal_cosine[0][0].is_nan());
+        let v = vec![f32::NAN, 0.999_7];
+        assert!(to_vec(&v).starts_with(b"[null,"));
+        let back: Vec<f32> = from_slice(&to_vec(&v)).unwrap();
+        assert!(back[0].is_nan());
+        assert_eq!(back[1], v[1]);
+        // Finite floats come back bit for bit, the tiny ones included.
+        let rows = vec![vec![-1.0f32, 0.0, 0.31, 21.88], vec![f32::MIN_POSITIVE, 4.83e-12]];
+        assert_eq!(from_slice::<Vec<Vec<f32>>>(&to_vec(&rows)).unwrap(), rows);
     }
 
     #[test]
@@ -882,7 +633,8 @@ mod tests {
         assert!(parse(b"[1, 2,]").is_err());
         assert!(parse(b"nulls").is_err());
         assert!(parse(b"\"unterminated").is_err());
-        assert!(from_slice::<WorkloadTrace>(b"{\"model\": 3}").is_err());
+        assert!(from_slice::<Vec<u64>>(b"{\"model\": 3}").is_err());
+        assert!(from_slice::<String>(b"3").is_err());
     }
 
     #[test]
@@ -894,6 +646,11 @@ mod tests {
         }
         assert!(from_slice::<i64>(b"170141183460469231731687303715884105727").is_err());
         assert!(from_slice::<u64>(b"-3").is_err());
+        // Unsigned values past 2^53 stay exact, and `None` is `null`.
+        for v in [Some(1u64 << 60), Some((1 << 53) + 1), Some(u64::MAX), None] {
+            assert_eq!(from_slice::<Option<u64>>(&to_vec(&v)).unwrap(), v);
+        }
+        assert_eq!(to_vec(&None::<u64>), b"null");
     }
 
     #[test]
@@ -983,5 +740,8 @@ mod tests {
             v.get("a").unwrap(),
             &Value::Arr(vec![Value::Int(1), Value::Num(-2500.0), Value::Str("xA\n".into()),])
         );
+        let name = "conv \"quoted\"\nname".to_string();
+        assert_eq!(to_vec(&name), br#""conv \"quoted\"\nname""#);
+        assert_eq!(from_slice::<String>(&to_vec(&name)).unwrap(), name);
     }
 }

@@ -113,8 +113,9 @@ struct Report {
     /// cumulative.
     profiles: BTreeMap<(String, bool), Value>,
     cells: BTreeMap<String, CellCounts>,
-    /// `trace_cache` outcome counts per scale.
-    trace_cache: BTreeMap<String, BTreeMap<String, u64>>,
+    /// `trace_cache` outcome counts per (store kind, scale). Streams from
+    /// before the store named no kind: those events were all traces.
+    trace_cache: BTreeMap<(String, String), BTreeMap<String, u64>>,
     /// `trace_cache_evict` counts per requester.
     evictions: BTreeMap<String, u64>,
     queue_depth: LogHistogram,
@@ -176,9 +177,11 @@ impl Report {
                 }
             }
             "trace_cache" => {
+                let kind = str_field(&e, "kind").unwrap_or("trace").to_string();
                 let scale = str_field(&e, "scale").unwrap_or("?").to_string();
                 let outcome = str_field(&e, "outcome").unwrap_or("?").to_string();
-                *self.trace_cache.entry(scale).or_default().entry(outcome).or_default() += 1;
+                *self.trace_cache.entry((kind, scale)).or_default().entry(outcome).or_default() +=
+                    1;
             }
             "trace_cache_evict" => {
                 let who = str_field(&e, "requester").unwrap_or("?").to_string();
@@ -356,12 +359,15 @@ fn print_report(r: &Report, top: usize) {
 
     if !r.trace_cache.is_empty() || !r.evictions.is_empty() {
         println!("\n== trace cache ==");
-        for (scale, outcomes) in &r.trace_cache {
+        for ((kind, scale), outcomes) in &r.trace_cache {
             let total: u64 = outcomes.values().sum();
-            let hits = outcomes.get("hit").copied().unwrap_or(0)
-                + outcomes.get("migrated").copied().unwrap_or(0);
+            let hits = outcomes.get("hit").copied().unwrap_or(0);
             let detail: Vec<String> = outcomes.iter().map(|(o, n)| format!("{n} {o}")).collect();
-            println!("  scale {scale:<8} {:>5.1}% hit ({})", pct(hits, total), detail.join(", "));
+            println!(
+                "  {kind:<10} scale {scale:<8} {:>5.1}% hit ({})",
+                pct(hits, total),
+                detail.join(", ")
+            );
         }
         for (who, n) in &r.evictions {
             println!("  {n} eviction(s) forced by {who} loads");
@@ -477,14 +483,17 @@ mod tests {
             r#"{"event":"cell_memo_hit","t_us":30,"design":"Ditto","model":"DDPM","scale":"tiny"}"#,
             r#"{"event":"cell_enqueue","t_us":31,"design":"Ditto","model":"DDPM","scale":"tiny","priority":0,"queue_depth":3}"#,
             r#"{"event":"cell_done","t_us":40,"design":"Ditto","model":"DDPM","scale":"tiny","sched_wait_us":7,"sim_us":100,"ok":true}"#,
-            r#"{"event":"trace_cache","t_us":5,"model":"DDPM","scale":"tiny","outcome":"hit","us":42}"#,
+            r#"{"event":"trace_cache","t_us":5,"kind":"trace","model":"DDPM","scale":"tiny","outcome":"hit","us":42}"#,
+            // A stream from before the store names no kind: a trace.
+            r#"{"event":"trace_cache","t_us":5,"model":"SDM","scale":"tiny","outcome":"traced","us":9}"#,
+            r#"{"event":"trace_cache","t_us":5,"kind":"similarity","model":"SDM","scale":"tiny","outcome":"hit","us":7}"#,
             r#"{"event":"trace_cache_evict","t_us":6,"file":"trace-DDPM.bin","bytes":10,"requester":"tiny"}"#,
             r#"{"event":"span","t_us":50,"cat":"sched","name":"sim:Ditto:DDPM","ts_us":40,"dur_us":100,"tid":1}"#,
             "not json at all",
         ] {
             r.fold_line(line);
         }
-        assert_eq!(r.events, 9);
+        assert_eq!(r.events, 11);
         assert_eq!(r.unparsed, 1);
         // Only the last snapshot per (digest, hooked) counts, and kinds sort
         // by ns.
@@ -501,7 +510,9 @@ mod tests {
         assert_eq!(r.queue_depth.count(), 1);
         assert_eq!(r.sched_wait_us.max(), 7);
         assert_eq!(r.sim_us.max(), 100);
-        assert_eq!(r.trace_cache["tiny"]["hit"], 1);
+        let cache = |kind: &str| &r.trace_cache[&(kind.to_string(), "tiny".to_string())];
+        assert_eq!((cache("trace")["hit"], cache("trace")["traced"]), (1, 1));
+        assert_eq!(cache("similarity")["hit"], 1);
         assert_eq!(r.evictions["tiny"], 1);
         assert_eq!(r.span_cats["sched"], (1, 100));
         assert_eq!(r.first_us, Some(5));
