@@ -5,8 +5,12 @@
 //! DRAM bandwidth so the scaled-down model zoo exercises the same
 //! compute-to-memory balance the paper's full-size models hit on the
 //! full-size hardware — the decisive dimensionless quantity is
-//! MAC-slots-per-DRAM-byte per unit of operand reuse, which this preserves
-//! (DESIGN.md §4).
+//! MAC-slots-per-DRAM-byte per unit of operand reuse, which this preserves.
+//!
+//! The same argument lets the Table I UNets keep one spatial resolution
+//! throughout: down/up-sampling changes per-layer shapes, not that ratio
+//! or any temporal-difference statistic, which the hierarchy extension
+//! (`ditto-figs ext-hierarchy`) checks on a true down/up-sampling UNet.
 
 /// Static hardware parameters of one accelerator configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +106,7 @@ impl HwConfig {
         self.dram_bw / BW_SIM_SCALE
     }
 
-    /// All Table III rows, for the `table3_hw_configs` bench target.
+    /// All Table III rows, for `ditto-figs table3`.
     pub fn table3() -> [HwConfig; 4] {
         [Self::itc(), Self::diffy(), Self::cambricon_d(), Self::ditto()]
     }

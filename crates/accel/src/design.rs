@@ -1,7 +1,8 @@
 //! Accelerator design points: capability flags over a [`HwConfig`].
 //!
 //! One unified simulator covers every design the paper evaluates; designs
-//! differ only in which mechanisms they enable (DESIGN.md §4):
+//! differ only in which mechanisms they enable, on the scaled hardware
+//! [`crate::config`] describes:
 //!
 //! | Design | temporal | spatial | zero-skip | dyn-bitwidth | outlier PE | sign-mask | attn-diff | Defo |
 //! |---|---|---|---|---|---|---|---|---|

@@ -15,7 +15,7 @@
 //! differences bunched into a few tiles, which real activations do exhibit
 //! — the Compute Unit idles behind bursty DMA and the pipeline runs
 //! longer than the analytic `max()`: the fidelity gap quantified by the
-//! `ablation_pipeline` bench target.
+//! `ditto-figs ablation-pipeline` entry.
 
 use ditto_core::trace::{LayerMeta, StepStats};
 

@@ -1,5 +1,6 @@
 //! Ablation and extension experiments beyond the paper's figures, probing
-//! the design choices DESIGN.md calls out:
+//! the design choices the paper's argument rests on. Each runs at the
+//! [`ModelScale`] it is given:
 //!
 //! * [`bandwidth`] — DRAM-bandwidth sensitivity of the Ditto hardware and
 //!   of Defo's execution-type mix (the compute-/memory-bound crossover the
@@ -8,6 +9,8 @@
 //!   clusters → TDQ per-step scales) vs the temporal-difference statistics
 //!   and generation quality: finer grids track ranges better but re-grid
 //!   the difference domain at every boundary.
+//! * [`pipeline_fidelity`] — the analytic max(compute, DRAM) bound vs a
+//!   tile pipeline under bursty sparsity.
 //! * [`classifier_free_guidance`] — CFG: temporal similarity survives CFG
 //!   only if difference state is kept per conditioning branch.
 //! * [`hierarchy`] — a true down/up-sampling UNet through the full stack
@@ -19,22 +22,17 @@ use diffusion::models::build_hierarchical_unet;
 use diffusion::{metrics, DiffusionModel, ModelKind, ModelScale, NullHook};
 use ditto_core::analysis;
 use ditto_core::runner::{CalibrationHook, DittoHook, ExecPolicy};
-use ditto_core::trace::{StatView, WorkloadTrace};
+use ditto_core::trace::StatView;
 use quant::Quantizer;
 
 use crate::report::{banner, f2, f3, pct, Table};
-use crate::suite::Suite;
+use crate::suite::{build_model, Suite, WEIGHT_SEED};
 use crate::sweep::sweep_traces;
 
-/// The SDM workload from the process-wide warm suite.
-fn sdm_trace() -> &'static WorkloadTrace {
-    Suite::shared(ModelScale::Small).trace(ModelKind::Sdm)
-}
-
 /// DRAM-bandwidth sensitivity sweep on the SDM workload.
-pub fn bandwidth() {
+pub fn bandwidth(scale: ModelScale) {
     banner("Ablation A1", "DRAM bandwidth sensitivity (SDM workload)");
-    let trace = sdm_trace();
+    let trace = Suite::shared(scale).trace(ModelKind::Sdm);
     let mut t =
         Table::new(["DRAM BW (B/cyc @1GHz)", "Ditto speedup vs ITC", "Defo change", "stall share"]);
     // The whole (bandwidth × design) grid is one parallel sweep on the
@@ -66,10 +64,11 @@ pub fn bandwidth() {
     println!(" speedup collapses toward the act-mode ratio; at high bandwidth stalls vanish)");
 }
 
-/// Calibration-granularity sweep: scales per layer across the schedule.
-pub fn quantization(kind: ModelKind) {
+/// Calibration-granularity sweep on DDPM: scales per layer across the
+/// schedule.
+pub fn quantization(scale: ModelScale) {
     banner("Ablation A2", "Calibration granularity vs temporal differences and quality");
-    let model = DiffusionModel::build(kind, ModelScale::Small, 42);
+    let model = build_model(ModelKind::Ddpm, scale);
     let fp32 = vec![
         model.run_reverse(0, &mut NullHook).expect("fp32"),
         model.run_reverse(1, &mut NullHook).expect("fp32"),
@@ -117,9 +116,9 @@ pub fn quantization(kind: ModelKind) {
 }
 
 /// Classifier-free guidance: per-branch vs interleaved difference state.
-pub fn classifier_free_guidance() {
+pub fn classifier_free_guidance(scale: ModelScale) {
     banner("Extension E1", "Classifier-free guidance and temporal-difference state");
-    let model = DiffusionModel::build(ModelKind::Img, ModelScale::Small, 42);
+    let model = build_model(ModelKind::Img, scale);
     let quantizer = ditto_core::runner::build_quantizer(&model, 0).expect("calib");
     // Per-branch state: one DittoHook per conditioning branch (the correct
     // deployment — the conditional and unconditional streams each see
@@ -180,11 +179,11 @@ fn interleaved_cfg_stats(model: &DiffusionModel) -> quant::BitWidthHistogram {
 }
 
 /// Analytic vs tile-pipelined timing under sparsity burstiness.
-pub fn pipeline_fidelity() {
+pub fn pipeline_fidelity(scale: ModelScale) {
     use accel::pipeline::{simulate_layer_pipeline, TileConfig};
     use accel::sim::ExecMode;
     banner("Ablation A3", "Analytic bound vs tile pipeline under bursty sparsity (SDM)");
-    let trace = sdm_trace();
+    let trace = Suite::shared(scale).trace(ModelKind::Sdm);
     // The largest temporal-mode conv layer at a mid-run step.
     // The most memory-bound temporal layer: where DMA and compute are
     // comparable, bursty sparsity serializes the pipeline.
@@ -222,9 +221,9 @@ pub fn pipeline_fidelity() {
 }
 
 /// Hierarchical UNet through the complete stack.
-pub fn hierarchy() {
+pub fn hierarchy(scale: ModelScale) {
     banner("Extension E2", "Resolution-hierarchy UNet through the full Ditto stack");
-    let model = build_hierarchical_unet(ModelScale::Small, 42);
+    let model = build_hierarchical_unet(scale, WEIGHT_SEED);
     let (trace, _) = ditto_core::runner::trace_model(&model, 0, ExecPolicy::Dense).expect("trace");
     let temporal = trace.merged(StatView::Temporal);
     let itc = simulate(&Design::itc(), &trace);

@@ -1,5 +1,6 @@
-//! One function per paper experiment; the `src/bin/` binaries are thin
-//! wrappers. Every function prints the same rows/series the paper reports.
+//! One function per paper experiment; the `ditto-figs` table
+//! ([`crate::figs`]) names them. Every function prints the same
+//! rows/series the paper reports, at the [`ModelScale`] it is given.
 //!
 //! The simulation experiments (fig13–fig19) are declarative: each one
 //! names its design set, runs it over the whole Table I suite as one
@@ -13,31 +14,27 @@ use std::fmt::Write as _;
 
 use accel::design::Design;
 use accel::drift::inject_drift;
+use accel::encoder::{Control, EncodingUnit};
 use accel::grid::SweepReport;
-use accel::sim::RunResult;
+use accel::pe::ComputeUnit;
 use accel::HwConfig;
-use diffusion::{metrics, ModelKind};
+use diffusion::{metrics, ModelKind, ModelScale};
 use ditto_core::analysis;
 use ditto_core::runner::{build_quantizer, DittoHook, ExecPolicy};
 use ditto_core::trace::StatView;
+use quant::kernels::{int_matmul, widen};
 
 use crate::report::{banner, banner_str, f2, f3, pct, Table};
 use crate::suite::{build_model, cached_similarity, Suite, MODELS};
-use crate::sweep::{experiment_scale, paper_sweep, sweep_traces};
-
-/// The warm suite at the experiment scale (see
-/// [`experiment_scale`](crate::sweep::experiment_scale)).
-fn suite() -> &'static Suite {
-    Suite::shared(experiment_scale())
-}
+use crate::sweep::{paper_sweep, sweep_traces};
 
 /// Table I: evaluated models, datasets and samplers.
-pub fn table1() {
+pub fn table1(scale: ModelScale) {
     banner("Table I", "Evaluated Models, Datasets, and Samplers");
-    let suite = suite();
+    let suite = Suite::shared(scale);
     let mut t = Table::new(["Abbr.", "Dataset", "Sampler", "Steps", "Linear layers", "MACs/step"]);
     for &kind in &MODELS {
-        let model = build_model(kind);
+        let model = build_model(kind, scale);
         let trace = suite.trace(kind);
         t.row([
             kind.abbr().to_string(),
@@ -53,9 +50,9 @@ pub fn table1() {
 
 /// Fig. 3a: cosine similarity of adjacent-step inputs for the two layers
 /// the paper plots (SDM `conv-in` and `up.0.0.skip`).
-pub fn fig03a() {
+pub fn fig03a(scale: ModelScale) {
     banner("Fig. 3a", "Adjacent-step cosine similarity of SDM conv-in / up.0.0.skip");
-    let r = cached_similarity(ModelKind::Sdm);
+    let r = cached_similarity(ModelKind::Sdm, scale);
     let mut t = Table::new(["Layer", "step 25→24", "step 2→1", "mean over run"]);
     for name in ["conv-in", "up.0.0.skip"] {
         let l = r.layer_named(name).expect("paper layer exists");
@@ -75,12 +72,12 @@ pub fn fig03a() {
 }
 
 /// Fig. 3b: average temporal vs spatial cosine similarity per model.
-pub fn fig03b() {
+pub fn fig03b(scale: ModelScale) {
     banner("Fig. 3b", "Average temporal and spatial similarity of activations");
     let mut t = Table::new(["Model", "Temporal", "Spatial"]);
     let (mut st, mut ss) = (0.0, 0.0);
     for &kind in &MODELS {
-        let r = cached_similarity(kind);
+        let r = cached_similarity(kind, scale);
         st += r.mean_temporal();
         ss += r.mean_spatial();
         t.row([kind.abbr().to_string(), f3(r.mean_temporal()), f3(r.mean_spatial())]);
@@ -93,9 +90,9 @@ pub fn fig03b() {
 
 /// Fig. 4a: per-step value ranges of activations and temporal differences
 /// for SDM conv-in / up.0.0.skip (sampled at the paper's tick positions).
-pub fn fig04a() {
+pub fn fig04a(scale: ModelScale) {
     banner("Fig. 4a", "Value ranges across time steps (SDM conv-in / up.0.0.skip)");
-    let r = cached_similarity(ModelKind::Sdm);
+    let r = cached_similarity(ModelKind::Sdm, scale);
     for name in ["conv-in", "up.0.0.skip"] {
         let l = r.layer_named(name).expect("paper layer exists");
         let act = &r.act_range[l];
@@ -134,12 +131,12 @@ pub fn fig04a() {
 }
 
 /// Fig. 4b: average value range of activations vs temporal differences.
-pub fn fig04b() {
+pub fn fig04b(scale: ModelScale) {
     banner("Fig. 4b", "Average value range of activations and temporal differences");
     let mut t = Table::new(["Model", "Activation", "Temporal diff", "Ratio"]);
     let (mut sa, mut sd) = (0.0, 0.0);
     for &kind in &MODELS {
-        let r = cached_similarity(kind);
+        let r = cached_similarity(kind, scale);
         let (a, d) = (r.mean_act_range(), r.mean_diff_range());
         sa += a;
         sd += d;
@@ -153,9 +150,9 @@ pub fn fig04b() {
 
 /// Fig. 5: bit-width requirement of activations / spatial / temporal
 /// differences.
-pub fn fig05() {
+pub fn fig05(scale: ModelScale) {
     banner("Fig. 5", "Bit-width requirement (zero / 4-bit / over-4-bit)");
-    let suite = suite();
+    let suite = Suite::shared(scale);
     let mut t = Table::new(["Model", "View", "Zero", "4-bit", "Over 4-bit"]);
     let mut avg = [[0.0f64; 3]; 3];
     for &kind in &MODELS {
@@ -198,9 +195,9 @@ pub fn fig05() {
 }
 
 /// Fig. 6a: relative BOPs of the three processing methods.
-pub fn fig06a() {
+pub fn fig06a(scale: ModelScale) {
     banner("Fig. 6a", "Relative BOPs (normalized to the original quantized model)");
-    let suite = suite();
+    let suite = Suite::shared(scale);
     let mut t = Table::new(["Model", "Activation", "Spatial diff", "Temporal diff"]);
     let (mut ss, mut st) = (0.0, 0.0);
     for &kind in &MODELS {
@@ -219,9 +216,9 @@ pub fn fig06a() {
 
 /// Fig. 6b: per-adjacent-step relative BOPs in SDM for the two paper
 /// layers.
-pub fn fig06b() {
+pub fn fig06b(scale: ModelScale) {
     banner("Fig. 6b", "Per-step relative BOPs of temporal differences (SDM)");
-    let trace = suite().trace(ModelKind::Sdm);
+    let trace = Suite::shared(scale).trace(ModelKind::Sdm);
     for name in ["conv-in", "up.0.0.skip"] {
         let series = analysis::per_step_relative_bops(trace, name).expect("layer exists");
         let n = series.len();
@@ -246,11 +243,70 @@ pub fn fig06b() {
     );
 }
 
+/// Fig. 7: the paper's worked example on the behavioral hardware models —
+/// the 3×3 activation matrices of two adjacent time steps, the Encoding
+/// Unit's classification, and the Compute Unit's multiplier-count
+/// accounting ("Zero skipping: 15, 4bit mul: 9, 8bit mul: 3" in the
+/// figure).
+///
+/// # Panics
+///
+/// Panics if the difference path's output is not bit-exact with dense
+/// execution.
+pub fn fig07() {
+    // Fig. 7's matrices (row-major 3×3).
+    let act_t1: Vec<i8> = vec![120, 114, 84, 51, 43, 37, 88, 77, 96]; // time step t+1
+    let act_t: Vec<i8> = vec![120, 117, 84, 47, 43, 37, 20, 71, 95]; // time step t
+    let weight: Vec<i8> = vec![12, 4, 8, -1, 3, -2, -5, -1, 6];
+
+    println!("=== Fig. 7 worked example on the behavioral datapath ===\n");
+    let out_t1 = int_matmul(&widen(&act_t1), &weight, 3, 3, 3);
+    println!("conventional output at t+1: {out_t1:?}");
+
+    // Stage 1: the Encoding Unit calculates and classifies differences.
+    let enc = EncodingUnit::new().encode(&act_t, &act_t1);
+    let deltas = enc.decode(9);
+    println!("temporal differences:       {deltas:?}");
+    let zero = enc.controls.iter().filter(|&&c| c == Control::ZeroSkip).count();
+    let low = enc.controls.iter().filter(|&&c| c == Control::EnqueueLow).count();
+    let full = enc.controls.iter().filter(|&&c| c == Control::EnqueueBoth).count();
+    // Each element multiplies against one weight column (3 outputs here),
+    // so per-element counts scale by 3 — matching the figure's totals.
+    println!(
+        "per output column: zero skipping: {zero}, 4-bit mul: {low}, 8-bit mul: {full} \
+         (×3 columns → {}, {}, {}; the paper's Time Step_t box reads 12 / 12 / 3)",
+        zero * 3,
+        low * 3,
+        full * 3
+    );
+
+    // Stages 2+3: the Compute Unit executes only the differences and sums
+    // with the previous output, per output element.
+    let mut out_t = vec![0i32; 9];
+    let mut total_cycles = 0u64;
+    for row in 0..3 {
+        for col in 0..3 {
+            let cur: Vec<i8> = (0..3).map(|k| act_t[row * 3 + k]).collect();
+            let prev: Vec<i8> = (0..3).map(|k| act_t1[row * 3 + k]).collect();
+            let w: Vec<i8> = (0..3).map(|k| weight[k * 3 + col]).collect();
+            let (v, cycles) =
+                ComputeUnit::new().matvec_delta(out_t1[row * 3 + col], &cur, &prev, &w);
+            out_t[row * 3 + col] = v;
+            total_cycles += cycles;
+        }
+    }
+    println!("Ditto output at t:          {out_t:?}");
+    let reference = int_matmul(&widen(&act_t), &weight, 3, 3, 3);
+    assert_eq!(out_t, reference, "bit-exact with dense execution");
+    println!("dense reference:            {reference:?}  (bit-exact ✓)");
+    println!("PE issue cycles via differences: {total_cycles} (dense 8-bit would need 18)");
+}
+
 /// Fig. 8: relative memory accesses of naive temporal difference
 /// processing (before Defo).
-pub fn fig08() {
+pub fn fig08(scale: ModelScale) {
     banner("Fig. 8", "Relative memory accesses of temporal difference processing");
-    let suite = suite();
+    let suite = Suite::shared(scale);
     let mut t =
         Table::new(["Model", "Activation", "Temporal diff (naive)", "After Defo static bypass"]);
     let (mut sn, mut sd) = (0.0, 0.0);
@@ -268,9 +324,10 @@ pub fn fig08() {
     println!("(paper: 2.75x more accesses on average for naive temporal processing)");
 }
 
-/// Table II: generation quality of FP32 vs Ditto (proxy metrics — see
-/// DESIGN.md §1; relative degradation is the comparable quantity).
-pub fn table2(samples: usize) {
+/// Table II: generation quality of FP32 vs Ditto over `samples` seeds per
+/// model (proxy metrics — see [`diffusion::metrics`]; relative degradation
+/// is the comparable quantity).
+pub fn table2(scale: ModelScale, samples: usize) {
     banner("Table II", "Accuracy of diffusion models (proxy metrics)");
     let mut t = Table::new([
         "Model",
@@ -282,7 +339,7 @@ pub fn table2(samples: usize) {
         "pCS Ditto",
     ]);
     for &kind in &MODELS {
-        let model = build_model(kind);
+        let model = build_model(kind, scale);
         let quantizer = build_quantizer(&model, 100).expect("calibration");
         let mut fp32_set = Vec::new();
         let mut ditto_set = Vec::new();
@@ -353,8 +410,8 @@ pub fn table3() {
 
 /// Fig. 13: speedup (top) and relative energy (bottom) of every hardware
 /// design, normalized to ITC.
-pub fn fig13() {
-    print!("{}", fig13_render(&paper_sweep(Design::fig13_set())));
+pub fn fig13(scale: ModelScale) {
+    print!("{}", fig13_render(&paper_sweep(Design::fig13_set(), scale)));
 }
 
 /// Renders Fig. 13 from a structured sweep over [`Design::fig13_set`]
@@ -423,9 +480,9 @@ pub fn fig13_render(r: &SweepReport) -> String {
 }
 
 /// Fig. 14: relative memory accesses of the hardware designs.
-pub fn fig14() {
+pub fn fig14(scale: ModelScale) {
     let designs = vec![Design::itc(), Design::cambricon_d(), Design::ditto(), Design::ditto_plus()];
-    print!("{}", fig14_render(&paper_sweep(designs)));
+    print!("{}", fig14_render(&paper_sweep(designs, scale)));
 }
 
 /// Renders Fig. 14 from a sweep over `[ITC, Cam-D, Ditto, Ditto+]`.
@@ -455,8 +512,8 @@ pub fn fig14_render(r: &SweepReport) -> String {
 
 /// Fig. 15: cross-applying software techniques between Cambricon-D and
 /// Ditto (normalized to the original Cambricon-D).
-pub fn fig15() {
-    print!("{}", fig15_render(&paper_sweep(Design::fig15_set())));
+pub fn fig15(scale: ModelScale) {
+    print!("{}", fig15_render(&paper_sweep(Design::fig15_set(), scale)));
 }
 
 /// Renders Fig. 15 from a sweep over [`Design::fig15_set`] (design 0 is
@@ -493,11 +550,11 @@ pub fn fig15_render(r: &SweepReport) -> String {
 
 /// Fig. 16: cycle-count breakdown (compute vs memory stall) for the design
 /// ablations, relative to ITC.
-pub fn fig16() {
+pub fn fig16(scale: ModelScale) {
     // One sweep covers the normalization baseline and every ablation.
     let mut designs = vec![Design::itc()];
     designs.extend(Design::fig16_set());
-    print!("{}", fig16_render(&paper_sweep(designs)));
+    print!("{}", fig16_render(&paper_sweep(designs, scale)));
 }
 
 /// Renders Fig. 16 from a sweep over `[ITC] + fig16_set` (design 0 is the
@@ -530,8 +587,9 @@ pub fn fig16_render(r: &SweepReport) -> String {
 }
 
 /// Fig. 17: Defo execution-type changes and prediction accuracy.
-pub fn fig17() {
-    print!("{}", fig17_render(&paper_sweep(vec![Design::ditto(), Design::ditto_plus()])));
+pub fn fig17(scale: ModelScale) {
+    let designs = vec![Design::ditto(), Design::ditto_plus()];
+    print!("{}", fig17_render(&paper_sweep(designs, scale)));
 }
 
 /// Renders Fig. 17 from a sweep over `[Ditto, Ditto+]`.
@@ -567,7 +625,7 @@ pub fn fig17_render(r: &SweepReport) -> String {
 }
 
 /// Fig. 18: Ditto vs oracle-Defo (Ideal) designs.
-pub fn fig18() {
+pub fn fig18(scale: ModelScale) {
     let designs = vec![
         Design::itc(),
         Design::ditto(),
@@ -575,7 +633,7 @@ pub fn fig18() {
         Design::ditto_plus(),
         Design::ideal_ditto_plus(),
     ];
-    print!("{}", fig18_render(&paper_sweep(designs)));
+    print!("{}", fig18_render(&paper_sweep(designs, scale)));
 }
 
 /// Renders Fig. 18 from a sweep over
@@ -611,8 +669,8 @@ pub fn fig18_render(r: &SweepReport) -> String {
 }
 
 /// Fig. 19: Dynamic-Ditto under injected value-distribution drift.
-pub fn fig19() {
-    let suite = suite();
+pub fn fig19(scale: ModelScale) {
+    let suite = Suite::shared(scale);
     // Drift amplitude/period chosen to flip marginal layers mid-run.
     let drifted: Vec<_> = MODELS
         .iter()
@@ -659,32 +717,4 @@ pub fn fig19_render(r: &SweepReport) -> String {
         100.0 * n / rel.1
     );
     out
-}
-
-/// Helper for binaries: simulate one design over the whole suite and
-/// return (design name, per-model results).
-pub fn simulate_suite(design: &Design) -> Vec<RunResult> {
-    paper_sweep(vec![design.clone()]).cells.into_iter().map(|c| c.run).collect()
-}
-
-/// Runs every experiment in paper order.
-pub fn all() {
-    table1();
-    fig03a();
-    fig03b();
-    fig04a();
-    fig04b();
-    fig05();
-    fig06a();
-    fig06b();
-    fig08();
-    table2(3);
-    table3();
-    fig13();
-    fig14();
-    fig15();
-    fig16();
-    fig17();
-    fig18();
-    fig19();
 }

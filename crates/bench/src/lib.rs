@@ -1,25 +1,26 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§VI).
 //!
-//! The simulation figures are declarative (design × model) sweeps
+//! One binary, `ditto-figs`, runs them by name; its table of rows is
+//! [`figs::TABLE`] (`ditto-figs list` prints it). Each row calls functions
+//! of [`experiments`] or [`ablations`], which print the same rows/series
+//! the paper reports at the [`diffusion::ModelScale`] they are given. The
+//! simulation figures are declarative (design × model) sweeps
 //! ([`sweep::SweepRequest`]) executed by the work-stealing grid engine in
-//! [`accel::grid`] over one process-wide warm [`Suite`]; `--bin serve`
-//! accepts many such sweeps concurrently as line-delimited JSON and
-//! streams structured results as they finish.
+//! [`accel::grid`] over one process-wide warm [`Suite`]; `ditto-serve`
+//! (the `serve` crate) answers many such sweeps concurrently over TCP.
 //!
-//! Each binary in `src/bin/` reproduces one experiment and prints the same
-//! rows/series the paper reports (see DESIGN.md §3 for the index). The
-//! heavy inputs — per-model workload traces and similarity reports from
-//! full reverse-process runs at `ModelScale::Small` with the paper's step
-//! counts — are computed in parallel across models and cached in one
-//! content-addressed [`store::Store`] under `target/ditto-cache/`
-//! (override with `DITTO_CACHE_DIR`), so the full figure suite runs in
-//! seconds after the first trace pass.
+//! The heavy inputs — per-model workload traces and similarity reports
+//! from full reverse-process runs with the paper's step counts — are
+//! computed in parallel across models and cached in one content-addressed
+//! [`store::Store`] under `target/ditto-cache/` (override with
+//! `DITTO_CACHE_DIR`), so the full figure suite runs in seconds after the
+//! first trace pass.
 //!
 //! Run everything with:
 //!
 //! ```bash
-//! cargo run --release -p bench --bin all_experiments
+//! cargo run --release -p bench --bin ditto-figs -- all
 //! ```
 
 pub mod report;
@@ -31,9 +32,7 @@ pub use suite::{
 };
 pub mod ablations;
 pub mod experiments;
+pub mod figs;
 pub mod sweep;
 
-pub use sweep::{
-    experiment_scale, paper_sweep, scale_name, sweep_traces, HitAccounting, ServeRequest,
-    SweepRequest,
-};
+pub use sweep::{paper_sweep, scale_name, sweep_traces, HitAccounting, ServeRequest, SweepRequest};

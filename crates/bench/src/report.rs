@@ -1,6 +1,5 @@
-//! Markdown table / series printing shared by the experiment binaries,
-//! plus rendering of structured [`SweepReport`]s (per-model best design,
-//! geometric-mean speedups) for the `serve` front-end and summaries.
+//! Markdown table / series printing shared by the experiments,
+//! plus the one-line [`SweepReport`] summary `ditto-serve` logs.
 
 use std::fmt::Write as _;
 
@@ -93,32 +92,6 @@ pub fn banner(id: &str, caption: &str) {
     print!("{}", banner_str(id, caption));
 }
 
-/// Renders a sweep as a per-model speedup table over the first design
-/// (the baseline column), with a geometric-mean row and a per-model
-/// best-design column.
-pub fn sweep_speedup_table(report: &SweepReport) -> Table {
-    let mut header = vec!["Model".to_string()];
-    header.extend(report.designs.iter().cloned());
-    header.push("best".to_string());
-    let mut t = Table::new(header);
-    for (m, model) in report.models.iter().enumerate() {
-        let base = &report.cell(0, m).run;
-        let mut row = vec![model.clone()];
-        for d in 0..report.designs.len() {
-            row.push(f2(report.cell(d, m).run.speedup_over(base)));
-        }
-        row.push(report.designs[report.best_design(m)].clone());
-        t.row(row);
-    }
-    let mut geo = vec!["GEOMEAN".to_string()];
-    for d in 0..report.designs.len() {
-        geo.push(f2(report.geomean_speedup(d, 0)));
-    }
-    geo.push(String::new());
-    t.row(geo);
-    t
-}
-
 /// One-paragraph sweep summary: grid shape, fastest design per model, and
 /// the best geometric-mean speedup over the first (baseline) design.
 pub fn sweep_summary(report: &SweepReport) -> String {
@@ -170,10 +143,6 @@ mod tests {
         let trace = synth::trace(3, 5, 100_000, 256, true);
         let report =
             grid::run(&SweepSpec::new(vec![Design::itc(), Design::ditto()], vec![&trace])).unwrap();
-        let md = sweep_speedup_table(&report).to_markdown();
-        assert!(md.contains("GEOMEAN"), "{md}");
-        assert!(md.contains("Ditto"), "{md}");
-        assert!(md.contains("| best"), "{md}");
         let s = sweep_summary(&report);
         assert!(s.contains("2 designs x 1 models"), "{s}");
         assert!(s.contains("vs ITC"), "{s}");

@@ -14,12 +14,12 @@
 //! `target/ditto-cache` and can be redirected with the `DITTO_CACHE_DIR`
 //! environment variable.
 //!
-//! [`Suite::load`] fans the per-model trace work out across CPU cores on
+//! [`Suite::load_scaled`] fans the per-model trace work out across CPU cores on
 //! the shared work-stealing pool ([`accel::pool`]), which collapses
 //! first-run latency — previously dominated by the single-threaded
 //! Small-scale SDM pass — and reports which traces were cache hits versus
 //! freshly traced. [`Suite::shared`] keeps one warm suite per scale for
-//! the whole process: the experiment drivers and the `serve` front-end all
+//! the whole process: the experiments and `ditto-serve` all
 //! read the same in-memory traces instead of re-deserializing per call.
 
 use std::path::{Path, PathBuf};
@@ -36,7 +36,7 @@ use ditto_core::telemetry;
 use ditto_core::trace::WorkloadTrace;
 
 use crate::store::Store;
-use crate::sweep::{experiment_scale, scale_name};
+use crate::sweep::scale_name;
 
 /// The Table I benchmark order.
 pub const MODELS: [ModelKind; 7] = [
@@ -58,7 +58,7 @@ pub const SAMPLE_SEED: u64 = 0;
 pub const CACHE_DIR_ENV: &str = "DITTO_CACHE_DIR";
 
 /// Environment variable bounding the total bytes of the cache's store
-/// entries, traces and similarity reports alike; every [`Suite::load`]
+/// entries, traces and similarity reports alike; every [`Suite::load_scaled`]
 /// ends with a sweep that evicts the least recently used first once the
 /// cap is exceeded (see [`Store::sweep`]).
 pub const CACHE_MAX_BYTES_ENV: &str = "DITTO_CACHE_MAX_BYTES";
@@ -101,10 +101,9 @@ impl TraceSource {
     }
 }
 
-/// Builds the model instance used throughout the experiments, at the
-/// experiment scale (see [`experiment_scale`]).
-pub fn build_model(kind: ModelKind) -> DiffusionModel {
-    DiffusionModel::build(kind, experiment_scale(), WEIGHT_SEED)
+/// Builds the model instance used throughout the experiments, at `scale`.
+pub fn build_model(kind: ModelKind, scale: ModelScale) -> DiffusionModel {
+    DiffusionModel::build(kind, scale, WEIGHT_SEED)
 }
 
 /// Store key of `spec`'s trace, also the serve memo's model key:
@@ -152,9 +151,10 @@ fn trace_cost_estimate(spec: &ModelSpec) -> u64 {
     (macs * spec.model_calls()) as u64
 }
 
-/// Returns the cached similarity report for `kind` (Fig. 3 / Fig. 4 data).
-pub fn cached_similarity(kind: ModelKind) -> SimilarityReport {
-    similarity_in(&Store::new(cache_dir()), kind, experiment_scale()).0
+/// Returns the cached similarity report for `kind` at `scale` (Fig. 3 /
+/// Fig. 4 data).
+pub fn cached_similarity(kind: ModelKind, scale: ModelScale) -> SimilarityReport {
+    similarity_in(&Store::new(cache_dir()), kind, scale).0
 }
 
 /// The similarity report for `kind` at `scale`: the store entry if there is
@@ -207,11 +207,6 @@ static WARM_UNREPORTED_TINY: std::sync::atomic::AtomicBool =
     std::sync::atomic::AtomicBool::new(false);
 
 impl Suite {
-    /// Loads (or computes) every model's trace at the experiment scale.
-    pub fn load() -> Self {
-        Self::load_scaled(ModelScale::Small)
-    }
-
     /// Loads every model's trace at `scale`, fanning the per-model work out
     /// across CPU cores, and reports cache hits vs fresh traces plus any
     /// LRU evictions the [`CACHE_MAX_BYTES_ENV`] cap forced.
@@ -249,32 +244,21 @@ impl Suite {
     /// The process-wide warm suite for `scale`, loaded on first use.
     ///
     /// Every consumer — the experiment drivers, the ablations, each
-    /// concurrent `serve` request — shares the same in-memory traces, so a
-    /// trace is deserialized (or computed) at most once per process.
+    /// concurrent `ditto-serve` request — shares the same in-memory traces, so a
+    /// trace is deserialized (or computed) at most once per process. The
+    /// load arms [`Suite::take_warm_credit`], which a serving layer claims
+    /// only when a response actually reports the warm-up, so the credit is
+    /// not lost if the request that triggered the load fails.
     pub fn shared(scale: ModelScale) -> &'static Suite {
-        Self::shared_observed(scale).0
-    }
-
-    /// [`Suite::shared`], additionally reporting whether **this call** is
-    /// the one that performed the load (`true` for exactly one caller per
-    /// scale per process). A completed load also arms
-    /// [`Suite::take_warm_credit`] — serving layers should prefer that
-    /// (claimed only when a response actually reports the warm-up) so the
-    /// credit is not lost if the warming request itself fails.
-    pub fn shared_observed(scale: ModelScale) -> (&'static Suite, bool) {
         let cell = match scale {
             ModelScale::Small => &SHARED_SMALL,
             ModelScale::Tiny => &SHARED_TINY,
         };
-        let mut warmed = false;
-        let suite = cell.get_or_init(|| {
-            warmed = true;
-            Suite::load_scaled(scale)
-        });
-        if warmed {
+        cell.get_or_init(|| {
+            let suite = Suite::load_scaled(scale);
             Self::warm_unreported(scale).store(true, std::sync::atomic::Ordering::SeqCst);
-        }
-        (suite, warmed)
+            suite
+        })
     }
 
     fn warm_unreported(scale: ModelScale) -> &'static std::sync::atomic::AtomicBool {
@@ -522,11 +506,11 @@ mod tests {
         assert!(warm.sources.iter().all(|s| *s == TraceSource::BinCache));
         for (i, (w, c)) in warm.traces.iter().zip(&cold.traces).enumerate() {
             // Traces come back in MODELS order regardless of which worker
-            // finished first, identical to the freshly computed ones.
+            // finished first, byte-identical to the freshly computed ones:
+            // every step, layer and histogram, so any simulated statistic
+            // of a warm trace equals the cold one's.
             assert_eq!(w.model, MODELS[i].abbr());
-            assert_eq!(w.layer_count(), c.layer_count());
-            assert_eq!(w.step_count(), c.step_count());
-            assert_eq!(w.merged(StatView::Temporal), c.merged(StatView::Temporal));
+            assert_eq!(binio::to_vec(w), binio::to_vec(c), "{}", w.model);
         }
         // Fingerprints come back too, and match a direct recomputation.
         assert_eq!(warm.fingerprints, cold.fingerprints);

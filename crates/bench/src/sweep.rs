@@ -1,13 +1,13 @@
 //! Declarative (design × model) sweeps over the benchmark suite, and the
-//! line-delimited JSON protocol the `serve` front-end speaks.
+//! line-delimited JSON protocol `ditto-serve` speaks.
 //!
 //! A [`SweepRequest`] names the three axes of a sweep — designs, Table I
 //! models, and the model scale — and [`SweepRequest::run`] resolves the
 //! traces through the process-wide warm [`Suite`] before handing the grid
 //! to the work-stealing engine in [`accel::grid`]. Every experiment driver
-//! (fig13–fig19) and every concurrent `serve` request is one of these.
+//! (fig13–fig19) and every `ditto-serve` request is one of these.
 //!
-//! # Wire protocol (`bench --bin serve`)
+//! # Wire protocol (`ditto-serve`)
 //!
 //! One request per line, one JSON response per line, streamed as requests
 //! finish:
@@ -20,7 +20,8 @@
 //! Table I benchmarks, and `scale` to `"small"` (the experiment scale;
 //! `"tiny"` is the CI/test scale). Responses carry the full serialized
 //! [`SweepReport`] plus summary fields (per-model best design, geometric-
-//! mean speedups vs the first requested design, suite cache hits).
+//! mean speedups vs the first requested design, per-request cell and
+//! suite accounting).
 
 use accel::design::Design;
 use accel::grid::{self, SweepError, SweepReport, SweepSpec};
@@ -44,7 +45,9 @@ use crate::suite::{Suite, MODELS};
 /// * **4** — `backend` becomes response-only: the process runs the one
 ///   kernel backend `DITTO_KERNEL_BACKEND` selects at startup, and a
 ///   request carrying `backend` is answered `ok: false`.
-pub const PROTO_VERSION: i64 = 4;
+/// * **5** — drops the legacy process-wide `cache_hits` field; the
+///   per-request `suite` object carries the warm-up's split.
+pub const PROTO_VERSION: i64 = 5;
 
 /// One declarative sweep: which designs, which models, at which scale.
 #[derive(Debug, Clone)]
@@ -75,21 +78,10 @@ impl SweepRequest {
     }
 }
 
-/// The scale the experiment drivers run at: the paper's `Small`, unless
-/// `DITTO_EXPERIMENT_SCALE=tiny` selects the cheap smoke scale (the CI
-/// telemetry smoke runs the fig13 sweep there so a cold trace pass stays
-/// fast). Any other value falls back to `Small`.
-pub fn experiment_scale() -> ModelScale {
-    match std::env::var("DITTO_EXPERIMENT_SCALE").as_deref() {
-        Ok("tiny") => ModelScale::Tiny,
-        _ => ModelScale::Small,
-    }
-}
-
-/// Runs `designs` over the whole Table I suite at the experiment scale —
-/// the shape every fig13–fig19 driver declares.
-pub fn paper_sweep(designs: Vec<Design>) -> SweepReport {
-    SweepRequest::new(designs, MODELS.to_vec(), experiment_scale())
+/// Runs `designs` over the whole Table I suite at `scale` — the shape
+/// every fig13–fig19 experiment declares.
+pub fn paper_sweep(designs: Vec<Design>, scale: ModelScale) -> SweepReport {
+    SweepRequest::new(designs, MODELS.to_vec(), scale)
         .run()
         .expect("paper sweeps have non-empty axes and suite-validated traces")
 }
@@ -126,7 +118,13 @@ pub struct ServeRequest {
     pub priority: i64,
 }
 
-fn parse_scale(s: &str) -> Result<ModelScale, String> {
+/// Parses a scale name (`small` / `tiny`, any case), as the request's
+/// `scale` field and `ditto-figs --scale` spell it.
+///
+/// # Errors
+///
+/// Names the two accepted values for anything else.
+pub fn parse_scale(s: &str) -> Result<ModelScale, String> {
     match s.to_ascii_lowercase().as_str() {
         "small" => Ok(ModelScale::Small),
         "tiny" => Ok(ModelScale::Tiny),
@@ -224,23 +222,9 @@ pub fn request_id(line: &str) -> String {
     }
 }
 
-/// Best-effort priority extraction from a request line (0 when absent or
-/// malformed) — used to order `--batch` files without fully parsing them.
-pub fn request_priority(line: &str) -> i64 {
-    match jsonio::parse(line.as_bytes()) {
-        Ok(v) => match v.get("priority") {
-            Ok(Value::Int(i)) => i64::try_from(*i).unwrap_or(0),
-            _ => 0,
-        },
-        Err(_) => 0,
-    }
-}
-
 /// Per-request-observed cache accounting carried in every successful
 /// response. Each counter describes what **this** request saw, not
-/// process-wide totals (the historical `cache_hits` field repeated the
-/// shared warm suite's hit count on every response, even for requests that
-/// arrived long after another request had warmed it).
+/// process-wide totals.
 ///
 /// Cell counters partition the request's (design × model) cells:
 /// `cells_total == cells_memo + cells_coalesced + cells_simulated`.
@@ -272,28 +256,23 @@ pub struct HitAccounting {
     /// Of the suite load this request performed: traces freshly traced.
     /// 0 when `suite_warmed` is false.
     pub suite_fresh: usize,
-    /// Legacy process-wide field: the shared warm suite's total on-disk
-    /// cache hits, regardless of which request warmed it. Kept for
-    /// compatibility with pre-`ditto-serve` clients.
-    pub process_suite_hits: usize,
 }
 
 impl HitAccounting {
-    /// Accounting for an engine without a cross-request memo (the
-    /// standalone `bench --bin serve` path): every cell is simulated.
+    /// Accounting for an engine without a cross-request memo (a direct
+    /// [`accel::grid::run`]): every cell is simulated.
     pub fn all_simulated(cells_total: usize) -> Self {
         HitAccounting { cells_total, cells_simulated: cells_total, ..Default::default() }
     }
 
-    /// Fills the suite-observation fields from a [`Suite::shared_observed`]
-    /// result.
+    /// Fills the suite-observation fields: `warmed` says whether this
+    /// request reports the load of `suite` (see [`Suite::take_warm_credit`]).
     pub fn with_suite(mut self, suite: &Suite, warmed: bool) -> Self {
         self.suite_warmed = warmed;
         if warmed {
             self.suite_cache_hits = suite.cache_hits();
             self.suite_fresh = suite.traces.len() - suite.cache_hits();
         }
-        self.process_suite_hits = suite.cache_hits();
         self
     }
 }
@@ -346,8 +325,7 @@ pub fn response_ok(
     ]);
     // Process-wide compiled-plan cache counters (structurally identical
     // models across requests/sweep cells reuse one compilation): unlike
-    // the per-request cell counters these are cumulative, mirroring the
-    // legacy `cache_hits` convention for process-level caches.
+    // the per-request cell counters these are cumulative.
     let plan_stats = diffusion::plan::plan_cache_stats();
     let plans = obj(vec![
         ("compiled", plan_stats.compiled.to_json()),
@@ -358,7 +336,6 @@ pub fn response_ok(
         ("ok", Value::Bool(true)),
         ("proto", Value::Int(PROTO_VERSION.into())),
         ("backend", Value::Str(backend.resolved_name())),
-        ("cache_hits", hits.process_suite_hits.to_json()),
         ("cells", cells),
         ("suite", suite),
         ("plans", plans),
@@ -416,9 +393,6 @@ mod tests {
         let r = parse_request(r#"{"id":"n","priority":-3}"#).unwrap();
         assert_eq!(r.priority, -3);
         assert!(parse_request(r#"{"id":"x","priority":"high"}"#).unwrap_err().contains("priority"));
-        assert_eq!(request_priority(r#"{"id":"p","priority":9}"#), 9);
-        assert_eq!(request_priority(r#"{"id":"p"}"#), 0);
-        assert_eq!(request_priority("not json"), 0);
     }
 
     #[test]
@@ -458,7 +432,6 @@ mod tests {
             suite_warmed: true,
             suite_cache_hits: 7,
             suite_fresh: 0,
-            process_suite_hits: 7,
         };
         let ok = response_ok("r9", &report, &hits, KernelBackend::Scalar);
         assert!(!ok.contains('\n'));
@@ -467,7 +440,8 @@ mod tests {
         assert_eq!(v.get("ok").unwrap(), &Value::Bool(true));
         assert_eq!(v.get("proto").unwrap(), &Value::Int(PROTO_VERSION.into()));
         assert_eq!(v.get("backend").unwrap(), &Value::Str("scalar".into()));
-        assert_eq!(v.get("cache_hits").unwrap(), &Value::Int(7));
+        // The legacy process-wide `cache_hits` field is gone (proto 5).
+        assert!(v.get("cache_hits").is_err());
         let cells = v.get("cells").unwrap();
         assert_eq!(cells.get("total").unwrap(), &Value::Int(2));
         assert_eq!(cells.get("memo_hits").unwrap(), &Value::Int(1));

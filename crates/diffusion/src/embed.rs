@@ -10,7 +10,8 @@ use tensor::Tensor;
 /// dimension equally, so we band-limit the embedding instead: with DDIM
 /// sub-sampling strides of 4–50 training steps, the fastest component
 /// advances well under a radian per sampler step, keeping the conditioning
-/// as smooth across adjacent steps as a trained model's (DESIGN.md §1).
+/// as smooth across adjacent steps as a trained model's (see
+/// [`crate::metrics`] for why untrained surrogates stand in).
 pub const MAX_FREQ: f32 = 0.02;
 
 /// Sinusoidal embedding of a (possibly fractional) diffusion time step into

@@ -27,7 +27,7 @@
 //!   their operand slices and output span in the arena. Bit-identical to
 //!   [`executor::forward`].
 //! * [`metrics`] — proxy quality metrics standing in for FID/IS/CLIP
-//!   (Table II; see DESIGN.md §1 for the substitution argument).
+//!   (Table II), and the argument for substituting them.
 //!
 //! # Example
 //!

@@ -4,7 +4,7 @@
 //! datasets. Without pretrained Inception/CLIP networks, this module keeps
 //! Table II's *relative* claim measurable — "Ditto preserves the FP32
 //! model's quality" — with three proxies computed on the same generated
-//! tensors (see DESIGN.md §1):
+//! tensors:
 //!
 //! * [`pseudo_fid`] — Fréchet distance between diagonal-Gaussian fits of
 //!   random-projection features of two sample sets (identical in form to
@@ -13,6 +13,20 @@
 //!   random-projection soft-max "logits".
 //! * [`pseudo_clip_score`] — cosine alignment between generated features
 //!   and a conditioning embedding projected into the same space.
+//!
+//! # The substitution
+//!
+//! The seven benchmark models are seeded, untrained surrogates at reduced
+//! dimensions: the same layer graphs, samplers and step counts as the
+//! paper's models, without their trained weights. Two choices keep their
+//! step-to-step dynamics like a trained model's, which is what every
+//! temporal-difference statistic depends on: a band-limited timestep
+//! embedding ([`crate::embed::MAX_FREQ`]) and a residual noise prediction
+//! `ε̂ = x + γ·net(x, t)` (see [`crate::models`]). Absolute FID / IS / CLIP
+//! values of such models mean nothing; what stays comparable is the
+//! *relative* degradation, so Table II reports the FP32-vs-Ditto distance
+//! beside the FP32-vs-FP32-reseed floor, and Ditto preserves quality when
+//! the first sits at or below the second.
 
 use tensor::{stats, Rng, Tensor};
 

@@ -337,7 +337,7 @@ impl DiffusionModel {
     /// `ε = ε_u + g·(ε_c − ε_u)`. The two evaluation streams go to
     /// *separate* hooks so difference-processing state stays per branch
     /// (interleaving cond/uncond calls through one temporal-delta state
-    /// would destroy adjacent-step similarity; see the `ext_cfg`
+    /// would destroy adjacent-step similarity; see the `ditto-figs ext-cfg`
     /// experiment). Uses DDIM updates regardless of the model's default
     /// sampler.
     ///
@@ -555,8 +555,8 @@ fn build_graph(
 /// behaviour, which would make the reverse trajectory non-physical and
 /// destroy the temporal similarity the paper measures. Modelling
 /// `ε̂ = x + γ·net(x, t)` restores the trained-model dynamics while every
-/// internal layer still processes the real network computation
-/// (DESIGN.md §1).
+/// internal layer still processes the real network computation (see
+/// [`crate::metrics`] for why untrained surrogates stand in).
 const EPS_RESIDUAL_GAIN: f32 = 0.05;
 
 /// Builds an *extension* UNet with a true resolution hierarchy: a
@@ -564,7 +564,7 @@ const EPS_RESIDUAL_GAIN: f32 = 0.05;
 /// nearest-neighbour [`LayerOp::Upsample2x`] back up, with the cross-
 /// resolution skip concatenation of real UNets. Not part of the Table I
 /// suite (whose constant-resolution skeleton is sufficient for every
-/// paper phenomenon — DESIGN.md §4); used by the hierarchy ablation to
+/// paper phenomenon — see `accel::config`); used by the hierarchy ablation to
 /// show the Ditto stack handles resolution changes end to end.
 ///
 /// Reuses the DDPM model identity (pixel-space, DDIM, Q-Diffusion
@@ -629,7 +629,7 @@ enum UnetConditioning {
 /// Shared UNet skeleton: conv-in → ResNet down blocks → attention /
 /// transformer mid → skip-concat ResNet up block → conv-out. Spatial
 /// resolution is kept constant (down/up-sampling does not affect any Ditto
-/// phenomenon; see DESIGN.md §4).
+/// phenomenon; see `accel::config`).
 fn unet(
     ctx: &mut BlockCtx<'_>,
     c_io: usize,

@@ -72,7 +72,7 @@ impl App for SuiteApp {
         // Loading may warm the suite; the credit for reporting the
         // warm-up is claimed only once a response can actually carry it
         // (below), so a failing warmer does not swallow the stats.
-        let (suite, _) = Suite::shared_observed(req.sweep.scale);
+        let suite = Suite::shared(req.sweep.scale);
         // Suite warm-up may have built diffusion models, each compiling its
         // trace plan once; surface those one-time compiles on the stream.
         for ev in diffusion::plan::drain_compile_events() {

@@ -1,8 +1,7 @@
 //! `ditto-serve`: the socket-based serving subsystem.
 //!
-//! Where `bench --bin serve` executes line-delimited sweep requests from
-//! stdin, this crate serves the same wire protocol over TCP with three
-//! properties the stdin loop could not offer:
+//! This crate serves the `bench::sweep` wire protocol (line-delimited JSON
+//! sweep requests) over TCP:
 //!
 //! * **A non-blocking front-end** ([`server`]): one reactor thread
 //!   multiplexes every connection through a minimal dependency-free

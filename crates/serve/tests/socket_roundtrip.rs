@@ -196,6 +196,10 @@ fn overlapping_concurrent_requests_are_bit_identical_to_grid_run() {
         for (shape, line) in &responses {
             let v = jsonio::parse(line.as_bytes()).expect("valid response JSON");
             assert_eq!(field(&v, "ok"), &Value::Bool(true), "{line}");
+            // Proto 5 dropped the legacy process-wide `cache_hits`; the
+            // per-request `suite` object carries the warm-up instead.
+            assert!(v.get("cache_hits").is_err(), "{line}");
+            assert!(matches!(field(&v, "suite"), Value::Obj(_)), "{line}");
             let (want, want_bytes) = reference(designs_of(*shape), shapes[*shape].2);
             // Bit-identity, twice over: the serialized report bytes match
             // the canonical serialization of the sequential reference, and
