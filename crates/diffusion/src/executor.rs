@@ -16,7 +16,7 @@
 //!   how activation statistics (calibration maxima, similarity, value
 //!   ranges) are collected without storing whole traces.
 //!
-//! All tensor compute (`ops::{matmul, matvec, conv2d}`) dispatches through
+//! All tensor compute (`ops::{matmul, conv2d}`) dispatches through
 //! the pluggable kernel-backend layer (`tensor::backend`); because every
 //! backend is bit-identical, executor outputs — and everything derived
 //! from them (calibration, traces, golden figures) — never depend on the

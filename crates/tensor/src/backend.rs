@@ -11,9 +11,10 @@
 //! choice. The integer kernels reassociate freely (wrapping-`i32` addition
 //! is associative, so SIMD sums equal the scalar ones exactly). The `f32`
 //! kernels never reassociate: every SIMD lane is one independent output
-//! element whose products are folded in ascending-`k` order from an
-//! explicit `0.0` seed with separate correctly rounded `mul`/`add` (never
-//! FMA), which is bit-identical to the scalar fold by construction.
+//! element whose products — every one, a zero operand included — are
+//! folded in ascending-`k` order from the output's initial value with
+//! separate correctly rounded `mul`/`add` (never FMA), which is
+//! bit-identical to the scalar fold by construction.
 //!
 //! # One value, passed down
 //!
@@ -49,7 +50,8 @@ use std::sync::OnceLock;
 /// The compute-kernel implementations a process can dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
-    /// Reference scalar loops (`ikj` order, zero-skip).
+    /// Reference scalar loops (`ikj` order; the integer ones skip zero
+    /// activations, the `f32` one computes every product).
     Scalar,
     /// Explicit SIMD intrinsics at one level for both the integer and
     /// `f32` kernels (fixed-order lane reduction keeps the float results
@@ -258,20 +260,10 @@ pub enum DispatchKernel {
     /// The f32 matmul: `tensor::ops::matmul_acc_with` and every lowered
     /// convolution.
     MatmulF32,
-    /// `tensor::ops::matvec_with`.
-    MatvecF32,
     /// `tensor::ops::conv2d_into_with` (the tensor-level conv).
     Conv2dF32,
-    /// No dispatcher counts it any more: the direct f32 convolution is gone
-    /// (every conv lowers onto the matmul core). The row stays, always
-    /// zero, because `benchmark/` reads it by name.
-    Conv2dDirectF32,
     /// `quant::kernels::int_matmul_with`.
     IntMatmul,
-    /// No dispatcher counts it any more: the integer direct convolution is
-    /// gone (integer convs lower to im2col + `int_matmul`). The row stays,
-    /// always zero, because `benchmark/` reads it by name.
-    IntConv2dDirect,
     /// `quant::kernels::delta_matmul_update_with`.
     DeltaMatmulUpdate,
     /// `quant::kernels::attention_delta_scores_with`.
@@ -282,13 +274,10 @@ pub enum DispatchKernel {
 
 impl DispatchKernel {
     /// Every counted kernel, in table order.
-    pub const ALL: [DispatchKernel; 9] = [
+    pub const ALL: [DispatchKernel; 6] = [
         DispatchKernel::MatmulF32,
-        DispatchKernel::MatvecF32,
         DispatchKernel::Conv2dF32,
-        DispatchKernel::Conv2dDirectF32,
         DispatchKernel::IntMatmul,
-        DispatchKernel::IntConv2dDirect,
         DispatchKernel::DeltaMatmulUpdate,
         DispatchKernel::AttentionDeltaScores,
         DispatchKernel::IntScores,
@@ -298,11 +287,8 @@ impl DispatchKernel {
     pub fn name(self) -> &'static str {
         match self {
             DispatchKernel::MatmulF32 => "matmul_f32",
-            DispatchKernel::MatvecF32 => "matvec_f32",
             DispatchKernel::Conv2dF32 => "conv2d_f32",
-            DispatchKernel::Conv2dDirectF32 => "conv2d_direct_f32",
             DispatchKernel::IntMatmul => "int_matmul",
-            DispatchKernel::IntConv2dDirect => "int_conv2d_direct",
             DispatchKernel::DeltaMatmulUpdate => "delta_matmul_update",
             DispatchKernel::AttentionDeltaScores => "attention_delta_scores",
             DispatchKernel::IntScores => "int_scores",
@@ -316,12 +302,12 @@ static COUNTING: AtomicBool = AtomicBool::new(false);
 
 /// `kernel × backend` dispatch counters, the backend axis in
 /// [`KernelBackend::ALL`] order.
-static DISPATCHES: [[AtomicU64; 4]; 9] = {
+static DISPATCHES: [[AtomicU64; 4]; DispatchKernel::ALL.len()] = {
     #[allow(clippy::declare_interior_mutable_const)]
     const Z: AtomicU64 = AtomicU64::new(0);
     #[allow(clippy::declare_interior_mutable_const)]
     const B: [AtomicU64; 4] = [Z; 4];
-    [B; 9]
+    [B; DispatchKernel::ALL.len()]
 };
 
 /// Turns kernel-dispatch counting on or off (the telemetry layer flips

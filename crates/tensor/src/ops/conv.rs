@@ -19,12 +19,11 @@
 //! Exactness: every output element is its bias, then one product per
 //! `(c_in, ky, kx)` tap in ascending order, separately rounded — the order
 //! of the sliding-window reference [`conv2d_direct`], which stays as the
-//! test oracle. The two differ only in which zeros they add: the matmul
-//! skips a zero *weight* and adds `w · 0` for a padding tap, the reference
-//! adds `0 · x` and skips padding. On finite operands those terms are
-//! signed zeros that leave any sum but a `-0.0` one unchanged, so the two
-//! agree bit for bit unless a bias is `-0.0` (or an operand is infinite or
-//! NaN); the property tests check it.
+//! test oracle. The two differ only in the padding taps: the matmul adds
+//! `w · 0` for each, the reference skips them. On finite operands those
+//! terms are signed zeros that leave any sum but a `-0.0` one unchanged,
+//! so the two agree bit for bit unless a bias is `-0.0` (or a weight is
+//! infinite or NaN); the property tests check it.
 
 use std::cell::RefCell;
 

@@ -1,25 +1,25 @@
 //! Matrix multiplication kernels.
 //!
-//! The entry points ([`matmul`], [`matvec`]) run on the process default
+//! The entry point [`matmul`] runs on the process default
 //! [`crate::backend::active`]; the `*_with` forms take the backend as a
-//! value. Every backend is bit-identical: for every output element the
-//! products are accumulated in ascending `k` order with the zero-skip of
-//! the reference loops ([`matmul_scalar`], [`matvec_scalar`]) — a
+//! value. Every backend is bit-identical: for every output element every
+//! product `a·b` is computed and added, a separately rounded multiply then
+//! add — never FMA — in ascending `k` order, as the reference loop
+//! ([`matmul_scalar`]) does. A zero `a` is an ordinary operand, so
+//! `0·∞` and `0·NaN` give NaN on every backend. Bit-identity is a
 //! requirement inherited from the Ditto equivalence claim, which rests on
-//! exact accumulator values end to end. `Scalar` runs exactly those loops,
+//! exact accumulator values end to end. `Scalar` runs exactly that loop,
 //! and so does a SIMD level without an f32 kernel on this architecture.
 //!
 //! A `Simd` level runs every matmul — linear layers, attention's `Q·Kᵀ`
 //! and `P·V`, and every convolution lowered by [`super::conv`] — on one
-//! register-tile core in [`super::simd`], whatever the sparsity of `a`. It
-//! never *reassociates* an `f32` reduction (that would change bits): each
-//! lane is an independent output element combined with separate correctly
-//! rounded `mul`/`add` — never FMA — and a zero `a` is skipped exactly as
-//! the reference skips it. The core reads its `b` operand row-major or in
-//! the conv lowering's 16-column strips ([`Rhs`]); the reference loop
-//! reads it row-major. The reassociating intrinsics live in the integer
-//! kernels (`quant::kernels::simd`), where wrapping-`i32` associativity
-//! keeps any order exact.
+//! register-tile core in [`super::simd`]. It never *reassociates* an `f32`
+//! reduction (that would change bits): each lane is an independent output
+//! element. The core reads its `b` operand row-major or in the conv
+//! lowering's 16-column strips ([`Rhs`]); the reference loop reads it
+//! row-major. The reassociating intrinsics live in the integer kernels
+//! (`quant::kernels::simd`), where wrapping-`i32` associativity keeps any
+//! order exact.
 
 use crate::backend::{self, KernelBackend, SimdLevel};
 use crate::{Result, Tensor, TensorError};
@@ -71,24 +71,35 @@ impl Rhs {
 
 /// The SIMD level whose f32 core runs `backend`'s matmuls, if it has one on
 /// this architecture; `None` runs the reference loop on row-major `b`.
+///
+/// # Panics
+///
+/// If `backend` names a SIMD level this host cannot run.
 pub(crate) fn core_level(backend: KernelBackend) -> Option<SimdLevel> {
     match backend {
-        KernelBackend::Simd(level) if super::simd::has_core(level) => Some(level),
-        _ => None,
+        KernelBackend::Simd(level) => {
+            Some(super::simd::runnable(level)).filter(|&l| super::simd::has_core(l))
+        }
+        KernelBackend::Scalar => None,
     }
 }
 
-/// The reference `ikj` loop: `out [m,n] += a [m,k] × b [k,n]`, skipping
-/// every zero `a`. The inner loop streams contiguous rows of `b` and
+/// The reference `ikj` loop: `out [m,n] += a [m,k] × b [k,n]`, every
+/// product computed. The inner loop streams contiguous rows of `b` and
 /// `out`. The one body behind [`matmul_scalar`], the `Scalar` backend and
-/// every level without an f32 core.
-fn matmul_acc_reference(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+/// every level without an f32 core — the f32 product rule every backend
+/// matches.
+pub(crate) fn matmul_acc_reference(
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     for i in 0..m {
         let orow = &mut out[i * n..(i + 1) * n];
         for (kk, &aik) in a[i * k..(i + 1) * k].iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
             for (o, &bv) in orow.iter_mut().zip(&b[kk * n..(kk + 1) * n]) {
                 *o += aik * bv;
             }
@@ -103,8 +114,8 @@ fn matmul_acc_reference(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usiz
 ///
 /// `out` may carry initial values (zeros for a plain matmul, a broadcast
 /// bias for the convolution path). For each output element the
-/// contributions arrive in ascending `k` order and `a` zeros are skipped,
-/// exactly like the scalar reference kernel.
+/// contributions arrive in ascending `k` order, exactly like the scalar
+/// reference kernel.
 ///
 /// Public because arena-based executors (`diffusion::plan`) run matmuls
 /// directly over caller-owned buffers; going through this entry point
@@ -216,85 +227,6 @@ pub fn matmul_scalar(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Multiplies a rank-2 matrix by a rank-1 vector: `[m, k] × [k] → [m]`.
-///
-/// Each row's dot product accumulates sequentially in ascending `k` order,
-/// matching [`matvec_scalar`] exactly.
-///
-/// # Errors
-///
-/// Returns a rank or dimension mismatch error as for [`matmul`].
-pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    matvec_with(backend::active(), a, x)
-}
-
-/// [`matvec`] on an explicit backend: a `Simd` level runs the lane-per-row
-/// kernel in [`super::simd`] where it has one, everything else
-/// [`matvec_scalar`]'s loop. Bit-identical for every backend: each output
-/// row's dot product accumulates in ascending `k` order on all of them.
-///
-/// # Errors
-///
-/// Same error conditions as [`matvec`].
-pub fn matvec_with(backend: KernelBackend, a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    backend::count_dispatch(backend::DispatchKernel::MatvecF32, backend);
-    let (m, k) = matvec_dims(a, x)?;
-    let mut out = Tensor::zeros(&[m]);
-    let (av, xv, ov) = (a.as_slice(), x.as_slice(), out.as_mut_slice());
-    let done = match backend {
-        KernelBackend::Simd(level) => super::simd::matvec(level, ov, av, xv, m, k),
-        KernelBackend::Scalar => false,
-    };
-    if !done {
-        matvec_reference(ov, av, xv, k);
-    }
-    Ok(out)
-}
-
-/// `(m, k)` of `a [m, k] × x [k]`.
-fn matvec_dims(a: &Tensor, x: &Tensor) -> Result<(usize, usize)> {
-    a.shape().expect_rank(2)?;
-    x.shape().expect_rank(1)?;
-    let (m, k) = (a.dims()[0], a.dims()[1]);
-    if x.len() != k {
-        return Err(TensorError::MatmulDimMismatch { left_cols: k, right_rows: x.len() });
-    }
-    Ok((m, k))
-}
-
-/// The reference matvec loop: one sequential [`dot`] per output row.
-fn matvec_reference(out: &mut [f32], a: &[f32], x: &[f32], k: usize) {
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = dot(&a[i * k..(i + 1) * k], x);
-    }
-}
-
-/// Sequential dot product folded from an explicit `0.0` accumulator, so
-/// every matvec path shares the same `-0.0` semantics. (`Iterator::sum`
-/// seeds from the first element, which would make a single `-0.0` product
-/// sum to `-0.0` while an accumulator loop yields `+0.0`.) `pub(crate)`
-/// because the explicit-SIMD matvec ([`super::simd`]) reuses it for its
-/// remainder rows.
-pub(crate) fn dot(row: &[f32], xv: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for (&w, &v) in row.iter().zip(xv) {
-        acc += w * v;
-    }
-    acc
-}
-
-/// Scalar reference matvec: one sequential dot product per output row.
-///
-/// # Errors
-///
-/// Same error conditions as [`matvec`].
-pub fn matvec_scalar(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    let (m, k) = matvec_dims(a, x)?;
-    let mut out = Tensor::zeros(&[m]);
-    matvec_reference(out.as_mut_slice(), a.as_slice(), x.as_slice(), k);
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,8 +266,8 @@ mod tests {
     #[test]
     fn tiled_bitwise_matches_scalar() {
         // The default backend against the reference on shapes straddling
-        // the core's 6-row and 256-index `k` blocks, including sparse
-        // operands that exercise the zero-skip path.
+        // the core's 6-row and 256-index `k` blocks, with 30 % zeros in `a`
+        // (ordinary operands: every product is still computed).
         let mut rng = Rng::seed_from(11);
         for &(m, k, n) in &[
             (1, 1, 1),
@@ -363,20 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_bitwise_matches_scalar() {
-        let mut rng = Rng::seed_from(12);
-        for &(m, k) in &[(1, 1), (3, 7), (4, 64), (13, 129), (32, 300)] {
-            let a = Tensor::randn(&[m, k], &mut rng);
-            let x = Tensor::randn(&[k], &mut rng);
-            let got = matvec(&a, &x).unwrap();
-            let scalar = matvec_scalar(&a, &x).unwrap();
-            for (x, y) in got.as_slice().iter().zip(scalar.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "matvec diverged at {m}x{k}");
-            }
-        }
-    }
-
-    #[test]
     fn every_backend_is_bit_identical() {
         let mut rng = Rng::seed_from(23);
         for &(m, k, n) in &[(1usize, 1usize, 1usize), (7, 40, 9), (9, 300, 60)] {
@@ -387,38 +305,14 @@ mod tests {
                 }
             }
             let b = Tensor::randn(&[k, n], &mut rng);
-            let x = Tensor::randn(&[k], &mut rng);
             let want = matmul_with(KernelBackend::Scalar, &a, &b).unwrap();
-            let want_v = matvec_with(KernelBackend::Scalar, &a, &x).unwrap();
             for backend in KernelBackend::available() {
                 let got = matmul_with(backend, &a, &b).unwrap();
                 for (p, q) in got.as_slice().iter().zip(want.as_slice()) {
                     assert_eq!(p.to_bits(), q.to_bits(), "matmul {backend} at {m}x{k}x{n}");
                 }
-                let got_v = matvec_with(backend, &a, &x).unwrap();
-                for (p, q) in got_v.as_slice().iter().zip(want_v.as_slice()) {
-                    assert_eq!(p.to_bits(), q.to_bits(), "matvec {backend} at {m}x{k}");
-                }
             }
         }
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = t(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
-        let x = t(vec![1.0, 0.5, -1.0], &[3]);
-        let y = matvec(&a, &x).unwrap();
-        let xm = x.reshape(&[3, 1]).unwrap();
-        let ym = matmul(&a, &xm).unwrap();
-        assert_eq!(y.as_slice(), ym.as_slice());
-    }
-
-    #[test]
-    fn matvec_errors() {
-        let a = Tensor::zeros(&[2, 3]);
-        assert!(matvec(&a, &Tensor::zeros(&[4])).is_err());
-        assert!(matvec(&a, &Tensor::zeros(&[2, 2])).is_err());
-        assert!(matvec_scalar(&a, &Tensor::zeros(&[4])).is_err());
     }
 
     /// A backend value can name any level; one this host cannot run (the
@@ -427,7 +321,7 @@ mod tests {
     #[should_panic(expected = "cannot run on this host")]
     fn unsupported_level_is_refused() {
         let level = SimdLevel::ALL.into_iter().find(|l| !l.is_hw_supported()).unwrap();
-        let _ = matvec_with(KernelBackend::Simd(level), &Tensor::eye(2), &Tensor::zeros(&[2]));
+        let _ = matmul_with(KernelBackend::Simd(level), &Tensor::eye(2), &Tensor::eye(2));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Layer kernels used by denoising models.
 //!
-//! The hot kernels ([`matmul`], [`matvec`], [`conv2d`]) run on a
+//! The hot kernels ([`matmul`], [`conv2d`]) run on a
 //! [`crate::KernelBackend`] value: the scalar reference loops, or explicit
 //! SIMD at one level — where one f32 register-tile core runs every
 //! matmul, and every convolution is lowered onto that matmul ([`conv`]).
@@ -9,9 +9,9 @@
 //! of the scalar loops is preserved, so the Ditto equivalence claim
 //! (which rests on exact accumulator values) survives the optimization.
 //! The scalar references stay available ([`matmul_scalar`],
-//! [`matvec_scalar`], [`conv2d_direct`]) as ground truth for tests and
-//! benchmarks, and the `*_with` variants ([`matmul_with`],
-//! [`matvec_with`], [`conv2d_with`]) pin a backend explicitly for
+//! [`conv2d_direct`]) as ground truth for tests and benchmarks, and the
+//! `*_with` variants ([`matmul_with`], [`conv2d_with`]) pin a backend
+//! explicitly for
 //! cross-backend test matrices. Algebraic properties — including the
 //! Ditto core identity, distributivity of linear kernels over operand
 //! sums — are property-tested in `tests/props.rs`.
@@ -33,8 +33,6 @@ pub use conv::{
     im2col, Conv2dParams,
 };
 pub use elementwise::{add, mul, scale, sub};
-pub use matmul::{
-    matmul, matmul_acc_with, matmul_scalar, matmul_with, matvec, matvec_scalar, matvec_with,
-};
+pub use matmul::{matmul, matmul_acc_with, matmul_scalar, matmul_with};
 pub use norm::{group_norm, group_norm_into, layer_norm, layer_norm_into};
 pub use pool::{avg_pool2d, avg_pool2d_into, global_avg_pool};

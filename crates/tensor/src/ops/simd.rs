@@ -1,7 +1,6 @@
 //! Explicit-SIMD `f32` kernels — the `Simd`-backend implementation of
 //! [`super::matmul::matmul_acc_with`] (and so of every linear layer,
-//! attention product and lowered convolution) and of
-//! [`super::matmul::matvec_with`].
+//! attention product and lowered convolution) and of the activations.
 //!
 //! # Bit-exactness strategy
 //!
@@ -12,22 +11,18 @@
 //! ascending-`k` order, folded from the element's existing value (an
 //! explicit `0.0` seed, or the bias the conv path pre-broadcast) with a
 //! separate correctly rounded multiply and add — never FMA, whose single
-//! rounding would change bits. That makes each kernel equal to the scalar
-//! reference *by construction*; the cross-backend/cross-level proptest
-//! matrices then verify the construction.
-//!
-//! The `a`-operand **zero-skip** of the reference kernels is semantic for
-//! `f32` (skipping `0.0 × ∞` or `0.0 × NaN` products, and `+0.0 + -0.0`
-//! corners, changes results), so the core skips exactly the products the
-//! reference skips — see below.
+//! rounding would change bits. Every product is computed, a zero `a`
+//! included, as the reference loop computes it. That makes each kernel
+//! equal to the scalar reference *by construction*; the
+//! cross-backend/cross-level proptest matrices then verify the
+//! construction.
 //!
 //! # The matmul core
 //!
 //! One generic implementation ([`generic`]) is written against a minimal
-//! vector abstraction (`VecF32`: load / store / splat / mul-then-add /
-//! zero test / strided gather) and instantiated per instruction set: AVX2
-//! (8 lanes), SSE2 (4 lanes), and NEON (4 lanes) — the rungs of the
-//! [`crate::backend::SimdLevel`] ladder.
+//! vector abstraction (`VecF32`: load / store / splat / mul-then-add) and
+//! instantiated per instruction set: AVX2 (8 lanes), SSE2 (4 lanes), and
+//! NEON (4 lanes) — the rungs of the [`crate::backend::SimdLevel`] ladder.
 //!
 //! * **The tile.** A 6-row × 2-vector output tile (AVX2: 6 × 16 columns)
 //!   holds twelve accumulators across a `k` block — with two `b` vectors
@@ -35,14 +30,8 @@
 //!   SSE2 — so `out` is read and written once per block. 4-, 2- and 1-row
 //!   tiles take the `m % 6` rows, a 1-vector tile an odd column group, and
 //!   a ragged last column group runs on stack copies of its columns, so
-//!   no shape falls to a scalar loop.
-//! * **Zeros inside the tile.** For each row block and `k` block, one
-//!   vector compare per `a` vector marks the `k` indices where any of the
-//!   block's rows holds `±0.0`. Between marked indices the tile runs
-//!   unguarded; at a marked index it takes one guarded step whose lanes
-//!   keep their old value for a row whose `a` is zero. A dense operand
-//!   runs at the dense rate, and one stray zero costs one guarded step,
-//!   not the whole call.
+//!   no shape falls to a scalar loop. The tile runs at one rate whatever
+//!   the share of zeros in `a`.
 //! * **`b` as (pointer, row stride).** Linear layers and attention pass
 //!   `b` row-major; the conv lowering writes it in 16-column strips
 //!   ([`super::matmul::Rhs`]), so a tile reads consecutive 64-byte rows.
@@ -89,7 +78,7 @@ pub(crate) enum Activation {
 
 /// `level`, checked to run on this host: every kernel below enables its
 /// target feature on that premise, and a backend value can name any level.
-fn runnable(level: SimdLevel) -> SimdLevel {
+pub(crate) fn runnable(level: SimdLevel) -> SimdLevel {
     assert!(level.is_hw_supported(), "SIMD level {level} cannot run on this host");
     level
 }
@@ -202,48 +191,11 @@ pub(crate) fn matmul_acc(
     }
 }
 
-/// Explicit-SIMD `out [m] = a [m,k] × x [k]` at `level`
-/// (lane-per-output-row; each row's dot product folds sequentially from an
-/// explicit `0.0` seed exactly like the scalar `dot`). Returns `false`
-/// when the level has no kernel on this architecture.
-pub(crate) fn matvec(
-    level: SimdLevel,
-    out: &mut [f32],
-    a: &[f32],
-    x: &[f32],
-    m: usize,
-    k: usize,
-) -> bool {
-    match runnable(level) {
-        // SAFETY (all arms): the level runs on this host (checked by
-        // `runnable`), and `matvec_with` validated the operand shapes.
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => {
-            unsafe { x86::matvec_avx2(out, a, x, m, k) };
-            true
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => {
-            unsafe { x86::matvec_sse2(out, a, x, m, k) };
-            true
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => {
-            unsafe { neon::matvec_neon(out, a, x, m, k) };
-            true
-        }
-        _ => {
-            let _ = (out, a, x, m, k);
-            false
-        }
-    }
-}
-
 #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 pub(crate) mod generic {
     #[cfg(target_arch = "x86_64")]
     use crate::ops::activation;
-    use crate::ops::matmul::{self, Rhs};
+    use crate::ops::matmul::Rhs;
 
     /// The minimal vector contract the generic kernels are written
     /// against. All operations are lane-wise; `muladd` must lower to a
@@ -265,24 +217,10 @@ pub(crate) mod generic {
         /// # Safety
         /// Only unsafe because the underlying intrinsics are.
         unsafe fn muladd(self, a: Self, b: Self) -> Self;
-        /// [`VecF32::muladd`] in the lanes where `a` is not `±0.0`, `self`
-        /// unchanged where it is: the reference's zero-skip as a select.
-        /// # Safety
-        /// Only unsafe because the underlying intrinsics are.
-        unsafe fn muladd_nonzero(self, a: Self, b: Self) -> Self;
-        /// Bit `l` set when lane `l` is `±0.0`.
-        /// # Safety
-        /// Only unsafe because the underlying intrinsics are.
-        unsafe fn zero_bits(self) -> u32;
-        /// `{p[0], p[stride], …, p[(LANES-1)·stride]}`.
-        /// # Safety
-        /// Every strided element must be readable.
-        unsafe fn gather_stride(p: *const f32, stride: usize) -> Self;
     }
 
-    /// `k` indices per block of the core. A row block's zero mask covers
-    /// one block (a bit per index), so it lives on the stack, and a block
-    /// of `b` rows stays in L2 while every row block passes over it.
+    /// `k` indices per block of the core: a block of `b` rows stays in L2
+    /// while every row block passes over it.
     const KB: usize = 256;
 
     /// The widest `LANES` of any instantiation (AVX2), sizing stack tiles.
@@ -292,13 +230,11 @@ pub(crate) mod generic {
     const MAX_ROWS: usize = 6;
 
     /// `R` rows of `a` over one `k` block: where they start, their row
-    /// stride, the block length, and bit `t` set where any of the rows
-    /// holds `±0.0` at block index `t`.
+    /// stride and the block length.
     struct Panel {
         a: *const f32,
         lda: usize,
         kl: usize,
-        zeros: [u64; KB / 64],
     }
 
     /// Rows `kc..` of the core's `b`, a `[k, n]` operand in `rhs` layout.
@@ -389,7 +325,7 @@ pub(crate) mod generic {
         kl: usize,
         block: Block,
     ) {
-        let panel = Panel { a, lda, kl, zeros: zero_mask::<V, R>(a, lda, kl) };
+        let panel = Panel { a, lda, kl };
         let (w, n) = (V::LANES, block.n);
         let mut j = 0;
         while j + 2 * w <= n {
@@ -435,45 +371,10 @@ pub(crate) mod generic {
         }
     }
 
-    /// Bit `t` of the result is set where any of the `R` rows of `a`
-    /// (`lda` apart) holds `±0.0` at index `t < kl`: one vector compare per
-    /// `LANES` values (`LANES` divides 64, so a compare never straddles a
-    /// word), the `kl % LANES` tail one at a time.
-    ///
-    /// # Safety
-    ///
-    /// `a` must hold `R` rows of `kl` `f32`s `lda` apart, `kl <= KB`.
-    #[inline(always)]
-    unsafe fn zero_mask<V: VecF32, const R: usize>(
-        a: *const f32,
-        lda: usize,
-        kl: usize,
-    ) -> [u64; KB / 64] {
-        let mut zeros = [0u64; KB / 64];
-        let w = V::LANES;
-        // SAFETY: every read is of index `t < kl` of one of the `R` rows.
-        for r in 0..R {
-            let row = a.add(r * lda);
-            let mut t = 0;
-            while t + w <= kl {
-                zeros[t / 64] |= u64::from(V::load(row.add(t)).zero_bits()) << (t % 64);
-                t += w;
-            }
-            for t in t..kl {
-                if *row.add(t) == 0.0 {
-                    zeros[t / 64] |= 1 << (t % 64);
-                }
-            }
-        }
-        zeros
-    }
-
     /// The output-stationary micro-kernel: an `R`-row × `C`-vector tile of
     /// `out` (row stride `ldo`) stays in `R · C` accumulators while the
-    /// panel's `k` block streams through — unguarded steps between the
-    /// panel's zero indices, one guarded step at each. Per output element
-    /// the products arrive in ascending `k`, and exactly the ones with a
-    /// zero `a` are left out: the reference sequence.
+    /// panel's `k` block streams through. Per output element the products
+    /// arrive in ascending `k`: the reference sequence.
     ///
     /// # Safety
     ///
@@ -484,107 +385,35 @@ pub(crate) mod generic {
         out: *mut f32,
         ldo: usize,
         panel: &Panel,
-        b: (*const f32, usize),
+        (b, ldb): (*const f32, usize),
     ) {
         let mut acc = [[V::splat(0.0); C]; R];
         // SAFETY: the caller's contract covers these `R × C` vectors of
-        // `out`, and every step index is below `panel.kl`.
+        // `out`, row `t < panel.kl` of the tile's `b` and index `t` of each
+        // `a` row.
         for (r, row) in acc.iter_mut().enumerate() {
             for (c, v) in row.iter_mut().enumerate() {
                 *v = V::load(out.add(r * ldo + c * V::LANES));
             }
         }
-        let mut t = 0;
-        for (word, &bits) in panel.zeros.iter().enumerate() {
-            let end = panel.kl.min((word + 1) * 64);
-            if bits.count_ones() > 8 {
-                // Zeros everywhere: guard every step rather than find each.
-                while t < end {
-                    step::<V, R, C, true>(&mut acc, panel, b, t);
-                    t += 1;
-                }
-                continue;
+        for t in 0..panel.kl {
+            // acc[r][c] += a[r][t] · b[t][c]
+            let bt = b.add(t * ldb);
+            let mut bv = [V::load(bt); C];
+            for (c, v) in bv.iter_mut().enumerate().skip(1) {
+                *v = V::load(bt.add(c * V::LANES));
             }
-            let mut zeros = bits;
-            while zeros != 0 {
-                let z = word * 64 + zeros.trailing_zeros() as usize;
-                while t < z {
-                    step::<V, R, C, false>(&mut acc, panel, b, t);
-                    t += 1;
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = V::splat(*panel.a.add(r * panel.lda + t));
+                for (v, &bc) in row.iter_mut().zip(&bv) {
+                    *v = v.muladd(av, bc);
                 }
-                step::<V, R, C, true>(&mut acc, panel, b, z);
-                t = z + 1;
-                zeros &= zeros - 1;
-            }
-            while t < end {
-                step::<V, R, C, false>(&mut acc, panel, b, t);
-                t += 1;
             }
         }
         for (r, row) in acc.iter().enumerate() {
             for (c, v) in row.iter().enumerate() {
                 v.store(out.add(r * ldo + c * V::LANES));
             }
-        }
-    }
-
-    /// One `k` index of [`tile`]: `acc[r][c] += a[r][t] · b[t][c]`, leaving
-    /// the rows whose `a[r][t]` is `±0.0` untouched when `GUARDED`.
-    ///
-    /// # Safety
-    ///
-    /// As for [`tile`], with `t < panel.kl`.
-    #[inline(always)]
-    unsafe fn step<V: VecF32, const R: usize, const C: usize, const GUARDED: bool>(
-        acc: &mut [[V; C]; R],
-        panel: &Panel,
-        (b, ldb): (*const f32, usize),
-        t: usize,
-    ) {
-        // SAFETY: row `t` of the tile's `b` and index `t` of each `a` row
-        // are inside the caller's contract.
-        let bt = b.add(t * ldb);
-        let mut bv = [V::load(bt); C];
-        for (c, v) in bv.iter_mut().enumerate().skip(1) {
-            *v = V::load(bt.add(c * V::LANES));
-        }
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = V::splat(*panel.a.add(r * panel.lda + t));
-            for (v, &bc) in row.iter_mut().zip(&bv) {
-                *v = if GUARDED { v.muladd_nonzero(av, bc) } else { v.muladd(av, bc) };
-            }
-        }
-    }
-
-    /// Lane-per-output-row matvec: `LANES` rows accumulate in one vector
-    /// register, gathering the rows' `kk`-th elements with a strided load
-    /// per step. Each lane is an independent dot product folded from an
-    /// explicit `0.0` seed in ascending `k` — exactly [`matmul::dot`],
-    /// which also handles the `m % LANES` remainder rows.
-    #[inline(always)]
-    pub(super) unsafe fn matvec_impl<V: VecF32>(
-        out: &mut [f32],
-        a: &[f32],
-        x: &[f32],
-        m: usize,
-        k: usize,
-    ) {
-        let w = V::LANES;
-        let ap = a.as_ptr();
-        let mut i = 0;
-        if k > 0 {
-            while i + w <= m {
-                let mut acc = V::splat(0.0);
-                for (kk, &xk) in x.iter().enumerate() {
-                    let col = V::gather_stride(ap.add(i * k + kk), k);
-                    acc = acc.muladd(col, V::splat(xk));
-                }
-                acc.store(out.as_mut_ptr().add(i));
-                i += w;
-            }
-        }
-        for r in i..m {
-            out[r] = matmul::dot(&a[r * k..(r + 1) * k], x);
         }
     }
 
@@ -805,9 +634,7 @@ pub(crate) mod generic {
 pub(crate) mod x86 {
     use core::arch::x86_64::*;
 
-    use super::generic::{
-        map_impl, matmul_acc_impl, matvec_impl, Gelu, LaneFn, Tanh, VecF32, VecMath,
-    };
+    use super::generic::{map_impl, matmul_acc_impl, Gelu, LaneFn, Tanh, VecF32, VecMath};
     use crate::ops::activation;
     use crate::ops::matmul::Rhs;
 
@@ -835,29 +662,6 @@ pub(crate) mod x86 {
         unsafe fn muladd(self, a: Self, b: Self) -> Self {
             // Separate vmulps + vaddps; never vfmadd (single rounding).
             V256(_mm256_add_ps(self.0, _mm256_mul_ps(a.0, b.0)))
-        }
-        #[inline(always)]
-        unsafe fn muladd_nonzero(self, a: Self, b: Self) -> Self {
-            let zero = _mm256_cmp_ps::<_CMP_EQ_OQ>(a.0, _mm256_setzero_ps());
-            V256(_mm256_blendv_ps(self.muladd(a, b).0, self.0, zero))
-        }
-        #[inline(always)]
-        unsafe fn zero_bits(self) -> u32 {
-            _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_EQ_OQ>(self.0, _mm256_setzero_ps())) as u32
-        }
-        #[inline(always)]
-        unsafe fn gather_stride(p: *const f32, stride: usize) -> Self {
-            // `_mm256_set_ps` takes lanes high-to-low: lane t = p[t·stride].
-            V256(_mm256_set_ps(
-                *p.add(7 * stride),
-                *p.add(6 * stride),
-                *p.add(5 * stride),
-                *p.add(4 * stride),
-                *p.add(3 * stride),
-                *p.add(2 * stride),
-                *p.add(stride),
-                *p,
-            ))
         }
     }
 
@@ -959,20 +763,6 @@ pub(crate) mod x86 {
         unsafe fn muladd(self, a: Self, b: Self) -> Self {
             V128(_mm_add_ps(self.0, _mm_mul_ps(a.0, b.0)))
         }
-        #[inline(always)]
-        unsafe fn muladd_nonzero(self, a: Self, b: Self) -> Self {
-            let zero = _mm_cmpeq_ps(a.0, _mm_setzero_ps());
-            let sum = self.muladd(a, b).0;
-            V128(_mm_or_ps(_mm_and_ps(zero, self.0), _mm_andnot_ps(zero, sum)))
-        }
-        #[inline(always)]
-        unsafe fn zero_bits(self) -> u32 {
-            _mm_movemask_ps(_mm_cmpeq_ps(self.0, _mm_setzero_ps())) as u32
-        }
-        #[inline(always)]
-        unsafe fn gather_stride(p: *const f32, stride: usize) -> Self {
-            V128(_mm_set_ps(*p.add(3 * stride), *p.add(2 * stride), *p.add(stride), *p))
-        }
     }
 
     /// SSE2 has no `blendv`, so [`VecMath::select`] keeps its
@@ -1072,20 +862,6 @@ pub(crate) mod x86 {
         n: usize,
     ) {
         matmul_acc_impl::<V128>(out, a, b, rhs, m, k, n)
-    }
-
-    /// # Safety
-    /// AVX2 must be available; slice lengths per [`matvec_impl`].
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matvec_avx2(out: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) {
-        matvec_impl::<V256>(out, a, x, m, k)
-    }
-
-    /// # Safety
-    /// SSE2 must be available; slice lengths per [`matvec_impl`].
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn matvec_sse2(out: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) {
-        matvec_impl::<V128>(out, a, x, m, k)
     }
 
     /// # Safety
@@ -1237,8 +1013,8 @@ pub(crate) mod x86 {
     ///   which `exp` maps to 1 either way.
     /// * The sums are never reassociated: eight rows go at once, their
     ///   exponentials transposed in registers so lane `r` of one accumulator
-    ///   adds row `r`'s terms in column order — the `matvec` lane-per-row
-    ///   pattern. Leftover rows sum one term at a time.
+    ///   adds row `r`'s terms in column order, one lane per row. Leftover
+    ///   rows sum one term at a time.
     ///
     /// # Safety
     /// AVX2 and FMA must be available.
@@ -1378,7 +1154,7 @@ pub(crate) mod x86 {
 pub(crate) mod neon {
     use core::arch::aarch64::*;
 
-    use super::generic::{matmul_acc_impl, matvec_impl, VecF32};
+    use super::generic::{matmul_acc_impl, VecF32};
     use crate::ops::matmul::Rhs;
 
     /// 4-lane NEON vector (NEON is aarch64 baseline).
@@ -1404,20 +1180,6 @@ pub(crate) mod neon {
             // Separate vmulq + vaddq; never vfmaq (single rounding).
             V128N(vaddq_f32(self.0, vmulq_f32(a.0, b.0)))
         }
-        #[inline(always)]
-        unsafe fn muladd_nonzero(self, a: Self, b: Self) -> Self {
-            V128N(vbslq_f32(vceqzq_f32(a.0), self.0, self.muladd(a, b).0))
-        }
-        #[inline(always)]
-        unsafe fn zero_bits(self) -> u32 {
-            const LANE_BITS: [u32; 4] = [1, 2, 4, 8];
-            vaddvq_u32(vandq_u32(vceqzq_f32(self.0), vld1q_u32(LANE_BITS.as_ptr())))
-        }
-        #[inline(always)]
-        unsafe fn gather_stride(p: *const f32, stride: usize) -> Self {
-            let lanes = [*p, *p.add(stride), *p.add(2 * stride), *p.add(3 * stride)];
-            V128N(vld1q_f32(lanes.as_ptr()))
-        }
     }
 
     /// # Safety
@@ -1434,13 +1196,6 @@ pub(crate) mod neon {
         n: usize,
     ) {
         matmul_acc_impl::<V128N>(out, a, b, rhs, m, k, n)
-    }
-
-    /// # Safety
-    /// Slice lengths per [`matvec_impl`].
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn matvec_neon(out: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) {
-        matvec_impl::<V128N>(out, a, x, m, k)
     }
 }
 
@@ -1602,32 +1357,6 @@ mod tests {
         }
     }
 
-    /// Scalar reference: `matmul_scalar`'s `ikj` loop with zero-skip, on a
-    /// seeded `out` — the ground truth every level must match bitwise.
-    fn reference_acc(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-        for i in 0..m {
-            for kk in 0..k {
-                let aik = a[i * k + kk];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    out[i * n + j] += aik * b[kk * n + j];
-                }
-            }
-        }
-    }
-
-    fn reference_matvec(out: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) {
-        for (i, o) in out.iter_mut().enumerate().take(m) {
-            let mut acc = 0.0f32;
-            for (kk, &xv) in x.iter().enumerate() {
-                acc += a[i * k + kk] * xv;
-            }
-            *o = acc;
-        }
-    }
-
     /// A normal draw that is never an exact zero.
     fn nonzero(rng: &mut Rng) -> f32 {
         let v = rng.next_normal();
@@ -1650,10 +1379,10 @@ mod tests {
     }
 
     /// The zero patterns of `a [m, k]` the core is checked under, each with
-    /// the `k` indices whose `b` rows get poisoned with `±∞` / NaN: no zero;
-    /// one zero at the first and at the last `k`; one zero in each row of
-    /// the first 6-row block; 30 % zeros; all zeros. Zeros alternate between
-    /// `+0.0` and `-0.0`.
+    /// the `k` indices whose `b` rows get poisoned with `±∞` / NaN (a zero
+    /// `a` times those is NaN): no zero; one zero at the first and at the
+    /// last `k`; one zero in each row of the first 6-row block; 30 % zeros;
+    /// all zeros. Zeros alternate between `+0.0` and `-0.0`.
     fn zero_patterns(rng: &mut Rng, m: usize, k: usize) -> Vec<(String, Vec<f32>, Vec<usize>)> {
         let dense: Vec<f32> = (0..m * k).map(|_| nonzero(rng)).collect();
         let zero = |i: usize| if i.is_multiple_of(2) { 0.0 } else { -0.0 };
@@ -1694,14 +1423,14 @@ mod tests {
         matmul_acc(SimdLevel::Neon, &mut out, &[1.0], &[1.0], Rhs::RowMajor, 1, 1, 1);
     }
 
-    /// The core at every level this host runs and the lane-per-row matvec,
-    /// against the scalar references. The matmul
-    /// matrix crosses every tile and remainder: `m` across the 6-row block
-    /// and its 4/2/1 remainders, `k` across the vector widths and past a
-    /// 256-index `k` block, `n` across the 4- and 8-lane groups and the
-    /// 16-column strip. Each shape runs under every [`zero_patterns`] case,
-    /// with `±∞` and NaN in the `b` rows a zero `a` must skip, onto a
-    /// seeded `out` holding `-0.0`s, with `b` row-major and in strips.
+    /// The core at every level this host runs against the crate's
+    /// reference loop. The matrix crosses every tile and remainder: `m`
+    /// across the 6-row block and its 4/2/1 remainders, `k` across the
+    /// vector widths and past a 256-index `k` block, `n` across the 4- and
+    /// 8-lane groups and the 16-column strip. Each shape runs under every
+    /// [`zero_patterns`] case, with `±∞` and NaN in the `b` rows next to a
+    /// zero `a`, onto a seeded `out` holding `-0.0`s, with `b` row-major
+    /// and in strips.
     #[test]
     fn level_kernels_match_scalar_bitwise() {
         let levels: Vec<SimdLevel> =
@@ -1722,7 +1451,7 @@ mod tests {
                             .map(|i| if i.is_multiple_of(3) { -0.0 } else { nonzero(&mut rng) })
                             .collect();
                         let mut want = seed.clone();
-                        reference_acc(&mut want, &a, &b, m, k, n);
+                        crate::ops::matmul::matmul_acc_reference(&mut want, &a, &b, m, k, n);
                         let strips = to_strips(&b, k, n);
                         for &level in &levels {
                             for (rhs, b) in [(Rhs::RowMajor, &b), (Rhs::Strips, &strips)] {
@@ -1739,26 +1468,6 @@ mod tests {
                             }
                         }
                     }
-                }
-            }
-        }
-        type MvFn = unsafe fn(&mut [f32], &[f32], &[f32], usize, usize);
-        let mut matvecs: Vec<(&str, MvFn)> = vec![("sse2", x86::matvec_sse2)];
-        if std::arch::is_x86_feature_detected!("avx2") {
-            matvecs.push(("avx2", x86::matvec_avx2));
-        }
-        for &(m, k) in &[(1usize, 1usize), (3, 9), (7, 5), (9, 300), (17, 33)] {
-            let a: Vec<f32> = (0..m * k).map(|_| nonzero(&mut rng)).collect();
-            let x: Vec<f32> = (0..k).map(|_| nonzero(&mut rng)).collect();
-            let mut want = vec![0.0f32; m];
-            reference_matvec(&mut want, &a, &x, m, k);
-            for (name, mv_fn) in &matvecs {
-                let mut got = vec![0.0f32; m];
-                // SAFETY: SSE2 is x86-64 baseline; AVX2 is only pushed after
-                // runtime detection.
-                unsafe { mv_fn(&mut got, &a, &x, m, k) };
-                for (p, q) in got.iter().zip(&want) {
-                    assert_eq!(p.to_bits(), q.to_bits(), "{name} matvec diverged at {m}x{k}");
                 }
             }
         }

@@ -12,9 +12,9 @@
 //!   rate at 50 % is below 0.8 × its 0 % rate) at the UNet im2col shapes
 //!   plus the classic delta-update bench shape and a Tiny-scale conv; the
 //!   f32 matmul at the shapes a `denoise_plain` profile spends its f32 time
-//!   in, with no zero, one zero and 30 % zeros in `a` (the validator fails
-//!   when a committed `simd:avx2` one-zero rate is below 0.8 × the dense
-//!   one); and f32 conv2d through the compiled plans' lowering. A
+//!   in (one row per shape: zero is an ordinary `f32` there, so the core's
+//!   rate does not depend on how many `a` holds); and f32 conv2d through
+//!   the compiled plans' lowering. A
 //!   `roofline` section gives the host's no-FMA mul + add peak per SIMD
 //!   level, from a register-only loop. Every available backend is
 //!   measured — `scalar` and each SIMD level the host runs, rows labeled
@@ -91,15 +91,6 @@ const SHAPES: [(usize, usize, usize); 3] = [(64, 256, 128), (256, 288, 32), (256
 /// self-attention `Q·Kᵀ`.
 const F32_SHAPES: [(usize, usize, usize); 5] =
     [(48, 432, 256), (24, 648, 256), (64, 384, 96), (64, 96, 96), (256, 48, 256)];
-
-/// Zeros in the f32 matmul's `a`: none, exactly one — a single `0.0` in an
-/// activation operand once sent a whole call down a slow path — and 30 %.
-#[derive(Clone, Copy)]
-enum F32Zeros {
-    None,
-    One,
-    Share30,
-}
 
 /// The Tiny-scale conv shape the integer kernels are measured at besides
 /// [`SHAPES`]: one 8-column strip, where remainder handling would show.
@@ -246,7 +237,8 @@ struct KernelRow {
     shape: String,
     backend: String,
     gflops: f64,
-    /// Zero share of the left operand in percent — matmul rows only.
+    /// Zero share of the left operand in percent — integer matmul rows
+    /// only.
     zeros_pct: Option<f64>,
 }
 
@@ -434,48 +426,30 @@ fn bench_kernels(min_ms: u64) -> Value {
         let shape = format!("{m}x{k}x{n}");
         let flops = (2 * m * k * n) as f64;
         let b: Vec<f32> = (0..k * n).map(|_| rng.next_normal()).collect();
-        for zeros in [F32Zeros::None, F32Zeros::One, F32Zeros::Share30] {
-            // Normal draws are never exactly zero; the zeros are placed.
-            let mut a: Vec<f32> = (0..m * k).map(|_| rng.next_normal()).collect();
-            match zeros {
-                F32Zeros::None => {}
-                F32Zeros::One => a[m * k / 2] = 0.0,
-                F32Zeros::Share30 => {
-                    for v in &mut a {
-                        if rng.next_below(100) < 30 {
-                            *v = 0.0;
-                        }
-                    }
-                }
-            }
-            let zeros_pct = 100.0 * a.iter().filter(|&&v| v == 0.0).count() as f64 / a.len() as f64;
-            let mut want = vec![0.0f32; m * n];
-            matmul_acc_with(KernelBackend::Scalar, &mut want, &a, &b, m, k, n);
-            let mut out = vec![0.0f32; m * n];
-            for &backend in &backends {
-                let label = backend.resolved_name();
+        let a: Vec<f32> = (0..m * k).map(|_| rng.next_normal()).collect();
+        let mut want = vec![0.0f32; m * n];
+        matmul_acc_with(KernelBackend::Scalar, &mut want, &a, &b, m, k, n);
+        let mut out = vec![0.0f32; m * n];
+        for &backend in &backends {
+            let label = backend.resolved_name();
+            out.fill(0.0);
+            matmul_acc_with(backend, &mut out, &a, &b, m, k, n);
+            assert!(
+                out.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{label} f32 matmul diverged bitwise from the scalar reference at {shape}"
+            );
+            let gf = best_gflops(flops, min_ms, || {
                 out.fill(0.0);
-                matmul_acc_with(backend, &mut out, &a, &b, m, k, n);
-                assert!(
-                    out.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "{label} f32 matmul diverged bitwise from the scalar reference at {shape}"
-                );
-                let gf = best_gflops(flops, min_ms, || {
-                    out.fill(0.0);
-                    matmul_acc_with(backend, black_box(&mut out), black_box(&a), &b, m, k, n);
-                });
-                println!(
-                    "perfbench: {:>20} {shape:>16} z{zeros_pct:<7.4} {label:>9}: {gf:8.3} GFLOP/s",
-                    "matmul_f32"
-                );
-                rows.push(KernelRow {
-                    kernel: "matmul_f32",
-                    shape: shape.clone(),
-                    backend: label.clone(),
-                    gflops: gf,
-                    zeros_pct: Some(zeros_pct),
-                });
-            }
+                matmul_acc_with(backend, black_box(&mut out), black_box(&a), &b, m, k, n);
+            });
+            println!("perfbench: {:>20} {shape:>16} {label:>9}: {gf:8.3} GFLOP/s", "matmul_f32");
+            rows.push(KernelRow {
+                kernel: "matmul_f32",
+                shape: shape.clone(),
+                backend: label.clone(),
+                gflops: gf,
+                zeros_pct: None,
+            });
         }
     }
     for &(c_in, h, w, c_out, params) in &CONV_SHAPES {
